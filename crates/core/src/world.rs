@@ -13,7 +13,7 @@ use cluster::{ControlBalancer, DrainError, Placement, RebalanceConfig, Rebalance
 use directory::{attr, Dn, Dsa, Dua, MovieEntry, Rdn};
 use equipment::{Eca, EquipmentClass, Eua};
 use estelle::sched::{run_sequential, SeqOptions};
-use estelle::{ip, ModuleId, ModuleKind, ModuleLabels, Runtime};
+use estelle::{ip, ModuleId, ModuleKind, ModuleLabels, Readiness, Runtime};
 use journal::{EventKind, Journal};
 use mtp::MtpReceiver;
 use netsim::{
@@ -897,11 +897,11 @@ impl World {
             if sent > 0 {
                 continue;
             }
-            if self.rt.any_enabled(opts.dispatch) {
-                continue;
-            }
+            let next_delay = match self.rt.readiness(opts.dispatch) {
+                Readiness::Enabled => continue,
+                Readiness::IdleUntil(deadline) => deadline,
+            };
             let next_net = self.net.next_event_at();
-            let next_delay = self.rt.next_deadline();
             let next_due = self.providers.iter().filter_map(|s| s.next_due()).min();
             let next_tick = self
                 .rebalancers

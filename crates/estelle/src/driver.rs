@@ -7,7 +7,7 @@
 //! module `delay` deadline), and repeat — a classic two-domain DES
 //! co-simulation.
 
-use crate::runtime::Runtime;
+use crate::runtime::{Readiness, Runtime};
 use crate::sched::{run_sequential, RunReport, SeqOptions, StopReason};
 use netsim::{Network, SimTime};
 use std::time::{Duration, Instant};
@@ -52,8 +52,11 @@ pub fn run_sim(rt: &Runtime, net: &Network, opts: &SeqOptions, limit: SimTime) -
         if report.stopped == StopReason::MaxFirings {
             break false;
         }
+        let next_delay = match rt.readiness(inner_opts.dispatch) {
+            Readiness::Enabled => continue,
+            Readiness::IdleUntil(deadline) => deadline,
+        };
         let next_net = net.next_event_at();
-        let next_delay = rt.next_deadline();
         let next = match (next_net, next_delay) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),

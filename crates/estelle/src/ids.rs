@@ -19,6 +19,11 @@ impl ModuleId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// The id after this one (scan cursors step with it).
+    pub(crate) fn next(self) -> Self {
+        ModuleId(self.0 + 1)
+    }
 }
 
 impl fmt::Display for ModuleId {

@@ -103,5 +103,7 @@ pub use machine::{
     Dispatch, FiredInfo, FromState, Fsm, IpState, ModuleExec, Selected, StateMachine, Transition,
     TransitionInfo, DEFAULT_TRANSITION_COST,
 };
-pub use runtime::{validate_child_kind, Counters, FireOutcome, FiredMeta, ModuleMeta, Runtime};
+pub use runtime::{
+    validate_child_kind, Counters, FireOutcome, FiredMeta, ModuleMeta, Readiness, Runtime,
+};
 pub use trace::{ExecTrace, FiringRecord, TraceModuleMeta};

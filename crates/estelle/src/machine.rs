@@ -331,6 +331,13 @@ pub trait ModuleExec: Send {
     /// Earliest instant a `delay` transition could become enabled,
     /// given current queues; `None` if no delay transition is pending.
     fn next_deadline(&self, ips: &[IpState], entered: SimTime) -> Option<SimTime>;
+    /// Whether the current state owns a transition without a `when`
+    /// clause (spontaneous or `delay`-only). Such a state must be
+    /// polled: its transitions can become enabled with every queue
+    /// empty. In any other state `select` and `next_deadline` yield
+    /// `None` whenever every queue is empty, so the runtime's ready
+    /// index may skip the module until a message arrives.
+    fn polls(&self) -> bool;
     /// Static transition descriptions (priority order), for
     /// specification export.
     fn transition_info(&self) -> Vec<TransitionInfo>;
@@ -351,6 +358,9 @@ pub struct Fsm<M: StateMachine> {
     /// Per-state indices into `order` (includes `Any`-state
     /// transitions), used by table-driven dispatch.
     by_state: Vec<Vec<u16>>,
+    /// Per-state: the row holds a transition without a `when` clause
+    /// (see [`ModuleExec::polls`]).
+    polls: Vec<bool>,
 }
 
 impl<M: StateMachine + fmt::Debug> fmt::Debug for Fsm<M> {
@@ -390,12 +400,17 @@ impl<M: StateMachine> Fsm<M> {
                 FromState::In(s) => by_state[s.0 as usize].push(i as u16),
             }
         }
+        let polls = by_state
+            .iter()
+            .map(|row| row.iter().any(|&i| order[i as usize].when.is_none()))
+            .collect();
         let state = machine.initial_state();
         Fsm {
             machine,
             state,
             order,
             by_state,
+            polls,
         }
     }
 
@@ -563,6 +578,20 @@ impl<M: StateMachine> ModuleExec for Fsm<M> {
 
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self
+    }
+
+    fn polls(&self) -> bool {
+        // A state past the table (reached by `Ctx::goto` only) has no
+        // row; hard-coded dispatch still matches `Any` transitions
+        // there.
+        self.polls
+            .get(self.state.0 as usize)
+            .copied()
+            .unwrap_or_else(|| {
+                self.order
+                    .iter()
+                    .any(|t| t.matches_state(self.state) && t.when.is_none())
+            })
     }
 
     fn next_deadline(&self, ips: &[IpState], entered: SimTime) -> Option<SimTime> {
@@ -787,6 +816,7 @@ mod tests {
             fsm.next_deadline(&[], entered),
             Some(SimTime::from_millis(110))
         );
+        assert!(fsm.polls(), "a delay-only row must be polled");
     }
 
     #[test]
@@ -813,6 +843,7 @@ mod tests {
             }
         }
         let mut fsm = Fsm::new(Abortable::default());
+        assert!(!fsm.polls(), "only `when` transitions: idle while empty");
         let mut ips = vec![IpState::default()];
         ips[0].queue.push_back(QueuedMsg {
             msg: Box::new(Tick(0)),

@@ -11,12 +11,13 @@ use crate::error::{EstelleError, Result};
 use crate::ids::{IpIndex, IpRef, ModuleId, ModuleKind, ModuleLabels, StateId};
 use crate::interaction::Interaction;
 use crate::machine::{
-    Dispatch, Fsm, IpState, ModuleExec, QueuedMsg, Selected, StateMachine, DEFAULT_TRANSITION_COST,
+    Dispatch, FiredInfo, Fsm, IpState, ModuleExec, QueuedMsg, StateMachine, DEFAULT_TRANSITION_COST,
 };
 use crate::trace::{ExecTrace, FiringRecord, TraceModuleMeta};
 use netsim::{Clock, SimDuration, SimTime, VirtualClock};
 use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -77,7 +78,9 @@ pub struct Counters {
     pub inits: u64,
     /// Transition-selection calls (scheduler scans).
     pub selects: u64,
-    /// Wall nanoseconds spent selecting (scheduler overhead).
+    /// Wall nanoseconds spent selecting (scheduler overhead): each
+    /// scan is timed as a whole, from its first candidate to the
+    /// transition it fires or to its end.
     pub scan_ns: u64,
     /// Wall nanoseconds spent in transition actions (useful work).
     pub action_ns: u64,
@@ -150,6 +153,162 @@ struct ModuleSlot {
     /// Held while a child of an `activity`-kind module fires, realizing
     /// sibling mutual exclusion under parallel schedulers.
     family_lock: Mutex<()>,
+    /// Messages queued across all interaction points (bumped under the
+    /// core lock, readable without it).
+    queued: AtomicUsize,
+    /// [`ModuleExec::polls`] of the current state, refreshed under the
+    /// core lock whenever the state may have moved.
+    polls: AtomicBool,
+}
+
+impl ModuleSlot {
+    fn is_alive(&self) -> bool {
+        self.alive.load(Ordering::SeqCst)
+    }
+
+    /// The ready-index predicate: this module may have an enabled
+    /// transition or a pending `delay` deadline. Inactive modules
+    /// never fire, so they are never ready.
+    fn can_fire(&self) -> bool {
+        self.is_alive()
+            && self.kind != ModuleKind::Inactive
+            && (self.queued.load(Ordering::SeqCst) > 0 || self.polls.load(Ordering::SeqCst))
+    }
+
+    /// Whether a transition is enabled now (ignoring parent
+    /// precedence). Skips the core lock for modules outside the
+    /// ready-index predicate.
+    fn enabled(&self, dispatch: Dispatch, now: SimTime, counters: &AtomicCounters) -> bool {
+        if !self.can_fire() {
+            return false;
+        }
+        let core = self.core.lock();
+        counters.selects.fetch_add(1, Ordering::Relaxed);
+        core.exec
+            .select(&core.ips, now, core.entered_at, dispatch)
+            .is_some()
+    }
+}
+
+/// The module table and, beside it, the ready index (see
+/// [`Runtime`]). One lock guards both so the index grows with the table; the
+/// bits themselves flip under the read guard.
+#[derive(Default)]
+struct Topology {
+    slots: Vec<Option<Arc<ModuleSlot>>>,
+    /// Bit `id % 64` of word `id / 64` ⇒ module `id` is a member.
+    ready: Vec<AtomicU64>,
+}
+
+impl Topology {
+    fn slot(&self, id: ModuleId) -> Option<&Arc<ModuleSlot>> {
+        self.slots.get(id.index()).and_then(Option::as_ref)
+    }
+
+    fn alive(&self) -> impl Iterator<Item = &Arc<ModuleSlot>> {
+        self.slots.iter().flatten().filter(|s| s.is_alive())
+    }
+
+    /// Sets the ready bit of an inserted module. Callers publish what
+    /// made the module ready (queue count, `polls`, the slot) first.
+    fn mark_ready(&self, id: ModuleId) {
+        self.ready[id.index() / 64].fetch_or(1 << (id.index() % 64), Ordering::SeqCst);
+    }
+
+    /// Appends `msg` to a queue of `dest`, counts it and marks `dest`
+    /// ready (in that order); false if the interaction point does not
+    /// exist.
+    fn enqueue(&self, dest: &ModuleSlot, ip: IpIndex, msg: QueuedMsg) -> bool {
+        {
+            let mut core = dest.core.lock();
+            let Some(ip) = core.ips.get_mut(ip.0 as usize) else {
+                return false;
+            };
+            ip.queue.push_back(msg);
+            dest.queued.fetch_add(1, Ordering::SeqCst);
+        }
+        self.mark_ready(dest.id);
+        true
+    }
+
+    /// The first index member in `range` (ascending id), dropping idle
+    /// and dead members met on the way.
+    fn next_ready(&self, range: Range<ModuleId>) -> Option<&Arc<ModuleSlot>> {
+        let end = range.end.index().min(self.slots.len());
+        let mut i = range.start.index();
+        while i < end {
+            let word = &self.ready[i / 64];
+            let bits = word.load(Ordering::SeqCst) & (u64::MAX << (i % 64));
+            if bits == 0 {
+                i = (i / 64 + 1) * 64;
+                continue;
+            }
+            i = i / 64 * 64 + bits.trailing_zeros() as usize;
+            if i >= end {
+                break;
+            }
+            let slot = self.slots[i]
+                .as_ref()
+                .expect("ready bits are set after insertion");
+            if slot.can_fire() {
+                return Some(slot);
+            }
+            let bit = 1 << (i % 64);
+            word.fetch_and(!bit, Ordering::SeqCst);
+            if slot.can_fire() {
+                // Made ready between the two looks; its own set may
+                // have landed before our clear.
+                word.fetch_or(bit, Ordering::SeqCst);
+                return Some(slot);
+            }
+            i += 1;
+        }
+        None
+    }
+}
+
+/// Counts a firing as in flight from the moment its transition is
+/// selected until its effects are applied (or its action unwinds).
+struct InFlight<'a>(&'a AtomicUsize);
+
+impl<'a> InFlight<'a> {
+    fn enter(count: &'a AtomicUsize) -> Self {
+        count.fetch_add(1, Ordering::SeqCst);
+        InFlight(count)
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// A transition that ran under the topology guard; its effects are
+/// applied by [`Runtime::commit`] once the guard is gone (creating a
+/// child takes the write lock).
+struct Firing<'rt> {
+    in_flight: InFlight<'rt>,
+    slot: Arc<ModuleSlot>,
+    seq: u64,
+    info: FiredInfo,
+    scanned: u32,
+    effects: Vec<Effect>,
+    qos_obs: Option<(IpIndex, &'static str, SimDuration)>,
+    /// Module type and causal dependencies, when tracing is on.
+    traced: Option<(&'static str, Vec<u64>)>,
+}
+
+/// What an idle driver needs to know, answered by one walk of the
+/// ready index ([`Runtime::readiness`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Readiness {
+    /// Some module has an enabled transition now, or a firing was in
+    /// flight while the question was asked (what it enables is not
+    /// visible until its effects are applied).
+    Enabled,
+    /// Nothing is enabled; the earliest `delay` deadline, if any.
+    IdleUntil(Option<SimTime>),
 }
 
 /// The Estelle runtime.
@@ -158,15 +317,56 @@ struct ModuleSlot {
 /// [`Runtime::add_module`] and [`Runtime::connect`], then call
 /// [`Runtime::start`]; drive execution with a scheduler from
 /// [`crate::sched`].
+///
+/// # The ready index
+///
+/// The paper's cure for the scheduler bottleneck (§5.2) is that "each
+/// part only has to check the transitions of one module". The runtime
+/// applies the same idea to *which* modules are checked at all: beside
+/// the module table it keeps one bit per module id, the **ready
+/// index**, and every scan (the schedulers' passes, parent precedence,
+/// [`Runtime::readiness`], [`Runtime::next_deadline`]) consults members
+/// only.
+///
+/// Invariant: `alive ∧ (queued > 0 ∨ polls(state))` ⇒ the module's bit
+/// is set, where `queued` counts the messages in the module's queues
+/// and `polls` is [`crate::ModuleExec::polls`] of its current state (a
+/// transition without a `when` clause); inactive modules, which never
+/// fire, are never members. Every transition of a module
+/// outside that predicate has a `when` on an empty queue, so `select`
+/// and `next_deadline` would both yield `None`: skipping it changes
+/// nothing but the counters. Polling states stay members whatever
+/// their guards say, because guards read state the runtime cannot see
+/// change (a medium's receive buffer, a stream provider's flags).
+///
+/// The bit is set when a slot is inserted, after every enqueue (count
+/// first, bit second) and after `initialize` or a firing leaves the
+/// module able to fire again. It is cleared lazily by the scan that
+/// finds the member idle or dead: clear, then look at the predicate
+/// once more and set the bit back if it turned true meanwhile. All of
+/// these are `SeqCst`, so whichever of "set after publishing" and
+/// "re-check after clearing" comes second sees the other and no
+/// wake-up is lost under the parallel schedulers. One window remains:
+/// a module that consumed its last message is outside the index until
+/// its action returns, and holds no lock an index walk would wait on.
+/// The runtime therefore counts firings in flight, and
+/// [`Runtime::readiness`] answers `Enabled` while there is one.
 pub struct Runtime {
     clock: Arc<dyn Clock>,
     vclock: Option<Arc<VirtualClock>>,
     next_id: AtomicU32,
-    topo: RwLock<Vec<Option<Arc<ModuleSlot>>>>,
+    /// Never acquired while holding it or a module's core lock: the
+    /// scans hold the read guard across many core locks, and a waiting
+    /// writer blocks new readers.
+    topo: RwLock<Topology>,
     frozen: AtomicBool,
     trace_on: AtomicBool,
     trace: Mutex<Vec<FiringRecord>>,
     fire_seq: AtomicU64,
+    /// Firings selected but not yet committed. A module in that window
+    /// may be outside the ready index with no lock a scan would wait
+    /// on, so the idle query has to ask.
+    in_flight: AtomicUsize,
     counters: AtomicCounters,
     qos_on: AtomicBool,
     qos: RwLock<Option<Arc<crate::qos::QosMonitor>>>,
@@ -176,7 +376,7 @@ pub struct Runtime {
 impl std::fmt::Debug for Runtime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Runtime")
-            .field("modules", &self.topo.read().iter().flatten().count())
+            .field("modules", &self.topo.read().slots.iter().flatten().count())
             .field("frozen", &self.frozen.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
@@ -189,11 +389,12 @@ impl Runtime {
             clock,
             vclock: None,
             next_id: AtomicU32::new(0),
-            topo: RwLock::new(Vec::new()),
+            topo: RwLock::new(Topology::default()),
             frozen: AtomicBool::new(false),
             trace_on: AtomicBool::new(false),
             trace: Mutex::new(Vec::new()),
             fire_seq: AtomicU64::new(1),
+            in_flight: AtomicUsize::new(0),
             counters: AtomicCounters::default(),
             qos_on: AtomicBool::new(false),
             qos: RwLock::new(None),
@@ -271,7 +472,7 @@ impl Runtime {
     }
 
     fn slot(&self, id: ModuleId) -> Option<Arc<ModuleSlot>> {
-        self.topo.read().get(id.index()).and_then(|s| s.clone())
+        self.topo.read().slot(id).cloned()
     }
 
     /// Adds a module to the static part of the specification.
@@ -337,6 +538,7 @@ impl Runtime {
         exec: Box<dyn ModuleExec>,
     ) {
         let num_ips = exec.num_ips();
+        let polls = exec.polls();
         let slot = Arc::new(ModuleSlot {
             id,
             name,
@@ -353,13 +555,18 @@ impl Runtime {
             }),
             alive: AtomicBool::new(true),
             family_lock: Mutex::new(()),
+            queued: AtomicUsize::new(0),
+            polls: AtomicBool::new(polls),
         });
         {
             let mut topo = self.topo.write();
-            if topo.len() <= id.index() {
-                topo.resize_with(id.index() + 1, || None);
+            if topo.slots.len() <= id.index() {
+                topo.slots.resize_with(id.index() + 1, || None);
+                let words = topo.slots.len().div_ceil(64);
+                topo.ready.resize_with(words, AtomicU64::default);
             }
-            topo[id.index()] = Some(Arc::clone(&slot));
+            topo.slots[id.index()] = Some(slot);
+            topo.mark_ready(id);
         }
         if let Some(p) = parent {
             if let Some(ps) = self.slot(p) {
@@ -444,7 +651,7 @@ impl Runtime {
         self.frozen.store(true, Ordering::SeqCst);
         let existing: Vec<ModuleId> = {
             let topo = self.topo.read();
-            topo.iter().flatten().map(|s| s.id).collect()
+            topo.slots.iter().flatten().map(|s| s.id).collect()
         };
         for id in existing {
             self.init_module(id);
@@ -454,7 +661,7 @@ impl Runtime {
 
     fn init_module(&self, id: ModuleId) {
         let Some(slot) = self.slot(id) else { return };
-        if !slot.alive.load(Ordering::SeqCst) {
+        if !slot.is_alive() {
             return;
         }
         let mut effects = Vec::new();
@@ -475,6 +682,10 @@ impl Runtime {
                 &self.next_id,
             );
             core.exec.on_init(&mut ctx);
+            slot.polls.store(core.exec.polls(), Ordering::SeqCst);
+        }
+        if slot.can_fire() {
+            self.topo.read().mark_ready(id);
         }
         self.counters.inits.fetch_add(1, Ordering::Relaxed);
         if self.trace_on.load(Ordering::Relaxed) {
@@ -494,185 +705,295 @@ impl Runtime {
     /// Attempts to fire one transition of `id`, honouring parent
     /// precedence and activity mutual exclusion.
     pub fn try_fire(&self, id: ModuleId, dispatch: Dispatch) -> FireOutcome {
-        let Some(slot) = self.slot(id) else {
-            return FireOutcome::Dead;
+        let t_scan = Instant::now();
+        let attempt = {
+            let topo = self.topo.read();
+            match topo.slot(id) {
+                Some(slot) => self.attempt(&topo, slot, dispatch, self.clock.now(), t_scan),
+                None => Err(FireOutcome::Dead),
+            }
         };
-        if !slot.alive.load(Ordering::SeqCst) {
-            return FireOutcome::Dead;
+        match attempt {
+            Ok(firing) => FireOutcome::Fired(self.commit(firing)),
+            Err(outcome) => {
+                self.add_scan_ns(t_scan);
+                outcome
+            }
         }
-        if slot.kind == ModuleKind::Inactive {
-            return FireOutcome::NotEnabled;
+    }
+
+    /// Fires the first ready-index member of `range` (ascending id)
+    /// that has an enabled, unblocked transition, and returns what
+    /// fired; `None` when no member of the range can fire. One
+    /// scheduler pass is a sequence of these calls with the cursor
+    /// moved just past each module that fired.
+    pub fn fire_next_ready(&self, range: Range<ModuleId>, dispatch: Dispatch) -> Option<FiredMeta> {
+        let t_scan = Instant::now();
+        let now = self.clock.now();
+        let firing = {
+            let topo = self.topo.read();
+            let mut cursor = range.start;
+            loop {
+                let Some(slot) = topo.next_ready(cursor..range.end) else {
+                    break None;
+                };
+                match self.attempt(&topo, slot, dispatch, now, t_scan) {
+                    Ok(firing) => break Some(firing),
+                    Err(_) => cursor = slot.id.next(),
+                }
+            }
+        };
+        match firing {
+            Some(firing) => Some(self.commit(firing)),
+            None => {
+                self.add_scan_ns(t_scan);
+                None
+            }
+        }
+    }
+
+    /// The first ready-index member in `range` (ascending id). A
+    /// member *may* have an enabled transition; a module outside the
+    /// index cannot.
+    pub fn next_ready(&self, range: Range<ModuleId>) -> Option<ModuleId> {
+        self.topo.read().next_ready(range).map(|s| s.id)
+    }
+
+    /// One past the highest module id handed out so far. A pass that
+    /// scans `..id_watermark()` leaves modules created during the pass
+    /// to the next one.
+    pub fn id_watermark(&self) -> ModuleId {
+        ModuleId(self.next_id.load(Ordering::SeqCst))
+    }
+
+    fn add_scan_ns(&self, since: Instant) {
+        self.counters
+            .scan_ns
+            .fetch_add(since.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    }
+
+    /// Selects and, if a transition is enabled and no ancestor claims
+    /// precedence, fires `slot` under the caller's topology guard.
+    /// `t_scan` is when the caller's scan began: a firing closes the
+    /// scan interval (the time since counts as selection) and opens
+    /// the action interval with the same clock read.
+    fn attempt(
+        &self,
+        topo: &Topology,
+        slot: &Arc<ModuleSlot>,
+        dispatch: Dispatch,
+        now: SimTime,
+        t_scan: Instant,
+    ) -> std::result::Result<Firing<'_>, FireOutcome> {
+        if !slot.is_alive() {
+            return Err(FireOutcome::Dead);
+        }
+        if !slot.can_fire() {
+            return Err(FireOutcome::NotEnabled);
         }
         // Parent precedence: every attributed ancestor must have
         // nothing to do.
         let mut anc = slot.parent;
-        while let Some(pid) = anc {
-            let Some(ps) = self.slot(pid) else { break };
-            if ps.kind.is_attributed()
-                && ps.alive.load(Ordering::SeqCst)
-                && self.module_enabled_slot(&ps, dispatch)
-            {
+        while let Some(ps) = anc.and_then(|pid| topo.slot(pid)) {
+            if ps.kind.is_attributed() && ps.enabled(dispatch, now, &self.counters) {
                 self.counters.blocked.fetch_add(1, Ordering::Relaxed);
-                return FireOutcome::Blocked;
+                return Err(FireOutcome::Blocked);
             }
             anc = ps.parent;
         }
         // Activity mutual exclusion among siblings.
-        let parent_slot = slot.parent.and_then(|p| self.slot(p));
-        let _family_guard = match &parent_slot {
+        let _family_guard = match slot.parent.and_then(|p| topo.slot(p)) {
             Some(ps) if ps.kind.children_exclusive() => Some(ps.family_lock.lock()),
             _ => None,
         };
-        let now = self.clock.now();
+        let id = slot.id;
         let mut effects = Vec::new();
-        let mut qos_obs: Option<(IpIndex, &'static str, SimDuration)> = None;
-        let (info, seq, scanned, deps);
-        {
-            let mut core = slot.core.lock();
-            let t_scan = Instant::now();
-            let sel: Option<Selected> = {
-                let ModuleCore {
-                    exec,
-                    ips,
-                    entered_at,
-                    ..
-                } = &mut *core;
-                exec.select(ips, now, *entered_at, dispatch)
-            };
-            self.counters
-                .scan_ns
-                .fetch_add(t_scan.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            self.counters.selects.fetch_add(1, Ordering::Relaxed);
-            let Some(sel) = sel else {
-                return FireOutcome::NotEnabled;
-            };
-            scanned = sel.scanned;
-            seq = self.fire_seq.fetch_add(1, Ordering::SeqCst);
-            let mut d: Vec<u64> = Vec::new();
-            if let Some(ls) = core.last_seq {
-                d.push(ls);
+        let mut qos_obs = None;
+        let mut core = slot.core.lock();
+        self.counters.selects.fetch_add(1, Ordering::Relaxed);
+        let sel = core
+            .exec
+            .select(&core.ips, now, core.entered_at, dispatch)
+            .ok_or(FireOutcome::NotEnabled)?;
+        let in_flight = InFlight::enter(&self.in_flight);
+        let t_act = Instant::now();
+        self.counters.scan_ns.fetch_add(
+            t_act.duration_since(t_scan).as_nanos() as u64,
+            Ordering::Relaxed,
+        );
+        let seq = self.fire_seq.fetch_add(1, Ordering::SeqCst);
+        let mut traced = self
+            .trace_on
+            .load(Ordering::Relaxed)
+            .then(|| (core.exec.type_name(), Vec::from_iter(core.last_seq)));
+        let input = sel
+            .needs_input
+            .and_then(|ip| core.ips.get_mut(ip.0 as usize))
+            .and_then(|q| q.queue.pop_front());
+        let input_msg = input.map(|q| {
+            slot.queued.fetch_sub(1, Ordering::SeqCst);
+            if let (Some((_, deps)), Some(p)) = (&mut traced, q.provenance) {
+                deps.push(p);
             }
-            let input = sel
-                .needs_input
-                .and_then(|ip| core.ips.get_mut(ip.0 as usize))
-                .and_then(|q| q.queue.pop_front());
-            let input_msg = input.map(|q| {
-                if let Some(p) = q.provenance {
-                    d.push(p);
+            if self.qos_on.load(Ordering::Relaxed) {
+                if let Some(ip) = sel.needs_input {
+                    qos_obs = Some((
+                        ip,
+                        q.msg.interaction_name(),
+                        now.saturating_since(q.enqueued_at),
+                    ));
                 }
-                if self.qos_on.load(Ordering::Relaxed) {
-                    if let Some(ip) = sel.needs_input {
-                        qos_obs = Some((
-                            ip,
-                            q.msg.interaction_name(),
-                            now.saturating_since(q.enqueued_at),
-                        ));
-                    }
-                }
-                q.msg
-            });
-            deps = d;
-            let mut ctx = Ctx::new(now, id, slot.kind, seq, &mut effects, &self.next_id);
-            let t_act = Instant::now();
-            let fired = core.exec.fire(sel, input_msg, &mut ctx);
-            self.counters
-                .action_ns
-                .fetch_add(t_act.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            if fired.to_state != fired.from_state {
-                core.entered_at = now;
             }
-            core.last_seq = Some(seq);
-            info = fired;
+            q.msg
+        });
+        let mut ctx = Ctx::new(now, id, slot.kind, seq, &mut effects, &self.next_id);
+        let info = core.exec.fire(sel, input_msg, &mut ctx);
+        self.counters
+            .action_ns
+            .fetch_add(t_act.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        if info.to_state != info.from_state {
+            core.entered_at = now;
         }
-        drop(_family_guard);
+        core.last_seq = Some(seq);
+        slot.polls.store(core.exec.polls(), Ordering::SeqCst);
+        drop(core);
+        // Another thread's scan may have dropped the module from the
+        // index while its last message was being consumed.
+        if slot.can_fire() {
+            topo.mark_ready(id);
+        }
+        Ok(Firing {
+            in_flight,
+            slot: Arc::clone(slot),
+            seq,
+            info,
+            scanned: sel.scanned,
+            effects,
+            qos_obs,
+            traced,
+        })
+    }
+
+    /// Applies the effects of a firing and records it. Runs without
+    /// the topology guard.
+    fn commit(&self, firing: Firing<'_>) -> FiredMeta {
+        let Firing {
+            in_flight,
+            slot,
+            seq,
+            info,
+            scanned,
+            effects,
+            qos_obs,
+            traced,
+        } = firing;
         if let Some((ip, name, delay)) = qos_obs {
             if let Some(monitor) = self.qos.read().as_ref() {
-                monitor.observe(id, ip, name, delay, now);
+                monitor.observe(slot.id, ip, name, delay, self.clock.now());
             }
         }
-        self.apply_effects(id, seq, effects);
-        if self.trace_on.load(Ordering::Relaxed) {
+        self.apply_effects(slot.id, seq, effects);
+        if let Some((module_type, deps)) = traced {
             self.trace.lock().push(FiringRecord {
                 seq,
-                module: id,
+                module: slot.id,
                 labels: slot.labels,
-                module_type: slot.core.lock().exec.type_name(),
+                module_type,
                 transition: info.transition,
                 cost: info.cost,
                 deps,
             });
         }
         self.counters.firings.fetch_add(1, Ordering::Relaxed);
-        FireOutcome::Fired(FiredMeta {
-            module: id,
+        drop(in_flight);
+        FiredMeta {
+            module: slot.id,
             transition: info.transition,
             cost: info.cost,
             scanned,
             from_state: info.from_state,
             to_state: info.to_state,
-        })
-    }
-
-    fn module_enabled_slot(&self, slot: &Arc<ModuleSlot>, dispatch: Dispatch) -> bool {
-        let core = slot.core.lock();
-        let t_scan = Instant::now();
-        let ModuleCore {
-            exec,
-            ips,
-            entered_at,
-            ..
-        } = &*core;
-        let enabled = exec
-            .select(ips, self.clock.now(), *entered_at, dispatch)
-            .is_some();
-        self.counters
-            .scan_ns
-            .fetch_add(t_scan.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        self.counters.selects.fetch_add(1, Ordering::Relaxed);
-        enabled
+        }
     }
 
     /// Whether `id` currently has an enabled transition (ignoring
     /// parent precedence).
     pub fn module_enabled(&self, id: ModuleId, dispatch: Dispatch) -> bool {
-        match self.slot(id) {
-            Some(s) if s.alive.load(Ordering::SeqCst) => self.module_enabled_slot(&s, dispatch),
-            _ => false,
+        let t_scan = Instant::now();
+        let enabled = self
+            .topo
+            .read()
+            .slot(id)
+            .is_some_and(|s| s.enabled(dispatch, self.clock.now(), &self.counters));
+        self.add_scan_ns(t_scan);
+        enabled
+    }
+
+    /// One walk of the ready index: whether a member has an enabled
+    /// transition (looked for only with a `dispatch`, and ending the
+    /// walk) and the earliest `delay` deadline among the members seen.
+    ///
+    /// With a `dispatch` the answer is "enabled" as well if a firing
+    /// overlapped the walk. Under the parallel schedulers a module
+    /// that consumed its last message sits outside the index until
+    /// its action returns, and what the action outputs reaches the
+    /// index later still; a walk that overlaps neither an in-flight
+    /// firing (count read before and after) nor the start of one
+    /// (firing sequence unchanged) has seen everything.
+    fn scan_ready(&self, dispatch: Option<Dispatch>) -> (bool, Option<SimTime>) {
+        let t_scan = Instant::now();
+        let now = self.clock.now();
+        let epoch = self.fire_seq.load(Ordering::SeqCst);
+        if dispatch.is_some() && self.in_flight.load(Ordering::SeqCst) > 0 {
+            return (true, None);
+        }
+        let topo = self.topo.read();
+        let end = ModuleId(topo.slots.len() as u32);
+        let mut cursor = ModuleId(0);
+        let mut enabled = false;
+        let mut deadline: Option<SimTime> = None;
+        while let Some(slot) = topo.next_ready(cursor..end) {
+            cursor = slot.id.next();
+            let core = slot.core.lock();
+            if let Some(dispatch) = dispatch {
+                self.counters.selects.fetch_add(1, Ordering::Relaxed);
+                let sel = core.exec.select(&core.ips, now, core.entered_at, dispatch);
+                if sel.is_some() {
+                    enabled = true;
+                    break;
+                }
+            }
+            if let Some(t) = core.exec.next_deadline(&core.ips, core.entered_at) {
+                deadline = Some(deadline.map_or(t, |d| d.min(t)));
+            }
+        }
+        drop(topo);
+        self.add_scan_ns(t_scan);
+        let overlapped = dispatch.is_some()
+            && (self.in_flight.load(Ordering::SeqCst) > 0
+                || self.fire_seq.load(Ordering::SeqCst) != epoch);
+        (enabled || overlapped, deadline)
+    }
+
+    /// Whether anything is enabled now and, if not, when the earliest
+    /// `delay` transition could become enabled — the question a driver
+    /// asks before it lets time pass, answered in one walk.
+    pub fn readiness(&self, dispatch: Dispatch) -> Readiness {
+        match self.scan_ready(Some(dispatch)) {
+            (true, _) => Readiness::Enabled,
+            (false, deadline) => Readiness::IdleUntil(deadline),
         }
     }
 
     /// Whether any alive module has an enabled transition.
     pub fn any_enabled(&self, dispatch: Dispatch) -> bool {
-        let slots: Vec<Arc<ModuleSlot>> =
-            self.topo.read().iter().flatten().map(Arc::clone).collect();
-        slots
-            .iter()
-            .filter(|s| s.alive.load(Ordering::SeqCst))
-            .any(|s| self.module_enabled_slot(s, dispatch))
+        self.scan_ready(Some(dispatch)).0
     }
 
     /// Earliest instant at which a `delay` transition could become
     /// enabled, across all modules.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        let slots: Vec<Arc<ModuleSlot>> =
-            self.topo.read().iter().flatten().map(Arc::clone).collect();
-        let mut best: Option<SimTime> = None;
-        for s in slots.iter().filter(|s| s.alive.load(Ordering::SeqCst)) {
-            let core = s.core.lock();
-            let ModuleCore {
-                exec,
-                ips,
-                entered_at,
-                ..
-            } = &*core;
-            if let Some(t) = exec.next_deadline(ips, *entered_at) {
-                best = Some(match best {
-                    Some(b) => b.min(t),
-                    None => t,
-                });
-            }
-        }
-        best
+        self.scan_ready(None).1
     }
 
     /// Advances the virtual clock to `t` (no-op for real clocks or
@@ -723,36 +1044,27 @@ impl Runtime {
         msg: Box<dyn Interaction>,
         provenance: Option<u64>,
     ) {
-        let Some(slot) = self.slot(owner) else { return };
-        let peer = {
-            let core = slot.core.lock();
-            match core.ips.get(from_ip.0 as usize) {
-                Some(ip) => ip.peer,
-                None => panic!("module {owner} output on out-of-range interaction point {from_ip}"),
-            }
+        let topo = self.topo.read();
+        let Some(slot) = topo.slot(owner) else { return };
+        let peer = match slot.core.lock().ips.get(from_ip.0 as usize) {
+            Some(ip) => ip.peer,
+            None => panic!("module {owner} output on out-of-range interaction point {from_ip}"),
         };
         let Some(peer) = peer else {
             self.counters.lost_outputs.fetch_add(1, Ordering::Relaxed);
             return;
         };
-        let Some(dest) = self.slot(peer.module) else {
-            self.counters.msgs_to_dead.fetch_add(1, Ordering::Relaxed);
-            return;
+        let msg = QueuedMsg {
+            msg,
+            provenance,
+            enqueued_at: self.clock.now(),
         };
-        if !dest.alive.load(Ordering::SeqCst) {
+        let queued = topo
+            .slot(peer.module)
+            .filter(|dest| dest.is_alive())
+            .is_some_and(|dest| topo.enqueue(dest, peer.ip, msg));
+        if !queued {
             self.counters.msgs_to_dead.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let mut core = dest.core.lock();
-        match core.ips.get_mut(peer.ip.0 as usize) {
-            Some(ip) => ip.queue.push_back(QueuedMsg {
-                msg,
-                provenance,
-                enqueued_at: self.clock.now(),
-            }),
-            None => {
-                self.counters.msgs_to_dead.fetch_add(1, Ordering::Relaxed);
-            }
         }
     }
 
@@ -791,35 +1103,26 @@ impl Runtime {
     /// Returns an error if the module is unknown/released or the index
     /// is out of range.
     pub fn inject(&self, target: IpRef, msg: Box<dyn Interaction>) -> Result<()> {
-        let slot = self
+        let topo = self.topo.read();
+        let slot = topo
             .slot(target.module)
+            .filter(|s| s.is_alive())
             .ok_or(EstelleError::UnknownModule(target.module))?;
-        if !slot.alive.load(Ordering::SeqCst) {
-            return Err(EstelleError::UnknownModule(target.module));
-        }
-        let mut core = slot.core.lock();
-        match core.ips.get_mut(target.ip.0 as usize) {
-            Some(ip) => {
-                ip.queue.push_back(QueuedMsg {
-                    msg,
-                    provenance: None,
-                    enqueued_at: self.clock.now(),
-                });
-                Ok(())
-            }
-            None => Err(EstelleError::IpOutOfRange(target)),
+        let msg = QueuedMsg {
+            msg,
+            provenance: None,
+            enqueued_at: self.clock.now(),
+        };
+        if topo.enqueue(slot, target.ip, msg) {
+            Ok(())
+        } else {
+            Err(EstelleError::IpOutOfRange(target))
         }
     }
 
     /// Snapshot of all alive module ids, in id order.
     pub fn alive_modules(&self) -> Vec<ModuleId> {
-        self.topo
-            .read()
-            .iter()
-            .flatten()
-            .filter(|s| s.alive.load(Ordering::SeqCst))
-            .map(|s| s.id)
-            .collect()
+        self.topo.read().alive().map(|s| s.id).collect()
     }
 
     /// Metadata of `id`, if it ever existed.
@@ -830,7 +1133,7 @@ impl Runtime {
             kind: s.kind,
             labels: s.labels,
             parent: s.parent,
-            alive: s.alive.load(Ordering::SeqCst),
+            alive: s.is_alive(),
         })
     }
 
@@ -845,9 +1148,8 @@ impl Runtime {
     pub fn find_by_name(&self, name: &str) -> Option<ModuleId> {
         self.topo
             .read()
-            .iter()
-            .flatten()
-            .find(|s| s.alive.load(Ordering::SeqCst) && s.name == name)
+            .alive()
+            .find(|s| s.name == name)
             .map(|s| s.id)
     }
 
@@ -903,13 +1205,60 @@ impl Runtime {
 
     /// Total messages queued across all interaction points.
     pub fn pending_messages(&self) -> usize {
-        let slots: Vec<Arc<ModuleSlot>> =
-            self.topo.read().iter().flatten().map(Arc::clone).collect();
-        slots
-            .iter()
-            .filter(|s| s.alive.load(Ordering::SeqCst))
-            .map(|s| s.core.lock().ips.iter().map(|ip| ip.len()).sum::<usize>())
+        self.topo
+            .read()
+            .alive()
+            .map(|s| s.queued.load(Ordering::SeqCst))
             .sum()
+    }
+
+    /// Compares the ready index with the modules themselves and
+    /// describes every disagreement: a drifted queue count or `polls`
+    /// bit, a module that satisfies the membership predicate but is
+    /// not a member, and a module outside the predicate for which
+    /// `select` or `next_deadline` nevertheless yields something (the
+    /// claim that lets scans skip it). Meaningful only while no
+    /// scheduler is running; the equivalence tests call it between
+    /// runs.
+    #[doc(hidden)]
+    pub fn ready_index_violations(&self) -> Vec<String> {
+        let topo = self.topo.read();
+        let now = self.clock.now();
+        let mut found = Vec::new();
+        for slot in topo.alive().filter(|s| s.kind != ModuleKind::Inactive) {
+            let core = slot.core.lock();
+            let id = slot.id;
+            let queued: usize = core.ips.iter().map(IpState::len).sum();
+            if slot.queued.load(Ordering::SeqCst) != queued {
+                found.push(format!("{id}: queue count drifted from {queued}"));
+            }
+            if slot.polls.load(Ordering::SeqCst) != core.exec.polls() {
+                found.push(format!("{id}: stale polls bit in {}", core.exec.state()));
+            }
+            let bit = 1u64 << (id.index() % 64);
+            if queued > 0 || core.exec.polls() {
+                if topo.ready[id.index() / 64].load(Ordering::SeqCst) & bit == 0 {
+                    found.push(format!("{id}: can fire but is not in the index"));
+                }
+                continue;
+            }
+            let selectable = [Dispatch::HardCoded, Dispatch::TableDriven]
+                .iter()
+                .any(|&d| {
+                    core.exec
+                        .select(&core.ips, now, core.entered_at, d)
+                        .is_some()
+                });
+            if selectable
+                || core
+                    .exec
+                    .next_deadline(&core.ips, core.entered_at)
+                    .is_some()
+            {
+                found.push(format!("{id}: skipped by scans but not inert"));
+            }
+        }
+        found
     }
 
     /// Enables trace recording (see [`ExecTrace`]).
@@ -924,6 +1273,7 @@ impl Runtime {
         let modules = self
             .topo
             .read()
+            .slots
             .iter()
             .flatten()
             .map(|s| TraceModuleMeta {

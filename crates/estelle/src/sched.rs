@@ -7,11 +7,32 @@
 //! decentralized" — is reproduced by instrumenting selection time
 //! (scheduler) separately from action time (useful work) and by
 //! offering both a centralized and a decentralized implementation.
+//!
+//! The paper's cure is a scheduler in which "each part only has to
+//! check the transitions of one module". All three schedulers here go
+//! one step further in the same direction: none of them scans the
+//! specification. They walk the runtime's **ready index** (see
+//! [`crate::Runtime`]) — the modules with a queued interaction or a
+//! state that owns a spontaneous or `delay` transition — in ascending
+//! id order. A module outside the index has only `when` transitions
+//! on empty queues, so visiting it could neither fire it nor block a
+//! descendant; leaving it out changes no firing, trace or clock value,
+//! only how many selections the run costs. States that poll stay in
+//! the index whatever their guards say (guards read media and
+//! provider state the runtime is not told about), so they are still
+//! selected on every pass; taking them out needs wake-up hooks from
+//! those sources.
+//!
+//! A *pass* visits the members from id 0 up to the id watermark read
+//! when the pass starts. A module that becomes ready during the pass
+//! fires in the same pass if its id lies ahead of the cursor and in
+//! the next pass otherwise; a module created during the pass is first
+//! visited by the next one.
 
 use crate::grouping::GroupingPolicy;
 use crate::ids::ModuleId;
 use crate::machine::Dispatch;
-use crate::runtime::{Counters, FireOutcome, Runtime};
+use crate::runtime::{Counters, FireOutcome, Readiness, Runtime};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -100,31 +121,30 @@ pub fn run_sequential(rt: &Runtime, opts: &SeqOptions) -> RunReport {
     let before = rt.counters();
     let t0 = Instant::now();
     let mut fired_total = 0u64;
-    let stopped;
-    'outer: loop {
-        let modules = rt.alive_modules();
-        let mut fired_this_pass = 0u64;
-        for id in &modules {
-            if let Some(max) = opts.max_firings {
-                if fired_total >= max {
-                    stopped = StopReason::MaxFirings;
-                    break 'outer;
-                }
+    let stopped = 'run: loop {
+        let watermark = rt.id_watermark();
+        let mut cursor = ModuleId::from_raw(0);
+        let mut fired_this_pass = false;
+        loop {
+            // Checked after every firing (and before the first), so a
+            // budget spent on the last candidate of a pass is still
+            // reported as such.
+            if opts.max_firings.is_some_and(|max| fired_total >= max) {
+                break 'run StopReason::MaxFirings;
             }
-            match rt.try_fire(*id, opts.dispatch) {
-                FireOutcome::Fired(_) => {
-                    fired_total += 1;
-                    fired_this_pass += 1;
-                    if opts.fire_policy == FirePolicy::OnePerScan {
-                        // Centralized behaviour: restart the scan after
-                        // each firing.
-                        continue 'outer;
-                    }
-                }
-                FireOutcome::NotEnabled | FireOutcome::Blocked | FireOutcome::Dead => {}
+            let Some(fired) = rt.fire_next_ready(cursor..watermark, opts.dispatch) else {
+                break;
+            };
+            fired_total += 1;
+            fired_this_pass = true;
+            if opts.fire_policy == FirePolicy::OnePerScan {
+                // Centralized behaviour: restart the scan after each
+                // firing.
+                continue 'run;
             }
+            cursor = fired.module.next();
         }
-        if fired_this_pass == 0 {
+        if !fired_this_pass {
             if opts.advance_time {
                 if let Some(deadline) = rt.next_deadline() {
                     if deadline > rt.now() {
@@ -133,16 +153,28 @@ pub fn run_sequential(rt: &Runtime, opts: &SeqOptions) -> RunReport {
                     }
                 }
             }
-            stopped = StopReason::Quiescent;
-            break;
+            break StopReason::Quiescent;
         }
-    }
+    };
     RunReport {
         firings: fired_total,
         wall: t0.elapsed(),
         stopped,
         counters: counters_delta(rt.counters(), before),
     }
+}
+
+/// The ready-index members below the id watermark read at the call, in
+/// ascending id order: the candidates of one scan by a parallel
+/// scheduler. Modules made ready ahead of the cursor join the scan.
+fn candidates(rt: &Runtime) -> impl Iterator<Item = ModuleId> + '_ {
+    let watermark = rt.id_watermark();
+    let mut cursor = ModuleId::from_raw(0);
+    std::iter::from_fn(move || {
+        let id = rt.next_ready(cursor..watermark)?;
+        cursor = id.next();
+        Some(id)
+    })
 }
 
 /// Options for the parallel schedulers.
@@ -177,7 +209,7 @@ impl Default for ParOptions {
 }
 
 /// Runs the specification on `opts.units` worker threads, each worker
-/// scanning only the modules its unit owns (the *decentralized*
+/// scanning only the ready modules its unit owns (the *decentralized*
 /// scheduler: "each part only has to check the transitions of one
 /// module; this can be done in parallel").
 pub fn run_threads(rt: &Arc<Runtime>, opts: &ParOptions) -> RunReport {
@@ -198,7 +230,7 @@ pub fn run_threads(rt: &Arc<Runtime>, opts: &ParOptions) -> RunReport {
             scope.spawn(move || {
                 while !stop.load(Ordering::SeqCst) {
                     let mut any = false;
-                    for id in rt.alive_modules() {
+                    for id in candidates(&rt) {
                         if stop.load(Ordering::SeqCst) {
                             return;
                         }
@@ -243,9 +275,9 @@ pub fn run_threads(rt: &Arc<Runtime>, opts: &ParOptions) -> RunReport {
                 last_progress = p;
                 continue;
             }
-            if rt.any_enabled(opts.dispatch) {
+            let Readiness::IdleUntil(deadline) = rt.readiness(opts.dispatch) else {
                 continue;
-            }
+            };
             // Re-check stagnation after the enabled scan to close the
             // window where a worker fired mid-scan.
             if progress.load(Ordering::SeqCst) != p {
@@ -253,11 +285,9 @@ pub fn run_threads(rt: &Arc<Runtime>, opts: &ParOptions) -> RunReport {
                 continue;
             }
             if opts.advance_time {
-                if let Some(deadline) = rt.next_deadline() {
-                    if deadline > rt.now() {
-                        rt.advance_clock_to(deadline);
-                        continue;
-                    }
+                if let Some(deadline) = deadline.filter(|&d| d > rt.now()) {
+                    rt.advance_clock_to(deadline);
+                    continue;
                 }
             }
             break;
@@ -285,10 +315,10 @@ pub fn run_threads(rt: &Arc<Runtime>, opts: &ParOptions) -> RunReport {
 }
 
 /// Runs the specification with a *centralized* scheduler: a single
-/// coordinator repeatedly scans the whole module population for
-/// enabled transitions and hands them one at a time to a worker pool.
-/// The coordinator's scan is the global bottleneck the paper measured
-/// at up to 80 % of runtime.
+/// coordinator repeatedly scans every ready module for enabled
+/// transitions and hands them one at a time to a worker pool. The
+/// coordinator's scan is the global bottleneck the paper measured at
+/// up to 80 % of runtime.
 pub fn run_centralized(rt: &Arc<Runtime>, opts: &ParOptions) -> RunReport {
     let before = rt.counters();
     let t0 = Instant::now();
@@ -323,9 +353,7 @@ pub fn run_centralized(rt: &Arc<Runtime>, opts: &ParOptions) -> RunReport {
                 break;
             }
             // Coordinator scan: find all currently-enabled modules.
-            let enabled: Vec<ModuleId> = rt
-                .alive_modules()
-                .into_iter()
+            let enabled: Vec<ModuleId> = candidates(rt)
                 .filter(|&id| rt.module_enabled(id, opts.dispatch))
                 .collect();
             if enabled.is_empty() {

@@ -1,0 +1,594 @@
+//! Equivalence oracle for the ready-index schedulers.
+//!
+//! `run_sequential` walks the runtime's ready index; the reference
+//! scheduler below is the scan it replaced — every alive module, in id
+//! order, every pass. On random specifications (input-only rows,
+//! guarded spontaneous rows, `delay` rows with and without `when`,
+//! process and activity parents, children created and released
+//! mid-run, interactions injected between runs) both must produce the
+//! same trace, record for record, and the index must agree with the
+//! modules whenever the run pauses.
+
+use estelle::sched::{
+    run_centralized, run_sequential, run_threads, FirePolicy, ParOptions, SeqOptions, StopReason,
+};
+use estelle::{
+    downcast, impl_interaction, ip, Ctx, Dispatch, FireOutcome, GroupingPolicy, Interaction,
+    IpIndex, ModuleId, ModuleKind, ModuleLabels, Readiness, Runtime, StateId, StateMachine,
+    Transition,
+};
+use netsim::{SimDuration, SimTime};
+use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// The scan the ready index replaced, kept as the reference semantics.
+fn run_full_scan(rt: &Runtime, opts: &SeqOptions) -> u64 {
+    let mut fired = 0u64;
+    'pass: loop {
+        let mut fired_this_pass = false;
+        for id in rt.alive_modules() {
+            if let FireOutcome::Fired(_) = rt.try_fire(id, opts.dispatch) {
+                fired += 1;
+                fired_this_pass = true;
+                assert!(fired < 200_000, "specification does not terminate");
+                if opts.fire_policy == FirePolicy::OnePerScan {
+                    continue 'pass;
+                }
+            }
+        }
+        if !fired_this_pass {
+            match rt.next_deadline() {
+                Some(deadline) if deadline > rt.now() => rt.advance_clock_to(deadline),
+                _ => return fired,
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// One machine type, configured per instance, whose states cover every
+// kind of row the index tells apart.
+// ---------------------------------------------------------------------
+
+/// Only `when` transitions: outside the index while the queue is empty.
+const WAIT: StateId = StateId(0);
+/// A guarded spontaneous transition: polled whatever the guard says.
+const SPIN: StateId = StateId(1);
+/// `delay` transitions without `when`, toggling to re-arm.
+const TICK: StateId = StateId(2);
+const TOCK: StateId = StateId(3);
+/// A `delay` transition *with* `when`: a deadline only once a message
+/// is queued.
+const SLOW: StateId = StateId(4);
+
+const IN: IpIndex = IpIndex(0);
+const OUT: IpIndex = IpIndex(1);
+const CHILD: IpIndex = IpIndex(2);
+
+/// An interaction that dies out: whatever a message causes carries a
+/// smaller `ttl`, so every specification terminates.
+#[derive(Debug)]
+struct Msg {
+    ttl: u8,
+}
+impl_interaction!(Msg);
+
+/// What a node does with a received message, after forwarding it.
+#[derive(Debug, Clone, Copy)]
+enum Act {
+    Forward,
+    Enter(StateId, u8),
+    Spawn(StateId, u8),
+    Release,
+}
+
+#[derive(Debug, Clone)]
+struct Node {
+    start: StateId,
+    /// Spontaneous/delay firings left in the current burst.
+    budget: u8,
+    /// `ttl` available to the one message a burst may emit.
+    energy: u8,
+    /// Leave the polling row when the burst ends (else keep polling
+    /// with a false guard).
+    park: bool,
+    /// In `SLOW`: input waits for the delayed transition.
+    slow: bool,
+    script: Vec<Act>,
+    step: usize,
+    child: Option<ModuleId>,
+    child_kind: ModuleKind,
+    received: u32,
+}
+
+impl Node {
+    fn receive(&mut self, ctx: &mut Ctx<'_>, msg: Option<Box<dyn Interaction>>) {
+        let msg = downcast::<Msg>(msg.expect("when clause")).expect("only Msg travels");
+        self.received += 1;
+        self.energy = msg.ttl;
+        if msg.ttl > 0 {
+            ctx.output(OUT, Msg { ttl: msg.ttl - 1 });
+        }
+        let act = self.script[self.step % self.script.len()];
+        self.step += 1;
+        match act {
+            Act::Forward => {}
+            Act::Enter(state, budget) => {
+                self.budget = budget;
+                self.slow = state == SLOW;
+                ctx.goto(state);
+            }
+            Act::Spawn(start, budget) if self.child.is_none() => {
+                let child = ctx.create_child(
+                    "spawned",
+                    self.child_kind,
+                    ModuleLabels::default(),
+                    Node {
+                        start,
+                        budget,
+                        slow: start == SLOW,
+                        script: vec![Act::Forward],
+                        child: None,
+                        ..self.clone()
+                    },
+                );
+                ctx.connect(ctx.self_ip(CHILD), ip(child, IN));
+                ctx.output(CHILD, Msg { ttl: 1 });
+                self.child = Some(child);
+            }
+            Act::Release => {
+                if let Some(child) = self.child.take() {
+                    ctx.release_child(child);
+                }
+            }
+            Act::Spawn(..) => {}
+        }
+    }
+
+    /// One spontaneous or delay firing of a burst.
+    fn burst(&mut self, ctx: &mut Ctx<'_>, again: StateId) {
+        self.budget -= 1;
+        if self.energy > 0 {
+            ctx.output(
+                OUT,
+                Msg {
+                    ttl: self.energy - 1,
+                },
+            );
+            self.energy = 0;
+        }
+        if self.budget > 0 {
+            ctx.goto(again);
+        } else if self.park {
+            ctx.goto(WAIT);
+        }
+    }
+}
+
+impl StateMachine for Node {
+    fn num_ips(&self) -> usize {
+        3
+    }
+    fn initial_state(&self) -> StateId {
+        self.start
+    }
+    fn transitions() -> Vec<Transition<Self>> {
+        let has_budget = |m: &Self, _: Option<&dyn Interaction>| m.budget > 0;
+        vec![
+            Transition::on("slow-recv", SLOW, IN, |m: &mut Self, ctx, msg| {
+                m.slow = false;
+                ctx.goto(WAIT);
+                m.receive(ctx, msg);
+            })
+            .delay(SimDuration::from_millis(3)),
+            Transition::on("recv", WAIT, IN, Self::receive)
+                .any_state()
+                .provided(|m, _| !m.slow),
+            Transition::spontaneous("spin", SPIN, |m: &mut Self, ctx, _| m.burst(ctx, SPIN))
+                .provided(has_budget),
+            Transition::spontaneous("tick", TICK, |m: &mut Self, ctx, _| m.burst(ctx, TOCK))
+                .delay(SimDuration::from_millis(7))
+                .provided(has_budget),
+            Transition::spontaneous("tock", TOCK, |m: &mut Self, ctx, _| m.burst(ctx, TICK))
+                .delay(SimDuration::from_millis(2))
+                .provided(has_budget),
+        ]
+    }
+}
+
+// ---------------------------------------------------------------------
+// Generated specifications.
+// ---------------------------------------------------------------------
+
+/// One static module: parent choice, kind choice, start state, budget,
+/// energy, park flag, script.
+type NodeSpec = (u8, bool, u8, u8, u8, bool, Vec<(u8, u8, u8)>);
+
+fn state_of(choice: u8) -> StateId {
+    [WAIT, SPIN, TICK, SLOW][choice as usize % 4]
+}
+
+fn act_of((kind, state, budget): (u8, u8, u8)) -> Act {
+    match kind % 5 {
+        0 | 1 => Act::Forward,
+        2 => Act::Enter(state_of(state), budget % 4),
+        3 => Act::Spawn(state_of(state), budget % 4),
+        _ => Act::Release,
+    }
+}
+
+fn node_spec() -> impl Strategy<Value = NodeSpec> {
+    (
+        any::<u8>(),
+        any::<bool>(),
+        0u8..4,
+        0u8..4,
+        0u8..3,
+        any::<bool>(),
+        prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..5),
+    )
+}
+
+/// Builds the specification: a tree of `nodes.len()` static modules
+/// (each parented on an earlier one or top level) wired OUT→IN into
+/// one ring in id order. Identical calls build identical runtimes.
+fn build(nodes: &[NodeSpec]) -> (Runtime, Vec<ModuleId>) {
+    let (rt, _clock) = Runtime::sim();
+    let mut ids: Vec<ModuleId> = Vec::new();
+    let mut kinds: Vec<ModuleKind> = Vec::new();
+    for (i, (parent, flag, start, budget, energy, park, script)) in nodes.iter().enumerate() {
+        // A third of the modules are system modules at top level; the
+        // rest hang under an earlier module.
+        let parent = (i > 0 && parent % 3 != 0).then(|| *parent as usize % i);
+        let kind = match parent.map(|p| kinds[p]) {
+            None if *flag => ModuleKind::SystemActivity,
+            None => ModuleKind::SystemProcess,
+            Some(k) if k.children_exclusive() || *flag => ModuleKind::Activity,
+            Some(_) => ModuleKind::Process,
+        };
+        let node = Node {
+            start: state_of(*start),
+            budget: *budget,
+            energy: *energy,
+            park: *park,
+            slow: state_of(*start) == SLOW,
+            script: script.iter().copied().map(act_of).collect(),
+            step: 0,
+            child: None,
+            child_kind: if kind.children_exclusive() {
+                ModuleKind::Activity
+            } else {
+                ModuleKind::Process
+            },
+            received: 0,
+        };
+        let id = rt
+            .add_module(
+                parent.map(|p| ids[p]),
+                format!("n{i}"),
+                kind,
+                ModuleLabels::default(),
+                node,
+            )
+            .expect("kinds chosen to satisfy the attribute rules");
+        ids.push(id);
+        kinds.push(kind);
+    }
+    for (i, &id) in ids.iter().enumerate() {
+        rt.connect(ip(id, OUT), ip(ids[(i + 1) % ids.len()], IN))
+            .expect("each point used once");
+    }
+    rt.enable_trace();
+    rt.start().expect("valid specification");
+    (rt, ids)
+}
+
+type Record = (u64, ModuleId, &'static str, Vec<u64>);
+
+/// Drives one runtime through the injection rounds with `run` and
+/// returns everything the two schedulers must agree on.
+fn drive(
+    nodes: &[NodeSpec],
+    injects: &[(u8, u8)],
+    run: impl Fn(&Runtime),
+) -> Result<(Vec<Record>, u64, SimTime), TestCaseError> {
+    let (rt, ids) = build(nodes);
+    let mut rounds = injects.chunks(2);
+    loop {
+        run(&rt);
+        let violations = rt.ready_index_violations();
+        prop_assert!(violations.is_empty(), "{:?}", violations);
+        prop_assert_eq!(
+            rt.readiness(Dispatch::TableDriven),
+            Readiness::IdleUntil(None)
+        );
+        let Some(round) = rounds.next() else { break };
+        for &(target, ttl) in round {
+            let target = ids[target as usize % ids.len()];
+            rt.inject(ip(target, IN), Box::new(Msg { ttl: ttl % 6 }))
+                .expect("static modules are never released");
+        }
+    }
+    let firings = rt.counters().firings;
+    let records = rt
+        .take_trace()
+        .records
+        .into_iter()
+        .map(|r| (r.seq, r.module, r.transition, r.deps))
+        .collect();
+    Ok((records, firings, rt.now()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+    #[test]
+    fn index_scan_equals_full_scan(
+        nodes in prop::collection::vec(node_spec(), 1..9),
+        injects in prop::collection::vec((any::<u8>(), any::<u8>()), 0..9),
+    ) {
+        for fire_policy in [FirePolicy::Pass, FirePolicy::OnePerScan] {
+            for dispatch in [Dispatch::TableDriven, Dispatch::HardCoded] {
+                let opts = SeqOptions {
+                    dispatch,
+                    fire_policy,
+                    max_firings: Some(200_000),
+                    advance_time: true,
+                };
+                let reference = drive(&nodes, &injects, |rt| {
+                    run_full_scan(rt, &opts);
+                })?;
+                let indexed = drive(&nodes, &injects, |rt| {
+                    let report = run_sequential(rt, &opts);
+                    assert_eq!(report.stopped, StopReason::Quiescent);
+                })?;
+                prop_assert_eq!(&indexed.0, &reference.0, "{:?}/{:?}", fire_policy, dispatch);
+                prop_assert_eq!(indexed.1, reference.1);
+                prop_assert_eq!(indexed.2, reference.2);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Idle cost is independent of the specification's size.
+// ---------------------------------------------------------------------
+
+#[test]
+fn idle_input_only_modules_cost_no_selection() {
+    let (rt, _clock) = Runtime::sim();
+    let idle = Node {
+        start: WAIT,
+        budget: 0,
+        energy: 0,
+        park: true,
+        slow: false,
+        script: vec![Act::Forward],
+        step: 0,
+        child: None,
+        child_kind: ModuleKind::Process,
+        received: 0,
+    };
+    let ids: Vec<ModuleId> = (0..1000)
+        .map(|i| {
+            rt.add_module(
+                None,
+                format!("idle{i}"),
+                ModuleKind::SystemProcess,
+                ModuleLabels::default(),
+                idle.clone(),
+            )
+            .unwrap()
+        })
+        .collect();
+    rt.start().unwrap();
+    let before = rt.counters();
+    let report = run_sequential(&rt, &SeqOptions::default());
+    assert_eq!(report.stopped, StopReason::Quiescent);
+    assert_eq!(
+        rt.readiness(Dispatch::TableDriven),
+        Readiness::IdleUntil(None)
+    );
+    assert_eq!(rt.next_deadline(), None);
+    assert!(!rt.any_enabled(Dispatch::TableDriven));
+    assert_eq!(rt.counters().selects, before.selects);
+    // One message costs the selections of the one module it reaches.
+    rt.inject(ip(ids[617], IN), Box::new(Msg { ttl: 0 }))
+        .unwrap();
+    assert_eq!(rt.pending_messages(), 1);
+    assert_eq!(rt.next_ready(ids[0]..rt.id_watermark()), Some(ids[617]));
+    let report = run_sequential(&rt, &SeqOptions::default());
+    assert_eq!(report.firings, 1);
+    assert_eq!(rt.counters().selects, before.selects + 1);
+    assert_eq!(rt.pending_messages(), 0);
+}
+
+// ---------------------------------------------------------------------
+// Parallel schedulers lose no wake-up.
+//
+// A hopper consumes its only message in an input-only row (so scans
+// may drop it from the index while the action runs) and the same
+// action moves it to a polling row with work left. If the runtime did
+// not put it back after the firing, nothing would ever visit it again.
+// The action holds still until other scanners have demonstrably walked
+// past it: every walk ends at the sentinel, whose guard counts.
+// ---------------------------------------------------------------------
+
+const BURST: StateId = StateId(1);
+const SCANNERS: u64 = 2; // the sentinel's worker and the supervisor
+
+#[derive(Debug)]
+struct Hopper {
+    received: u32,
+    worked: u32,
+    budget: u32,
+    /// Scans completed past the sentinel; `None` when nothing scans
+    /// concurrently (sequential and centralized runs).
+    scans: Option<Arc<AtomicU64>>,
+}
+
+impl Hopper {
+    fn take(&mut self, ctx: &mut Ctx<'_>, msg: Option<Box<dyn Interaction>>) {
+        let msg = downcast::<Msg>(msg.unwrap()).unwrap();
+        self.received += 1;
+        self.budget += 2;
+        if msg.ttl > 0 {
+            ctx.output(OUT, Msg { ttl: msg.ttl - 1 });
+        }
+    }
+}
+
+impl StateMachine for Hopper {
+    fn num_ips(&self) -> usize {
+        2
+    }
+    fn initial_state(&self) -> StateId {
+        WAIT
+    }
+    fn transitions() -> Vec<Transition<Self>> {
+        vec![
+            Transition::on("wake", WAIT, IN, |m: &mut Self, ctx, msg| {
+                m.take(ctx, msg);
+                if let Some(scans) = &m.scans {
+                    // With two walkers, one more count than walkers
+                    // means one of them began a walk after this action
+                    // did and has passed this module.
+                    let seen = scans.load(Ordering::SeqCst);
+                    let t0 = Instant::now();
+                    while scans.load(Ordering::SeqCst) <= seen + SCANNERS
+                        && t0.elapsed() < Duration::from_millis(50)
+                    {
+                        std::thread::yield_now();
+                    }
+                }
+            })
+            .to(BURST),
+            Transition::on("more", BURST, IN, Self::take),
+            Transition::spontaneous("work", BURST, |m: &mut Self, ctx, _| {
+                m.worked += 1;
+                m.budget -= 1;
+                if m.budget == 0 {
+                    ctx.goto(WAIT);
+                }
+            }),
+        ]
+    }
+}
+
+/// Always polled, never enabled; its guard counts the visits.
+#[derive(Debug)]
+struct Sentinel {
+    scans: Arc<AtomicU64>,
+}
+
+impl StateMachine for Sentinel {
+    fn num_ips(&self) -> usize {
+        0
+    }
+    fn initial_state(&self) -> StateId {
+        WAIT
+    }
+    fn transitions() -> Vec<Transition<Self>> {
+        vec![
+            Transition::spontaneous("never", WAIT, |_m: &mut Self, _ctx, _| {}).provided(|m, _| {
+                m.scans.fetch_add(1, Ordering::SeqCst);
+                false
+            }),
+        ]
+    }
+}
+
+const HOPPERS: usize = 3;
+
+/// Three hoppers in a ring (units 0–2 under 4-way round robin) and the
+/// sentinel behind them (unit 3), two tokens injected.
+fn hopper_ring(gated: bool) -> (Arc<Runtime>, Vec<ModuleId>) {
+    let (rt, _clock) = Runtime::sim();
+    let scans = Arc::new(AtomicU64::new(0));
+    let ids: Vec<ModuleId> = (0..HOPPERS)
+        .map(|i| {
+            rt.add_module(
+                None,
+                format!("hopper{i}"),
+                ModuleKind::SystemProcess,
+                ModuleLabels::default(),
+                Hopper {
+                    received: 0,
+                    worked: 0,
+                    budget: 0,
+                    scans: gated.then(|| Arc::clone(&scans)),
+                },
+            )
+            .unwrap()
+        })
+        .collect();
+    rt.add_module(
+        None,
+        "sentinel",
+        ModuleKind::SystemProcess,
+        ModuleLabels::default(),
+        Sentinel { scans },
+    )
+    .unwrap();
+    for i in 0..HOPPERS {
+        rt.connect(ip(ids[i], OUT), ip(ids[(i + 1) % HOPPERS], IN))
+            .unwrap();
+    }
+    rt.start().unwrap();
+    rt.inject(ip(ids[0], IN), Box::new(Msg { ttl: 7 })).unwrap();
+    rt.inject(ip(ids[1], IN), Box::new(Msg { ttl: 4 })).unwrap();
+    (Arc::new(rt), ids)
+}
+
+fn hopper_outcome(rt: &Runtime, ids: &[ModuleId]) -> Vec<(u32, u32, u32, StateId)> {
+    ids.iter()
+        .map(|&id| {
+            let state = rt.module_state(id).unwrap();
+            rt.with_machine::<Hopper, _>(id, |m| (m.received, m.worked, m.budget, state))
+                .unwrap()
+        })
+        .collect()
+}
+
+#[test]
+fn parallel_schedulers_lose_no_wakeup() {
+    let (rt, ids) = hopper_ring(false);
+    let sequential = run_sequential(&rt, &SeqOptions::default());
+    let expected = hopper_outcome(&rt, &ids);
+    // 8 + 5 deliveries, two units of work each.
+    assert_eq!(sequential.firings, 13 * 3);
+    assert!(expected.iter().all(|o| o.2 == 0 && o.3 == WAIT));
+
+    let opts = ParOptions {
+        units: 4,
+        grouping: GroupingPolicy::RoundRobin { units: 4 },
+        ..Default::default()
+    };
+    for round in 0..200 {
+        let (rt, ids) = hopper_ring(true);
+        let report = run_threads(&rt, &opts);
+        assert_eq!(report.stopped, StopReason::Quiescent, "round {round}");
+        assert_eq!(
+            hopper_outcome(&rt, &ids),
+            expected,
+            "threads, round {round}"
+        );
+        assert_eq!(report.firings, sequential.firings, "threads, round {round}");
+        assert_eq!(rt.ready_index_violations(), Vec::<String>::new());
+
+        let (rt, ids) = hopper_ring(false);
+        let report = run_centralized(&rt, &opts);
+        assert_eq!(report.stopped, StopReason::Quiescent, "round {round}");
+        assert_eq!(
+            hopper_outcome(&rt, &ids),
+            expected,
+            "centralized, round {round}"
+        );
+        assert_eq!(
+            report.firings, sequential.firings,
+            "centralized, round {round}"
+        );
+        assert_eq!(rt.ready_index_violations(), Vec::<String>::new());
+    }
+}

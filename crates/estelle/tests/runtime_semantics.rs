@@ -101,6 +101,24 @@ fn one_per_scan_policy_reaches_same_outcome() {
 }
 
 #[test]
+fn budget_spent_on_last_candidate_reports_max_firings() {
+    // One token, one hop: the only firing of the run is also the last
+    // candidate of its pass, and it spends the whole budget.
+    for fire_policy in [FirePolicy::Pass, FirePolicy::OnePerScan] {
+        let (rt, _a, b) = echo_pair(0);
+        let opts = SeqOptions {
+            fire_policy,
+            max_firings: Some(1),
+            ..Default::default()
+        };
+        let report = run_sequential(&rt, &opts);
+        assert_eq!(report.firings, 1);
+        assert_eq!(report.stopped, StopReason::MaxFirings, "{fire_policy:?}");
+        assert_eq!(rt.with_machine::<Echo, _>(b, |m| m.seen).unwrap(), 1);
+    }
+}
+
+#[test]
 fn hardcoded_dispatch_reaches_same_outcome() {
     let (rt, _a, b) = echo_pair(9);
     let opts = SeqOptions {
