@@ -1,10 +1,12 @@
 //! `bench` — the Criterion benchmark suite of the reproduction.
 //!
 //! Each bench target regenerates one table or figure of the paper's
-//! evaluation (see `DESIGN.md` §4 and the bench sources under
-//! `benches/`): it prints the harness report table and then measures
-//! the underlying operation so regressions in the reproduced shapes
-//! are caught over time. Run with `cargo bench --workspace`.
+//! evaluation (the `harness` crate's root lists them; the sources are
+//! under `benches/`): it prints the harness report table and then
+//! measures the underlying operation so regressions in the reproduced
+//! shapes are caught over time. Run with `cargo bench --workspace`.
+//! The end-to-end benchmark with its own workloads is a separate
+//! package, described in `benchmark/README.md`.
 //!
 //! The crate also exports [`CountingAllocator`], a global-allocator
 //! shim the `zero_alloc` integration test installs to prove the

@@ -7,12 +7,14 @@
 //! specification through the SUA/SPA agent but paced by the simulation
 //! driver.
 //!
-//! When built over a [`store::BlockStore`] the SPS pulls frames
-//! through the continuous-media storage subsystem: every open passes
+//! The SPS pulls every frame through a [`store::BlockStore`], the
+//! continuous-media storage subsystem: every open passes
 //! disk-bandwidth admission control, a per-stream prefetcher pipelines
 //! block reads ahead of the sender's frame deadlines, and a frame
 //! whose block has not yet arrived stalls (and is sent late) instead
-//! of being synthesized out of thin air.
+//! of being synthesized out of thin air. Close-spaced viewers of one
+//! title are merged behind a leader by the [`share::ShareManager`]
+//! beside it (a disabled manager makes every viewer its own leader).
 //!
 //! The SPS also hosts *recording sessions* ([`StreamProviderSystem::
 //! record_open`]): captured frames arrive at the camera's frame rate
@@ -23,7 +25,7 @@
 use mtp::{MovieSource, MtpSender, StreamState};
 use netsim::{DatagramNet, DatagramSocket, NetAddr, SimDuration, SimTime};
 use parking_lot::Mutex;
-use share::{Departure, JoinPlan, ShareManager};
+use share::{Departure, JoinPlan, ShareConfig, ShareManager};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -101,7 +103,7 @@ impl From<StoreError> for SpsError {
 }
 
 /// The per-server stream provider: a registry of paced MTP senders
-/// sharing one datagram socket, optionally fed by a block store.
+/// sharing one datagram socket, fed by a block store.
 pub struct StreamProviderSystem {
     socket: DatagramSocket,
     addr: NetAddr,
@@ -112,11 +114,10 @@ pub struct StreamProviderSystem {
     /// consecutive forward jumps of the same width are treated as a
     /// skimming pattern and turned into a strided prefetch hint.
     seek_deltas: Mutex<HashMap<u32, u64>>,
-    store: Option<Arc<BlockStore>>,
-    /// The stream-sharing merge engine, when the server runs with
-    /// flash-crowd batching enabled (requires a store: followers are
-    /// served from its interval cache).
-    share: Option<Arc<ShareManager>>,
+    store: Arc<BlockStore>,
+    /// The stream-sharing merge engine (followers are served from the
+    /// store's interval cache).
+    share: Arc<ShareManager>,
     next_stream: AtomicU32,
 }
 
@@ -125,30 +126,21 @@ impl fmt::Debug for StreamProviderSystem {
         f.debug_struct("StreamProviderSystem")
             .field("addr", &self.addr)
             .field("streams", &self.senders.lock().len())
-            .field("store", &self.store.is_some())
             .finish_non_exhaustive()
     }
 }
 
 impl StreamProviderSystem {
-    /// Binds the provider to `addr` on the datagram network, streaming
-    /// straight from synthetic sources (no storage model).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the address is already bound (deployment error).
-    pub fn new(dg: &Arc<DatagramNet>, addr: NetAddr) -> Arc<Self> {
-        Self::build(dg, addr, None, None)
-    }
-
     /// Binds the provider to `addr`, pulling every stream through
-    /// `store` (admission control, cache, prefetch).
+    /// `store` (admission control, cache, prefetch) with stream
+    /// sharing off.
     ///
     /// # Panics
     ///
     /// Panics if the address is already bound (deployment error).
     pub fn with_store(dg: &Arc<DatagramNet>, addr: NetAddr, store: Arc<BlockStore>) -> Arc<Self> {
-        Self::build(dg, addr, Some(store), None)
+        let share = Arc::new(ShareManager::new(ShareConfig::off()));
+        Self::with_shared_store(dg, addr, store, share)
     }
 
     /// Binds the provider to `addr` over `store`, with `share` merging
@@ -165,15 +157,6 @@ impl StreamProviderSystem {
         addr: NetAddr,
         store: Arc<BlockStore>,
         share: Arc<ShareManager>,
-    ) -> Arc<Self> {
-        Self::build(dg, addr, Some(store), Some(share))
-    }
-
-    fn build(
-        dg: &Arc<DatagramNet>,
-        addr: NetAddr,
-        store: Option<Arc<BlockStore>>,
-        share: Option<Arc<ShareManager>>,
     ) -> Arc<Self> {
         let socket = dg.bind(addr).expect("SPS address available");
         // Stream ids are distinct across providers (the address seeds
@@ -219,36 +202,22 @@ impl StreamProviderSystem {
         format!("node-{}", self.addr.0)
     }
 
-    /// The storage subsystem feeding this provider, if any.
-    pub fn store(&self) -> Option<&Arc<BlockStore>> {
-        self.store.as_ref()
-    }
-
-    /// The stream-sharing merge engine, if one is attached.
-    pub fn share(&self) -> Option<&Arc<ShareManager>> {
-        self.share.as_ref()
-    }
-
     /// Whether a merge group on this provider is currently streaming
     /// `movie` — the `SelectMovie` routing tie-break: among equally
     /// loaded replicas, the one already sharing the title serves the
     /// next viewer (nearly) for free.
     pub fn shares_source(&self, movie: &MovieSource) -> bool {
-        match (&self.share, &self.store) {
-            (Some(share), Some(store)) => store
-                .find_movie(movie)
-                .is_some_and(|id| share.shares_movie(id)),
-            _ => false,
-        }
+        self.store
+            .find_movie(movie)
+            .is_some_and(|id| self.share.shares_movie(id))
     }
 
     /// Opens a stream of `movie` towards `dest`, returning its id.
     ///
-    /// With a merge engine attached the viewer is batched into an
-    /// existing group when one streams the title close by: a merged
-    /// follower charges **zero** disk bandwidth, a fast-feeding
-    /// follower only the catch-up delta; only a fresh leader pays a
-    /// full stream.
+    /// With sharing on, the viewer is batched into an existing group
+    /// when one streams the title close by: a merged follower charges
+    /// **zero** disk bandwidth, a fast-feeding follower only the
+    /// catch-up delta; only a fresh leader pays a full stream.
     ///
     /// # Errors
     ///
@@ -256,54 +225,38 @@ impl StreamProviderSystem {
     /// control cannot fit the stream's bandwidth demand.
     pub fn open(&self, movie: MovieSource, dest: NetAddr, now: SimTime) -> Result<u32, SpsError> {
         let id = self.alloc_stream_id();
-        if let Some(store) = &self.store {
-            let movie_id = store.register_movie(&movie);
-            match self.share.as_ref().filter(|s| s.config().enabled) {
-                None => store.open_stream(id, movie_id, 100, now)?,
-                Some(share) => match share.plan_join(movie_id) {
-                    JoinPlan::Lead => {
-                        store.open_stream(id, movie_id, 100, now)?;
-                        share.open_leader(id, movie_id);
-                    }
-                    JoinPlan::Merge { leader, .. } => {
-                        store.open_stream_with_demand(id, movie_id, 100, 0, now)?;
-                        share.open_merged(id, movie_id, leader);
-                        store.set_pinned_ranges(&share.pinned_ranges());
-                    }
-                    JoinPlan::FastFeed { leader, .. } => {
-                        let bitrate = store.demand_for(movie_id, 100).unwrap_or(0);
-                        let delta = share.fast_feed_delta_bps(bitrate);
-                        store.open_stream_with_demand(id, movie_id, 100, delta, now)?;
-                        share.open_fast_feed(id, movie_id, leader, delta);
-                        store.set_pinned_ranges(&share.pinned_ranges());
-                    }
-                },
+        let (store, share) = (&self.store, &self.share);
+        let movie_id = store.register_movie(&movie);
+        match share.plan_join(movie_id) {
+            JoinPlan::Lead => {
+                store.open_stream(id, movie_id, 100, now)?;
+                share.open_leader(id, movie_id);
             }
-            self.movie_ids.lock().insert(id, movie_id);
+            JoinPlan::Merge { leader, .. } => {
+                store.open_stream_with_demand(id, movie_id, 100, 0, now)?;
+                share.open_merged(id, movie_id, leader);
+                store.set_pinned_ranges(&share.pinned_ranges());
+            }
+            JoinPlan::FastFeed { leader, .. } => {
+                let bitrate = store.demand_for(movie_id, 100).unwrap_or(0);
+                let delta = share.fast_feed_delta_bps(bitrate);
+                store.open_stream_with_demand(id, movie_id, 100, delta, now)?;
+                share.open_fast_feed(id, movie_id, leader, delta);
+                store.set_pinned_ranges(&share.pinned_ranges());
+            }
         }
+        self.movie_ids.lock().insert(id, movie_id);
         let sender = MtpSender::new(self.socket.clone(), dest, id, movie);
         self.senders.lock().insert(id, sender);
         Ok(id)
     }
 
-    /// Before a leader with followers departs its band (trick op), the
-    /// replacement disk stream for the group must fit: the promotion
-    /// candidate is re-charged one full stream here, and the trick op
-    /// is refused when admission cannot take it — the leader may not
-    /// strand its followers without bandwidth.
-    fn charge_replacement_leader(
-        &self,
-        store: &Arc<BlockStore>,
-        share: &Arc<ShareManager>,
-        leader: u32,
-    ) -> Result<(), SpsError> {
-        let Some(candidate) = share.promotion_candidate(leader) else {
-            return Ok(());
-        };
-        let movie = self.movie_ids.lock().get(&candidate).copied();
-        let demand = movie.and_then(|m| store.demand_for(m, 100)).unwrap_or(0);
-        store.recharge_stream(candidate, demand)?;
-        Ok(())
+    /// The admission demand of `stream` playing alone at nominal rate.
+    fn full_demand(&self, stream: u32) -> u64 {
+        let movie = self.movie_ids.lock().get(&stream).copied();
+        movie
+            .and_then(|m| self.store.demand_for(m, 100))
+            .unwrap_or(0)
     }
 
     /// Applies the sharing consequences of a trick operation on
@@ -314,21 +267,21 @@ impl StreamProviderSystem {
     ///   of its own; rejection fails the operation (the follower stays
     ///   merged, untouched).
     /// - A leader with followers must first see its replacement leader
-    ///   charged; then it departs into a standalone band (keeping its
-    ///   own charge) and the nearest follower is promoted.
+    ///   charged one full stream — the operation is refused when that
+    ///   does not fit, the leader may not strand its followers without
+    ///   bandwidth; then it departs into a standalone band (keeping
+    ///   its own charge) and the nearest follower is promoted.
     fn share_departure(&self, stream: u32, target_block: u64) -> Result<(), SpsError> {
-        let (Some(store), Some(share)) = (&self.store, &self.share) else {
-            return Ok(());
-        };
+        let (store, share) = (&self.store, &self.share);
         if share.is_follower(stream) {
-            let movie = self.movie_ids.lock().get(&stream).copied();
-            let demand = movie.and_then(|m| store.demand_for(m, 100)).unwrap_or(0);
-            store.recharge_stream(stream, demand)?;
+            store.recharge_stream(stream, self.full_demand(stream))?;
             share.split_out(stream, target_block);
             self.reset_catch_up(stream);
             store.set_pinned_ranges(&share.pinned_ranges());
         } else if share.is_leader_with_followers(stream) {
-            self.charge_replacement_leader(store, share, stream)?;
+            if let Some(candidate) = share.promotion_candidate(stream) {
+                store.recharge_stream(candidate, self.full_demand(candidate))?;
+            }
             if let Departure::Promoted { new_leader } =
                 share.on_leader_departure(stream, target_block)
             {
@@ -349,9 +302,9 @@ impl StreamProviderSystem {
 
     /// Opens a recording session capturing `movie.frame_count` frames
     /// of `movie` at its frame rate, starting at `now`, and returns
-    /// the session's stream id. With a store attached the session
-    /// passes write-bandwidth admission control and every captured
-    /// frame goes through the striped write path.
+    /// the session's stream id. The session passes write-bandwidth
+    /// admission control and every captured frame goes through the
+    /// store's striped write path.
     ///
     /// # Errors
     ///
@@ -359,9 +312,7 @@ impl StreamProviderSystem {
     /// not fit next to the streams already admitted.
     pub fn record_open(&self, movie: MovieSource, now: SimTime) -> Result<u32, SpsError> {
         let id = self.alloc_stream_id();
-        if let Some(store) = &self.store {
-            store.open_recording(id, &movie)?;
-        }
+        self.store.open_recording(id, &movie)?;
         self.recordings.lock().insert(
             id,
             RecordingSession {
@@ -374,18 +325,15 @@ impl StreamProviderSystem {
         Ok(id)
     }
 
-    /// Whether a recording has captured every frame and (with a store)
-    /// persisted every block.
+    /// Whether a recording has captured every frame and persisted
+    /// every block.
     pub fn recording_finished(&self, id: u32) -> bool {
         let recordings = self.recordings.lock();
         let Some(session) = recordings.get(&id) else {
             return false;
         };
         session.captured >= session.source.frame_count
-            && self
-                .store
-                .as_ref()
-                .is_none_or(|s| s.recording_durable(id) == Some(true))
+            && self.store.recording_durable(id) == Some(true)
     }
 
     /// Finalizes a finished recording: the store registers the
@@ -397,13 +345,10 @@ impl StreamProviderSystem {
     /// while the recording is still capturing or persisting.
     pub fn record_close(&self, id: u32) -> Result<RecordedMovie, SpsError> {
         let mut recordings = self.recordings.lock();
-        let Some(session) = recordings.get(&id) else {
+        if !recordings.contains_key(&id) {
             return Err(SpsError::NoSuchStream(id));
-        };
-        let bitrate_bps = match &self.store {
-            Some(store) => store.finish_recording(id)?.bitrate_bps,
-            None => session.source.mean_bitrate_bps().max(1),
-        };
+        }
+        let bitrate_bps = self.store.finish_recording(id)?.bitrate_bps;
         let session = recordings.remove(&id).expect("checked above");
         Ok(RecordedMovie {
             source: session.source,
@@ -417,12 +362,9 @@ impl StreamProviderSystem {
     }
 
     /// Copies a finished recording onto this provider's store (the
-    /// replication path); a provider without a store has nothing to
-    /// copy onto and ignores the request.
+    /// replication path).
     pub fn import_movie(&self, source: &MovieSource, now: SimTime) {
-        if let Some(store) = &self.store {
-            store.import_movie(source, now);
-        }
+        self.store.import_movie(source, now);
     }
 
     /// Tears the provider down as a machine crash: every live stream
@@ -437,9 +379,7 @@ impl StreamProviderSystem {
         let killed = recordings.len() + streams.len();
         for id in recordings {
             self.recordings.lock().remove(&id);
-            if let Some(store) = &self.store {
-                store.abort_recording(id);
-            }
+            self.store.abort_recording(id);
         }
         for id in streams {
             let _ = self.close(id);
@@ -456,25 +396,19 @@ impl StreamProviderSystem {
     /// Fails for unknown ids.
     pub fn close(&self, id: u32) -> Result<(), SpsError> {
         if self.recordings.lock().remove(&id).is_some() {
-            if let Some(store) = &self.store {
-                store.abort_recording(id);
-            }
+            self.store.abort_recording(id);
             return Ok(());
         }
-        if let Some(store) = &self.store {
-            store.close_stream(id);
-            if let Some(share) = &self.share {
-                if let Departure::Promoted { new_leader } = share.on_close(id) {
-                    // The closing leader just released a full stream,
-                    // so the promoted follower's re-charge always fits.
-                    let movie = self.movie_ids.lock().get(&new_leader).copied();
-                    let demand = movie.and_then(|m| store.demand_for(m, 100)).unwrap_or(0);
-                    let _ = store.recharge_stream(new_leader, demand);
-                    self.reset_catch_up(new_leader);
-                }
-                store.set_pinned_ranges(&share.pinned_ranges());
-            }
+        self.store.close_stream(id);
+        if let Departure::Promoted { new_leader } = self.share.on_close(id) {
+            // The closing leader just released a full stream, so the
+            // promoted follower's re-charge always fits.
+            let _ = self
+                .store
+                .recharge_stream(new_leader, self.full_demand(new_leader));
+            self.reset_catch_up(new_leader);
         }
+        self.store.set_pinned_ranges(&self.share.pinned_ranges());
         self.movie_ids.lock().remove(&id);
         self.seek_deltas.lock().remove(&id);
         self.senders
@@ -503,42 +437,35 @@ impl StreamProviderSystem {
         if !self.senders.lock().contains_key(&id) {
             return Err(SpsError::NoSuchStream(id));
         }
-        if let Some(share) = &self.share {
-            if speed_pct == 100 && share.is_follower(id) {
-                // Nominal-rate playback inside a group: no admission
-                // change. A still-converging follower keeps (or
-                // resumes) the fast-feed rate, a merged one rides the
-                // leader's pace exactly.
-                let rate = if share.is_fast_feeding(id) {
-                    share.config().catch_up_rate_pct
-                } else {
-                    100
-                };
-                return self.with_sender(id, |s| {
-                    s.set_speed_pct(rate);
-                    s.play(now);
-                });
-            }
-            if speed_pct != 100 {
-                // A trick-speed viewer leaves its band: a follower
-                // re-admits, a leader hands the group over first.
-                let block = self
-                    .store
-                    .as_ref()
-                    .and_then(|s| s.stream_position_block(id))
-                    .unwrap_or(0);
-                self.share_departure(id, block)?;
-            }
+        let (store, share) = (&self.store, &self.share);
+        if speed_pct == 100 && share.is_follower(id) {
+            // Nominal-rate playback inside a group: no admission
+            // change. A still-converging follower keeps (or resumes)
+            // the fast-feed rate, a merged one rides the leader's
+            // pace exactly.
+            let rate = if share.is_fast_feeding(id) {
+                share.config().catch_up_rate_pct
+            } else {
+                100
+            };
+            return self.with_sender(id, |s| {
+                s.set_speed_pct(rate);
+                s.play(now);
+            });
         }
-        if let Some(store) = &self.store {
-            store.set_speed(id, speed_pct)?;
-            if speed_pct != 100 {
-                // Trick-speed playback consumes forward, only faster:
-                // widen the read-ahead horizon to the speed multiple
-                // (and drop any stale rewind hint).
-                let stride = (speed_pct / 100).clamp(1, 4);
-                let _ = store.set_prefetch_hint(id, PrefetchHint::forward(stride));
-            }
+        if speed_pct != 100 {
+            // A trick-speed viewer leaves its band: a follower
+            // re-admits, a leader hands the group over first.
+            let block = store.stream_position_block(id).unwrap_or(0);
+            self.share_departure(id, block)?;
+        }
+        store.set_speed(id, speed_pct)?;
+        if speed_pct != 100 {
+            // Trick-speed playback consumes forward, only faster:
+            // widen the read-ahead horizon to the speed multiple (and
+            // drop any stale rewind hint).
+            let stride = (speed_pct / 100).clamp(1, 4);
+            let _ = store.set_prefetch_hint(id, PrefetchHint::forward(stride));
         }
         self.with_sender(id, |s| {
             s.set_speed_pct(speed_pct);
@@ -559,11 +486,7 @@ impl StreamProviderSystem {
         if !self.senders.lock().contains_key(&id) {
             return Err(SpsError::NoSuchStream(id));
         }
-        let block = self
-            .store
-            .as_ref()
-            .and_then(|s| s.stream_position_block(id))
-            .unwrap_or(0);
+        let block = self.store.stream_position_block(id).unwrap_or(0);
         self.share_departure(id, block)?;
         self.with_sender(id, MtpSender::pause)
     }
@@ -582,9 +505,7 @@ impl StreamProviderSystem {
         }
         self.share_departure(id, 0)?;
         self.with_sender(id, MtpSender::stop)?;
-        if let Some(store) = &self.store {
-            store.seek_stream(id, 0, now)?;
-        }
+        self.store.seek_stream(id, 0, now)?;
         Ok(())
     }
 
@@ -628,22 +549,17 @@ impl StreamProviderSystem {
         if !self.senders.lock().contains_key(&id) {
             return Err(SpsError::NoSuchStream(id));
         }
-        let block = self
-            .store
-            .as_ref()
-            .and_then(|store| {
-                let movie = self.movie_ids.lock().get(&id).copied()?;
-                store.block_of_frame(movie, frame)
-            })
+        let store = &self.store;
+        let movie = self.movie_ids.lock().get(&id).copied();
+        let block = movie
+            .and_then(|m| store.block_of_frame(m, frame))
             .unwrap_or(0);
         self.share_departure(id, block)?;
         self.with_sender(id, |s| s.seek(frame))?;
-        if let Some(store) = &self.store {
-            let cur = store.stream_position_block(id).unwrap_or(0);
-            let readahead = u64::from(store.config().readahead_blocks);
-            let hint = self.seek_hint(id, cur, block, readahead);
-            store.seek_stream_with_hint(id, frame, hint, now)?;
-        }
+        let cur = store.stream_position_block(id).unwrap_or(0);
+        let readahead = u64::from(store.config().readahead_blocks);
+        let hint = self.seek_hint(id, cur, block, readahead);
+        store.seek_stream_with_hint(id, frame, hint, now)?;
         Ok(())
     }
 
@@ -667,30 +583,24 @@ impl StreamProviderSystem {
             while session.captured < session.source.frame_count && session.next_frame_at <= now {
                 let at = session.next_frame_at;
                 let size = session.source.frame(session.captured).map_or(0, |f| f.size);
-                if let Some(store) = &self.store {
-                    let _ = store.append_frame(*id, size, at);
-                }
+                let _ = self.store.append_frame(*id, size, at);
                 session.captured += 1;
                 session.next_frame_at = at + interval;
             }
             if session.captured >= session.source.frame_count && !session.sealed {
                 session.sealed = true;
-                if let Some(store) = &self.store {
-                    let _ = store.seal_recording(*id, now);
-                }
+                let _ = self.store.seal_recording(*id, now);
             }
         }
     }
 
     /// Emits all frames due at or before `now` across all streams
-    /// (gated on storage delivery when a store is attached), captures
-    /// due recording frames, and routes receiver feedback reports to
-    /// their senders.
+    /// (gated on storage delivery), captures due recording frames, and
+    /// routes receiver feedback reports to their senders.
     pub fn pump(&self, now: SimTime) -> usize {
+        let (store, share) = (&self.store, &self.share);
         self.pump_recordings(now);
-        if let Some(store) = &self.store {
-            store.pump(now);
-        }
+        store.pump(now);
         let mut senders = self.senders.lock();
         while let Some(dg) = self.socket.recv() {
             if let Ok(fb) = mtp::MtpFeedback::decode(&dg.payload) {
@@ -701,34 +611,24 @@ impl StreamProviderSystem {
         }
         let mut sent = 0;
         for (id, sender) in senders.iter_mut() {
-            let ready = self
-                .store
-                .as_ref()
-                .and_then(|s| s.frames_ready_through(*id));
-            sent += sender.poll_gated(now, ready);
-            if let Some(store) = &self.store {
-                store.note_position(*id, sender.position());
-                if let Some(share) = &self.share {
-                    if let Some(block) = store.stream_position_block(*id) {
-                        share.note_position(*id, block);
-                    }
-                }
+            sent += sender.poll_gated(now, store.frames_ready_through(*id));
+            store.note_position(*id, sender.position());
+            if let Some(block) = store.stream_position_block(*id) {
+                share.note_position(*id, block);
             }
         }
         // Sharing maintenance: fast-feeds whose gap has closed to the
         // merge window release their delta reservation and drop back
         // to nominal rate; the pinned cache spans track every group's
         // current [trailing follower, leader] window.
-        if let (Some(store), Some(share)) = (&self.store, &self.share) {
-            for id in share.converged_fast_feeds() {
-                let _ = store.recharge_stream(id, 0);
-                if let Some(sender) = senders.get_mut(&id) {
-                    sender.set_speed_pct(100);
-                }
-                share.mark_converged(id);
+        for id in share.converged_fast_feeds() {
+            let _ = store.recharge_stream(id, 0);
+            if let Some(sender) = senders.get_mut(&id) {
+                sender.set_speed_pct(100);
             }
-            store.set_pinned_ranges(&share.pinned_ranges());
+            share.mark_converged(id);
         }
+        store.set_pinned_ranges(&share.pinned_ranges());
         sent
     }
 
@@ -737,21 +637,17 @@ impl StreamProviderSystem {
     /// next storage completion for stalled ones.
     pub fn next_due(&self) -> Option<SimTime> {
         let senders = self.senders.lock();
-        let store_next = self.store.as_ref().and_then(|s| s.next_event());
+        let store_next = self.store.next_event();
         let sender_due = senders
             .iter()
             .filter_map(|(id, s)| {
                 let due = s.next_due()?;
-                if let Some(store) = &self.store {
-                    let ready = store.frames_ready_through(*id).unwrap_or(u64::MAX);
-                    let position = s.position();
-                    if position < s.movie().frame_count && position >= ready {
-                        // Stalled on storage: the store's next
-                        // completion is the real wake-up point.
-                        return None;
-                    }
-                }
-                Some(due)
+                let ready = self.store.frames_ready_through(*id).unwrap_or(u64::MAX);
+                let position = s.position();
+                // Stalled on storage: the store's next completion is
+                // the real wake-up point.
+                let stalled = position < s.movie().frame_count && position >= ready;
+                (!stalled).then_some(due)
             })
             .min();
         // Recording sessions wake at their next frame-capture instant
@@ -781,30 +677,15 @@ impl StreamProviderSystem {
     }
 }
 
-/// Load routing asks the provider's admission controller; a provider
-/// without a storage model never saturates.
+/// Load routing asks the provider's admission controller.
 impl cluster::LoadProbe for StreamProviderSystem {
     fn load(&self) -> cluster::LoadSnapshot {
-        match &self.store {
-            Some(store) => cluster::LoadProbe::load(&**store),
-            None => cluster::LoadSnapshot {
-                available_bps: u64::MAX,
-                committed_bps: 0,
-                capacity_bps: u64::MAX,
-                open_streams: self.stream_count(),
-                cache_hit_permille: 0,
-            },
-        }
+        self.store.load()
     }
 }
 
-/// The copy token a provider without a storage model hands out:
-/// there is nothing to write, so the copy is complete on arrival.
-const STORELESS_COPY: u64 = u64::MAX;
-
 /// Migration copies land in the provider's block store through the
-/// paced, admission-charged import path; a provider without a store
-/// has nothing to copy onto and completes instantly.
+/// paced, admission-charged import path.
 impl cluster::MigrationHost for StreamProviderSystem {
     fn begin_copy(
         &self,
@@ -812,32 +693,19 @@ impl cluster::MigrationHost for StreamProviderSystem {
         reserve_bps: u64,
         now: SimTime,
     ) -> Result<u64, cluster::CopyRejected> {
-        match &self.store {
-            Some(store) => cluster::MigrationHost::begin_copy(&**store, source, reserve_bps, now),
-            None => Ok(STORELESS_COPY),
-        }
+        self.store.begin_copy(source, reserve_bps, now)
     }
     fn copy_done(&self, token: u64) -> bool {
-        match &self.store {
-            Some(store) => {
-                token != STORELESS_COPY && cluster::MigrationHost::copy_done(&**store, token)
-            }
-            None => token == STORELESS_COPY,
-        }
+        self.store.copy_done(token)
     }
     fn finish_copy(&self, token: u64) -> bool {
-        match &self.store {
-            Some(store) => cluster::MigrationHost::finish_copy(&**store, token),
-            None => token == STORELESS_COPY,
-        }
+        self.store.finish_copy(token)
     }
     fn abort_copy(&self, token: u64) {
-        if let Some(store) = &self.store {
-            cluster::MigrationHost::abort_copy(&**store, token);
-        }
+        self.store.abort_copy(token);
     }
     fn import_bulk(&self, source: &MovieSource, now: SimTime) {
-        self.import_movie(source, now);
+        self.store.import_bulk(source, now);
     }
 }
 
@@ -846,13 +714,6 @@ mod tests {
     use super::*;
     use netsim::{LinkConfig, Network, SimDuration};
     use store::StoreConfig;
-
-    fn rig() -> (Arc<Network>, Arc<DatagramNet>, Arc<StreamProviderSystem>) {
-        let net = Arc::new(Network::new(0));
-        let dg = DatagramNet::new(&net, LinkConfig::perfect(SimDuration::from_millis(1)), 0);
-        let sps = StreamProviderSystem::new(&dg, NetAddr(100));
-        (net, dg, sps)
-    }
 
     fn rig_with_store(
         config: StoreConfig,
@@ -865,7 +726,7 @@ mod tests {
 
     #[test]
     fn open_play_pump_close() {
-        let (net, dg, sps) = rig();
+        let (net, dg, sps) = rig_with_store(StoreConfig::default());
         let client = dg.bind(NetAddr(5)).unwrap();
         let id = sps
             .open(MovieSource::test_movie(1, 1), NetAddr(5), net.now())
@@ -885,7 +746,7 @@ mod tests {
 
     #[test]
     fn control_ops_route_to_sender() {
-        let (net, _dg, sps) = rig();
+        let (net, _dg, sps) = rig_with_store(StoreConfig::default());
         let id = sps
             .open(MovieSource::test_movie(2, 1), NetAddr(5), net.now())
             .unwrap();
@@ -901,11 +762,17 @@ mod tests {
 
     #[test]
     fn next_due_tracks_playing_streams() {
-        let (net, _dg, sps) = rig();
+        let (net, _dg, sps) = rig_with_store(StoreConfig::default());
         assert!(sps.next_due().is_none());
         let a = sps
             .open(MovieSource::test_movie(1, 1), NetAddr(5), net.now())
             .unwrap();
+        // Let the prefetched blocks arrive: after that only a playing
+        // sender can ask for a wake-up.
+        while let Some(t) = sps.next_due() {
+            net.run_until(t);
+            sps.pump(net.now());
+        }
         assert!(sps.next_due().is_none(), "ready but not playing");
         sps.play(a, 100, net.now()).unwrap();
         assert_eq!(sps.next_due(), Some(net.now()));
@@ -968,7 +835,10 @@ mod tests {
 
     #[test]
     fn close_aborts_an_open_recording() {
-        let (net, _dg, sps) = rig_with_store(StoreConfig::default());
+        let net = Arc::new(Network::new(0));
+        let dg = DatagramNet::new(&net, LinkConfig::perfect(SimDuration::from_millis(1)), 0);
+        let store = BlockStore::new(StoreConfig::default());
+        let sps = StreamProviderSystem::with_store(&dg, NetAddr(100), Arc::clone(&store));
         let id = sps
             .record_open(MovieSource::test_movie(10, 4), net.now())
             .unwrap();
@@ -977,25 +847,10 @@ mod tests {
         sps.close(id).unwrap();
         assert_eq!(sps.recording_count(), 0);
         assert_eq!(
-            sps.store().unwrap().stats().committed_bps,
+            store.stats().committed_bps,
             0,
             "aborted recording released its bandwidth"
         );
-    }
-
-    #[test]
-    fn storeless_provider_records_on_timing_alone() {
-        let (net, _dg, sps) = rig();
-        let id = sps
-            .record_open(MovieSource::test_movie(1, 2), net.now())
-            .unwrap();
-        assert!(!sps.recording_finished(id));
-        sps.pump(SimTime::from_secs(2));
-        assert!(sps.recording_finished(id));
-        let recorded = sps.record_close(id).unwrap();
-        assert_eq!(recorded.source.frame_count, 25);
-        // Import on a storeless provider is a no-op, not a panic.
-        sps.import_movie(&recorded.source, net.now());
     }
 
     #[test]

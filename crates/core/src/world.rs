@@ -479,22 +479,6 @@ impl World {
         WorldBuilder::new(seed)
     }
 
-    /// Creates a world whose CM network uses `stream_link`.
-    #[deprecated(note = "use `World::builder(seed).stream_link(..).build()`")]
-    pub fn with_stream_link(seed: u64, stream_link: LinkConfig) -> Self {
-        Self::builder(seed).stream_link(stream_link).build()
-    }
-
-    /// Creates a world with explicit storage knobs: every server added
-    /// gets a block store built from `store_config`.
-    #[deprecated(note = "use `World::builder(seed).stream_link(..).store(..).build()`")]
-    pub fn with_config(seed: u64, stream_link: LinkConfig, store_config: StoreConfig) -> Self {
-        Self::builder(seed)
-            .stream_link(stream_link)
-            .store(store_config)
-            .build()
-    }
-
     /// The stream-sharing configuration servers are built with (set
     /// through [`WorldBuilder::share`]).
     pub fn share_config(&self) -> &share::ShareConfig {
@@ -515,12 +499,6 @@ impl World {
     /// wall-clock multi-core measurements see [`crate::wall_clock`].
     pub fn backend(&self) -> &SimBackend {
         &self.backend
-    }
-
-    /// Creates a world with a mildly jittery, lossless CM network.
-    #[deprecated(note = "use `World::builder(seed).build()`")]
-    pub fn new(seed: u64) -> Self {
-        Self::builder(seed).build()
     }
 
     fn alloc_addr(&mut self) -> NetAddr {
@@ -552,20 +530,6 @@ impl World {
         self.rebalancers.push(Arc::clone(&rebalancer));
         let control = Arc::new(ControlBalancer::new());
         self.build_server(name, stack, &dsa, base, &peers, &rebalancer, &control)
-    }
-
-    /// Like [`World::add_cluster`], with the shape spelled out as
-    /// positional arguments.
-    #[deprecated(note = "use `World::add_cluster(ClusterSpec::new(..).rebalance(..))`")]
-    pub fn add_cluster_with(
-        &mut self,
-        name: &str,
-        count: usize,
-        stack: StackKind,
-        placement: Placement,
-        rebalance: RebalanceConfig,
-    ) -> ClusterHandle {
-        self.add_cluster(ClusterSpec::new(name, count, stack, placement).rebalance(rebalance))
     }
 
     /// Adds the server machines of one [`ClusterSpec`]: the members

@@ -61,7 +61,7 @@ pub struct Ctx<'a> {
     pub(crate) id_alloc: &'a AtomicU32,
 }
 
-#[allow(dead_code)]
+#[cfg(test)]
 static TEST_ID_ALLOC: AtomicU32 = AtomicU32::new(1_000_000);
 
 impl<'a> Ctx<'a> {
@@ -86,7 +86,7 @@ impl<'a> Ctx<'a> {
 
     /// A free-standing context for unit-testing machine actions; child
     /// ids are drawn from a process-wide test counter.
-    #[allow(dead_code)]
+    #[cfg(test)]
     pub(crate) fn for_test(effects: &'a mut Vec<Effect>) -> Self {
         Ctx::new(
             SimTime::ZERO,

@@ -1,5 +1,5 @@
-//! The experiment suite: one function per paper artifact (see
-//! DESIGN.md §4 for the index).
+//! The experiment suite: one function per paper artifact (the crate
+//! root lists them).
 
 use crate::pstack::{build_ps_env, run_ps_env};
 use crate::report::Table;

@@ -1,5 +1,5 @@
 //! `harness` — the experiment harness regenerating every table and
-//! figure of the paper's evaluation (see DESIGN.md §4 for the index).
+//! figure of the paper's evaluation (the list below is the index).
 //!
 //! Each experiment is a pure function returning a printable
 //! [`Table`] plus the raw numbers the assertions/benches consume:

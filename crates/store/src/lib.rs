@@ -14,21 +14,33 @@
 //! - [`BufferCache`] — a bounded block cache with LRU and
 //!   interval-caching replacement ([`CachePolicy`]), the latter
 //!   exploiting closely-spaced viewers of the same movie;
-//! - per-stream prefetchers inside [`BlockStore`] that pipeline block
-//!   reads ahead of the MTP sender's frame deadlines;
 //! - [`AdmissionController`] — disk-bandwidth admission control that
-//!   rejects streams whose demand would exceed capacity, surfaced to
+//!   rejects work whose demand would exceed capacity, surfaced to
 //!   clients as a negative MCAM response;
-//! - a **write path** for recorded movies: recording sessions
-//!   ([`BlockStore::open_recording`] / `append_frame` /
-//!   `seal_recording` / `finish_recording`) accumulate captured
-//!   frames into blocks, allocate free blocks per disk
-//!   ([`BlockAllocator`]), stage dirty blocks through the buffer
-//!   cache, and queue writes on the same elevator/SCAN disk queues as
-//!   playback reads — recording commits real write bandwidth against
-//!   the same admission capacity, and
-//!   [`BlockStore::import_movie`] copies a finished recording onto a
-//!   replica's disks.
+//! - [`BlockStore`] — all of the above behind one handle, serving
+//!   three kinds of traffic that share the disks, the cache and the
+//!   admission capacity but little code:
+//!   - **playback** ([`BlockStore::open_stream`] …): per-stream
+//!     prefetchers pipeline block reads ahead of the MTP sender's
+//!     frame deadlines, coalescing reads across viewers and following
+//!     the session layer's trick-mode [`PrefetchHint`]s;
+//!   - **write sessions** ([`BlockStore::open_recording`] /
+//!     `append_frame` / `seal_recording` / `finish_recording`):
+//!     captured frames accumulate into blocks that are allocated per
+//!     disk ([`BlockAllocator`]), staged through the cache and queued
+//!     on the same elevator/SCAN disk queues as playback reads;
+//!   - **background jobs**: one paced, admission-charged block-job
+//!     engine behind both migration copies
+//!     ([`BlockStore::begin_import`]) and the reconstruction of blocks
+//!     lost to a dead spindle ([`BlockStore::fail_disk`] /
+//!     [`BlockStore::begin_rebuild`]) — a job writes no faster than
+//!     its bandwidth reservation pays for and no more than a short
+//!     window ahead of the platters, so it visibly competes with
+//!     viewers instead of teleporting data;
+//!     [`BlockStore::import_movie`] is the unpaced bulk copy.
+//!
+//!   Every block any of them writes goes through one allocate-and-
+//!   queue step that shuns dead spindles.
 //!
 //! # Examples
 //!

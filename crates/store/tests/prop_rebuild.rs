@@ -85,6 +85,59 @@ proptest! {
         }
     }
 
+    /// A second spindle dies while the first rebuild is still
+    /// running (and again asks for a rebuild, as `World::fail_disk`
+    /// does): its blocks — including already-relocated ones that
+    /// landed on it, durable or still queued — join the running job.
+    /// Afterwards nothing is left reserved, pending, or mapped onto
+    /// either dead disk, and the map is still a bijection.
+    #[test]
+    fn second_spindle_death_joins_the_running_rebuild(
+        disks in 3usize..7,
+        first_seed in 0usize..64,
+        second_seed in 1usize..64,
+        frames in 60u64..600,
+        block_kib in 32u32..128,
+        pumps_between in 0usize..12,
+    ) {
+        let first = first_seed % disks;
+        let second = (first + 1 + second_seed % (disks - 1)) % disks;
+        let store = BlockStore::new(config(disks, block_kib));
+        let id = store.register_movie(&MovieSource::test_movie(frames, 7));
+        let blocks = store.layout_of(id).expect("published movies stripe").block_count();
+
+        let mut now = SimTime::ZERO;
+        store.fail_disk(first, now);
+        let reserve = (store.available_bps() / 2).max(1);
+        let job = store.begin_rebuild(reserve, now).expect("reservation fits an idle store");
+        for _ in 0..pumps_between {
+            if let Some(t) = store.next_event() {
+                now = now.max(t);
+            }
+            store.pump(now);
+        }
+        store.fail_disk(second, now);
+        let again = store
+            .begin_rebuild((store.available_bps() / 2).max(1), now)
+            .expect("fits, and a running rebuild is never refused");
+        if store.rebuild_active() {
+            prop_assert_eq!(store.stats().committed_bps, reserve, "a second reservation");
+            prop_assert_eq!(again, job, "a second job");
+        }
+        pump_until(&store, now, || !store.rebuild_active());
+
+        prop_assert_eq!(store.lost_blocks_pending(), 0);
+        prop_assert_eq!(store.stats().committed_bps, 0, "a reservation leaked");
+        let after = store.allocation_of(id).expect("materialized to a map");
+        prop_assert_eq!(after.len() as u64, blocks);
+        let mut seen = HashSet::new();
+        for (i, a) in after.iter().enumerate() {
+            prop_assert!(a.disk < disks);
+            prop_assert!(a.disk != first && a.disk != second, "block {} on a dead spindle", i);
+            prop_assert!(seen.insert(*a), "address {:?} mapped twice", a);
+        }
+    }
+
     /// After a spindle dies, every write path — recording, bulk
     /// import, post-fault registration — allocates only on survivors.
     #[test]

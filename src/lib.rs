@@ -8,10 +8,15 @@
 //! - CM-stream plane: [`mtp`] (stream protocol) and [`store`] (striped
 //!   block store, buffer cache, prefetch, disk-bandwidth admission
 //!   control feeding the stream provider);
+//! - capacity: [`share`] (merging close-spaced viewers behind one
+//!   disk stream) and [`cluster`] (replica placement, load routing,
+//!   rebalancing);
 //! - services: [`directory`], [`equipment`];
 //! - observability: [`journal`] (hash-chained event journal);
-//! - substrate and evaluation: [`netsim`], [`ksim`], [`harness`].
+//! - substrate and evaluation: [`netsim`], [`ksim`], [`harness`],
+//!   [`workload`] (declarative scenarios compiled to agent scripts).
 pub use asn1;
+pub use cluster;
 pub use directory;
 pub use equipment;
 pub use estelle;
@@ -24,5 +29,7 @@ pub use mtp;
 pub use netsim;
 pub use presentation;
 pub use session;
+pub use share;
 pub use store;
 pub use transport;
+pub use workload;
