@@ -826,61 +826,6 @@ fn json_array(rows: &[String]) -> String {
     rows.join(", ")
 }
 
-/// Pulls the committed `"wall_clock": {...}` object out of the
-/// previous `BENCH_store_throughput.json` (one scenario per line) so
-/// normal smoke runs re-emit it verbatim.
-fn extract_wall_clock(committed: &str) -> Option<String> {
-    committed.lines().find_map(|line| {
-        let rest = line.trim_start().strip_prefix("\"wall_clock\": ")?;
-        Some(rest.trim_end().trim_end_matches(',').to_string())
-    })
-}
-
-/// The committed `wall_clock` scenario block. Wall-clock numbers are
-/// real time, not virtual time, so the committed file carries a
-/// *recording*: normal smoke runs re-emit the previous block verbatim
-/// (keeping the file byte-stable for CI's diff), and
-/// `MCAM_WALL_RECORD=1` re-measures and refreshes it.
-fn wall_clock_block() -> String {
-    println!("store_throughput: wall-clock throughput (threaded backend)");
-    if std::env::var_os("MCAM_WALL_RECORD").is_none() {
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_store_throughput.json"
-        );
-        if let Some(block) = std::fs::read_to_string(path)
-            .ok()
-            .as_deref()
-            .and_then(extract_wall_clock)
-        {
-            println!("  committed recording re-emitted (set MCAM_WALL_RECORD=1 to refresh)");
-            return block;
-        }
-    }
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let report = mcam::wall_clock::run(mcam::wall_clock::WallClockConfig {
-        threads: 1,
-        streams_per_thread: 8,
-        frames_per_stream: 300,
-        frame_size: 16 * 1024,
-    });
-    assert_eq!(report.sequence_errors, 0, "conduits deliver in order");
-    assert_eq!(
-        report.steady_state_allocs, 0,
-        "senders must live off recycled buffers after warm-up"
-    );
-    let fps = report.frames_per_sec();
-    println!(
-        "  recorded: threads={} streams_sustained={} frames/s={fps} (on {cores} core(s))",
-        report.threads, report.streams_sustained
-    );
-    format!(
-        "{{\"threads\": {}, \"streams_sustained\": {}, \"frames_delivered\": {}, \
-         \"frames_per_sec\": {fps}, \"recorded_cores\": {cores}}}",
-        report.threads, report.streams_sustained, report.frames_delivered
-    )
-}
-
 /// Wall-clock scaling on the threaded backend: the same per-thread
 /// workload at 1, 2 and 4 worker threads. On a >= 4-core host the
 /// 4-thread run must deliver at least 2x the 1-thread frames/sec; on
@@ -1238,7 +1183,6 @@ fn scenario_report() -> (String, Arc<journal::Journal>, Arc<journal::Journal>, S
         storm_on.hit_permille,
         storm_off.hit_permille
     );
-    let wall = wall_clock_block();
     let fanout = |v: &[usize]| {
         v.iter()
             .map(|n| n.to_string())
@@ -1248,7 +1192,7 @@ fn scenario_report() -> (String, Arc<journal::Journal>, Arc<journal::Journal>, S
     // Ratios are reported in permille so the committed file carries
     // only integers and regenerates byte-identically.
     let json = format!(
-        "{{\n  \"bench\": \"store_throughput\",\n  \"mode\": \"smoke\",\n  \"scenarios\": {{\n    \"disk_sweep\": [{disk}],\n    \"cluster_sweep\": [{cluster}],\n    \"hot_title_skew\": {{\"static_k2\": {static_k2}, \"rebalanced\": {dynamic}, \"copies_completed\": {copies}, \"grows_started\": {grows}, \"directory_updates\": {dirs}}},\n    \"record_playback\": [{record}],\n    \"interval_cache\": {{\"close_hit_permille\": {close_pm}, \"far_hit_permille\": {far_pm}}},\n    \"flash_crowd\": {{\"viewers\": 1000, \"sharing_off\": {fc_off}, \"sharing_on\": {fc_on}, \"refused_on\": {fc_refused}, \"merges\": {fc_merges}, \"fast_feeds\": {fc_feeds}, \"conversions\": {fc_conversions}, \"journal_events\": {fc_journal}}},\n    \"flash_crowd_calibration\": [{calibration}],\n    \"control_fanout\": {{\"legacy_per_server\": [{legacy}], \"referred_per_server\": [{spread}], \"referrals_issued\": {issued}, \"referrals_followed\": {followed}, \"referrals_failed\": {failed}, \"journal_events\": {journal_len}}},\n    \"spindle_rebuild\": [{rebuild}],\n    \"crash_survival\": {{\"servers\": 4, \"k\": 2, \"in_flight\": {cs_in_flight}, \"failed_over\": {cs_failed_over}, \"survival_permille\": {cs_permille}, \"server_crashes\": {cs_crashes}, \"journal_events\": {cs_journal}}},\n    \"vcr_storm\": {{\"viewers\": {vs_agents}, \"ops\": {vs_ops}, \"hints_off_hit_permille\": {vs_off_pm}, \"hints_on_hit_permille\": {vs_on_pm}, \"hints_off_admitted\": {vs_off_adm}, \"hints_on_admitted\": {vs_on_adm}}},\n    \"wall_clock\": {wall}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"store_throughput\",\n  \"mode\": \"smoke\",\n  \"scenarios\": {{\n    \"disk_sweep\": [{disk}],\n    \"cluster_sweep\": [{cluster}],\n    \"hot_title_skew\": {{\"static_k2\": {static_k2}, \"rebalanced\": {dynamic}, \"copies_completed\": {copies}, \"grows_started\": {grows}, \"directory_updates\": {dirs}}},\n    \"record_playback\": [{record}],\n    \"interval_cache\": {{\"close_hit_permille\": {close_pm}, \"far_hit_permille\": {far_pm}}},\n    \"flash_crowd\": {{\"viewers\": 1000, \"sharing_off\": {fc_off}, \"sharing_on\": {fc_on}, \"refused_on\": {fc_refused}, \"merges\": {fc_merges}, \"fast_feeds\": {fc_feeds}, \"conversions\": {fc_conversions}, \"journal_events\": {fc_journal}}},\n    \"flash_crowd_calibration\": [{calibration}],\n    \"control_fanout\": {{\"legacy_per_server\": [{legacy}], \"referred_per_server\": [{spread}], \"referrals_issued\": {issued}, \"referrals_followed\": {followed}, \"referrals_failed\": {failed}, \"journal_events\": {journal_len}}},\n    \"spindle_rebuild\": [{rebuild}],\n    \"crash_survival\": {{\"servers\": 4, \"k\": 2, \"in_flight\": {cs_in_flight}, \"failed_over\": {cs_failed_over}, \"survival_permille\": {cs_permille}, \"server_crashes\": {cs_crashes}, \"journal_events\": {cs_journal}}},\n    \"vcr_storm\": {{\"viewers\": {vs_agents}, \"ops\": {vs_ops}, \"hints_off_hit_permille\": {vs_off_pm}, \"hints_on_hit_permille\": {vs_on_pm}, \"hints_off_admitted\": {vs_off_adm}, \"hints_on_admitted\": {vs_on_adm}}}\n  }}\n}}\n",
         disk = json_array(&disk_rows),
         cluster = json_array(&cluster_rows),
         copies = rebalance.copies_completed,
@@ -1311,15 +1255,12 @@ fn bench(c: &mut Criterion) {
             let agents_path = format!("{journal_dir}/vcr_storm_agents.jsonl");
             std::fs::write(&agents_path, &storm_agents).expect("write agent-script artifact");
             println!("store_throughput: wrote {agents_path}");
-            // The threaded-backend CI job measures real multi-core
-            // scaling and uploads the wall-clock report next to the
-            // simulated one.
-            if std::env::var("MCAM_BACKEND").as_deref() == Ok("threaded") {
-                let wall_path = format!("{journal_dir}/store_throughput_wallclock.json");
-                std::fs::write(&wall_path, wall_clock_scaling_report())
-                    .expect("write wall-clock artifact");
-                println!("store_throughput: wrote {wall_path}");
-            }
+            // Real multi-core scaling of the threaded backend, written
+            // next to the simulated report (uploaded as an artifact).
+            let wall_path = format!("{journal_dir}/store_throughput_wallclock.json");
+            std::fs::write(&wall_path, wall_clock_scaling_report())
+                .expect("write wall-clock artifact");
+            println!("store_throughput: wrote {wall_path}");
         }
     });
     if smoke {

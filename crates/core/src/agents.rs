@@ -148,6 +148,23 @@ pub type SpsRegistry = cluster::ReplicaDirectory<Arc<StreamProviderSystem>>;
 /// The cluster control plane over the stream providers.
 pub type ClusterController = cluster::RebalanceController<Arc<StreamProviderSystem>>;
 
+/// An admission refusal reaches the MCA as such — the server is
+/// storage-saturated, not broken; every other error is a failure.
+impl From<SpsError> for StreamOutcome {
+    fn from(e: SpsError) -> Self {
+        match e {
+            SpsError::AdmissionRejected {
+                demanded_bps,
+                available_bps,
+            } => StreamOutcome::Rejected {
+                demanded_bps,
+                available_bps,
+            },
+            e => StreamOutcome::Failed(e.to_string()),
+        }
+    }
+}
+
 impl SuaAgent {
     /// Creates an agent controlling `sps`, with `peers` resolving the
     /// replica locations named in routed open requests and
@@ -185,14 +202,7 @@ impl SuaAgent {
         self.ops += 1;
         let done = |r: Result<(), SpsError>| match r {
             Ok(()) => StreamOutcome::Done,
-            Err(SpsError::AdmissionRejected {
-                demanded_bps,
-                available_bps,
-            }) => StreamOutcome::Rejected {
-                demanded_bps,
-                available_bps,
-            },
-            Err(e) => StreamOutcome::Failed(e.to_string()),
+            Err(e) => e.into(),
         };
         match op {
             StreamOp::Open {
@@ -215,27 +225,13 @@ impl SuaAgent {
                         provider_addr: target.addr().0,
                         location: target.location(),
                     },
-                    Err(SpsError::AdmissionRejected {
-                        demanded_bps,
-                        available_bps,
-                    }) => StreamOutcome::Rejected {
-                        demanded_bps,
-                        available_bps,
-                    },
-                    Err(e) => StreamOutcome::Failed(e.to_string()),
+                    Err(e) => e.into(),
                 }
             }
             StreamOp::Close { stream_id } => done(self.provider_of(stream_id).close(stream_id)),
             StreamOp::OpenRecord { movie } => match self.sps.record_open(movie, now) {
                 Ok(id) => StreamOutcome::RecordStarted { stream_id: id },
-                Err(SpsError::AdmissionRejected {
-                    demanded_bps,
-                    available_bps,
-                }) => StreamOutcome::Rejected {
-                    demanded_bps,
-                    available_bps,
-                },
-                Err(e) => StreamOutcome::Failed(e.to_string()),
+                Err(e) => e.into(),
             },
             StreamOp::CloseRecord { stream_id, title } => match self.sps.record_close(stream_id) {
                 Ok(recorded) => {
@@ -257,7 +253,7 @@ impl SuaAgent {
                         replicas,
                     }
                 }
-                Err(e) => StreamOutcome::Failed(e.to_string()),
+                Err(e) => e.into(),
             },
             StreamOp::Play {
                 stream_id,

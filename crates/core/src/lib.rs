@@ -311,8 +311,8 @@
 //! failover, referrals issued/followed/failed, every rebalance step,
 //! and periodic per-server health snapshots (open streams, control
 //! associations, available bandwidth, cache hit ratio, disk-queue
-//! depths) sampled by the world's driver every
-//! [`World::health_interval`]. Events are hash-chained per actor, so
+//! depths) sampled by the world's driver every 250 ms of simulated
+//! time. Events are hash-chained per actor, so
 //! the JSONL dump is tamper-evident and a deterministic re-run
 //! reproduces it bit for bit (`journal::replay_check`); counters such
 //! as [`ClusterHandle::route_decisions`], [`ClusterHandle::failovers`]

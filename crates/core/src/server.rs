@@ -3,6 +3,22 @@
 //! incoming connection (paper §4.1: "a protocol entity implemented as
 //! a process can accept a new CONNECT request and then create a new
 //! child module to handle the new connection").
+//!
+//! The MCA is a three-state machine (Fig. 3: the one module written
+//! entirely in Estelle, delegating to agents with external bodies).
+//! A request arrives in READY; `dispatch`, which has the request in
+//! hand, passes the operation to an agent through `ask` and leaves
+//! behind a `Pending` saying what to do with the answer; the entity
+//! waits BUSY until the agent's response transition runs it. For most
+//! operations the answer alone decides the reply, so what is left
+//! behind is a plain function from the agent's outcome to the response
+//! PDU (`Pending::Dir`, `Pending::Stream`) and one arm per agent serves
+//! them all. Two operations are chains of round-trips whose later
+//! steps need what earlier ones learned, and their variants carry it:
+//! `SelectMovie` (lookup, then an open that falls over from replica to
+//! replica — the entry, the route still untried, the count for the
+//! final 503) and `Record` (camera, admission, capture, finalize,
+//! directory add, camera release — the title, then the reply itself).
 
 use crate::agents::{
     source_for_entry, source_for_title, ClusterController, DuaAgent, EuaAgent, SpsRegistry,
@@ -99,8 +115,6 @@ pub struct ServerServices {
     /// stack — once the grace period has let the referral reply
     /// drain through the stack.
     pub reaper: Arc<Mutex<Vec<(estelle::ModuleId, netsim::SimTime)>>>,
-    /// Frame rate cameras capture at (the world's record knob).
-    pub record_frame_rate: u32,
     /// Equipment client for the server site.
     pub eua: Eua,
     /// The site's equipment control agent (for direct inspection and
@@ -133,13 +147,19 @@ struct Selected {
     location: String,
 }
 
+/// What the entity does with the agent response it is waiting for.
 #[derive(Debug, Clone)]
 enum Pending {
-    Create,
-    Delete,
-    List,
-    Query,
-    Modify,
+    /// A directory operation whose outcome alone decides the reply.
+    Dir(fn(DirOutcome) -> McamPdu),
+    /// An operation on the selected stream: `reply` confirms it (told
+    /// whether the provider reported success), and `refused` names
+    /// what an admission rejection is reported as refusing — `None`
+    /// for operations confirmed whatever the provider said.
+    Stream {
+        reply: fn(bool) -> McamPdu,
+        refused: Option<&'static str>,
+    },
     SelectLookup {
         client_addr: u32,
     },
@@ -155,11 +175,6 @@ enum Pending {
         /// Replicas attempted so far (for the final error report).
         tried: usize,
     },
-    Deselect,
-    Play,
-    Pause,
-    Stop,
-    Seek,
     RecordAcquire {
         title: String,
         frames: u64,
@@ -179,22 +194,27 @@ enum Pending {
         title: String,
     },
     RecordAdd,
+    /// How the record attempt ended, carried across the camera-release
+    /// round-trip so the reply matches the failure.
     RecordRelease {
-        verdict: RecordVerdict,
+        reply: McamPdu,
     },
 }
 
-/// How a record attempt ended, carried across the camera-release
-/// round-trip so the reply matches the failure.
-#[derive(Debug, Clone)]
-enum RecordVerdict {
-    Ok,
-    Failed,
-    /// Write-bandwidth admission refused the recording.
-    Saturated {
-        demanded_bps: u64,
-        available_bps: u64,
-    },
+/// The honest 503: the server is saturated, not broken.
+fn saturated(message: String) -> McamPdu {
+    McamPdu::ErrorRsp {
+        code: ERR_ADMISSION,
+        message,
+    }
+}
+
+/// The 503 for `what` not fitting the disk bandwidth still uncommitted.
+fn refusal(what: &str, demanded_bps: u64, available_bps: u64) -> McamPdu {
+    saturated(format!(
+        "admission rejected: {what} needs {demanded_bps} bps, \
+         {available_bps} bps of disk bandwidth available"
+    ))
 }
 
 /// The server-side Movie Control Agent.
@@ -290,6 +310,130 @@ impl ServerMca {
         );
     }
 
+    /// Answers the outstanding request; the association is READY for
+    /// the next one.
+    fn finish(&self, ctx: &mut Ctx<'_>, pdu: McamPdu) {
+        self.reply(ctx, pdu);
+        ctx.goto(READY);
+    }
+
+    /// Delegates `request` to the agent behind `ip`; `then` is what
+    /// the entity does with the response it goes BUSY waiting for.
+    fn ask(&mut self, ctx: &mut Ctx<'_>, ip: IpIndex, request: impl Interaction, then: Pending) {
+        self.pending = Some(then);
+        ctx.output(ip, request);
+        ctx.goto(BUSY);
+    }
+
+    /// Delegates `op` on the selected stream to the SUA.
+    fn ask_stream(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        op: impl FnOnce(u32) -> StreamOp,
+        reply: fn(bool) -> McamPdu,
+        refused: Option<&'static str>,
+    ) {
+        match self.selected.as_ref().map(|sel| sel.params.stream_id) {
+            Some(id) => {
+                let then = Pending::Stream { reply, refused };
+                self.ask(ctx, TO_SUA, StreamRequest(op(id)), then);
+            }
+            None => self.error(ctx, 404, "no movie selected"),
+        }
+    }
+
+    /// Gives the camera back; `reply`, the record attempt's verdict,
+    /// goes out once the EUA has it.
+    fn release_camera(&mut self, ctx: &mut Ctx<'_>, reply: McamPdu) {
+        let then = Pending::RecordRelease { reply };
+        self.ask(ctx, TO_EUA, EquipRequest(EquipOp::ReleaseAll), then);
+    }
+
+    /// Asks the SUA to open `entry` towards the client on the replica
+    /// at `location` (`None`: this machine, registered or not), with
+    /// `remaining` to fall over to should it reject.
+    fn open_at(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        entry: MovieEntry,
+        client_addr: u32,
+        location: Option<String>,
+        remaining: Vec<String>,
+        tried: usize,
+    ) {
+        let open = StreamOp::Open {
+            movie: source_for_entry(&entry),
+            dest: client_addr,
+            location: location.clone(),
+        };
+        let then = Pending::SelectOpen {
+            entry,
+            client_addr,
+            current: location.unwrap_or_else(|| self.services.sps.location()),
+            remaining,
+            tried,
+        };
+        self.ask(ctx, TO_SUA, StreamRequest(open), then);
+    }
+
+    /// Control-plane referral: when the balancer names a better member
+    /// for this client, journals the hand-off and returns the referral
+    /// to send. The referred client re-dials the target and never
+    /// speaks to this entity again, so the whole entity is scheduled
+    /// for reaping.
+    fn refer(&mut self, ctx: &mut Ctx<'_>) -> Option<McamPdu> {
+        let local = self.services.sps.location();
+        let loads = self.services.peers.loads();
+        let target = self.services.control.refer_target(&local, &loads)?;
+        self.journal(journal::EventKind::ReferralIssued {
+            target: target.clone(),
+        });
+        let candidates = self.services.control.candidates(&loads);
+        self.services
+            .reaper
+            .lock()
+            .push((ctx.self_ip(DOWN).module, ctx.now() + REAP_GRACE));
+        Some(McamPdu::ReferralRsp { target, candidates })
+    }
+
+    /// Routing step: the movie's replicas ordered by the disk
+    /// bandwidth their admission controllers still have uncommitted —
+    /// breaking ties towards a replica already streaming the title in
+    /// a merge group, where this viewer is likely admitted for free —
+    /// best first. With no registered replica (seeded entries with
+    /// symbolic locations, or every replica dead or draining), the
+    /// cluster's live servers instead: the local one first (unless it
+    /// is itself draining — a new stream must not land on it), then
+    /// the peers most-available-first, so a momentarily busy local
+    /// store fails over instead of refusing while a peer idles.
+    fn route(&self, entry: &MovieEntry) -> Vec<String> {
+        let peers = &self.services.peers;
+        let movie = source_for_entry(entry);
+        let mut candidates: Vec<String> = peers
+            .route_by(&entry.replicas, |sps| sps.shares_source(&movie))
+            .into_iter()
+            .map(|(location, _)| location)
+            .collect();
+        if candidates.is_empty() {
+            let local = self.services.sps.location();
+            let mut fallback: Vec<(u64, String)> = peers
+                .loads()
+                .into_iter()
+                .filter(|s| !s.draining && !s.crashed && s.location != local)
+                .map(|s| (s.load.available_bps, s.location))
+                .collect();
+            fallback.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+            // Local service only while the server is in the cluster:
+            // draining and decommissioned machines must not host new
+            // streams.
+            if peers.get(&local).is_some() && !peers.is_draining(&local) {
+                candidates.push(local);
+            }
+            candidates.extend(fallback.into_iter().map(|(_, l)| l));
+        }
+        candidates
+    }
+
     fn dispatch(&mut self, ctx: &mut Ctx<'_>, pdu: McamPdu) {
         use McamPdu::*;
         self.requests += 1;
@@ -316,14 +460,43 @@ impl ServerMca {
                 entry.format = format;
                 entry.frame_rate = frame_rate.clamp(1, 120);
                 entry.frame_count = frame_count;
-                self.pending = Some(Pending::Create);
-                ctx.output(TO_DUA, DirRequest(DirOp::Add { entry }));
-                ctx.goto(BUSY);
+                let then = Pending::Dir(|o| CreateMovieRsp {
+                    ok: o == DirOutcome::Done,
+                });
+                self.ask(ctx, TO_DUA, DirRequest(DirOp::Add { entry }), then);
             }
             DeleteMovieReq { title } => {
-                self.pending = Some(Pending::Delete);
-                ctx.output(TO_DUA, DirRequest(DirOp::Remove { title }));
-                ctx.goto(BUSY);
+                let then = Pending::Dir(|o| DeleteMovieRsp {
+                    ok: o == DirOutcome::Done,
+                });
+                self.ask(ctx, TO_DUA, DirRequest(DirOp::Remove { title }), then);
+            }
+            ListMoviesReq { title_contains } => {
+                let list = DirOp::List {
+                    contains: title_contains,
+                };
+                let then = Pending::Dir(|o| ListMoviesRsp {
+                    titles: match o {
+                        DirOutcome::Titles(t) => t,
+                        _ => Vec::new(),
+                    },
+                });
+                self.ask(ctx, TO_DUA, DirRequest(list), then);
+            }
+            QueryAttrsReq { title, attrs } => {
+                let then = Pending::Dir(|o| QueryAttrsRsp {
+                    attrs: match o {
+                        DirOutcome::Attrs(a) => Some(a),
+                        _ => None,
+                    },
+                });
+                self.ask(ctx, TO_DUA, DirRequest(DirOp::Query { title, attrs }), then);
+            }
+            ModifyAttrsReq { title, puts } => {
+                let then = Pending::Dir(|o| ModifyAttrsRsp {
+                    ok: o == DirOutcome::Done,
+                });
+                self.ask(ctx, TO_DUA, DirRequest(DirOp::Modify { title, puts }), then);
             }
             SelectMovieReq { title, client_addr } => {
                 // Drain-away: a draining (or operator-pinned) server
@@ -334,130 +507,70 @@ impl ServerMca {
                 // still attached) refers them the same way instead of
                 // serving as a zombie. The client replays the select
                 // at the target; this entity's association is over.
-                if self.client_referral_capable {
-                    let local = self.services.sps.location();
-                    if self.services.peers.is_draining(&local)
+                let local = self.services.sps.location();
+                let leaving = self.client_referral_capable
+                    && (self.services.peers.is_draining(&local)
                         || self.services.peers.get(&local).is_none()
-                        || self.services.control.is_pinned(&local)
-                    {
-                        let loads = self.services.peers.loads();
-                        if let Some(target) = self.services.control.refer_target(&local, &loads) {
-                            self.journal(journal::EventKind::ReferralIssued {
-                                target: target.clone(),
-                            });
-                            let candidates = self.services.control.candidates(&loads);
-                            self.reply(ctx, McamPdu::ReferralRsp { target, candidates });
-                            self.close_selected();
-                            self.drop_association();
-                            // The client is gone for good: schedule
-                            // this whole entity for reaping.
-                            self.services
-                                .reaper
-                                .lock()
-                                .push((ctx.self_ip(DOWN).module, ctx.now() + REAP_GRACE));
-                            ctx.goto(IDLE);
-                            return;
-                        }
+                        || self.services.control.is_pinned(&local));
+                if leaving {
+                    if let Some(referral) = self.refer(ctx) {
+                        self.reply(ctx, referral);
+                        self.close_selected();
+                        self.drop_association();
+                        ctx.goto(IDLE);
+                        return;
                     }
                 }
-                self.pending = Some(Pending::SelectLookup { client_addr });
-                ctx.output(TO_DUA, DirRequest(DirOp::Lookup { title }));
-                ctx.goto(BUSY);
+                let then = Pending::SelectLookup { client_addr };
+                self.ask(ctx, TO_DUA, DirRequest(DirOp::Lookup { title }), then);
             }
-            DeselectMovieReq => match self.selected.take() {
-                Some(sel) => {
-                    self.pending = Some(Pending::Deselect);
-                    ctx.output(
-                        TO_SUA,
-                        StreamRequest(StreamOp::Close {
-                            stream_id: sel.params.stream_id,
-                        }),
-                    );
-                    ctx.goto(BUSY);
-                }
-                None => self.error(ctx, 404, "no movie selected"),
-            },
-            ListMoviesReq { title_contains } => {
-                self.pending = Some(Pending::List);
-                ctx.output(
-                    TO_DUA,
-                    DirRequest(DirOp::List {
-                        contains: title_contains,
-                    }),
+            DeselectMovieReq => {
+                self.ask_stream(
+                    ctx,
+                    |stream_id| StreamOp::Close { stream_id },
+                    |_| DeselectMovieRsp,
+                    None,
                 );
-                ctx.goto(BUSY);
+                self.selected = None;
             }
-            QueryAttrsReq { title, attrs } => {
-                self.pending = Some(Pending::Query);
-                ctx.output(TO_DUA, DirRequest(DirOp::Query { title, attrs }));
-                ctx.goto(BUSY);
-            }
-            ModifyAttrsReq { title, puts } => {
-                self.pending = Some(Pending::Modify);
-                ctx.output(TO_DUA, DirRequest(DirOp::Modify { title, puts }));
-                ctx.goto(BUSY);
-            }
-            PlayReq { speed_pct } => match &self.selected {
-                Some(sel) => {
-                    self.pending = Some(Pending::Play);
-                    ctx.output(
-                        TO_SUA,
-                        StreamRequest(StreamOp::Play {
-                            stream_id: sel.params.stream_id,
-                            speed_pct,
-                        }),
-                    );
-                    ctx.goto(BUSY);
-                }
-                None => self.error(ctx, 404, "no movie selected"),
-            },
-            PauseReq => match &self.selected {
-                Some(sel) => {
-                    self.pending = Some(Pending::Pause);
-                    ctx.output(
-                        TO_SUA,
-                        StreamRequest(StreamOp::Pause {
-                            stream_id: sel.params.stream_id,
-                        }),
-                    );
-                    ctx.goto(BUSY);
-                }
-                None => self.error(ctx, 404, "no movie selected"),
-            },
-            StopReq => match &self.selected {
-                Some(sel) => {
-                    self.pending = Some(Pending::Stop);
-                    ctx.output(
-                        TO_SUA,
-                        StreamRequest(StreamOp::Stop {
-                            stream_id: sel.params.stream_id,
-                        }),
-                    );
-                    ctx.goto(BUSY);
-                }
-                None => self.error(ctx, 404, "no movie selected"),
-            },
-            SeekReq { frame } => match &self.selected {
-                Some(sel) => {
-                    self.pending = Some(Pending::Seek);
-                    ctx.output(
-                        TO_SUA,
-                        StreamRequest(StreamOp::Seek {
-                            stream_id: sel.params.stream_id,
-                            frame,
-                        }),
-                    );
-                    ctx.goto(BUSY);
-                }
-                None => self.error(ctx, 404, "no movie selected"),
-            },
+            PlayReq { speed_pct } => self.ask_stream(
+                ctx,
+                |stream_id| StreamOp::Play {
+                    stream_id,
+                    speed_pct,
+                },
+                |ok| PlayRsp { ok },
+                Some("speed-up"),
+            ),
+            // A shared follower pausing out of its merge group needs a
+            // full disk stream of its own; when admission cannot take
+            // it the pause is refused honestly and the viewer keeps
+            // riding the group.
+            PauseReq => self.ask_stream(
+                ctx,
+                |stream_id| StreamOp::Pause { stream_id },
+                |_| PauseRsp,
+                Some("leaving the merge group"),
+            ),
+            StopReq => self.ask_stream(
+                ctx,
+                |stream_id| StreamOp::Stop { stream_id },
+                |_| StopRsp,
+                None,
+            ),
+            // Same honesty for seeks: a group member that cannot
+            // re-admit its own stream stays merged at its old position
+            // and the client is told why.
+            SeekReq { frame } => self.ask_stream(
+                ctx,
+                |stream_id| StreamOp::Seek { stream_id, frame },
+                |ok| SeekRsp { ok },
+                Some("leaving the merge group"),
+            ),
             RecordReq { title, frames } => {
-                self.pending = Some(Pending::RecordAcquire { title, frames });
-                ctx.output(
-                    TO_EUA,
-                    EquipRequest(EquipOp::AcquireClass(equipment::EquipmentClass::Camera)),
-                );
-                ctx.goto(BUSY);
+                let camera = EquipOp::AcquireClass(equipment::EquipmentClass::Camera);
+                let then = Pending::RecordAcquire { title, frames };
+                self.ask(ctx, TO_EUA, EquipRequest(camera), then);
             }
             other => {
                 self.protocol_errors += 1;
@@ -466,156 +579,55 @@ impl ServerMca {
         }
     }
 
+    /// An agent answered while the entity waited for something else
+    /// (kept, should the right answer still come).
+    fn stray(&mut self, ctx: &mut Ctx<'_>, pending: Option<Pending>) {
+        self.protocol_errors += 1;
+        self.pending = pending;
+        ctx.goto(READY);
+    }
+
     fn on_dir_response(&mut self, ctx: &mut Ctx<'_>, outcome: DirOutcome) {
-        let pending = self.pending.take();
-        match pending {
-            Some(Pending::Create) => {
-                self.reply(
-                    ctx,
-                    McamPdu::CreateMovieRsp {
-                        ok: outcome == DirOutcome::Done,
-                    },
-                );
-                ctx.goto(READY);
-            }
-            Some(Pending::Delete) => {
-                self.reply(
-                    ctx,
-                    McamPdu::DeleteMovieRsp {
-                        ok: outcome == DirOutcome::Done,
-                    },
-                );
-                ctx.goto(READY);
-            }
-            Some(Pending::List) => {
-                let titles = match outcome {
-                    DirOutcome::Titles(t) => t,
-                    _ => Vec::new(),
-                };
-                self.reply(ctx, McamPdu::ListMoviesRsp { titles });
-                ctx.goto(READY);
-            }
-            Some(Pending::Query) => {
-                let attrs = match outcome {
-                    DirOutcome::Attrs(a) => Some(a),
-                    _ => None,
-                };
-                self.reply(ctx, McamPdu::QueryAttrsRsp { attrs });
-                ctx.goto(READY);
-            }
-            Some(Pending::Modify) => {
-                self.reply(
-                    ctx,
-                    McamPdu::ModifyAttrsRsp {
-                        ok: outcome == DirOutcome::Done,
-                    },
-                );
-                ctx.goto(READY);
-            }
+        match self.pending.take() {
+            Some(Pending::Dir(reply)) => self.finish(ctx, reply(outcome)),
             Some(Pending::SelectLookup { client_addr }) => match outcome {
                 DirOutcome::Movie(entry) => {
-                    let movie = source_for_entry(&entry);
-                    // Routing step: order the movie's replicas by the
-                    // disk bandwidth their admission controllers still
-                    // have uncommitted — breaking ties towards a
-                    // replica already streaming the title in a merge
-                    // group, where this viewer is likely admitted for
-                    // free — and try the best first. With no
-                    // registered replica (seeded entries with
-                    // symbolic locations, or every replica dead or
-                    // draining), fall back to the cluster's live
-                    // servers: the local one first (unless it is
-                    // itself draining — a new stream must not land on
-                    // it), then the peers most-available-first, so a
-                    // momentarily busy local store fails over instead
-                    // of refusing while a peer idles.
-                    let mut candidates: Vec<String> = self
-                        .services
-                        .peers
-                        .route_by(&entry.replicas, |sps| sps.shares_source(&movie))
-                        .into_iter()
-                        .map(|(location, _)| location)
-                        .collect();
-                    if candidates.is_empty() {
-                        let local = self.services.sps.location();
-                        let mut fallback: Vec<(u64, String)> = self
-                            .services
-                            .peers
-                            .loads()
-                            .into_iter()
-                            .filter(|s| !s.draining && !s.crashed && s.location != local)
-                            .map(|s| (s.load.available_bps, s.location))
-                            .collect();
-                        fallback.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-                        // Local service only while the server is in
-                        // the cluster: draining and decommissioned
-                        // machines must not host new streams.
-                        if self.services.peers.get(&local).is_some()
-                            && !self.services.peers.is_draining(&local)
-                        {
-                            candidates.push(local);
-                        }
-                        candidates.extend(fallback.into_iter().map(|(_, l)| l));
-                    }
+                    let mut candidates = self.route(&entry);
                     let considered = candidates.len().max(1) as u32;
-                    let location = if candidates.is_empty() {
-                        // Nothing live anywhere: last-resort local
-                        // service keeps single-server worlds working.
-                        None
-                    } else {
-                        Some(candidates.remove(0))
-                    };
-                    let current = location
-                        .clone()
-                        .unwrap_or_else(|| self.services.sps.location());
+                    // Nothing live anywhere: last-resort local
+                    // service keeps single-server worlds working.
+                    let location = (!candidates.is_empty()).then(|| candidates.remove(0));
                     self.journal(journal::EventKind::RouteDecision {
                         title: entry.title.clone(),
-                        target: current.clone(),
+                        target: location
+                            .clone()
+                            .unwrap_or_else(|| self.services.sps.location()),
                         candidates: considered,
                     });
-                    self.pending = Some(Pending::SelectOpen {
-                        entry,
-                        client_addr,
-                        current,
-                        remaining: candidates,
-                        tried: 1,
-                    });
-                    ctx.output(
-                        TO_SUA,
-                        StreamRequest(StreamOp::Open {
-                            movie,
-                            dest: client_addr,
-                            location,
-                        }),
-                    );
-                    ctx.goto(BUSY);
+                    self.open_at(ctx, entry, client_addr, location, candidates, 1);
                 }
-                _ => {
-                    self.reply(ctx, McamPdu::SelectMovieRsp { params: None });
-                    ctx.goto(READY);
-                }
+                _ => self.finish(ctx, McamPdu::SelectMovieRsp { params: None }),
             },
             Some(Pending::RecordAdd) => {
-                let verdict = if outcome == DirOutcome::Done {
-                    RecordVerdict::Ok
-                } else {
-                    RecordVerdict::Failed
-                };
-                self.pending = Some(Pending::RecordRelease { verdict });
-                ctx.output(TO_EUA, EquipRequest(EquipOp::ReleaseAll));
-                ctx.goto(BUSY);
+                let ok = outcome == DirOutcome::Done;
+                self.release_camera(ctx, McamPdu::RecordRsp { ok });
             }
-            other => {
-                self.protocol_errors += 1;
-                self.pending = other;
-                ctx.goto(READY);
-            }
+            other => self.stray(ctx, other),
         }
     }
 
     fn on_stream_response(&mut self, ctx: &mut Ctx<'_>, outcome: StreamOutcome) {
-        let pending = self.pending.take();
-        match pending {
+        match self.pending.take() {
+            Some(Pending::Stream { reply, refused }) => match (outcome, refused) {
+                (
+                    StreamOutcome::Rejected {
+                        demanded_bps,
+                        available_bps,
+                    },
+                    Some(what),
+                ) => self.finish(ctx, refusal(what, demanded_bps, available_bps)),
+                (outcome, _) => self.finish(ctx, reply(outcome == StreamOutcome::Done)),
+            },
             Some(Pending::SelectOpen {
                 entry,
                 client_addr,
@@ -632,8 +644,8 @@ impl ServerMca {
                         provider_addr,
                         stream_id,
                         movie: MovieDesc {
-                            title: entry.title.clone(),
-                            format: entry.format.clone(),
+                            title: entry.title,
+                            format: entry.format,
                             frame_rate: entry.frame_rate,
                             frame_count: entry.frame_count,
                         },
@@ -642,63 +654,33 @@ impl ServerMca {
                         params: params.clone(),
                         location,
                     });
-                    self.reply(
-                        ctx,
-                        McamPdu::SelectMovieRsp {
-                            params: Some(params),
-                        },
-                    );
-                    ctx.goto(READY);
+                    let params = Some(params);
+                    self.finish(ctx, McamPdu::SelectMovieRsp { params });
                 }
                 StreamOutcome::Rejected {
                     demanded_bps,
                     available_bps,
-                } => {
-                    if remaining.is_empty() {
-                        self.error(
-                            ctx,
-                            ERR_ADMISSION,
-                            &format!(
-                                "admission rejected on all {tried} replica(s): stream \
-                                 needs {demanded_bps} bps, {available_bps} bps of disk \
-                                 bandwidth available on the last one tried"
-                            ),
-                        );
-                        ctx.goto(READY);
-                    } else {
-                        // Failover: the chosen replica filled up (or
-                        // was already fuller than its load snapshot
-                        // said); try the next-best one.
-                        let next = remaining.remove(0);
-                        self.journal(journal::EventKind::Failover {
-                            title: entry.title.clone(),
-                            from: current,
-                            to: next.clone(),
-                        });
-                        let movie = source_for_entry(&entry);
-                        let location = Some(next.clone());
-                        self.pending = Some(Pending::SelectOpen {
-                            entry,
-                            client_addr,
-                            current: next,
-                            remaining,
-                            tried: tried + 1,
-                        });
-                        ctx.output(
-                            TO_SUA,
-                            StreamRequest(StreamOp::Open {
-                                movie,
-                                dest: client_addr,
-                                location,
-                            }),
-                        );
-                        ctx.goto(BUSY);
-                    }
+                } if remaining.is_empty() => {
+                    let message = format!(
+                        "admission rejected on all {tried} replica(s): stream \
+                         needs {demanded_bps} bps, {available_bps} bps of disk \
+                         bandwidth available on the last one tried"
+                    );
+                    self.finish(ctx, saturated(message));
                 }
-                _ => {
-                    self.reply(ctx, McamPdu::SelectMovieRsp { params: None });
-                    ctx.goto(READY);
+                StreamOutcome::Rejected { .. } => {
+                    // Failover: the chosen replica filled up (or was
+                    // already fuller than its load snapshot said);
+                    // try the next-best one.
+                    let next = remaining.remove(0);
+                    self.journal(journal::EventKind::Failover {
+                        title: entry.title.clone(),
+                        from: current,
+                        to: next.clone(),
+                    });
+                    self.open_at(ctx, entry, client_addr, Some(next), remaining, tried + 1);
                 }
+                _ => self.finish(ctx, McamPdu::SelectMovieRsp { params: None }),
             },
             Some(Pending::RecordOpen { title }) => match outcome {
                 StreamOutcome::RecordStarted { stream_id } => {
@@ -710,29 +692,14 @@ impl ServerMca {
                     self.pending = Some(Pending::RecordCapture { title, stream_id });
                     ctx.goto(BUSY);
                 }
+                // The disks cannot absorb the recording next to the
+                // admitted streams: give the camera back and report
+                // saturation, not failure.
                 StreamOutcome::Rejected {
                     demanded_bps,
                     available_bps,
-                } => {
-                    // The disks cannot absorb the recording next to
-                    // the admitted streams: give the camera back and
-                    // report saturation, not failure.
-                    self.pending = Some(Pending::RecordRelease {
-                        verdict: RecordVerdict::Saturated {
-                            demanded_bps,
-                            available_bps,
-                        },
-                    });
-                    ctx.output(TO_EUA, EquipRequest(EquipOp::ReleaseAll));
-                    ctx.goto(BUSY);
-                }
-                _ => {
-                    self.pending = Some(Pending::RecordRelease {
-                        verdict: RecordVerdict::Failed,
-                    });
-                    ctx.output(TO_EUA, EquipRequest(EquipOp::ReleaseAll));
-                    ctx.goto(BUSY);
-                }
+                } => self.release_camera(ctx, refusal("recording", demanded_bps, available_bps)),
+                _ => self.release_camera(ctx, McamPdu::RecordRsp { ok: false }),
             },
             Some(Pending::RecordClose { title }) => {
                 self.recording = None;
@@ -756,155 +723,34 @@ impl ServerMca {
                         if !replicas.is_empty() {
                             entry.set_replicas(replicas);
                         }
-                        self.pending = Some(Pending::RecordAdd);
-                        ctx.output(TO_DUA, DirRequest(DirOp::Add { entry }));
-                        ctx.goto(BUSY);
+                        let add = DirRequest(DirOp::Add { entry });
+                        self.ask(ctx, TO_DUA, add, Pending::RecordAdd);
                     }
-                    _ => {
-                        self.pending = Some(Pending::RecordRelease {
-                            verdict: RecordVerdict::Failed,
-                        });
-                        ctx.output(TO_EUA, EquipRequest(EquipOp::ReleaseAll));
-                        ctx.goto(BUSY);
-                    }
+                    _ => self.release_camera(ctx, McamPdu::RecordRsp { ok: false }),
                 }
             }
-            Some(Pending::Deselect) => {
-                self.reply(ctx, McamPdu::DeselectMovieRsp);
-                ctx.goto(READY);
-            }
-            Some(Pending::Play) => {
-                if let StreamOutcome::Rejected {
-                    demanded_bps,
-                    available_bps,
-                } = outcome
-                {
-                    self.error(
-                        ctx,
-                        ERR_ADMISSION,
-                        &format!(
-                            "admission rejected: speed-up needs {demanded_bps} bps, \
-                             {available_bps} bps of disk bandwidth available"
-                        ),
-                    );
-                } else {
-                    self.reply(
-                        ctx,
-                        McamPdu::PlayRsp {
-                            ok: outcome == StreamOutcome::Done,
-                        },
-                    );
-                }
-                ctx.goto(READY);
-            }
-            Some(Pending::Pause) => {
-                // A shared follower pausing out of its merge group
-                // needs a full disk stream of its own; when admission
-                // cannot take it the pause is refused honestly and the
-                // viewer keeps riding the group.
-                if let StreamOutcome::Rejected {
-                    demanded_bps,
-                    available_bps,
-                } = outcome
-                {
-                    self.error(
-                        ctx,
-                        ERR_ADMISSION,
-                        &format!(
-                            "admission rejected: leaving the merge group needs \
-                             {demanded_bps} bps, {available_bps} bps of disk \
-                             bandwidth available"
-                        ),
-                    );
-                } else {
-                    self.reply(ctx, McamPdu::PauseRsp);
-                }
-                ctx.goto(READY);
-            }
-            Some(Pending::Stop) => {
-                self.reply(ctx, McamPdu::StopRsp);
-                ctx.goto(READY);
-            }
-            Some(Pending::Seek) => {
-                // Same honesty for seeks: a group member that cannot
-                // re-admit its own stream stays merged at its old
-                // position and the client is told why.
-                if let StreamOutcome::Rejected {
-                    demanded_bps,
-                    available_bps,
-                } = outcome
-                {
-                    self.error(
-                        ctx,
-                        ERR_ADMISSION,
-                        &format!(
-                            "admission rejected: leaving the merge group needs \
-                             {demanded_bps} bps, {available_bps} bps of disk \
-                             bandwidth available"
-                        ),
-                    );
-                } else {
-                    self.reply(
-                        ctx,
-                        McamPdu::SeekRsp {
-                            ok: outcome == StreamOutcome::Done,
-                        },
-                    );
-                }
-                ctx.goto(READY);
-            }
-            other => {
-                self.protocol_errors += 1;
-                self.pending = other;
-                ctx.goto(READY);
-            }
+            other => self.stray(ctx, other),
         }
     }
 
     fn on_equip_response(&mut self, ctx: &mut Ctx<'_>, outcome: EquipOutcome) {
-        let pending = self.pending.take();
-        match pending {
+        /// Frame rate cameras capture at: the `Record` write path
+        /// paces captured frames — and sizes its write-bandwidth
+        /// demand — at this rate.
+        const RECORD_FRAME_RATE: u32 = 25;
+        match self.pending.take() {
             Some(Pending::RecordAcquire { title, frames }) => match outcome {
                 EquipOutcome::Acquired(_) => {
                     // Camera in hand: ask the stream provider to open
                     // the admission-controlled recording session.
-                    let movie = source_for_title(
-                        &title,
-                        self.services.record_frame_rate.clamp(1, 120),
-                        frames,
-                    );
-                    self.pending = Some(Pending::RecordOpen { title });
-                    ctx.output(TO_SUA, StreamRequest(StreamOp::OpenRecord { movie }));
-                    ctx.goto(BUSY);
+                    let movie = source_for_title(&title, RECORD_FRAME_RATE, frames);
+                    let open = StreamRequest(StreamOp::OpenRecord { movie });
+                    self.ask(ctx, TO_SUA, open, Pending::RecordOpen { title });
                 }
-                _ => {
-                    self.reply(ctx, McamPdu::RecordRsp { ok: false });
-                    ctx.goto(READY);
-                }
+                _ => self.finish(ctx, McamPdu::RecordRsp { ok: false }),
             },
-            Some(Pending::RecordRelease { verdict }) => {
-                match verdict {
-                    RecordVerdict::Ok => self.reply(ctx, McamPdu::RecordRsp { ok: true }),
-                    RecordVerdict::Failed => self.reply(ctx, McamPdu::RecordRsp { ok: false }),
-                    RecordVerdict::Saturated {
-                        demanded_bps,
-                        available_bps,
-                    } => self.error(
-                        ctx,
-                        ERR_ADMISSION,
-                        &format!(
-                            "admission rejected: recording needs {demanded_bps} bps, \
-                             {available_bps} bps of disk bandwidth available"
-                        ),
-                    ),
-                }
-                ctx.goto(READY);
-            }
-            other => {
-                self.protocol_errors += 1;
-                self.pending = other;
-                ctx.goto(READY);
-            }
+            Some(Pending::RecordRelease { reply }) => self.finish(ctx, reply),
+            other => self.stray(ctx, other),
         }
     }
 }
@@ -962,16 +808,7 @@ impl StateMachine for ServerMca {
                         // piling onto this one. Legacy clients are
                         // always served locally.
                         if referral_capable {
-                            let local = m.services.sps.location();
-                            let loads = m.services.peers.loads();
-                            if let Some(target) = m.services.control.refer_target(&local, &loads) {
-                                m.journal(journal::EventKind::ReferralIssued {
-                                    target: target.clone(),
-                                });
-                                let referral = McamPdu::ReferralRsp {
-                                    target,
-                                    candidates: m.services.control.candidates(&loads),
-                                };
+                            if let Some(referral) = m.refer(ctx) {
                                 ctx.output(
                                     DOWN,
                                     PConRsp {
@@ -979,13 +816,6 @@ impl StateMachine for ServerMca {
                                         user_data: referral.encode(),
                                     },
                                 );
-                                // The refused client re-dials another
-                                // server; this entity will never see
-                                // another PDU — reap it.
-                                m.services
-                                    .reaper
-                                    .lock()
-                                    .push((ctx.self_ip(DOWN).module, ctx.now() + REAP_GRACE));
                                 return;
                             }
                         }

@@ -54,6 +54,16 @@ struct RecordingSession {
     sealed: bool,
 }
 
+/// One open playback stream.
+struct Stream {
+    sender: MtpSender,
+    movie: MovieId,
+    /// Last *forward* seek delta (in blocks): two consecutive forward
+    /// jumps of the same width are treated as a skimming pattern and
+    /// turned into a strided prefetch hint.
+    last_forward_delta: Option<u64>,
+}
+
 /// Stream-provider errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpsError {
@@ -107,13 +117,8 @@ impl From<StoreError> for SpsError {
 pub struct StreamProviderSystem {
     socket: DatagramSocket,
     addr: NetAddr,
-    senders: Mutex<HashMap<u32, MtpSender>>,
-    movie_ids: Mutex<HashMap<u32, MovieId>>,
+    streams: Mutex<HashMap<u32, Stream>>,
     recordings: Mutex<HashMap<u32, RecordingSession>>,
-    /// Last *forward* seek delta (in blocks) per stream: two
-    /// consecutive forward jumps of the same width are treated as a
-    /// skimming pattern and turned into a strided prefetch hint.
-    seek_deltas: Mutex<HashMap<u32, u64>>,
     store: Arc<BlockStore>,
     /// The stream-sharing merge engine (followers are served from the
     /// store's interval cache).
@@ -125,7 +130,7 @@ impl fmt::Debug for StreamProviderSystem {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("StreamProviderSystem")
             .field("addr", &self.addr)
-            .field("streams", &self.senders.lock().len())
+            .field("streams", &self.streams.lock().len())
             .finish_non_exhaustive()
     }
 }
@@ -169,10 +174,8 @@ impl StreamProviderSystem {
         Arc::new(StreamProviderSystem {
             socket,
             addr,
-            senders: Mutex::new(HashMap::new()),
-            movie_ids: Mutex::new(HashMap::new()),
+            streams: Mutex::new(HashMap::new()),
             recordings: Mutex::new(HashMap::new()),
-            seek_deltas: Mutex::new(HashMap::new()),
             store,
             share,
             next_stream: AtomicU32::new((addr.0 << 16) | 1),
@@ -245,16 +248,25 @@ impl StreamProviderSystem {
                 store.set_pinned_ranges(&share.pinned_ranges());
             }
         }
-        self.movie_ids.lock().insert(id, movie_id);
-        let sender = MtpSender::new(self.socket.clone(), dest, id, movie);
-        self.senders.lock().insert(id, sender);
+        let stream = Stream {
+            sender: MtpSender::new(self.socket.clone(), dest, id, movie),
+            movie: movie_id,
+            last_forward_delta: None,
+        };
+        self.streams.lock().insert(id, stream);
         Ok(id)
+    }
+
+    /// The movie an open stream plays; every trick operation starts
+    /// here, so an unknown id fails before anything is touched.
+    fn known(&self, id: u32) -> Result<MovieId, SpsError> {
+        self.with_stream(id, |s| s.movie)
     }
 
     /// The admission demand of `stream` playing alone at nominal rate.
     fn full_demand(&self, stream: u32) -> u64 {
-        let movie = self.movie_ids.lock().get(&stream).copied();
-        movie
+        self.known(stream)
+            .ok()
             .and_then(|m| self.store.demand_for(m, 100))
             .unwrap_or(0)
     }
@@ -295,9 +307,7 @@ impl StreamProviderSystem {
     /// A fast-feeding follower that became a leader (or split out)
     /// returns to nominal playback rate.
     fn reset_catch_up(&self, stream: u32) {
-        if let Some(sender) = self.senders.lock().get_mut(&stream) {
-            sender.set_speed_pct(100);
-        }
+        let _ = self.with_stream(stream, |s| s.sender.set_speed_pct(100));
     }
 
     /// Opens a recording session capturing `movie.frame_count` frames
@@ -375,7 +385,7 @@ impl StreamProviderSystem {
     /// reboot") reuses the provider.
     pub fn crash(&self) -> usize {
         let recordings: Vec<u32> = self.recordings.lock().keys().copied().collect();
-        let streams: Vec<u32> = self.senders.lock().keys().copied().collect();
+        let streams: Vec<u32> = self.streams.lock().keys().copied().collect();
         let killed = recordings.len() + streams.len();
         for id in recordings {
             self.recordings.lock().remove(&id);
@@ -409,18 +419,16 @@ impl StreamProviderSystem {
             self.reset_catch_up(new_leader);
         }
         self.store.set_pinned_ranges(&self.share.pinned_ranges());
-        self.movie_ids.lock().remove(&id);
-        self.seek_deltas.lock().remove(&id);
-        self.senders
+        self.streams
             .lock()
             .remove(&id)
             .map(|_| ())
             .ok_or(SpsError::NoSuchStream(id))
     }
 
-    fn with_sender<R>(&self, id: u32, f: impl FnOnce(&mut MtpSender) -> R) -> Result<R, SpsError> {
-        let mut senders = self.senders.lock();
-        senders
+    fn with_stream<R>(&self, id: u32, f: impl FnOnce(&mut Stream) -> R) -> Result<R, SpsError> {
+        let mut streams = self.streams.lock();
+        streams
             .get_mut(&id)
             .map(f)
             .ok_or(SpsError::NoSuchStream(id))
@@ -434,9 +442,7 @@ impl StreamProviderSystem {
     /// when a speed above nominal would exceed the store's remaining
     /// disk bandwidth (the stream then keeps its previous speed).
     pub fn play(&self, id: u32, speed_pct: u32, now: SimTime) -> Result<(), SpsError> {
-        if !self.senders.lock().contains_key(&id) {
-            return Err(SpsError::NoSuchStream(id));
-        }
+        self.known(id)?;
         let (store, share) = (&self.store, &self.share);
         if speed_pct == 100 && share.is_follower(id) {
             // Nominal-rate playback inside a group: no admission
@@ -448,9 +454,9 @@ impl StreamProviderSystem {
             } else {
                 100
             };
-            return self.with_sender(id, |s| {
-                s.set_speed_pct(rate);
-                s.play(now);
+            return self.with_stream(id, |s| {
+                s.sender.set_speed_pct(rate);
+                s.sender.play(now);
             });
         }
         if speed_pct != 100 {
@@ -467,9 +473,9 @@ impl StreamProviderSystem {
             let stride = (speed_pct / 100).clamp(1, 4);
             let _ = store.set_prefetch_hint(id, PrefetchHint::forward(stride));
         }
-        self.with_sender(id, |s| {
-            s.set_speed_pct(speed_pct);
-            s.play(now);
+        self.with_stream(id, |s| {
+            s.sender.set_speed_pct(speed_pct);
+            s.sender.play(now);
         })
     }
 
@@ -483,12 +489,10 @@ impl StreamProviderSystem {
     /// when a group member's split-out stream does not fit (the member
     /// then stays in its group, still playing).
     pub fn pause(&self, id: u32) -> Result<(), SpsError> {
-        if !self.senders.lock().contains_key(&id) {
-            return Err(SpsError::NoSuchStream(id));
-        }
+        self.known(id)?;
         let block = self.store.stream_position_block(id).unwrap_or(0);
         self.share_departure(id, block)?;
-        self.with_sender(id, MtpSender::pause)
+        self.with_stream(id, |s| s.sender.pause())
     }
 
     /// Stops playback (rewinds; the prefetcher repositions to the
@@ -500,11 +504,9 @@ impl StreamProviderSystem {
     /// Fails for unknown ids, and with [`SpsError::AdmissionRejected`]
     /// when a group member's split-out stream does not fit.
     pub fn stop(&self, id: u32, now: SimTime) -> Result<(), SpsError> {
-        if !self.senders.lock().contains_key(&id) {
-            return Err(SpsError::NoSuchStream(id));
-        }
+        self.known(id)?;
         self.share_departure(id, 0)?;
-        self.with_sender(id, MtpSender::stop)?;
+        self.with_stream(id, |s| s.sender.stop())?;
         self.store.seek_stream(id, 0, now)?;
         Ok(())
     }
@@ -514,15 +516,14 @@ impl StreamProviderSystem {
     /// width), and two consecutive forward jumps of the same width
     /// hint a skimming pattern (horizon widened to cover the next
     /// jump). A plain one-off forward seek carries no prediction.
-    fn seek_hint(&self, id: u32, cur: u64, target: u64, readahead: u64) -> PrefetchHint {
+    fn seek_hint(last: &mut Option<u64>, cur: u64, target: u64, readahead: u64) -> PrefetchHint {
         if target < cur {
-            self.seek_deltas.lock().remove(&id);
+            *last = None;
             let stride = (cur - target).clamp(1, 64) as u32;
             PrefetchHint::backward(stride)
         } else if target > cur {
             let delta = target - cur;
-            let repeated = self.seek_deltas.lock().insert(id, delta) == Some(delta);
-            if repeated {
+            if last.replace(delta) == Some(delta) {
                 let stride = delta.div_ceil(readahead.max(1)).clamp(1, 8) as u32;
                 PrefetchHint::forward(stride)
             } else {
@@ -546,31 +547,28 @@ impl StreamProviderSystem {
     /// when a group member's split-out stream does not fit (the member
     /// then stays in its group at its old position).
     pub fn seek(&self, id: u32, frame: u64, now: SimTime) -> Result<(), SpsError> {
-        if !self.senders.lock().contains_key(&id) {
-            return Err(SpsError::NoSuchStream(id));
-        }
+        let movie = self.known(id)?;
         let store = &self.store;
-        let movie = self.movie_ids.lock().get(&id).copied();
-        let block = movie
-            .and_then(|m| store.block_of_frame(m, frame))
-            .unwrap_or(0);
+        let block = store.block_of_frame(movie, frame).unwrap_or(0);
         self.share_departure(id, block)?;
-        self.with_sender(id, |s| s.seek(frame))?;
         let cur = store.stream_position_block(id).unwrap_or(0);
         let readahead = u64::from(store.config().readahead_blocks);
-        let hint = self.seek_hint(id, cur, block, readahead);
+        let hint = self.with_stream(id, |s| {
+            s.sender.seek(frame);
+            Self::seek_hint(&mut s.last_forward_delta, cur, block, readahead)
+        })?;
         store.seek_stream_with_hint(id, frame, hint, now)?;
         Ok(())
     }
 
     /// Current playback state of a stream.
     pub fn state(&self, id: u32) -> Option<StreamState> {
-        self.senders.lock().get(&id).map(MtpSender::state)
+        self.with_stream(id, |s| s.sender.state()).ok()
     }
 
     /// Current frame position of a stream.
     pub fn position(&self, id: u32) -> Option<u64> {
-        self.senders.lock().get(&id).map(MtpSender::position)
+        self.with_stream(id, |s| s.sender.position()).ok()
     }
 
     /// Captures all recording frames due at or before `now`, feeding
@@ -601,16 +599,16 @@ impl StreamProviderSystem {
         let (store, share) = (&self.store, &self.share);
         self.pump_recordings(now);
         store.pump(now);
-        let mut senders = self.senders.lock();
+        let mut streams = self.streams.lock();
         while let Some(dg) = self.socket.recv() {
             if let Ok(fb) = mtp::MtpFeedback::decode(&dg.payload) {
-                if let Some(sender) = senders.get_mut(&fb.stream_id) {
-                    sender.handle_feedback(&fb);
+                if let Some(stream) = streams.get_mut(&fb.stream_id) {
+                    stream.sender.handle_feedback(&fb);
                 }
             }
         }
         let mut sent = 0;
-        for (id, sender) in senders.iter_mut() {
+        for (id, Stream { sender, .. }) in streams.iter_mut() {
             sent += sender.poll_gated(now, store.frames_ready_through(*id));
             store.note_position(*id, sender.position());
             if let Some(block) = store.stream_position_block(*id) {
@@ -623,8 +621,8 @@ impl StreamProviderSystem {
         // current [trailing follower, leader] window.
         for id in share.converged_fast_feeds() {
             let _ = store.recharge_stream(id, 0);
-            if let Some(sender) = senders.get_mut(&id) {
-                sender.set_speed_pct(100);
+            if let Some(stream) = streams.get_mut(&id) {
+                stream.sender.set_speed_pct(100);
             }
             share.mark_converged(id);
         }
@@ -636,11 +634,11 @@ impl StreamProviderSystem {
     /// next frame deadline of a stream whose data is ready, or the
     /// next storage completion for stalled ones.
     pub fn next_due(&self) -> Option<SimTime> {
-        let senders = self.senders.lock();
+        let streams = self.streams.lock();
         let store_next = self.store.next_event();
-        let sender_due = senders
+        let sender_due = streams
             .iter()
-            .filter_map(|(id, s)| {
+            .filter_map(|(id, Stream { sender: s, .. })| {
                 let due = s.next_due()?;
                 let ready = self.store.frames_ready_through(*id).unwrap_or(u64::MAX);
                 let position = s.position();
@@ -667,13 +665,13 @@ impl StreamProviderSystem {
 
     /// Number of open streams.
     pub fn stream_count(&self) -> usize {
-        self.senders.lock().len()
+        self.streams.lock().len()
     }
 
     /// Whether this provider hosts the stream (cluster routing asks
     /// every replica to find a stream's home for control operations).
     pub fn has_stream(&self, id: u32) -> bool {
-        self.senders.lock().contains_key(&id)
+        self.streams.lock().contains_key(&id)
     }
 }
 

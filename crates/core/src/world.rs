@@ -268,10 +268,6 @@ pub struct World {
     /// [`WorldBuilder::share`] to batch flash crowds into
     /// leader/follower merge groups.
     share_config: share::ShareConfig,
-    /// Frame rate cameras capture at, applied to every server added
-    /// after this point (the `Record` write path paces captured
-    /// frames — and sizes its write-bandwidth demand — at this rate).
-    pub record_frame_rate: u32,
     /// Referral hop budget handed to cluster-aware clients (the
     /// bounded hop count of the redirect protocol).
     pub referral_max_hops: u32,
@@ -289,9 +285,6 @@ pub struct World {
     pub seq_options: SeqOptions,
     /// The world's event journal, stamped from the network clock.
     journal: Arc<Journal>,
-    /// How often the driver snapshots every server's health into the
-    /// journal while the world is active.
-    pub health_interval: SimDuration,
     /// Per-server handles the health sampler reads.
     health_probes: Vec<HealthProbe>,
     /// Next health-snapshot deadline (armed on first driver activity).
@@ -316,8 +309,7 @@ impl std::fmt::Debug for World {
 }
 
 /// Fluent constructor for [`World`]: every construction knob —
-/// network link, storage, stream sharing, record rate, referral hop
-/// budget, health-snapshot cadence — set in one chain, then
+/// network link, storage, stream sharing — set in one chain, then
 /// [`WorldBuilder::build`].
 ///
 /// ```
@@ -336,9 +328,6 @@ pub struct WorldBuilder {
     stream_link: LinkConfig,
     store: StoreConfig,
     share: share::ShareConfig,
-    record_frame_rate: u32,
-    referral_max_hops: u32,
-    health_interval: SimDuration,
 }
 
 impl WorldBuilder {
@@ -353,9 +342,6 @@ impl WorldBuilder {
             ),
             store: StoreConfig::default(),
             share: share::ShareConfig::off(),
-            record_frame_rate: 25,
-            referral_max_hops: 4,
-            health_interval: SimDuration::from_millis(250),
         }
     }
 
@@ -375,25 +361,6 @@ impl WorldBuilder {
     /// (off by default: every viewer charges a full disk stream).
     pub fn share(mut self, config: share::ShareConfig) -> Self {
         self.share = config;
-        self
-    }
-
-    /// Frame rate cameras capture at (paces the `Record` write path).
-    pub fn record_frame_rate(mut self, fps: u32) -> Self {
-        self.record_frame_rate = fps;
-        self
-    }
-
-    /// Referral hop budget handed to cluster-aware clients.
-    pub fn referral_max_hops(mut self, hops: u32) -> Self {
-        self.referral_max_hops = hops;
-        self
-    }
-
-    /// How often the driver snapshots every server's health into the
-    /// journal while the world is active.
-    pub fn health_interval(mut self, every: SimDuration) -> Self {
-        self.health_interval = every;
         self
     }
 
@@ -417,8 +384,7 @@ impl WorldBuilder {
             backend,
             store_config: self.store,
             share_config: self.share,
-            record_frame_rate: self.record_frame_rate,
-            referral_max_hops: self.referral_max_hops,
+            referral_max_hops: 4,
             providers: Vec::new(),
             clients: Vec::new(),
             rebalancers: Vec::new(),
@@ -426,7 +392,6 @@ impl WorldBuilder {
             next_addr: 1,
             next_conn: 0,
             seq_options: SeqOptions::default(),
-            health_interval: self.health_interval,
             health_probes: Vec::new(),
             next_health: Mutex::new(None),
         }
@@ -667,7 +632,6 @@ impl World {
             rebalancer: Arc::clone(rebalancer),
             control: Arc::clone(control),
             reaper: Arc::new(Mutex::new(Vec::new())),
-            record_frame_rate: self.record_frame_rate,
             eua,
             eca: Arc::clone(&eca),
             site: format!("site-{name}"),
@@ -902,14 +866,17 @@ impl World {
     /// first driver pass arms the deadline without emitting (a world
     /// that has not run yet has no health to report).
     fn sample_health(&self, now: SimTime) {
+        /// How often every server's health is snapshotted into the
+        /// journal while the world is active.
+        const HEALTH_INTERVAL: SimDuration = SimDuration::from_millis(250);
         let mut next = self.next_health.lock();
         match *next {
             None => {
-                *next = Some(now + self.health_interval);
+                *next = Some(now + HEALTH_INTERVAL);
                 return;
             }
             Some(due) if now >= due => {
-                *next = Some(now + self.health_interval);
+                *next = Some(now + HEALTH_INTERVAL);
             }
             Some(_) => return,
         }

@@ -258,7 +258,8 @@ fn saturated_cluster_refuses_then_release_reroutes() {
     ) {
         Some(McamPdu::ErrorRsp { code, message }) => {
             assert_eq!(code, mcam::server::ERR_ADMISSION);
-            assert!(message.contains("all 2 replica(s)"), "{message}");
+            let told = "admission rejected on all 2 replica(s): stream needs ";
+            assert!(message.starts_with(told), "{message}");
         }
         other => panic!("saturated cluster must refuse: {other:?}"),
     }

@@ -122,7 +122,11 @@ fn record_steals_bandwidth_and_releases_it() {
             title: "Hit".into(),
         },
     ) {
-        Some(McamPdu::ErrorRsp { code, .. }) => assert_eq!(code, 503),
+        Some(McamPdu::ErrorRsp { code, message }) => {
+            assert_eq!(code, 503);
+            let told = "admission rejected on all 2 replica(s): stream needs ";
+            assert!(message.starts_with(told), "{message}");
+        }
         other => panic!("expected 503 while the record is active: {other:?}"),
     }
 
@@ -184,7 +188,13 @@ fn recording_is_refused_on_a_saturated_server() {
             frames: 250,
         },
     ) {
-        Some(McamPdu::ErrorRsp { code, .. }) => assert_eq!(code, 503),
+        Some(McamPdu::ErrorRsp { code, message }) => {
+            assert_eq!(code, 503);
+            let told = "admission rejected: recording needs ";
+            assert!(message.starts_with(told), "{message}");
+            let available = " bps of disk bandwidth available";
+            assert!(message.ends_with(available), "{message}");
+        }
         other => panic!("expected 503 for the recorder: {other:?}"),
     }
     assert_eq!(server.services.sps.recording_count(), 0);

@@ -34,6 +34,17 @@ fn quiet_link() -> LinkConfig {
     )
 }
 
+/// The 503 sentence is what the client is told (and its length is on
+/// the wire): `what` could not be afforded, with both bandwidths named.
+fn assert_refusal(message: &str, what: &str) {
+    let told = format!("admission rejected: {what} needs ");
+    assert!(message.starts_with(&told), "{message}");
+    assert!(
+        message.ends_with(" bps of disk bandwidth available"),
+        "{message}"
+    );
+}
+
 fn associate(world: &World, client: &mcam::ClientHandle, user: &str) {
     let rsp = world.client_op(client, McamOp::Associate { user: user.into() });
     assert_eq!(rsp, Some(McamPdu::AssociateRsp { accepted: true }));
@@ -286,10 +297,22 @@ fn seek_out_of_group_readmits_or_503s_honestly() {
     // the follower's seek out of the group cannot be afforded.
     let share = &cluster.servers[0].services.share;
     match world.client_op(&follower, McamOp::Seek { frame: 400 }) {
-        Some(McamPdu::ErrorRsp { code, .. }) => assert_eq!(code, mcam::server::ERR_ADMISSION),
+        Some(McamPdu::ErrorRsp { code, message }) => {
+            assert_eq!(code, mcam::server::ERR_ADMISSION);
+            assert_refusal(&message, "leaving the merge group");
+        }
         other => panic!("a seek the disks cannot afford must 503: {other:?}"),
     }
     assert_eq!(share.stats().splits, 0, "a refused seek must stay merged");
+    // Nor can the rival's stream be sped up: double rate is a second
+    // stream's worth of disk bandwidth.
+    match world.client_op(&rival, McamOp::Play { speed_pct: 200 }) {
+        Some(McamPdu::ErrorRsp { code, message }) => {
+            assert_eq!(code, mcam::server::ERR_ADMISSION);
+            assert_refusal(&message, "speed-up");
+        }
+        other => panic!("a speed-up the disks cannot afford must 503: {other:?}"),
+    }
 
     // The rival lets go; the same seek now passes admission and the
     // follower becomes a stream of its own.

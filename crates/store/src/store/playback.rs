@@ -143,6 +143,18 @@ impl StreamRec {
     }
 }
 
+/// What the prefetcher's fetch step found for a block.
+enum Fetch {
+    /// Resident in the buffer cache.
+    Cached,
+    /// Already on order; the stream waits on that read.
+    Joined,
+    /// Queued on its disk.
+    Queued,
+    /// Lost with a dead spindle; nothing was issued.
+    Dead,
+}
+
 impl StoreInner {
     /// Every open stream's `(movie, playback block)` — what the
     /// interval cache policy weighs a new block against.
@@ -222,7 +234,7 @@ impl StoreInner {
         let Some(stream) = self.streams.get_mut(&stream_id) else {
             return;
         };
-        let movie = self.movies[&stream.movie].clone();
+        let layout = &self.movies[&stream.movie].layout;
         // A forward hint's stride widens the horizon so a viewer
         // jumping ahead in fixed steps keeps landing on prefetched
         // ground; the default stride of 1 is the unhinted window.
@@ -234,7 +246,7 @@ impl StoreInner {
             .position_block
             .max(stream.base_block)
             .saturating_add(u64::from(self.config.readahead_blocks.max(1)) * fwd_stride);
-        let window_end = horizon.min(movie.layout.block_count());
+        let window_end = horizon.min(layout.block_count());
         let window = window_end.saturating_sub(stream.next_fetch);
         let batch = u64::from(
             self.config
@@ -242,23 +254,19 @@ impl StoreInner {
                 .clamp(1, self.config.readahead_blocks.max(2) / 2),
         );
         let starving = stream.position_block.max(stream.base_block) >= stream.ready_through_block();
-        let tail = window_end >= movie.layout.block_count();
+        let tail = window_end >= layout.block_count();
         let gated = !starving && !tail && window < batch;
-        while !gated
-            && stream.outstanding < self.config.prefetch_depth.max(1)
-            && stream.next_fetch < movie.layout.block_count()
-            && stream.next_fetch < horizon
-        {
-            let block = stream.next_fetch;
+        let depth = self.config.prefetch_depth.max(1);
+        let block_size = u64::from(self.config.block_size);
+        // The one fetch step of both loops: puts `block` on order for
+        // the stream, taking a depth slot when it now waits on a read.
+        let mut fetch = |stream: &mut StreamRec, block: u64| {
             let key = BlockKey {
                 movie: stream.movie,
                 index: block,
             };
             if self.cache.lookup(key) {
-                stream.next_fetch += 1;
-                stream.deliver(block);
-                self.blocks_delivered += 1;
-                continue;
+                return Fetch::Cached;
             }
             if let Some(waiters) = self.in_flight.get_mut(&key) {
                 // Another stream already has this block on order:
@@ -270,25 +278,31 @@ impl StoreInner {
                     stream.outstanding += 1;
                     self.coalesced_reads += 1;
                 }
-                stream.next_fetch += 1;
-                continue;
+                return Fetch::Joined;
             }
-            let addr = movie.layout.locate(block);
+            let addr = layout.locate(block);
             if self.spindles.failed.contains(&addr.disk) {
+                return Fetch::Dead;
+            }
+            self.spindles.disks[addr.disk].enqueue(now, stream.movie, addr.offset, block_size);
+            stream.outstanding += 1;
+            self.in_flight.insert(key, vec![stream_id]);
+            Fetch::Queued
+        };
+        while !gated && stream.outstanding < depth && stream.next_fetch < window_end {
+            let block = stream.next_fetch;
+            match fetch(stream, block) {
                 // The block died with its spindle: the stream stalls
                 // here until the rebuild relocates it (the relocated
                 // copy lands in the cache, unblocking this loop).
-                break;
+                Fetch::Dead => break,
+                Fetch::Cached => {
+                    stream.deliver(block);
+                    self.blocks_delivered += 1;
+                }
+                Fetch::Joined | Fetch::Queued => {}
             }
-            self.spindles.disks[addr.disk].enqueue(
-                now,
-                stream.movie,
-                addr.offset,
-                u64::from(self.config.block_size),
-            );
             stream.next_fetch += 1;
-            stream.outstanding += 1;
-            self.in_flight.insert(key, vec![stream_id]);
         }
         // Backward sweep: a rewind-storm hint pre-reads a strided,
         // budget-bounded window *behind* the playback base so the
@@ -299,39 +313,13 @@ impl StoreInner {
         // forward playback always claims the depth slots first.
         if stream.hint.direction == PrefetchDirection::Backward {
             let stride = u64::from(stream.hint.stride.max(1));
-            while stream.outstanding < self.config.prefetch_depth.max(1) && stream.back_budget > 0 {
+            while stream.outstanding < depth && stream.back_budget > 0 {
                 let Some(block) = stream.back_fetch else {
                     break;
                 };
                 stream.back_fetch = block.checked_sub(stride);
                 stream.back_budget -= 1;
-                let key = BlockKey {
-                    movie: stream.movie,
-                    index: block,
-                };
-                if self.cache.lookup(key) {
-                    continue;
-                }
-                if let Some(waiters) = self.in_flight.get_mut(&key) {
-                    if !waiters.contains(&stream_id) {
-                        waiters.push(stream_id);
-                        stream.outstanding += 1;
-                        self.coalesced_reads += 1;
-                    }
-                    continue;
-                }
-                let addr = movie.layout.locate(block);
-                if self.spindles.failed.contains(&addr.disk) {
-                    continue;
-                }
-                self.spindles.disks[addr.disk].enqueue(
-                    now,
-                    stream.movie,
-                    addr.offset,
-                    u64::from(self.config.block_size),
-                );
-                stream.outstanding += 1;
-                self.in_flight.insert(key, vec![stream_id]);
+                fetch(stream, block);
             }
         }
     }
