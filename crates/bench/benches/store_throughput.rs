@@ -154,8 +154,6 @@ fn hot_title_streams_sustained(dynamic: bool) -> (usize, cluster::RebalanceStats
         Arc::clone(&dir),
         Placement::round_robin(2),
         RebalanceConfig {
-            sample_interval: SimDuration::from_millis(100),
-            max_concurrent: 2,
             copy_speed_pct: 400,
             ..RebalanceConfig::default()
         },

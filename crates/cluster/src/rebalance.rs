@@ -205,15 +205,13 @@ pub struct RebalanceConfig {
     /// viewer of the title; higher trades more displacement for a
     /// faster copy.
     pub copy_speed_pct: u32,
-    /// Consecutive samples a copy may fail admission (or find no
-    /// eligible target) before the controller stops retrying the
-    /// title's grow. Drain migrations retry indefinitely — the drain
-    /// cannot complete without them.
-    pub max_copy_retries: u32,
-    /// Shrink a grown title once every holder's committed bandwidth
-    /// falls below this percentage of its capacity.
-    pub shrink_pct: u32,
 }
+
+/// Consecutive samples a copy may fail admission (or find no eligible
+/// target) before the controller stops retrying the title's grow.
+/// Drain migrations retry indefinitely — the drain cannot complete
+/// without them.
+const MAX_COPY_RETRIES: u32 = 64;
 
 impl Default for RebalanceConfig {
     fn default() -> Self {
@@ -221,8 +219,6 @@ impl Default for RebalanceConfig {
             sample_interval: SimDuration::from_millis(100),
             max_concurrent: 2,
             copy_speed_pct: 200,
-            max_copy_retries: 64,
-            shrink_pct: 25,
         }
     }
 }
@@ -554,7 +550,7 @@ impl<P: LoadProbe + MigrationHost + Clone> RebalanceController<P> {
         let retrying = inner
             .titles
             .values()
-            .any(|rec| rec.retries > 0 && rec.retries <= self.config.max_copy_retries);
+            .any(|rec| rec.retries > 0 && rec.retries <= MAX_COPY_RETRIES);
         // An under-replicated title (a holder crashed) keeps the
         // controller awake until repair copies restore K — capped at
         // the number of live servers, so a cluster that cannot reach
@@ -779,7 +775,7 @@ impl<P: LoadProbe + MigrationHost + Clone> RebalanceController<P> {
                 inner.titles.get_mut(&title).expect("keyed above").retries = 0;
                 continue;
             }
-            if rec.retries > self.config.max_copy_retries {
+            if rec.retries > MAX_COPY_RETRIES {
                 continue;
             }
             self.start_copy(inner, &title, loads, now, CopyReason::Grow);
@@ -790,6 +786,9 @@ impl<P: LoadProbe + MigrationHost + Clone> RebalanceController<P> {
     /// holders all cooled far below saturation gives its youngest
     /// surplus replica back to the routing pool.
     fn shrink(&self, inner: &mut Inner<P>, loads: &[ServerLoad]) {
+        /// A holder has cooled once its committed bandwidth falls
+        /// below this percentage of its capacity.
+        const SHRINK_PCT: u64 = 25;
         let k = self.placement.lock().k();
         for (title, rec) in inner.titles.iter_mut() {
             let alive = alive_replicas(rec, loads);
@@ -801,7 +800,7 @@ impl<P: LoadProbe + MigrationHost + Clone> RebalanceController<P> {
                     .iter()
                     .find(|s| s.location == *location)
                     .is_some_and(|s| {
-                        let ceiling = s.load.capacity_bps / 100 * u64::from(self.config.shrink_pct);
+                        let ceiling = s.load.capacity_bps / 100 * SHRINK_PCT;
                         s.load.committed_bps <= ceiling
                     })
             });

@@ -17,6 +17,14 @@
 //! the same seed produce byte-identical serializations
 //! ([`Journal::to_jsonl`]), which is what the replay tests assert.
 //!
+//! # Adding an event kind
+//!
+//! One row in the `event_schema!` table below, plus one line in
+//! `tests/golden_events.jsonl`. The [`kind`] constant, the
+//! [`EventKind`] variant, its canonical encoding, its decoder and its
+//! counter slot are all generated from the row; the golden file pins
+//! the bytes, and its test fails until the new kind has a line.
+//!
 //! # Examples
 //!
 //! ```
@@ -34,71 +42,6 @@ use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
-
-/// Canonical kind tags, usable as [`Journal::count`] keys.
-pub mod kind {
-    /// A stream/recording/import admitted by the admission controller.
-    pub const STREAM_ADMIT: &str = "stream_admit";
-    /// A stream/recording/import rejected by the admission controller.
-    pub const STREAM_REJECT: &str = "stream_reject";
-    /// A SelectMovie request routed to a replica.
-    pub const ROUTE_DECISION: &str = "route_decision";
-    /// A rejected open retried on the next replica.
-    pub const FAILOVER: &str = "failover";
-    /// A control-association referral handed to a client.
-    pub const REFERRAL_ISSUED: &str = "referral_issued";
-    /// A client followed a referral to another server.
-    pub const REFERRAL_FOLLOWED: &str = "referral_followed";
-    /// A referral the client could not use.
-    pub const REFERRAL_FAILED: &str = "referral_failed";
-    /// One load-sampling pass of the rebalance controller.
-    pub const REBALANCE_SAMPLE: &str = "rebalance_sample";
-    /// A replica-grow copy started.
-    pub const GROW_STARTED: &str = "grow_started";
-    /// A drain-motivated copy started.
-    pub const DRAIN_COPY_STARTED: &str = "drain_copy_started";
-    /// A replica copy finished and was published.
-    pub const COPY_COMPLETED: &str = "copy_completed";
-    /// A replica copy aborted mid-flight.
-    pub const COPY_ABORTED: &str = "copy_aborted";
-    /// A copy attempt refused by admission on the target.
-    pub const COPY_REJECTED: &str = "copy_rejected";
-    /// A cold replica dropped.
-    pub const SHRINK: &str = "shrink";
-    /// A server drain began.
-    pub const DRAIN_STARTED: &str = "drain_started";
-    /// A server drain finished.
-    pub const DRAIN_COMPLETED: &str = "drain_completed";
-    /// The replica directory was rewritten for a title.
-    pub const DIRECTORY_UPDATE: &str = "directory_update";
-    /// A periodic disk-queue depth sample.
-    pub const DISK_QUEUE_SAMPLE: &str = "disk_queue_sample";
-    /// A periodic buffer-cache hit/miss summary.
-    pub const CACHE_SUMMARY: &str = "cache_summary";
-    /// A periodic per-server health snapshot.
-    pub const HEALTH_SNAPSHOT: &str = "health_snapshot";
-    /// A viewer merged into a sharing group as a cache-fed follower.
-    pub const MERGE_JOINED: &str = "merge_joined";
-    /// A follower began fast-feeding to catch up with its leader.
-    pub const FAST_FEED_STARTED: &str = "fast_feed_started";
-    /// A fast-fed follower converged onto its leader and merged.
-    pub const FAST_FEED_CONVERGED: &str = "fast_feed_converged";
-    /// A sharing group's leader left and a follower took over its
-    /// disk stream.
-    pub const LEADER_PROMOTED: &str = "leader_promoted";
-    /// A follower split out of its sharing group (seek/pause/speed).
-    pub const GROUP_SPLIT: &str = "group_split";
-    /// A spindle died; its blocks became unreadable.
-    pub const DISK_FAILED: &str = "disk_failed";
-    /// A paced, admission-charged rebuild of a dead spindle began.
-    pub const REBUILD_STARTED: &str = "rebuild_started";
-    /// A spindle rebuild finished; all lost blocks are durable again.
-    pub const REBUILD_COMPLETED: &str = "rebuild_completed";
-    /// A whole server crashed, killing its streams and associations.
-    pub const SERVER_CRASHED: &str = "server_crashed";
-    /// A client's stream failed over to a replica after a crash.
-    pub const STREAM_FAILED_OVER: &str = "stream_failed_over";
-}
 
 /// Which admission-controlled session class an admit/reject concerns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,285 +74,440 @@ impl AdmissionClass {
     }
 }
 
-/// The typed payload of one journal event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EventKind {
+/// The event schema. A row reads
+///
+/// ```text
+/// /// what the event means (the variant's doc)
+/// Variant =
+///     /// the tag constant's doc
+///     CONST "wire_tag" {
+///         /// field doc
+///         field: Type,
+///     },
+/// ```
+///
+/// and everything that has to agree about a kind is generated from it,
+/// in row order: the [`kind`] constant and its slot in [`kind::ALL`],
+/// the [`EventKind`] variant, the canonical encoding (fields in
+/// declaration order, keyed by field name) and the decoder. A field
+/// type is anything implementing [`Field`].
+macro_rules! event_schema {
+    ($(
+        $(#[$vdoc:meta])*
+        $Variant:ident = $(#[$cdoc:meta])* $CONST:ident $tag:literal
+        $({ $( $(#[$fdoc:meta])* $field:ident: $ty:ty ),* $(,)? })?
+    ),* $(,)?) => {
+        /// Canonical kind tags, usable as [`Journal::count`] keys.
+        pub mod kind {
+            $( $(#[$cdoc])* pub const $CONST: &str = $tag; )*
+            /// Every kind tag, in schema order.
+            pub const ALL: &[&str] = &[$($CONST),*];
+        }
+
+        /// The typed payload of one journal event.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub enum EventKind {
+            $( $(#[$vdoc])* $Variant $({ $( $(#[$fdoc])* $field: $ty ),* })?, )*
+        }
+
+        impl EventKind {
+            /// This kind's schema row: its index in [`kind::ALL`] and
+            /// in every per-actor count array.
+            fn row(&self) -> usize {
+                enum Row { $($Variant),* }
+                match self {
+                    $( EventKind::$Variant { .. } => Row::$Variant as usize, )*
+                }
+            }
+
+            /// Appends `,"field":value` for each field, in row order.
+            fn put_fields(&self, out: &mut String) {
+                match self {
+                    $( EventKind::$Variant { $($($field),*)? } => {
+                        $($( Field::put($field, out, stringify!($field)); )*)?
+                    } )*
+                }
+            }
+
+            /// Decodes the payload object of a `tag` event; the object
+            /// must hold `t` and exactly the row's fields.
+            fn from_fields(tag: &str, obj: &JsonObj) -> Result<EventKind, ParseError> {
+                match tag {
+                    $( kind::$CONST => {
+                        obj.only(&["t", $($(stringify!($field)),*)?])?;
+                        Ok(EventKind::$Variant {
+                            $($( $field: Field::take(obj, stringify!($field))? ),*)?
+                        })
+                    } )*
+                    other => Err(ParseError::new(&format!("unknown event tag `{other}`"))),
+                }
+            }
+        }
+    };
+}
+
+event_schema! {
     /// Admission granted; `available_bps` is the controller's headroom
     /// immediately after the decision.
-    StreamAdmit {
-        /// Session class admitted.
-        class: AdmissionClass,
-        /// Session id within its class.
-        stream: u32,
-        /// Bandwidth the session asked for.
-        demanded_bps: u64,
-        /// Headroom left after admitting.
-        available_bps: u64,
-    },
+    StreamAdmit =
+        /// A stream/recording/import admitted by the admission controller.
+        STREAM_ADMIT "stream_admit" {
+            /// Session class admitted.
+            class: AdmissionClass,
+            /// Session id within its class.
+            stream: u32,
+            /// Bandwidth the session asked for.
+            demanded_bps: u64,
+            /// Headroom left after admitting.
+            available_bps: u64,
+        },
     /// Admission refused; `available_bps` is the headroom at decision
     /// time (what the demand did not fit into).
-    StreamReject {
-        /// Session class refused.
-        class: AdmissionClass,
-        /// Session id within its class.
-        stream: u32,
-        /// Bandwidth the session asked for.
-        demanded_bps: u64,
-        /// Headroom that was available.
-        available_bps: u64,
-    },
+    StreamReject =
+        /// A stream/recording/import rejected by the admission controller.
+        STREAM_REJECT "stream_reject" {
+            /// Session class refused.
+            class: AdmissionClass,
+            /// Session id within its class.
+            stream: u32,
+            /// Bandwidth the session asked for.
+            demanded_bps: u64,
+            /// Headroom that was available.
+            available_bps: u64,
+        },
     /// SelectMovie chose a replica to open the stream on.
-    RouteDecision {
-        /// Movie title being routed.
-        title: String,
-        /// Replica location chosen first.
-        target: String,
-        /// Number of candidate replicas considered.
-        candidates: u32,
-    },
+    RouteDecision =
+        /// A SelectMovie request routed to a replica.
+        ROUTE_DECISION "route_decision" {
+            /// Movie title being routed.
+            title: String,
+            /// Replica location chosen first.
+            target: String,
+            /// Number of candidate replicas considered.
+            candidates: u32,
+        },
     /// A rejected open fell back to the next candidate replica.
-    Failover {
-        /// Movie title being routed.
-        title: String,
-        /// Replica that rejected the open.
-        from: String,
-        /// Replica tried next.
-        to: String,
-    },
+    Failover =
+        /// A rejected open retried on the next replica.
+        FAILOVER "failover" {
+            /// Movie title being routed.
+            title: String,
+            /// Replica that rejected the open.
+            from: String,
+            /// Replica tried next.
+            to: String,
+        },
     /// The control balancer referred a client elsewhere.
-    ReferralIssued {
-        /// Server the client was pointed at.
-        target: String,
-    },
+    ReferralIssued =
+        /// A control-association referral handed to a client.
+        REFERRAL_ISSUED "referral_issued" {
+            /// Server the client was pointed at.
+            target: String,
+        },
     /// A client connected through a referral.
-    ReferralFollowed {
-        /// Server the referral named.
-        target: String,
-    },
+    ReferralFollowed =
+        /// A client followed a referral to another server.
+        REFERRAL_FOLLOWED "referral_followed" {
+            /// Server the referral named.
+            target: String,
+        },
     /// A referral could not be followed (bad target, hop limit...).
-    ReferralFailed {
-        /// Server the referral named.
-        target: String,
-    },
+    ReferralFailed =
+        /// A referral the client could not use.
+        REFERRAL_FAILED "referral_failed" {
+            /// Server the referral named.
+            target: String,
+        },
     /// The rebalance controller completed one sampling pass.
-    RebalanceSample,
+    RebalanceSample =
+        /// One load-sampling pass of the rebalance controller.
+        REBALANCE_SAMPLE "rebalance_sample",
     /// A grow copy (hot title, extra replica) started.
-    GrowStarted {
-        /// Title being replicated.
-        title: String,
-        /// Target server of the new replica.
-        to: String,
-    },
+    GrowStarted =
+        /// A replica-grow copy started.
+        GROW_STARTED "grow_started" {
+            /// Title being replicated.
+            title: String,
+            /// Target server of the new replica.
+            to: String,
+        },
     /// A drain-motivated relocation copy started.
-    DrainCopyStarted {
-        /// Title being relocated.
-        title: String,
-        /// Target server of the relocated replica.
-        to: String,
-    },
+    DrainCopyStarted =
+        /// A drain-motivated copy started.
+        DRAIN_COPY_STARTED "drain_copy_started" {
+            /// Title being relocated.
+            title: String,
+            /// Target server of the relocated replica.
+            to: String,
+        },
     /// A replica copy completed and entered the directory.
-    CopyCompleted {
-        /// Title copied.
-        title: String,
-        /// Server now holding the replica.
-        to: String,
-    },
+    CopyCompleted =
+        /// A replica copy finished and was published.
+        COPY_COMPLETED "copy_completed" {
+            /// Title copied.
+            title: String,
+            /// Server now holding the replica.
+            to: String,
+        },
     /// A replica copy was aborted.
-    CopyAborted {
-        /// Title whose copy died.
-        title: String,
-        /// Server the copy targeted.
-        to: String,
-    },
+    CopyAborted =
+        /// A replica copy aborted mid-flight.
+        COPY_ABORTED "copy_aborted" {
+            /// Title whose copy died.
+            title: String,
+            /// Server the copy targeted.
+            to: String,
+        },
     /// Admission on the target refused the copy's reservation.
-    CopyRejected {
-        /// Title whose copy was refused.
-        title: String,
-        /// Server that refused it.
-        to: String,
-    },
+    CopyRejected =
+        /// A copy attempt refused by admission on the target.
+        COPY_REJECTED "copy_rejected" {
+            /// Title whose copy was refused.
+            title: String,
+            /// Server that refused it.
+            to: String,
+        },
     /// A cold surplus replica was dropped.
-    Shrink {
-        /// Title shrunk.
-        title: String,
-        /// Server that lost the replica.
-        from: String,
-    },
+    Shrink =
+        /// A cold replica dropped.
+        SHRINK "shrink" {
+            /// Title shrunk.
+            title: String,
+            /// Server that lost the replica.
+            from: String,
+        },
     /// A server began draining.
-    DrainStarted {
-        /// Location being drained.
-        location: String,
-    },
+    DrainStarted =
+        /// A server drain began.
+        DRAIN_STARTED "drain_started" {
+            /// Location being drained.
+            location: String,
+        },
     /// A server finished draining.
-    DrainCompleted {
-        /// Location fully drained.
-        location: String,
-    },
+    DrainCompleted =
+        /// A server drain finished.
+        DRAIN_COMPLETED "drain_completed" {
+            /// Location fully drained.
+            location: String,
+        },
     /// The replica directory entry for a title was republished.
-    DirectoryUpdate {
-        /// Title whose entry changed.
-        title: String,
-    },
+    DirectoryUpdate =
+        /// The replica directory was rewritten for a title.
+        DIRECTORY_UPDATE "directory_update" {
+            /// Title whose entry changed.
+            title: String,
+        },
     /// Queue depth of one disk at sampling time.
-    DiskQueueSample {
-        /// Disk index within the server's stripe set.
-        disk: u32,
-        /// Requests waiting plus in service.
-        depth: u32,
-    },
+    DiskQueueSample =
+        /// A periodic disk-queue depth sample.
+        DISK_QUEUE_SAMPLE "disk_queue_sample" {
+            /// Disk index within the server's stripe set.
+            disk: u32,
+            /// Requests waiting plus in service.
+            depth: u32,
+        },
     /// Cumulative buffer-cache counters at sampling time.
-    CacheSummary {
-        /// Block reads served from the cache.
-        hits: u64,
-        /// Block reads that went to disk.
-        misses: u64,
-    },
+    CacheSummary =
+        /// A periodic buffer-cache hit/miss summary.
+        CACHE_SUMMARY "cache_summary" {
+            /// Block reads served from the cache.
+            hits: u64,
+            /// Block reads that went to disk.
+            misses: u64,
+        },
     /// Periodic per-server health snapshot.
-    HealthSnapshot {
-        /// Open playback streams.
-        streams: u32,
-        /// Control associations currently connected.
-        control_assocs: u32,
-        /// Uncommitted disk bandwidth.
-        available_bps: u64,
-        /// Cache service hit ratio, in permille.
-        cache_hit_permille: u32,
-        /// Deepest disk queue at snapshot time.
-        queue_depth_max: u32,
-    },
+    HealthSnapshot =
+        /// A periodic per-server health snapshot.
+        HEALTH_SNAPSHOT "health_snapshot" {
+            /// Open playback streams.
+            streams: u32,
+            /// Control associations currently connected.
+            control_assocs: u32,
+            /// Uncommitted disk bandwidth.
+            available_bps: u64,
+            /// Cache service hit ratio, in permille.
+            cache_hit_permille: u32,
+            /// Deepest disk queue at snapshot time.
+            queue_depth_max: u32,
+        },
     /// A viewer joined a sharing group as a merged follower: it rides
     /// the leader's disk stream from cache and charges no admission.
-    MergeJoined {
-        /// Movie id of the shared title on this server.
-        movie: u32,
-        /// The group's leader stream.
-        leader: u32,
-        /// The follower stream that joined.
-        follower: u32,
-        /// Follower-to-leader gap at join time, in blocks.
-        gap_blocks: u64,
-    },
+    MergeJoined =
+        /// A viewer merged into a sharing group as a cache-fed follower.
+        MERGE_JOINED "merge_joined" {
+            /// Movie id of the shared title on this server.
+            movie: u32,
+            /// The group's leader stream.
+            leader: u32,
+            /// The follower stream that joined.
+            follower: u32,
+            /// Follower-to-leader gap at join time, in blocks.
+            gap_blocks: u64,
+        },
     /// A follower outside the merge window began fast-feeding at the
     /// catch-up rate, charging only the delta bandwidth.
-    FastFeedStarted {
-        /// Movie id of the shared title on this server.
-        movie: u32,
-        /// The group's leader stream.
-        leader: u32,
-        /// The fast-feeding follower stream.
-        follower: u32,
-        /// Follower-to-leader gap at start, in blocks.
-        gap_blocks: u64,
-        /// Extra bandwidth reserved for the catch-up, bits/second.
-        delta_bps: u64,
-    },
+    FastFeedStarted =
+        /// A follower began fast-feeding to catch up with its leader.
+        FAST_FEED_STARTED "fast_feed_started" {
+            /// Movie id of the shared title on this server.
+            movie: u32,
+            /// The group's leader stream.
+            leader: u32,
+            /// The fast-feeding follower stream.
+            follower: u32,
+            /// Follower-to-leader gap at start, in blocks.
+            gap_blocks: u64,
+            /// Extra bandwidth reserved for the catch-up, bits/second.
+            delta_bps: u64,
+        },
     /// A fast-fed follower closed its gap, released the delta
     /// reservation, and merged into the group.
-    FastFeedConverged {
-        /// Movie id of the shared title on this server.
-        movie: u32,
-        /// The follower stream that converged.
-        follower: u32,
-    },
+    FastFeedConverged =
+        /// A fast-fed follower converged onto its leader and merged.
+        FAST_FEED_CONVERGED "fast_feed_converged" {
+            /// Movie id of the shared title on this server.
+            movie: u32,
+            /// The follower stream that converged.
+            follower: u32,
+        },
     /// A group's leader left; the nearest follower was promoted and
     /// re-charged one full disk stream.
-    LeaderPromoted {
-        /// Movie id of the shared title on this server.
-        movie: u32,
-        /// The departing leader stream.
-        from: u32,
-        /// The follower promoted to leader.
-        to: u32,
-        /// Followers remaining in the group after promotion.
-        followers: u32,
-    },
+    LeaderPromoted =
+        /// A sharing group's leader left and a follower took over its
+        /// disk stream.
+        LEADER_PROMOTED "leader_promoted" {
+            /// Movie id of the shared title on this server.
+            movie: u32,
+            /// The departing leader stream.
+            from: u32,
+            /// The follower promoted to leader.
+            to: u32,
+            /// Followers remaining in the group after promotion.
+            followers: u32,
+        },
     /// A follower split out of its group (seek, pause, or speed
     /// change) and was re-admitted on its own.
-    GroupSplit {
-        /// Movie id of the shared title on this server.
-        movie: u32,
-        /// The stream that left the group.
-        follower: u32,
-    },
+    GroupSplit =
+        /// A follower split out of its sharing group (seek/pause/speed).
+        GROUP_SPLIT "group_split" {
+            /// Movie id of the shared title on this server.
+            movie: u32,
+            /// The stream that left the group.
+            follower: u32,
+        },
     /// A spindle died; reads against it now fail until rebuilt.
-    DiskFailed {
-        /// Index of the dead disk within the server's stripe set.
-        disk: u32,
-        /// Blocks that were resident on the dead spindle.
-        lost_blocks: u64,
-    },
+    DiskFailed =
+        /// A spindle died; its blocks became unreadable.
+        DISK_FAILED "disk_failed" {
+            /// Index of the dead disk within the server's stripe set.
+            disk: u32,
+            /// Blocks that were resident on the dead spindle.
+            lost_blocks: u64,
+        },
     /// Reconstruction of a dead spindle's blocks began, paced at an
     /// admission-charged bandwidth so it competes with viewers.
-    RebuildStarted {
-        /// Index of the dead disk being rebuilt around.
-        disk: u32,
-        /// Blocks queued for reconstruction.
-        blocks: u64,
-        /// Bandwidth reserved from admission for the rebuild.
-        reserve_bps: u64,
-    },
+    RebuildStarted =
+        /// A paced, admission-charged rebuild of a dead spindle began.
+        REBUILD_STARTED "rebuild_started" {
+            /// Index of the dead disk being rebuilt around.
+            disk: u32,
+            /// Blocks queued for reconstruction.
+            blocks: u64,
+            /// Bandwidth reserved from admission for the rebuild.
+            reserve_bps: u64,
+        },
     /// A spindle rebuild finished; the reservation was released.
-    RebuildCompleted {
-        /// Index of the dead disk that was rebuilt around.
-        disk: u32,
-        /// Blocks reconstructed onto surviving disks.
-        blocks: u64,
-    },
+    RebuildCompleted =
+        /// A spindle rebuild finished; all lost blocks are durable again.
+        REBUILD_COMPLETED "rebuild_completed" {
+            /// Index of the dead disk that was rebuilt around.
+            disk: u32,
+            /// Blocks reconstructed onto surviving disks.
+            blocks: u64,
+        },
     /// A server crashed: every stream, recording, and control
     /// association it held died with it.
-    ServerCrashed {
-        /// Location that went down.
-        location: String,
-    },
+    ServerCrashed =
+        /// A whole server crashed, killing its streams and associations.
+        SERVER_CRASHED "server_crashed" {
+            /// Location that went down.
+            location: String,
+        },
     /// A client rebuilt its session on a replica after its serving
     /// server crashed mid-stream.
-    StreamFailedOver {
-        /// Title the client was watching.
-        title: String,
-        /// Crashed location the stream left.
-        from: String,
-        /// Live replica the stream resumed on.
-        to: String,
-        /// Frame the client asked to resume from.
-        resume_frame: u64,
-    },
+    StreamFailedOver =
+        /// A client's stream failed over to a replica after a crash.
+        STREAM_FAILED_OVER "stream_failed_over" {
+            /// Title the client was watching.
+            title: String,
+            /// Crashed location the stream left.
+            from: String,
+            /// Live replica the stream resumed on.
+            to: String,
+            /// Frame the client asked to resume from.
+            resume_frame: u64,
+        },
+}
+
+/// Number of event kinds (rows of the schema).
+const KINDS: usize = kind::ALL.len();
+
+/// The schema row of a kind tag, if it is one.
+fn row_of(tag: &str) -> Option<usize> {
+    kind::ALL.iter().position(|t| *t == tag)
+}
+
+/// A payload field type and its canonical JSON form — the only codec
+/// written by hand; the schema picks the impl by the field's type.
+trait Field: Sized {
+    /// Appends `,"key":value`.
+    fn put(&self, out: &mut String, key: &str);
+    /// Reads field `key` of a parsed payload object.
+    fn take(obj: &JsonObj, key: &str) -> Result<Self, ParseError>;
+}
+
+impl Field for u64 {
+    fn put(&self, out: &mut String, key: &str) {
+        push_u64_field(out, key, *self);
+    }
+    fn take(obj: &JsonObj, key: &str) -> Result<Self, ParseError> {
+        obj.u64(key)
+    }
+}
+
+impl Field for u32 {
+    fn put(&self, out: &mut String, key: &str) {
+        push_u64_field(out, key, u64::from(*self));
+    }
+    fn take(obj: &JsonObj, key: &str) -> Result<Self, ParseError> {
+        u32::try_from(obj.u64(key)?)
+            .map_err(|_| ParseError::new(&format!("field `{key}` out of u32 range")))
+    }
+}
+
+impl Field for String {
+    fn put(&self, out: &mut String, key: &str) {
+        push_str_field(out, key, self);
+    }
+    fn take(obj: &JsonObj, key: &str) -> Result<Self, ParseError> {
+        obj.str(key).map(str::to_string)
+    }
+}
+
+impl Field for AdmissionClass {
+    fn put(&self, out: &mut String, key: &str) {
+        push_str_field(out, key, self.as_str());
+    }
+    fn take(obj: &JsonObj, key: &str) -> Result<Self, ParseError> {
+        AdmissionClass::from_str(obj.str(key)?)
+            .ok_or_else(|| ParseError::new("unknown admission class"))
+    }
 }
 
 impl EventKind {
     /// The canonical tag of this kind (a constant from [`kind`]).
     pub fn tag(&self) -> &'static str {
-        match self {
-            EventKind::StreamAdmit { .. } => kind::STREAM_ADMIT,
-            EventKind::StreamReject { .. } => kind::STREAM_REJECT,
-            EventKind::RouteDecision { .. } => kind::ROUTE_DECISION,
-            EventKind::Failover { .. } => kind::FAILOVER,
-            EventKind::ReferralIssued { .. } => kind::REFERRAL_ISSUED,
-            EventKind::ReferralFollowed { .. } => kind::REFERRAL_FOLLOWED,
-            EventKind::ReferralFailed { .. } => kind::REFERRAL_FAILED,
-            EventKind::RebalanceSample => kind::REBALANCE_SAMPLE,
-            EventKind::GrowStarted { .. } => kind::GROW_STARTED,
-            EventKind::DrainCopyStarted { .. } => kind::DRAIN_COPY_STARTED,
-            EventKind::CopyCompleted { .. } => kind::COPY_COMPLETED,
-            EventKind::CopyAborted { .. } => kind::COPY_ABORTED,
-            EventKind::CopyRejected { .. } => kind::COPY_REJECTED,
-            EventKind::Shrink { .. } => kind::SHRINK,
-            EventKind::DrainStarted { .. } => kind::DRAIN_STARTED,
-            EventKind::DrainCompleted { .. } => kind::DRAIN_COMPLETED,
-            EventKind::DirectoryUpdate { .. } => kind::DIRECTORY_UPDATE,
-            EventKind::DiskQueueSample { .. } => kind::DISK_QUEUE_SAMPLE,
-            EventKind::CacheSummary { .. } => kind::CACHE_SUMMARY,
-            EventKind::HealthSnapshot { .. } => kind::HEALTH_SNAPSHOT,
-            EventKind::MergeJoined { .. } => kind::MERGE_JOINED,
-            EventKind::FastFeedStarted { .. } => kind::FAST_FEED_STARTED,
-            EventKind::FastFeedConverged { .. } => kind::FAST_FEED_CONVERGED,
-            EventKind::LeaderPromoted { .. } => kind::LEADER_PROMOTED,
-            EventKind::GroupSplit { .. } => kind::GROUP_SPLIT,
-            EventKind::DiskFailed { .. } => kind::DISK_FAILED,
-            EventKind::RebuildStarted { .. } => kind::REBUILD_STARTED,
-            EventKind::RebuildCompleted { .. } => kind::REBUILD_COMPLETED,
-            EventKind::ServerCrashed { .. } => kind::SERVER_CRASHED,
-            EventKind::StreamFailedOver { .. } => kind::STREAM_FAILED_OVER,
-        }
+        kind::ALL[self.row()]
     }
 
     /// Canonical JSON encoding of the payload; this exact byte string
@@ -418,306 +516,9 @@ impl EventKind {
         let mut s = String::from("{\"t\":\"");
         s.push_str(self.tag());
         s.push('"');
-        match self {
-            EventKind::StreamAdmit {
-                class,
-                stream,
-                demanded_bps,
-                available_bps,
-            }
-            | EventKind::StreamReject {
-                class,
-                stream,
-                demanded_bps,
-                available_bps,
-            } => {
-                push_str_field(&mut s, "class", class.as_str());
-                push_u64_field(&mut s, "stream", u64::from(*stream));
-                push_u64_field(&mut s, "demanded_bps", *demanded_bps);
-                push_u64_field(&mut s, "available_bps", *available_bps);
-            }
-            EventKind::RouteDecision {
-                title,
-                target,
-                candidates,
-            } => {
-                push_str_field(&mut s, "title", title);
-                push_str_field(&mut s, "target", target);
-                push_u64_field(&mut s, "candidates", u64::from(*candidates));
-            }
-            EventKind::Failover { title, from, to } => {
-                push_str_field(&mut s, "title", title);
-                push_str_field(&mut s, "from", from);
-                push_str_field(&mut s, "to", to);
-            }
-            EventKind::ReferralIssued { target }
-            | EventKind::ReferralFollowed { target }
-            | EventKind::ReferralFailed { target } => {
-                push_str_field(&mut s, "target", target);
-            }
-            EventKind::RebalanceSample => {}
-            EventKind::GrowStarted { title, to }
-            | EventKind::DrainCopyStarted { title, to }
-            | EventKind::CopyCompleted { title, to }
-            | EventKind::CopyAborted { title, to }
-            | EventKind::CopyRejected { title, to } => {
-                push_str_field(&mut s, "title", title);
-                push_str_field(&mut s, "to", to);
-            }
-            EventKind::Shrink { title, from } => {
-                push_str_field(&mut s, "title", title);
-                push_str_field(&mut s, "from", from);
-            }
-            EventKind::DrainStarted { location } | EventKind::DrainCompleted { location } => {
-                push_str_field(&mut s, "location", location);
-            }
-            EventKind::DirectoryUpdate { title } => {
-                push_str_field(&mut s, "title", title);
-            }
-            EventKind::DiskQueueSample { disk, depth } => {
-                push_u64_field(&mut s, "disk", u64::from(*disk));
-                push_u64_field(&mut s, "depth", u64::from(*depth));
-            }
-            EventKind::CacheSummary { hits, misses } => {
-                push_u64_field(&mut s, "hits", *hits);
-                push_u64_field(&mut s, "misses", *misses);
-            }
-            EventKind::HealthSnapshot {
-                streams,
-                control_assocs,
-                available_bps,
-                cache_hit_permille,
-                queue_depth_max,
-            } => {
-                push_u64_field(&mut s, "streams", u64::from(*streams));
-                push_u64_field(&mut s, "control_assocs", u64::from(*control_assocs));
-                push_u64_field(&mut s, "available_bps", *available_bps);
-                push_u64_field(&mut s, "cache_hit_permille", u64::from(*cache_hit_permille));
-                push_u64_field(&mut s, "queue_depth_max", u64::from(*queue_depth_max));
-            }
-            EventKind::MergeJoined {
-                movie,
-                leader,
-                follower,
-                gap_blocks,
-            } => {
-                push_u64_field(&mut s, "movie", u64::from(*movie));
-                push_u64_field(&mut s, "leader", u64::from(*leader));
-                push_u64_field(&mut s, "follower", u64::from(*follower));
-                push_u64_field(&mut s, "gap_blocks", *gap_blocks);
-            }
-            EventKind::FastFeedStarted {
-                movie,
-                leader,
-                follower,
-                gap_blocks,
-                delta_bps,
-            } => {
-                push_u64_field(&mut s, "movie", u64::from(*movie));
-                push_u64_field(&mut s, "leader", u64::from(*leader));
-                push_u64_field(&mut s, "follower", u64::from(*follower));
-                push_u64_field(&mut s, "gap_blocks", *gap_blocks);
-                push_u64_field(&mut s, "delta_bps", *delta_bps);
-            }
-            EventKind::FastFeedConverged { movie, follower } => {
-                push_u64_field(&mut s, "movie", u64::from(*movie));
-                push_u64_field(&mut s, "follower", u64::from(*follower));
-            }
-            EventKind::LeaderPromoted {
-                movie,
-                from,
-                to,
-                followers,
-            } => {
-                push_u64_field(&mut s, "movie", u64::from(*movie));
-                push_u64_field(&mut s, "from", u64::from(*from));
-                push_u64_field(&mut s, "to", u64::from(*to));
-                push_u64_field(&mut s, "followers", u64::from(*followers));
-            }
-            EventKind::GroupSplit { movie, follower } => {
-                push_u64_field(&mut s, "movie", u64::from(*movie));
-                push_u64_field(&mut s, "follower", u64::from(*follower));
-            }
-            EventKind::DiskFailed { disk, lost_blocks } => {
-                push_u64_field(&mut s, "disk", u64::from(*disk));
-                push_u64_field(&mut s, "lost_blocks", *lost_blocks);
-            }
-            EventKind::RebuildStarted {
-                disk,
-                blocks,
-                reserve_bps,
-            } => {
-                push_u64_field(&mut s, "disk", u64::from(*disk));
-                push_u64_field(&mut s, "blocks", *blocks);
-                push_u64_field(&mut s, "reserve_bps", *reserve_bps);
-            }
-            EventKind::RebuildCompleted { disk, blocks } => {
-                push_u64_field(&mut s, "disk", u64::from(*disk));
-                push_u64_field(&mut s, "blocks", *blocks);
-            }
-            EventKind::ServerCrashed { location } => {
-                push_str_field(&mut s, "location", location);
-            }
-            EventKind::StreamFailedOver {
-                title,
-                from,
-                to,
-                resume_frame,
-            } => {
-                push_str_field(&mut s, "title", title);
-                push_str_field(&mut s, "from", from);
-                push_str_field(&mut s, "to", to);
-                push_u64_field(&mut s, "resume_frame", *resume_frame);
-            }
-        }
+        self.put_fields(&mut s);
         s.push('}');
         s
-    }
-
-    fn from_fields(tag: &str, obj: &JsonObj) -> Result<EventKind, ParseError> {
-        let kind = match tag {
-            kind::STREAM_ADMIT | kind::STREAM_REJECT => {
-                let class = AdmissionClass::from_str(obj.str("class")?)
-                    .ok_or_else(|| ParseError::new("unknown admission class"))?;
-                let stream = obj.u32("stream")?;
-                let demanded_bps = obj.u64("demanded_bps")?;
-                let available_bps = obj.u64("available_bps")?;
-                if tag == kind::STREAM_ADMIT {
-                    EventKind::StreamAdmit {
-                        class,
-                        stream,
-                        demanded_bps,
-                        available_bps,
-                    }
-                } else {
-                    EventKind::StreamReject {
-                        class,
-                        stream,
-                        demanded_bps,
-                        available_bps,
-                    }
-                }
-            }
-            kind::ROUTE_DECISION => EventKind::RouteDecision {
-                title: obj.str("title")?.to_string(),
-                target: obj.str("target")?.to_string(),
-                candidates: obj.u32("candidates")?,
-            },
-            kind::FAILOVER => EventKind::Failover {
-                title: obj.str("title")?.to_string(),
-                from: obj.str("from")?.to_string(),
-                to: obj.str("to")?.to_string(),
-            },
-            kind::REFERRAL_ISSUED => EventKind::ReferralIssued {
-                target: obj.str("target")?.to_string(),
-            },
-            kind::REFERRAL_FOLLOWED => EventKind::ReferralFollowed {
-                target: obj.str("target")?.to_string(),
-            },
-            kind::REFERRAL_FAILED => EventKind::ReferralFailed {
-                target: obj.str("target")?.to_string(),
-            },
-            kind::REBALANCE_SAMPLE => EventKind::RebalanceSample,
-            kind::GROW_STARTED => EventKind::GrowStarted {
-                title: obj.str("title")?.to_string(),
-                to: obj.str("to")?.to_string(),
-            },
-            kind::DRAIN_COPY_STARTED => EventKind::DrainCopyStarted {
-                title: obj.str("title")?.to_string(),
-                to: obj.str("to")?.to_string(),
-            },
-            kind::COPY_COMPLETED => EventKind::CopyCompleted {
-                title: obj.str("title")?.to_string(),
-                to: obj.str("to")?.to_string(),
-            },
-            kind::COPY_ABORTED => EventKind::CopyAborted {
-                title: obj.str("title")?.to_string(),
-                to: obj.str("to")?.to_string(),
-            },
-            kind::COPY_REJECTED => EventKind::CopyRejected {
-                title: obj.str("title")?.to_string(),
-                to: obj.str("to")?.to_string(),
-            },
-            kind::SHRINK => EventKind::Shrink {
-                title: obj.str("title")?.to_string(),
-                from: obj.str("from")?.to_string(),
-            },
-            kind::DRAIN_STARTED => EventKind::DrainStarted {
-                location: obj.str("location")?.to_string(),
-            },
-            kind::DRAIN_COMPLETED => EventKind::DrainCompleted {
-                location: obj.str("location")?.to_string(),
-            },
-            kind::DIRECTORY_UPDATE => EventKind::DirectoryUpdate {
-                title: obj.str("title")?.to_string(),
-            },
-            kind::DISK_QUEUE_SAMPLE => EventKind::DiskQueueSample {
-                disk: obj.u32("disk")?,
-                depth: obj.u32("depth")?,
-            },
-            kind::CACHE_SUMMARY => EventKind::CacheSummary {
-                hits: obj.u64("hits")?,
-                misses: obj.u64("misses")?,
-            },
-            kind::HEALTH_SNAPSHOT => EventKind::HealthSnapshot {
-                streams: obj.u32("streams")?,
-                control_assocs: obj.u32("control_assocs")?,
-                available_bps: obj.u64("available_bps")?,
-                cache_hit_permille: obj.u32("cache_hit_permille")?,
-                queue_depth_max: obj.u32("queue_depth_max")?,
-            },
-            kind::MERGE_JOINED => EventKind::MergeJoined {
-                movie: obj.u32("movie")?,
-                leader: obj.u32("leader")?,
-                follower: obj.u32("follower")?,
-                gap_blocks: obj.u64("gap_blocks")?,
-            },
-            kind::FAST_FEED_STARTED => EventKind::FastFeedStarted {
-                movie: obj.u32("movie")?,
-                leader: obj.u32("leader")?,
-                follower: obj.u32("follower")?,
-                gap_blocks: obj.u64("gap_blocks")?,
-                delta_bps: obj.u64("delta_bps")?,
-            },
-            kind::FAST_FEED_CONVERGED => EventKind::FastFeedConverged {
-                movie: obj.u32("movie")?,
-                follower: obj.u32("follower")?,
-            },
-            kind::LEADER_PROMOTED => EventKind::LeaderPromoted {
-                movie: obj.u32("movie")?,
-                from: obj.u32("from")?,
-                to: obj.u32("to")?,
-                followers: obj.u32("followers")?,
-            },
-            kind::GROUP_SPLIT => EventKind::GroupSplit {
-                movie: obj.u32("movie")?,
-                follower: obj.u32("follower")?,
-            },
-            kind::DISK_FAILED => EventKind::DiskFailed {
-                disk: obj.u32("disk")?,
-                lost_blocks: obj.u64("lost_blocks")?,
-            },
-            kind::REBUILD_STARTED => EventKind::RebuildStarted {
-                disk: obj.u32("disk")?,
-                blocks: obj.u64("blocks")?,
-                reserve_bps: obj.u64("reserve_bps")?,
-            },
-            kind::REBUILD_COMPLETED => EventKind::RebuildCompleted {
-                disk: obj.u32("disk")?,
-                blocks: obj.u64("blocks")?,
-            },
-            kind::SERVER_CRASHED => EventKind::ServerCrashed {
-                location: obj.str("location")?.to_string(),
-            },
-            kind::STREAM_FAILED_OVER => EventKind::StreamFailedOver {
-                title: obj.str("title")?.to_string(),
-                from: obj.str("from")?.to_string(),
-                to: obj.str("to")?.to_string(),
-                resume_frame: obj.u64("resume_frame")?,
-            },
-            other => return Err(ParseError::new(&format!("unknown event tag `{other}`"))),
-        };
-        Ok(kind)
     }
 }
 
@@ -756,18 +557,11 @@ impl Event {
     /// Serializes the event as one deterministic JSON line (no
     /// trailing newline).
     pub fn to_json_line(&self) -> String {
-        let mut s = String::from("{");
-        push_u64_raw(&mut s, "seq", self.seq);
+        let mut s = format!("{{\"seq\":{}", self.seq);
         push_u64_field(&mut s, "us", self.sim_time.as_micros());
         push_str_field(&mut s, "server", &self.server);
-        s.push_str(",\"prev\":\"");
-        push_hex16(&mut s, self.prev_hash);
-        s.push_str("\",\"hash\":\"");
-        push_hex16(&mut s, self.hash);
-        s.push_str("\",\"kind\":");
-        s.push_str(&self.kind.to_json());
-        s.push('}');
-        s
+        let (prev, hash, kind) = (self.prev_hash, self.hash, self.kind.to_json());
+        s + &format!(",\"prev\":\"{prev:016x}\",\"hash\":\"{hash:016x}\",\"kind\":{kind}}}")
     }
 
     /// Parses one line produced by [`Event::to_json_line`].
@@ -777,6 +571,7 @@ impl Event {
     /// Returns a [`ParseError`] on malformed JSON or unknown fields.
     pub fn from_json_line(line: &str) -> Result<Event, ParseError> {
         let obj = parse_object(line)?;
+        obj.only(&["seq", "us", "server", "prev", "hash", "kind"])?;
         let kind_obj = obj.obj("kind")?;
         let tag = kind_obj.str("t")?;
         Ok(Event {
@@ -874,20 +669,25 @@ impl ClockSource {
     }
 }
 
+/// What the journal keeps per actor: the tail of its hash chain and
+/// how many events of each kind it has recorded, by schema row.
+struct Actor {
+    tail: u64,
+    counts: [u64; KINDS],
+}
+
 #[derive(Default)]
 struct JournalInner {
     events: Vec<Event>,
-    tails: HashMap<String, u64>,
-    counts: HashMap<(String, &'static str), u64>,
-    kind_counts: HashMap<&'static str, u64>,
+    actors: HashMap<String, Actor>,
 }
 
 /// The append-only event journal.
 ///
 /// Shared (`Arc`) between every emitting component of a simulation;
 /// appends are serialized under an internal lock and assigned a dense
-/// global sequence. All count queries are O(1): counters are
-/// maintained incrementally on append.
+/// global sequence. Count queries never walk the events: counters are
+/// maintained per actor on append.
 pub struct Journal {
     clock: ClockSource,
     inner: Mutex<JournalInner>,
@@ -934,22 +734,28 @@ impl Journal {
     /// instant, and returns its sequence number.
     pub fn record(&self, server: &str, kind: EventKind) -> u64 {
         let now = self.clock.now();
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         let seq = inner.events.len() as u64;
-        let prev_hash = inner.tails.get(server).copied().unwrap_or(0);
+        if !inner.actors.contains_key(server) {
+            let first = Actor {
+                tail: 0,
+                counts: [0; KINDS],
+            };
+            inner.actors.insert(server.to_string(), first);
+        }
+        let actor = inner.actors.get_mut(server).expect("inserted above");
         let mut ev = Event {
             seq,
             sim_time: now,
             server: server.to_string(),
             kind,
-            prev_hash,
+            prev_hash: actor.tail,
             hash: 0,
         };
         ev.hash = ev.compute_hash();
-        inner.tails.insert(ev.server.clone(), ev.hash);
-        let tag = ev.kind.tag();
-        *inner.counts.entry((ev.server.clone(), tag)).or_insert(0) += 1;
-        *inner.kind_counts.entry(tag).or_insert(0) += 1;
+        actor.tail = ev.hash;
+        actor.counts[ev.kind.row()] += 1;
         inner.events.push(ev);
         seq
     }
@@ -965,19 +771,18 @@ impl Journal {
     }
 
     /// Total events of kind `tag` (a [`kind`] constant), across all
-    /// servers. O(1).
+    /// actors.
     pub fn count(&self, tag: &str) -> u64 {
-        self.inner.lock().kind_counts.get(tag).copied().unwrap_or(0)
+        let Some(row) = row_of(tag) else { return 0 };
+        let inner = self.inner.lock();
+        inner.actors.values().map(|a| a.counts[row]).sum()
     }
 
-    /// Events of kind `tag` recorded by `server`. O(1).
+    /// Events of kind `tag` recorded by `server`.
     pub fn count_for(&self, server: &str, tag: &str) -> u64 {
-        self.inner
-            .lock()
-            .counts
-            .get(&(server.to_string(), tag))
-            .copied()
-            .unwrap_or(0)
+        let Some(row) = row_of(tag) else { return 0 };
+        let inner = self.inner.lock();
+        inner.actors.get(server).map_or(0, |a| a.counts[row])
     }
 
     /// A snapshot of all events in append order.
@@ -1023,56 +828,9 @@ pub struct JournalQuery {
 }
 
 impl JournalQuery {
-    /// Builds a query over an externally obtained event list (e.g.
-    /// parsed back from JSONL).
-    pub fn from_events(events: Vec<Event>) -> Self {
-        JournalQuery { events }
-    }
-
     /// All events in append order.
     pub fn events(&self) -> &[Event] {
         &self.events
-    }
-
-    /// Number of events in the snapshot.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the snapshot is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Total events of kind `tag`.
-    pub fn count(&self, tag: &str) -> u64 {
-        self.events.iter().filter(|e| e.kind.tag() == tag).count() as u64
-    }
-
-    /// Events of kind `tag` recorded by `server`.
-    pub fn count_for(&self, server: &str, tag: &str) -> u64 {
-        self.events
-            .iter()
-            .filter(|e| e.server == server && e.kind.tag() == tag)
-            .count() as u64
-    }
-
-    /// Distinct actors, sorted.
-    pub fn servers(&self) -> Vec<String> {
-        let mut set: Vec<String> = self
-            .events
-            .iter()
-            .map(|e| e.server.clone())
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        set.dedup();
-        set
-    }
-
-    /// Events recorded by one actor, in order.
-    pub fn events_for(&self, server: &str) -> Vec<&Event> {
-        self.events.iter().filter(|e| e.server == server).collect()
     }
 
     /// Count of every kind present, keyed by tag, sorted by tag.
@@ -1247,19 +1005,23 @@ fn push_u64_field(out: &mut String, key: &str, val: u64) {
     out.push_str(&val.to_string());
 }
 
-fn push_u64_raw(out: &mut String, key: &str, val: u64) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(&val.to_string());
-}
-
-fn push_hex16(out: &mut String, v: u64) {
-    out.push_str(&format!("{v:016x}"));
+/// Reads exactly `digits.len()` lower-case hex digits, the only form
+/// the writer emits (`from_str_radix` would also take a sign, upper
+/// case and any length).
+fn parse_hex(digits: &[u8]) -> Option<u64> {
+    digits.iter().try_fold(0, |acc, &b| match b {
+        b'0'..=b'9' => Some(acc << 4 | u64::from(b - b'0')),
+        b'a'..=b'f' => Some(acc << 4 | u64::from(b - b'a' + 10)),
+        _ => None,
+    })
 }
 
 fn parse_hex16(s: &str) -> Result<u64, ParseError> {
-    u64::from_str_radix(s, 16).map_err(|_| ParseError::new("bad hex hash"))
+    match s.len() {
+        16 => parse_hex(s.as_bytes()),
+        _ => None,
+    }
+    .ok_or_else(|| ParseError::new("bad hex hash"))
 }
 
 #[derive(Debug)]
@@ -1275,6 +1037,21 @@ struct JsonObj {
 }
 
 impl JsonObj {
+    /// Rejects a field not named in `known` or named twice. Stops at
+    /// the first offender, so it looks back over at most `known.len()`
+    /// fields however long a hostile object is.
+    fn only(&self, known: &[&str]) -> Result<(), ParseError> {
+        for (i, (k, _)) in self.fields.iter().enumerate() {
+            if !known.contains(&k.as_str()) {
+                return Err(ParseError::new(&format!("unknown field `{k}`")));
+            }
+            if self.fields[..i].iter().any(|(seen, _)| seen == k) {
+                return Err(ParseError::new(&format!("duplicate field `{k}`")));
+            }
+        }
+        Ok(())
+    }
+
     fn get(&self, key: &str) -> Result<&JsonVal, ParseError> {
         self.fields
             .iter()
@@ -1288,11 +1065,6 @@ impl JsonObj {
             JsonVal::Num(n) => Ok(*n),
             _ => Err(ParseError::new(&format!("field `{key}` is not a number"))),
         }
-    }
-
-    fn u32(&self, key: &str) -> Result<u32, ParseError> {
-        u32::try_from(self.u64(key)?)
-            .map_err(|_| ParseError::new(&format!("field `{key}` out of u32 range")))
     }
 
     fn str(&self, key: &str) -> Result<&str, ParseError> {
@@ -1309,6 +1081,9 @@ impl JsonObj {
         }
     }
 }
+
+/// Object nesting of an event line: the event, holding its `kind`.
+const MAX_DEPTH: usize = 2;
 
 struct Parser<'a> {
     bytes: &'a [u8],
@@ -1362,18 +1137,13 @@ impl<'a> Parser<'a> {
                         b't' => out.push('\t'),
                         b'r' => out.push('\r'),
                         b'u' => {
-                            let hex = self
+                            let code = self
                                 .bytes
                                 .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| ParseError::new("short \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| ParseError::new("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| ParseError::new("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| ParseError::new("bad \\u code point"))?,
-                            );
+                                .and_then(parse_hex)
+                                .and_then(|code| char::from_u32(code as u32))
+                                .ok_or_else(|| ParseError::new("bad \\u escape"))?;
+                            out.push(code);
                             self.pos += 4;
                         }
                         _ => return Err(ParseError::new("unknown escape")),
@@ -1411,16 +1181,19 @@ impl<'a> Parser<'a> {
             .ok_or_else(|| ParseError::new("bad number"))
     }
 
-    fn parse_value(&mut self) -> Result<JsonVal, ParseError> {
+    /// Parses a value `depth` objects deep. Input is untrusted and
+    /// objects recurse, so nesting stops where an event line's does.
+    fn parse_value(&mut self, depth: usize) -> Result<JsonVal, ParseError> {
         match self.peek() {
             Some(b'"') => Ok(JsonVal::Str(self.parse_string()?)),
-            Some(b'{') => Ok(JsonVal::Obj(self.parse_obj()?)),
+            Some(b'{') if depth < MAX_DEPTH => Ok(JsonVal::Obj(self.parse_obj(depth + 1)?)),
+            Some(b'{') => Err(ParseError::new("objects nested too deep")),
             Some(b) if b.is_ascii_digit() => Ok(JsonVal::Num(self.parse_number()?)),
             _ => Err(ParseError::new("unexpected value")),
         }
     }
 
-    fn parse_obj(&mut self) -> Result<JsonObj, ParseError> {
+    fn parse_obj(&mut self, depth: usize) -> Result<JsonObj, ParseError> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         if self.peek() == Some(b'}') {
@@ -1430,7 +1203,7 @@ impl<'a> Parser<'a> {
         loop {
             let key = self.parse_string()?;
             self.expect(b':')?;
-            let val = self.parse_value()?;
+            let val = self.parse_value(depth)?;
             fields.push((key, val));
             match self.peek() {
                 Some(b',') => {
@@ -1460,7 +1233,7 @@ fn parse_object(line: &str) -> Result<JsonObj, ParseError> {
         bytes: line.as_bytes(),
         pos: 0,
     };
-    let obj = p.parse_obj()?;
+    let obj = p.parse_obj(1)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(ParseError::new("trailing garbage after object"));
@@ -1471,70 +1244,34 @@ fn parse_object(line: &str) -> Result<JsonObj, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::SimDuration;
+    /// One event of every kind, as the pinned wire format has them.
+    const GOLDEN: &str = include_str!("../tests/golden_events.jsonl");
 
+    /// The golden events recorded afresh: same actors, instants and
+    /// payloads through the live append path.
     fn sample_journal() -> Journal {
         let j = Journal::standalone();
-        j.observe_time(SimTime::from_millis(1));
-        j.record(
-            "node-1",
-            EventKind::StreamAdmit {
-                class: AdmissionClass::Stream,
-                stream: 7,
-                demanded_bps: 1_500_000,
-                available_bps: 98_500_000,
-            },
-        );
-        j.observe_time(SimTime::from_millis(2));
-        j.record(
-            "node-1",
-            EventKind::RouteDecision {
-                title: "movie-1".into(),
-                target: "node-2".into(),
-                candidates: 2,
-            },
-        );
-        j.record(
-            "node-2",
-            EventKind::StreamReject {
-                class: AdmissionClass::Recording,
-                stream: 8,
-                demanded_bps: 9_000_000,
-                available_bps: 100,
-            },
-        );
-        j.observe_time(SimTime::from_millis(2) + SimDuration::from_micros(500));
-        j.record(
-            "rebalance",
-            EventKind::GrowStarted {
-                title: "movie-1".into(),
-                to: "node-3".into(),
-            },
-        );
-        j.record(
-            "node-1",
-            EventKind::HealthSnapshot {
-                streams: 3,
-                control_assocs: 2,
-                available_bps: 97_000_000,
-                cache_hit_permille: 512,
-                queue_depth_max: 4,
-            },
-        );
+        for e in events_from_jsonl(GOLDEN).unwrap() {
+            j.observe_time(e.sim_time);
+            j.record(&e.server, e.kind);
+        }
         j
     }
 
     #[test]
     fn chains_and_counts() {
         let j = sample_journal();
-        assert_eq!(j.len(), 5);
+        assert_eq!(j.len(), KINDS);
         j.verify().unwrap();
-        assert_eq!(j.count(kind::STREAM_ADMIT), 1);
-        assert_eq!(j.count(kind::STREAM_REJECT), 1);
+        for tag in kind::ALL {
+            assert_eq!(j.count(tag), 1, "{tag}");
+        }
         assert_eq!(j.count_for("node-1", kind::ROUTE_DECISION), 1);
-        assert_eq!(j.count_for("node-2", kind::ROUTE_DECISION), 0);
+        assert_eq!(j.count_for("rebalance", kind::ROUTE_DECISION), 0);
+        assert_eq!(j.count_for("nobody", kind::STREAM_ADMIT), 0);
+        assert_eq!(j.count("not_a_kind"), 0);
         let q = j.query();
-        assert_eq!(q.servers(), vec!["node-1", "node-2", "rebalance"]);
+        assert_eq!(q.events(), j.events());
         assert_eq!(q.kind_totals()[kind::GROW_STARTED], 1);
         assert_eq!(q.latest_health().len(), 1);
     }
@@ -1543,6 +1280,7 @@ mod tests {
     fn jsonl_round_trips_byte_identically() {
         let j = sample_journal();
         let text = j.to_jsonl();
+        assert_eq!(text, GOLDEN, "the append path chains as the golden does");
         let events = events_from_jsonl(&text).unwrap();
         assert_eq!(events, j.events());
         verify_events(&events).unwrap();
@@ -1596,54 +1334,6 @@ mod tests {
         // observe_time must not rewind or affect a shared clock.
         j.observe_time(SimTime::from_secs(1));
         assert_eq!(clock.now(), SimTime::from_secs(3));
-    }
-
-    #[test]
-    fn fault_kinds_round_trip() {
-        let j = Journal::standalone();
-        j.record(
-            "node-1",
-            EventKind::DiskFailed {
-                disk: 2,
-                lost_blocks: 120,
-            },
-        );
-        j.record(
-            "node-1",
-            EventKind::RebuildStarted {
-                disk: 2,
-                blocks: 120,
-                reserve_bps: 12_000_000,
-            },
-        );
-        j.record(
-            "node-1",
-            EventKind::RebuildCompleted {
-                disk: 2,
-                blocks: 120,
-            },
-        );
-        j.record(
-            "cluster",
-            EventKind::ServerCrashed {
-                location: "node-3".into(),
-            },
-        );
-        j.record(
-            "client-1",
-            EventKind::StreamFailedOver {
-                title: "movie-1".into(),
-                from: "node-3".into(),
-                to: "node-2".into(),
-                resume_frame: 431,
-            },
-        );
-        j.verify().unwrap();
-        let events = events_from_jsonl(&j.to_jsonl()).unwrap();
-        assert_eq!(events, j.events());
-        verify_events(&events).unwrap();
-        assert_eq!(j.count(kind::DISK_FAILED), 1);
-        assert_eq!(j.count_for("client-1", kind::STREAM_FAILED_OVER), 1);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! [`BlockStore::import_movie`], the unpaced bulk copy, lives here
 //! too because it is the same append loop with the gate left out.
 
-use super::{BlockStore, Layout, MovieRec, StoreError, StoreInner, WriteOwner};
+use super::{consumers_of, BlockStore, Layout, MovieRec, StoreError, StoreInner, WriteOwner};
 use crate::cache::BlockKey;
 use crate::disk::IoKind;
 use crate::layout::{BlockMap, MovieId};
@@ -148,7 +148,7 @@ impl StoreInner {
     fn issue_job(&mut self, job: &mut PacedJob, now: SimTime) {
         let block_size = u64::from(self.config.block_size);
         let consumers = match job.kind {
-            JobKind::Rebuild { .. } => self.consumers(),
+            JobKind::Rebuild { .. } => consumers_of(&self.streams),
             _ => Vec::new(),
         };
         while job.pace.opens_at(block_size * 8).is_some_and(|t| t <= now) {

@@ -35,7 +35,7 @@ use journal::{AdmissionClass, EventKind, Journal};
 use mtp::MovieSource;
 use netsim::SimTime;
 use parking_lot::Mutex;
-use playback::StreamRec;
+use playback::{consumers_of, StreamRec};
 use recording::RecordingRec;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
@@ -65,9 +65,6 @@ pub struct StoreConfig {
     /// run ahead (bounds cache pollution and wasted disk work for
     /// paused or slow streams).
     pub readahead_blocks: u32,
-    /// Percentage of the raw disk bandwidth the admission controller
-    /// may commit (guards against seek-heavy worst cases).
-    pub admission_headroom_pct: u32,
     /// Whether the prefetcher honors [`PrefetchHint`]s from the
     /// session layer. Off, every hinted call degrades to the plain
     /// forward window — the knob the VCR-storm bench flips to measure
@@ -85,7 +82,6 @@ impl Default for StoreConfig {
             disk: DiskParams::default(),
             prefetch_depth: 16,
             readahead_blocks: 32,
-            admission_headroom_pct: 85,
             prefetch_hints: true,
         }
     }
@@ -107,10 +103,14 @@ impl StoreConfig {
     /// count is clamped to one, matching the stripe set the store
     /// actually builds).
     pub fn capacity_bps(&self) -> u64 {
+        /// Percentage of the raw disk bandwidth the admission
+        /// controller may commit (guards against seek-heavy worst
+        /// cases).
+        const ADMISSION_HEADROOM_PCT: u64 = 85;
         let raw = self
             .effective_disk_bps()
             .saturating_mul(self.disks.max(1) as u64);
-        raw / 100 * u64::from(self.admission_headroom_pct.min(100))
+        raw / 100 * ADMISSION_HEADROOM_PCT
     }
 }
 
@@ -500,7 +500,7 @@ impl StoreInner {
         let mut completed = 0;
         // Playback positions cannot change while completions drain, so
         // one snapshot serves every block completed in this pass.
-        let consumers = self.consumers();
+        let consumers = consumers_of(&self.streams);
         for disk in 0..self.spindles.len() {
             while let Some((movie, offset, kind)) = self.spindles.disks[disk].pop_due(now) {
                 completed += 1;

@@ -13,7 +13,7 @@ use crate::cache::BlockKey;
 use crate::layout::{BlockAddr, MovieId};
 use journal::AdmissionClass;
 use netsim::SimTime;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 /// Predicted consumption direction of a [`PrefetchHint`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -155,16 +155,16 @@ enum Fetch {
     Dead,
 }
 
-impl StoreInner {
-    /// Every open stream's `(movie, playback block)` — what the
-    /// interval cache policy weighs a new block against.
-    pub(super) fn consumers(&self) -> Vec<(MovieId, u64)> {
-        self.streams
-            .values()
-            .map(|s| (s.movie, s.position_block))
-            .collect()
-    }
+/// Every open stream's `(movie, playback block)` — what the interval
+/// cache policy weighs a new block against.
+pub(super) fn consumers_of(streams: &HashMap<u32, StreamRec>) -> Vec<(MovieId, u64)> {
+    streams
+        .values()
+        .map(|s| (s.movie, s.position_block))
+        .collect()
+}
 
+impl StoreInner {
     /// A read left `disk`: caches the block and delivers it to every
     /// stream waiting on it.
     pub(super) fn deliver_read(

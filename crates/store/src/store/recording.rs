@@ -10,7 +10,7 @@
 //! streamable movie — or aborted, its blocks returned to the free
 //! pool.
 
-use super::{BlockStore, Layout, MovieRec, StoreError, WriteOwner};
+use super::{consumers_of, BlockStore, Layout, MovieRec, StoreError, WriteOwner};
 use crate::cache::BlockKey;
 use crate::layout::{BlockMap, MovieId};
 use journal::AdmissionClass;
@@ -103,7 +103,6 @@ impl BlockStore {
     pub fn append_frame(&self, rec_id: u32, bytes: u32, now: SimTime) -> Result<(), StoreError> {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
-        let consumers = inner.consumers();
         let block_size = u64::from(inner.config.block_size);
         let Some(rec) = inner.recordings.get_mut(&rec_id) else {
             return Err(StoreError::UnknownStream(rec_id));
@@ -117,6 +116,8 @@ impl BlockStore {
         inner.frames_recorded += 1;
         while rec.partial_bytes >= block_size {
             rec.partial_bytes -= block_size;
+            // Only a completed block is weighed against the viewers.
+            let consumers = consumers_of(&inner.streams);
             let index = inner.spindles.append_block(
                 now,
                 rec.movie,

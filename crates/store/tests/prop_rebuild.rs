@@ -21,7 +21,6 @@ fn config(disks: usize, block_kib: u32) -> StoreConfig {
         disk: DiskParams::default(),
         prefetch_depth: 4,
         readahead_blocks: 16,
-        admission_headroom_pct: 85,
         ..StoreConfig::default()
     }
 }
