@@ -190,12 +190,6 @@ fn integer_content(v: i64) -> ([u8; 8], usize) {
     (bytes, start)
 }
 
-/// Encodes an INTEGER's content octets (two's complement, minimal).
-pub fn encode_integer_content(v: i64, out: &mut Vec<u8>) {
-    let (bytes, start) = integer_content(v);
-    out.extend_from_slice(&bytes[start..]);
-}
-
 /// Decodes INTEGER content octets.
 ///
 /// # Errors
@@ -351,6 +345,25 @@ pub fn write_constructed(tag: Tag, out: &mut Vec<u8>, f: impl FnOnce(&mut Vec<u8
         out[start - 1] = 0x80 | extra as u8;
         out[start..start + extra].copy_from_slice(&bytes[skip..]);
     }
+}
+
+/// Reads one constructed TLV tagged `tag`: `f` reads the content
+/// through a sub-reader one level down and must consume all of it.
+///
+/// # Errors
+///
+/// Propagates tag, length, depth and `f`'s errors, and returns
+/// [`Asn1Error::TrailingBytes`] if `f` leaves content unread.
+pub fn read_constructed<'a, T>(
+    tag: Tag,
+    r: &mut Reader<'a>,
+    f: impl FnOnce(&mut Reader<'a>) -> Result<T>,
+) -> Result<T> {
+    let content = r.read_expect(tag)?;
+    let mut inner = r.descend(content)?;
+    let value = f(&mut inner)?;
+    inner.expect_end()?;
+    Ok(value)
 }
 
 #[cfg(test)]

@@ -95,15 +95,6 @@ impl Tag {
         }
     }
 
-    /// A constructed context tag.
-    pub const fn context_constructed(number: u32) -> Tag {
-        Tag {
-            class: TagClass::Context,
-            constructed: true,
-            number,
-        }
-    }
-
     /// Serializes the identifier octets into `out`.
     pub fn encode_into(self, out: &mut Vec<u8>) {
         let mut first = self.class.bits();

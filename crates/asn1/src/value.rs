@@ -2,10 +2,11 @@
 //!
 //! The movie directory stores attributes of heterogeneous types; the
 //! [`Value`] enum is the runtime representation, with a generic BER
-//! codec. Protocol PDUs with fixed shapes use the typed helpers in
-//! [`crate::ber`] directly instead.
+//! codec. Protocol PDUs with fixed shapes are [`choice!`](crate::choice)
+//! tables instead.
 
 use crate::ber::{self, Reader};
+use crate::codec::Ber;
 use crate::error::{Asn1Error, Result};
 use crate::tag::Tag;
 use std::fmt;
@@ -39,11 +40,7 @@ impl Value {
             Value::Bytes(b) => ber::write_octets(b, out),
             Value::Null => ber::write_null(out),
             Value::Enum(e) => ber::write_enumerated(*e, out),
-            Value::Seq(items) => ber::write_constructed(Tag::SEQUENCE, out, |c| {
-                for item in items {
-                    item.encode_into(c);
-                }
-            }),
+            Value::Seq(items) => items.write(out),
         }
     }
 
@@ -62,16 +59,8 @@ impl Value {
     pub fn decode(r: &mut Reader<'_>) -> Result<Value> {
         let offset = r.offset();
         let tag = r.peek_tag()?;
-        if tag == Tag::SEQUENCE {
-            let content = r.read_expect(Tag::SEQUENCE)?;
-            let mut inner = r.descend(content)?;
-            let mut items = Vec::new();
-            while !inner.is_empty() {
-                items.push(Value::decode(&mut inner)?);
-            }
-            return Ok(Value::Seq(items));
-        }
         match tag {
+            Tag::SEQUENCE => Vec::<Value>::read(r).map(Value::Seq),
             Tag::BOOLEAN => ber::read_bool(r).map(Value::Bool),
             Tag::INTEGER => ber::read_integer(r).map(Value::Int),
             Tag::UTF8_STRING => ber::read_string(r).map(Value::Str),

@@ -148,6 +148,18 @@ impl ClientMca {
         }
     }
 
+    /// Opens the presentation connection that carries `user`'s
+    /// AssociateReq as its connect user data.
+    fn connect(&self, ctx: &mut Ctx<'_>, user: String) {
+        ctx.output(
+            DOWN,
+            PConReq {
+                contexts: mcam_contexts(),
+                user_data: self.op_to_pdu(McamOp::Associate { user }).encode(),
+            },
+        );
+    }
+
     /// Sends `op` on the wire, tracking it as outstanding.
     fn send_op(&mut self, ctx: &mut Ctx<'_>, op: McamOp) {
         self.release_pending = matches!(op, McamOp::Release);
@@ -271,17 +283,7 @@ impl StateMachine for ClientMca {
                     let start = downcast::<StartAssociate>(msg.unwrap()).unwrap();
                     m.announce = start.announce;
                     m.resume = start.resume;
-                    let aarq = McamPdu::AssociateReq {
-                        user: start.user,
-                        referral_capable: m.referral_capable,
-                    };
-                    ctx.output(
-                        DOWN,
-                        PConReq {
-                            contexts: mcam_contexts(),
-                            user_data: aarq.encode(),
-                        },
-                    );
+                    m.connect(ctx, start.user);
                 },
             )
             .provided(|_, msg| is::<StartAssociate>(msg))
@@ -500,17 +502,7 @@ impl StateMachine for ClientMca {
                 };
                 m.announce = true;
                 m.resume.clear();
-                let aarq = McamPdu::AssociateReq {
-                    user,
-                    referral_capable: m.referral_capable,
-                };
-                ctx.output(
-                    DOWN,
-                    PConReq {
-                        contexts: mcam_contexts(),
-                        user_data: aarq.encode(),
-                    },
-                );
+                m.connect(ctx, user);
             })
             .provided(|_, msg| {
                 msg.and_then(|m| m.downcast_ref::<McamReq>())

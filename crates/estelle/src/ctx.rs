@@ -120,11 +120,6 @@ impl<'a> Ctx<'a> {
         });
     }
 
-    /// Outputs an already-boxed interaction (for forwarding).
-    pub fn output_boxed(&mut self, ip: IpIndex, msg: Box<dyn Interaction>) {
-        self.effects.push(Effect::Output { from_ip: ip, msg });
-    }
-
     /// Overrides the `to` clause of the firing transition: the module
     /// enters `state` when the action returns.
     pub fn goto(&mut self, state: StateId) {

@@ -1144,15 +1144,6 @@ impl Runtime {
             .unwrap_or_default()
     }
 
-    /// First alive module whose instance name is `name`.
-    pub fn find_by_name(&self, name: &str) -> Option<ModuleId> {
-        self.topo
-            .read()
-            .alive()
-            .find(|s| s.name == name)
-            .map(|s| s.id)
-    }
-
     /// Current FSM state of `id`.
     pub fn module_state(&self, id: ModuleId) -> Option<StateId> {
         self.slot(id).map(|s| s.core.lock().exec.state())

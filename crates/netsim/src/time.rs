@@ -127,11 +127,6 @@ impl SimDuration {
         self.0 as f64 / 1e6
     }
 
-    /// Returns the duration as fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// Saturating subtraction of two durations.
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))

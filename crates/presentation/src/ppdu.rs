@@ -1,15 +1,9 @@
-//! PPDU wire format — ISO 8823 presentation kernel, BER-encoded.
-//!
-//! | tag              | PPDU                      |
-//! |------------------|---------------------------|
-//! | [APPLICATION 0]  | CP  — connect              |
-//! | [APPLICATION 1]  | CPA — connect accept       |
-//! | [APPLICATION 2]  | CPR — connect reject       |
-//! | [APPLICATION 3]  | TD  — transfer data        |
-//! | [APPLICATION 4]  | ARU — abnormal release     |
+//! PPDU wire format — ISO 8823 presentation kernel, BER-encoded: the
+//! [`Ppdu`] table below is the module, one `[APPLICATION n]` row per
+//! PPDU.
 
 use asn1::ber::{self, Reader};
-use asn1::{Asn1Error, Tag};
+use asn1::{Asn1Error, Ber, Tag, Trailing};
 
 /// The transfer syntax this implementation supports.
 pub const TRANSFER_BER: &str = "ber";
@@ -34,206 +28,76 @@ pub struct ContextResult {
     pub accepted: bool,
 }
 
-/// A decoded presentation PDU.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Ppdu {
-    /// Connect presentation: proposed contexts + user data.
-    Cp {
-        /// Proposed presentation contexts.
-        contexts: Vec<ProposedContext>,
-        /// Presentation-user data (e.g. an MCAM AssociateReq).
-        user_data: Vec<u8>,
-    },
-    /// Connect accept: per-context results + user data.
-    Cpa {
-        /// Context negotiation results.
-        results: Vec<ContextResult>,
-        /// Presentation-user data.
-        user_data: Vec<u8>,
-    },
-    /// Connect reject: reason plus optional responder user data (a
-    /// refusing presentation user may hand back one application PDU —
-    /// e.g. an MCAM referral naming a better server). Pre-referral
-    /// encodings carry only the reason and decode with empty data.
-    Cpr {
-        /// Provider/user reason code.
-        reason: i64,
-        /// Presentation-user data (may be empty).
-        user_data: Vec<u8>,
-    },
-    /// Transfer data on a negotiated context.
-    Td {
-        /// Presentation context the payload is encoded under.
-        context_id: i64,
-        /// Presentation-user data.
-        user_data: Vec<u8>,
-    },
-    /// Abnormal release (abort).
-    Aru {
-        /// Abort reason code.
-        reason: i64,
-    },
+impl Ber for ProposedContext {
+    fn write(&self, out: &mut Vec<u8>) {
+        ber::write_constructed(Tag::SEQUENCE, out, |item| {
+            self.id.write(item);
+            self.abstract_syntax.write(item);
+            self.transfer_syntax.write(item);
+        });
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, Asn1Error> {
+        ber::read_constructed(Tag::SEQUENCE, r, |item| {
+            Ok(ProposedContext {
+                id: Ber::read(item)?,
+                abstract_syntax: Ber::read(item)?,
+                transfer_syntax: Ber::read(item)?,
+            })
+        })
+    }
 }
 
-const TAG_CP: Tag = Tag::application(0);
-const TAG_CPA: Tag = Tag::application(1);
-const TAG_CPR: Tag = Tag::application(2);
-const TAG_TD: Tag = Tag::application(3);
-const TAG_ARU: Tag = Tag::application(4);
-
-impl Ppdu {
-    /// Serializes the PPDU as BER.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_into(&mut out);
-        out
+impl Ber for ContextResult {
+    fn write(&self, out: &mut Vec<u8>) {
+        (self.id, self.accepted).write(out);
     }
-
-    /// Serializes the PPDU as BER into `out` (cleared first),
-    /// preserving the buffer's capacity for reuse across PDUs. With
-    /// the in-place constructed encoder this path performs no heap
-    /// allocation once the buffer is warm.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.clear();
-        match self {
-            Ppdu::Cp {
-                contexts,
-                user_data,
-            } => {
-                ber::write_constructed(TAG_CP, out, |c| {
-                    ber::write_constructed(Tag::SEQUENCE, c, |list| {
-                        for pc in contexts {
-                            ber::write_constructed(Tag::SEQUENCE, list, |item| {
-                                ber::write_integer(pc.id, item);
-                                ber::write_string(&pc.abstract_syntax, item);
-                                ber::write_string(&pc.transfer_syntax, item);
-                            });
-                        }
-                    });
-                    ber::write_octets(user_data, c);
-                });
-            }
-            Ppdu::Cpa { results, user_data } => {
-                ber::write_constructed(TAG_CPA, out, |c| {
-                    ber::write_constructed(Tag::SEQUENCE, c, |list| {
-                        for r in results {
-                            ber::write_constructed(Tag::SEQUENCE, list, |item| {
-                                ber::write_integer(r.id, item);
-                                ber::write_bool(r.accepted, item);
-                            });
-                        }
-                    });
-                    ber::write_octets(user_data, c);
-                });
-            }
-            Ppdu::Cpr { reason, user_data } => {
-                ber::write_constructed(TAG_CPR, out, |c| {
-                    ber::write_integer(*reason, c);
-                    if !user_data.is_empty() {
-                        ber::write_octets(user_data, c);
-                    }
-                });
-            }
-            Ppdu::Td {
-                context_id,
-                user_data,
-            } => {
-                ber::write_constructed(TAG_TD, out, |c| {
-                    ber::write_integer(*context_id, c);
-                    ber::write_octets(user_data, c);
-                });
-            }
-            Ppdu::Aru { reason } => {
-                ber::write_constructed(TAG_ARU, out, |c| {
-                    ber::write_integer(*reason, c);
-                });
-            }
-        }
+    fn read(r: &mut Reader<'_>) -> Result<Self, Asn1Error> {
+        let (id, accepted) = Ber::read(r)?;
+        Ok(ContextResult { id, accepted })
     }
+}
 
-    /// Parses a PPDU.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`Asn1Error`] on malformed BER or unknown tags.
-    pub fn decode(data: &[u8]) -> Result<Ppdu, Asn1Error> {
-        let mut r = Reader::new(data);
-        let (tag, content) = r.read_tlv()?;
-        let mut inner = r.descend(content)?;
-        let pdu = if tag == TAG_CP {
-            let list = inner.read_expect(Tag::SEQUENCE)?;
-            let mut lr = inner.descend(list)?;
-            let mut contexts = Vec::new();
-            while !lr.is_empty() {
-                let item = lr.read_expect(Tag::SEQUENCE)?;
-                let mut ir = lr.descend(item)?;
-                contexts.push(ProposedContext {
-                    id: ber::read_integer(&mut ir)?,
-                    abstract_syntax: ber::read_string(&mut ir)?,
-                    transfer_syntax: ber::read_string(&mut ir)?,
-                });
-                ir.expect_end()?;
-            }
-            let user_data = ber::read_octets(&mut inner)?;
-            Ppdu::Cp {
-                contexts,
-                user_data,
-            }
-        } else if tag == TAG_CPA {
-            let list = inner.read_expect(Tag::SEQUENCE)?;
-            let mut lr = inner.descend(list)?;
-            let mut results = Vec::new();
-            while !lr.is_empty() {
-                let item = lr.read_expect(Tag::SEQUENCE)?;
-                let mut ir = lr.descend(item)?;
-                results.push(ContextResult {
-                    id: ber::read_integer(&mut ir)?,
-                    accepted: ber::read_bool(&mut ir)?,
-                });
-                ir.expect_end()?;
-            }
-            let user_data = ber::read_octets(&mut inner)?;
-            Ppdu::Cpa { results, user_data }
-        } else if tag == TAG_CPR {
-            let reason = ber::read_integer(&mut inner)?;
-            let user_data = if inner.is_empty() {
-                Vec::new()
-            } else {
-                ber::read_octets(&mut inner)?
-            };
-            Ppdu::Cpr { reason, user_data }
-        } else if tag == TAG_TD {
-            let context_id = ber::read_integer(&mut inner)?;
-            let user_data = ber::read_octets(&mut inner)?;
-            Ppdu::Td {
-                context_id,
-                user_data,
-            }
-        } else if tag == TAG_ARU {
-            Ppdu::Aru {
-                reason: ber::read_integer(&mut inner)?,
-            }
-        } else {
-            return Err(Asn1Error::UnknownVariant {
-                what: "Ppdu",
-                value: i64::from(tag.number),
-            });
-        };
-        inner.expect_end()?;
-        r.expect_end()?;
-        Ok(pdu)
-    }
-
-    /// The application tag number (0–4) identifying the PPDU kind, or
-    /// `None` if `data` does not start with a known PPDU tag. Used in
-    /// `provided` guards without a full decode.
-    pub fn peek_kind(data: &[u8]) -> Option<u32> {
-        let (tag, _) = Tag::decode(data)?;
-        if tag.class == asn1::TagClass::Application && tag.constructed && tag.number <= 4 {
-            Some(tag.number)
-        } else {
-            None
-        }
+asn1::choice! {
+    /// A decoded presentation PDU.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Ppdu {
+        /// CP, connect presentation: proposed contexts + user data.
+        Cp = 0 {
+            /// Proposed presentation contexts.
+            contexts: Vec<ProposedContext>,
+            /// Presentation-user data (e.g. an MCAM AssociateReq).
+            user_data: Vec<u8>,
+        },
+        /// CPA, connect accept: per-context results + user data.
+        Cpa = 1 {
+            /// Context negotiation results.
+            results: Vec<ContextResult>,
+            /// Presentation-user data.
+            user_data: Vec<u8>,
+        },
+        /// CPR, connect reject: reason plus optional responder user
+        /// data (a refusing presentation user may hand back one
+        /// application PDU — e.g. an MCAM referral naming a better
+        /// server). Pre-referral encodings carry only the reason and
+        /// decode with empty data.
+        Cpr = 2 {
+            /// Provider/user reason code.
+            reason: i64,
+            /// Presentation-user data (may be empty).
+            user_data: Vec<u8> as Trailing,
+        },
+        /// TD, transfer data on a negotiated context.
+        Td = 3 {
+            /// Presentation context the payload is encoded under.
+            context_id: i64,
+            /// Presentation-user data.
+            user_data: Vec<u8>,
+        },
+        /// ARU, abnormal release (abort).
+        Aru = 4 {
+            /// Abort reason code.
+            reason: i64,
+        },
     }
 }
 
@@ -256,9 +120,8 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn all_variants_roundtrip() {
-        let samples = vec![
+    fn samples() -> Vec<Ppdu> {
+        vec![
             Ppdu::Cp {
                 contexts: sample_contexts(),
                 user_data: b"assoc".to_vec(),
@@ -280,6 +143,10 @@ mod tests {
                 ],
                 user_data: vec![7],
             },
+            Ppdu::Cpa {
+                results: vec![],
+                user_data: vec![],
+            },
             Ppdu::Cpr {
                 reason: 2,
                 user_data: vec![],
@@ -292,12 +159,32 @@ mod tests {
                 context_id: 1,
                 user_data: b"P-DATA".to_vec(),
             },
+            // Content past 127 bytes: long-form lengths, outer and inner.
+            Ppdu::Td {
+                context_id: -129,
+                user_data: (0..=255).collect(),
+            },
             Ppdu::Aru { reason: 1 },
-        ];
-        for p in samples {
-            let enc = p.encode();
-            assert_eq!(Ppdu::decode(&enc).unwrap(), p);
+        ]
+    }
+
+    /// `tests/golden_ppdus.txt` pins the wire format: line *i* is
+    /// `samples()[i]` in hex, first written by the hand-written coders
+    /// that preceded the table.
+    #[test]
+    fn all_variants_roundtrip() {
+        let lines: Vec<&str> = include_str!("../tests/golden_ppdus.txt").lines().collect();
+        let samples = samples();
+        assert_eq!(lines.len(), samples.len(), "one golden line per sample");
+        let mut seen = [false; 5];
+        for (p, line) in samples.iter().zip(lines) {
+            let bytes = p.encode();
+            let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, line, "{p:?}");
+            assert_eq!(Ppdu::decode(&bytes).unwrap(), *p, "{line}");
+            seen[p.tag() as usize] = true;
         }
+        assert!(seen.iter().all(|&s| s), "an alternative has no sample");
     }
 
     #[test]
@@ -305,7 +192,7 @@ mod tests {
         // A pre-referral CPR carried only the reason integer; such
         // encodings must keep decoding.
         let mut old = Vec::new();
-        ber::write_constructed(TAG_CPR, &mut old, |c| {
+        ber::write_constructed(Tag::application(2), &mut old, |c| {
             ber::write_integer(7, c);
         });
         assert_eq!(
@@ -318,42 +205,9 @@ mod tests {
     }
 
     #[test]
-    fn peek_kind_identifies_without_decoding() {
-        assert_eq!(
-            Ppdu::peek_kind(
-                &Ppdu::Cpr {
-                    reason: 0,
-                    user_data: vec![]
-                }
-                .encode()
-            ),
-            Some(2)
-        );
-        assert_eq!(
-            Ppdu::peek_kind(
-                &Ppdu::Td {
-                    context_id: 1,
-                    user_data: vec![]
-                }
-                .encode()
-            ),
-            Some(3)
-        );
-        assert_eq!(Ppdu::peek_kind(&[0x02, 0x01, 0x00]), None);
-        assert_eq!(Ppdu::peek_kind(&[]), None);
-    }
-
-    #[test]
     fn malformed_rejected() {
         assert!(Ppdu::decode(&[]).is_err());
         assert!(Ppdu::decode(&[0x02, 0x01, 0x00]).is_err());
-        // CP with truncated content.
-        let mut enc = Ppdu::Cp {
-            contexts: sample_contexts(),
-            user_data: vec![],
-        }
-        .encode();
-        enc.truncate(enc.len() - 2);
-        assert!(Ppdu::decode(&enc).is_err());
+        // Truncations, bit flips and lying lengths: `tests/malformed.rs`.
     }
 }

@@ -53,16 +53,7 @@ proptest! {
     }
 
     #[test]
-    fn peek_kind_matches_decode(p in ppdu_strategy()) {
-        let enc = p.encode();
-        let kind = Ppdu::peek_kind(&enc).expect("own encodings have a kind");
-        let expected = match p {
-            Ppdu::Cp { .. } => 0,
-            Ppdu::Cpa { .. } => 1,
-            Ppdu::Cpr { .. } => 2,
-            Ppdu::Td { .. } => 3,
-            Ppdu::Aru { .. } => 4,
-        };
-        prop_assert_eq!(kind, expected);
+    fn first_octet_is_the_constructed_application_tag(p in ppdu_strategy()) {
+        prop_assert_eq!(u32::from(p.encode()[0]), 0x60 | p.tag());
     }
 }

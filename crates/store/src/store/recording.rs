@@ -182,14 +182,6 @@ impl BlockStore {
         Some(rec.sealed && rec.blocks_durable >= rec.map.block_count())
     }
 
-    /// Progress of a recording: `(frames captured, blocks allocated,
-    /// blocks durable)`.
-    pub fn recording_progress(&self, rec_id: u32) -> Option<(u64, u64, u64)> {
-        let inner = self.inner.lock();
-        let rec = inner.recordings.get(&rec_id)?;
-        Some((rec.frames, rec.map.block_count(), rec.blocks_durable))
-    }
-
     /// Finalizes a durable recording into a registered movie: the
     /// block map becomes the movie's layout and the actual captured
     /// frame count and mean bitrate are recorded, so a subsequent
