@@ -85,6 +85,8 @@ impl StateMachine for AppMachine {
                 ctx.output(TO_ROOT, McamReq(op));
             })
             .provided(|m, _| !m.started && m.peek_is_associate())
+            // Woken by `Runtime::with_machine_mut` (`World::push_op`).
+            .woken()
             .cost(SimDuration::from_micros(30)),
             Transition::on("confirmation", RUN, TO_MCA, |m: &mut Self, _ctx, msg| {
                 let cnf = downcast::<McamCnf>(msg.unwrap()).unwrap();
@@ -115,6 +117,9 @@ impl StateMachine for AppMachine {
             .provided(|m, _| {
                 m.started && !m.awaiting && (!m.script.is_empty() || !m.queued.is_empty())
             })
+            // Woken by `Runtime::with_machine_mut` (`World::push_op`);
+            // `awaiting` and `started` change in this module's actions.
+            .woken()
             .cost(SimDuration::from_micros(30)),
         ]
     }

@@ -42,6 +42,7 @@ use parking_lot::Mutex;
 use presentation::service::{PAbortInd, PConInd, PConRsp, PDataInd, PDataReq, PRelInd, PRelRsp};
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::task::Waker;
 
 /// Interaction point to the presentation service.
 pub const DOWN: IpIndex = IpIndex(0);
@@ -73,6 +74,43 @@ pub const ERR_ADMISSION: u32 = 503;
 
 fn is<T: Interaction>(msg: Option<&dyn Interaction>) -> bool {
     msg.is_some_and(|m| m.is::<T>())
+}
+
+/// Server entities whose client was referred away, waiting for the
+/// [`ServerRoot`] to collect them — and the root's waker beside the
+/// list, so that pushing *is* telling the root.
+#[derive(Debug, Default)]
+pub struct Reaper {
+    list: Mutex<Vec<(estelle::ModuleId, netsim::SimTime)>>,
+    wake: Mutex<Option<Waker>>,
+}
+
+impl Reaper {
+    /// Schedules the entity whose MCA is `mca` for collection once
+    /// `at` has passed, then wakes the root.
+    pub fn push(&self, mca: estelle::ModuleId, at: netsim::SimTime) {
+        self.list.lock().push((mca, at));
+        let wake = self.wake.lock().clone();
+        if let Some(wake) = wake {
+            wake.wake();
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.list.lock().is_empty()
+    }
+
+    /// Removes and returns the entities whose grace period is over.
+    fn take_due(&self, now: netsim::SimTime) -> Vec<estelle::ModuleId> {
+        let mut list = self.list.lock();
+        let due = list
+            .iter()
+            .filter(|(_, at)| *at <= now)
+            .map(|(mca, _)| *mca)
+            .collect();
+        list.retain(|(_, at)| *at > now);
+        due
+    }
 }
 
 /// Shared handles every server entity needs.
@@ -114,7 +152,7 @@ pub struct ServerServices {
     /// collected) and the [`ServerRoot`] reaps it — MCA plus lower
     /// stack — once the grace period has let the referral reply
     /// drain through the stack.
-    pub reaper: Arc<Mutex<Vec<(estelle::ModuleId, netsim::SimTime)>>>,
+    pub reaper: Arc<Reaper>,
     /// Equipment client for the server site.
     pub eua: Eua,
     /// The site's equipment control agent (for direct inspection and
@@ -391,8 +429,7 @@ impl ServerMca {
         let candidates = self.services.control.candidates(&loads);
         self.services
             .reaper
-            .lock()
-            .push((ctx.self_ip(DOWN).module, ctx.now() + REAP_GRACE));
+            .push(ctx.self_id(), ctx.now() + REAP_GRACE);
         Some(McamPdu::ReferralRsp { target, candidates })
     }
 
@@ -688,6 +725,9 @@ impl ServerMca {
                     // the association BUSY and a spontaneous
                     // transition fires when the SPS reports the
                     // recording captured and durable.
+                    self.services
+                        .sps
+                        .on_recording_finished(stream_id, ctx.waker());
                     self.recording = Some(stream_id);
                     self.pending = Some(Pending::RecordCapture { title, stream_id });
                     ctx.goto(BUSY);
@@ -875,9 +915,8 @@ impl StateMachine for ServerMca {
             })
             .cost(COST_REQ),
             // Capture completion is a state of the stream provider,
-            // not a message: poll it spontaneously while a recording
-            // is pending and finalize once every frame is captured
-            // and every block durable.
+            // not a message: a spontaneous transition finalizes once
+            // every frame is captured and every block durable.
             Transition::spontaneous("record-done", BUSY, |m: &mut Self, ctx, _| {
                 let Some(Pending::RecordCapture { title, stream_id }) = m.pending.take() else {
                     unreachable!("guarded by the provided clause");
@@ -897,6 +936,9 @@ impl StateMachine for ServerMca {
                         if m.services.sps.recording_finished(*stream_id)
                 )
             })
+            // Woken by `StreamProviderSystem::pump` when the recording
+            // finishes (`on_recording_finished`).
+            .woken()
             .cost(COST_REQ),
             Transition::on("rel-ind", READY, DOWN, |m: &mut Self, ctx, msg| {
                 let _ = downcast::<PRelInd>(msg.unwrap()).unwrap();
@@ -978,6 +1020,10 @@ impl StateMachine for ServerRoot {
         StateId(0)
     }
 
+    fn on_init(&mut self, ctx: &mut Ctx<'_>) {
+        *self.services.reaper.wake.lock() = Some(ctx.waker());
+    }
+
     fn transitions() -> Vec<Transition<Self>> {
         // Two states: RUN (0) accepts connections; REAPING (1) is a
         // bounce the root takes when referred-away entities await
@@ -1010,9 +1056,14 @@ impl StateMachine for ServerRoot {
             })
             .any_state()
             .provided(|m, _| !m.pending_media.is_empty())
+            // Woken by `Runtime::with_machine_mut` (the world hands
+            // over a connection's server-side medium).
+            .woken()
             .cost(SimDuration::from_micros(400)),
             Transition::spontaneous("reap-arm", RUN, |_m: &mut Self, _ctx, _| {})
-                .provided(|m, _| !m.services.reaper.lock().is_empty())
+                .provided(|m, _| !m.services.reaper.is_empty())
+                // Woken by `Reaper::push` (`ServerMca::refer`).
+                .woken()
                 .to(REAPING)
                 .cost(SimDuration::from_micros(10)),
             // Release entities whose client was referred to another
@@ -1021,18 +1072,7 @@ impl StateMachine for ServerRoot {
             // accumulate forever. Only entries past their grace
             // deadline are collected; the rest re-arm the bounce.
             Transition::spontaneous("reap", REAPING, |m: &mut Self, ctx, _| {
-                let now = ctx.now();
-                let due: Vec<estelle::ModuleId> = {
-                    let mut reaper = m.services.reaper.lock();
-                    let ripe: Vec<estelle::ModuleId> = reaper
-                        .iter()
-                        .filter(|(_, at)| *at <= now)
-                        .map(|(mca, _)| *mca)
-                        .collect();
-                    reaper.retain(|(_, at)| *at > now);
-                    ripe
-                };
-                for mca in due {
+                for mca in m.services.reaper.take_due(ctx.now()) {
                     m.entities.retain(|e| *e != mca);
                     let Some(idx) = m.stacks.iter().position(|(e, _)| *e == mca) else {
                         continue; // already collected

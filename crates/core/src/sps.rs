@@ -30,6 +30,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
+use std::task::Waker;
 use store::{BlockStore, MovieId, PrefetchHint, StoreError};
 
 /// A finished recording, as returned by
@@ -52,6 +53,9 @@ struct RecordingSession {
     captured: u64,
     next_frame_at: SimTime,
     sealed: bool,
+    /// Whoever waits for the session to finish (see
+    /// [`StreamProviderSystem::on_recording_finished`]).
+    waiter: Option<Waker>,
 }
 
 /// One open playback stream.
@@ -330,6 +334,7 @@ impl StreamProviderSystem {
                 captured: 0,
                 next_frame_at: now,
                 sealed: false,
+                waiter: None,
             },
         );
         Ok(id)
@@ -339,11 +344,24 @@ impl StreamProviderSystem {
     /// every block.
     pub fn recording_finished(&self, id: u32) -> bool {
         let recordings = self.recordings.lock();
-        let Some(session) = recordings.get(&id) else {
-            return false;
-        };
+        recordings
+            .get(&id)
+            .is_some_and(|session| self.session_finished(id, session))
+    }
+
+    fn session_finished(&self, id: u32, session: &RecordingSession) -> bool {
         session.captured >= session.source.frame_count
             && self.store.recording_durable(id) == Some(true)
+    }
+
+    /// Registers the waker [`StreamProviderSystem::pump`] calls, once,
+    /// when [`StreamProviderSystem::recording_finished`] has turned
+    /// true for recording `id`. A recording that is already finished is
+    /// not announced after the fact: the caller looks once itself.
+    pub fn on_recording_finished(&self, id: u32, waker: Waker) {
+        if let Some(session) = self.recordings.lock().get_mut(&id) {
+            session.waiter = Some(waker);
+        }
     }
 
     /// Finalizes a finished recording: the store registers the
@@ -571,6 +589,18 @@ impl StreamProviderSystem {
         self.with_stream(id, |s| s.sender.position()).ok()
     }
 
+    /// The waiter of a finished recording, taken out of its session
+    /// (each is woken once, and outside the table's lock).
+    fn take_finished_waiter(&self) -> Option<Waker> {
+        let mut recordings = self.recordings.lock();
+        recordings
+            .iter_mut()
+            .filter(|(id, session)| {
+                session.waiter.is_some() && self.session_finished(**id, session)
+            })
+            .find_map(|(_, session)| session.waiter.take())
+    }
+
     /// Captures all recording frames due at or before `now`, feeding
     /// them through the store's write path; sessions that reach their
     /// frame target are sealed (tail flushed, bandwidth released).
@@ -599,6 +629,11 @@ impl StreamProviderSystem {
         let (store, share) = (&self.store, &self.share);
         self.pump_recordings(now);
         store.pump(now);
+        // The store's pump is what makes a captured recording durable:
+        // tell whoever waits for one that has just finished.
+        while let Some(waiter) = self.take_finished_waiter() {
+            waiter.wake();
+        }
         let mut streams = self.streams.lock();
         while let Some(dg) = self.socket.recv() {
             if let Ok(fb) = mtp::MtpFeedback::decode(&dg.payload) {

@@ -631,7 +631,7 @@ impl World {
             peers: Arc::clone(peers),
             rebalancer: Arc::clone(rebalancer),
             control: Arc::clone(control),
-            reaper: Arc::new(Mutex::new(Vec::new())),
+            reaper: Arc::default(),
             eua,
             eca: Arc::clone(&eca),
             site: format!("site-{name}"),
@@ -787,15 +787,61 @@ impl World {
 
     /// The driver loop behind [`World::run_until_quiet`] and
     /// [`World::client_op`]: runs until idle, past `limit`, or until
-    /// `done` returns true (checked between scheduler passes).
-    fn drive(&self, limit: SimTime, mut done: impl FnMut(&Self) -> bool) {
+    /// `done` returns true (checked between scheduler passes). In the
+    /// debug profile every return checks that no module was left with
+    /// an enabled transition and nobody to wake it.
+    fn drive(&self, limit: SimTime, done: impl FnMut(&Self) -> bool) {
+        self.drive_loop(limit, done);
+        #[cfg(debug_assertions)]
+        self.assert_no_missed_wakeup();
+    }
+
+    /// Panics with the runtime's report if a module has an enabled
+    /// transition the schedulers will never look at — a guard changed
+    /// and its owner did not call the module's waker.
+    fn assert_no_missed_wakeup(&self) {
+        let violations = self.rt.ready_index_violations();
+        assert!(
+            violations.is_empty(),
+            "the driver returned with the ready index out of step:\n{}",
+            violations.join("\n")
+        );
+    }
+
+    /// What is spinning when the driver does not quiesce: every module
+    /// with an enabled transition, and the transition.
+    fn enabled_report(&self) -> String {
+        let dispatch = self.seq_options.dispatch;
+        let mut lines = Vec::new();
+        for id in self.rt.alive_modules() {
+            let Some(transition) = self.rt.enabled_transition(id, dispatch) else {
+                continue;
+            };
+            let name = self.rt.module_meta(id).map_or_else(String::new, |m| m.name);
+            let kind = self.rt.module_type(id).unwrap_or("?");
+            lines.push(format!("{name} ({kind}) has {transition} enabled"));
+        }
+        if lines.is_empty() {
+            return "no module has an enabled transition: the network, a stream \
+                    provider or a controller keeps reporting work"
+                .into();
+        }
+        lines.join("\n")
+    }
+
+    fn drive_loop(&self, limit: SimTime, mut done: impl FnMut(&Self) -> bool) {
         let mut opts = self.seq_options.clone();
         opts.advance_time = false;
         let mut guard = 0u32;
         loop {
             guard += 1;
             if guard > 2_000_000 {
-                panic!("driver did not quiesce before iteration limit");
+                panic!(
+                    "driver did not quiesce within 2 000 000 iterations (sim time {}); \
+                     still spinning:\n{}",
+                    self.net.now(),
+                    self.enabled_report()
+                );
             }
             // Referral re-dials: hand queued server-side media to
             // their server roots (a client transition cannot reach
@@ -1056,11 +1102,22 @@ impl World {
     /// world until the confirmation arrives (ongoing streams keep
     /// flowing but do not delay the return), and returns the
     /// confirmation (or `None` on a stall).
+    ///
+    /// # Panics
+    ///
+    /// Panics, in every profile, if the world went quiet without a
+    /// confirmation *and* a module still has an enabled transition
+    /// nobody woke it for: that stall is a bug in a wake source, and
+    /// the message names the module and the transition.
     pub fn client_op(&self, client: &ClientHandle, op: McamOp) -> Option<McamPdu> {
         let before = self.replies(client).len();
         self.push_op(client, op);
         self.drive(SimTime::MAX, |w| w.replies(client).len() > before);
-        self.replies(client).get(before).cloned()
+        let reply = self.replies(client).get(before).cloned();
+        if reply.is_none() {
+            self.assert_no_missed_wakeup();
+        }
+        reply
     }
 
     /// Builds an MTP receiver for a stream the client selected.

@@ -35,6 +35,21 @@ fn associate_over_isode_stack() {
     associate(&world, &client);
 }
 
+/// A wake source that forgets to wake is a diagnosed bug, not a bare
+/// `None`: with the client medium's reader registration stolen, the
+/// reply is delivered and never announced, the world goes quiet, and
+/// the stall names the module and the transition nobody woke.
+#[test]
+#[should_panic(expected = "has from-medium enabled and nobody woke it")]
+fn a_stalled_operation_names_the_row_nobody_woke() {
+    let (world, _s, client) = world_with_client(StackKind::EstellePS);
+    associate(&world, &client);
+    world
+        .net
+        .on_available(client.ctrl_endpoints.0, std::task::Waker::noop().clone());
+    world.client_op(&client, McamOp::Release);
+}
+
 #[test]
 fn full_access_management_cycle() {
     let (world, _s, client) = world_with_client(StackKind::EstellePS);

@@ -13,6 +13,7 @@ use crate::machine::{Fsm, ModuleExec, StateMachine};
 use netsim::SimTime;
 use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::task::Waker;
 
 /// A deferred runtime mutation recorded by an action.
 #[derive(Debug)]
@@ -59,6 +60,7 @@ pub struct Ctx<'a> {
     pub(crate) effects: &'a mut Vec<Effect>,
     pub(crate) next_state: Option<StateId>,
     pub(crate) id_alloc: &'a AtomicU32,
+    pub(crate) waker: &'a Waker,
 }
 
 #[cfg(test)]
@@ -72,6 +74,7 @@ impl<'a> Ctx<'a> {
         firing_seq: u64,
         effects: &'a mut Vec<Effect>,
         id_alloc: &'a AtomicU32,
+        waker: &'a Waker,
     ) -> Self {
         Ctx {
             now,
@@ -81,6 +84,7 @@ impl<'a> Ctx<'a> {
             effects,
             next_state: None,
             id_alloc,
+            waker,
         }
     }
 
@@ -95,6 +99,7 @@ impl<'a> Ctx<'a> {
             0,
             effects,
             &TEST_ID_ALLOC,
+            Waker::noop(),
         )
     }
 
@@ -106,6 +111,18 @@ impl<'a> Ctx<'a> {
     /// The id of the module whose transition is firing.
     pub fn self_id(&self) -> ModuleId {
         self.self_id
+    }
+
+    /// The firing module's waker: calling it tells the runtime to
+    /// evaluate the module's [`crate::Transition::woken`] guards
+    /// again. Hand it (typically from `on_init`) to whoever owns the
+    /// state those guards read — a medium, a stream provider, a shared
+    /// list — which must publish its change first and wake second.
+    /// Waking takes no runtime lock, so it may be done from inside
+    /// another module's action or from any thread; waking a released
+    /// module does nothing.
+    pub fn waker(&self) -> Waker {
+        self.waker.clone()
     }
 
     /// Outputs `msg` on the firing module's interaction point `ip`.

@@ -6,6 +6,7 @@
 //! interaction point to a byte-oriented transport medium — is provided
 //! here as [`MediumModule`].
 
+use crate::ctx::Ctx;
 use crate::ids::{IpIndex, StateId};
 use crate::impl_interaction;
 use crate::machine::{StateMachine, Transition};
@@ -21,9 +22,9 @@ impl_interaction!(WireData);
 pub const MEDIUM_IP: IpIndex = IpIndex(0);
 
 /// An external-body module that forwards [`WireData`] interactions to a
-/// [`Medium`] and polls the medium for inbound traffic.
+/// [`Medium`] and delivers the medium's inbound traffic.
 ///
-/// Structure of its body is exactly the §4.3 loop:
+/// The meaning of its body is exactly the §4.3 loop:
 ///
 /// ```text
 /// while true do
@@ -31,6 +32,14 @@ pub const MEDIUM_IP: IpIndex = IpIndex(0);
 ///   if (medium.message) then output IP.message
 /// end
 /// ```
+///
+/// The runtime no longer *executes* that loop by polling: the first
+/// branch is a `when` transition, announced by its message, and the
+/// second is a [`Transition::woken`] transition — the module hands its
+/// waker to the medium in `initialize`, and `medium.message` is looked
+/// at when the medium says something arrived. Between announcements
+/// the module costs the scheduler nothing, and every firing happens
+/// where the loop would have made it.
 #[derive(Debug)]
 pub struct MediumModule {
     medium: Box<dyn Medium>,
@@ -62,6 +71,10 @@ impl StateMachine for MediumModule {
         RUN
     }
 
+    fn on_init(&mut self, ctx: &mut Ctx<'_>) {
+        self.medium.on_available(ctx.waker());
+    }
+
     fn transitions() -> Vec<Transition<Self>> {
         vec![
             Transition::on("to-medium", RUN, MEDIUM_IP, |m: &mut Self, _ctx, msg| {
@@ -78,6 +91,8 @@ impl StateMachine for MediumModule {
                 }
             })
             .provided(|m, _| m.medium.available() > 0)
+            // Woken by the medium after each delivery (`on_available`).
+            .woken()
             .cost(SimDuration::from_micros(20)),
         ]
     }
@@ -86,7 +101,6 @@ impl StateMachine for MediumModule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::Ctx;
     use crate::ids::{ModuleKind, ModuleLabels};
     use crate::runtime::Runtime;
     use crate::sched::{run_sequential, SeqOptions};
@@ -117,6 +131,83 @@ mod tests {
                 },
             )]
         }
+    }
+
+    /// Creates its wire as a child, in `initialize`, over a medium
+    /// handed to it — the way a server root wires a stack onto a
+    /// connection that may already hold the connect request.
+    #[derive(Debug)]
+    struct Acceptor {
+        medium: Option<Box<dyn Medium>>,
+        got: Vec<Vec<u8>>,
+    }
+    impl StateMachine for Acceptor {
+        fn num_ips(&self) -> usize {
+            1
+        }
+        fn initial_state(&self) -> StateId {
+            RUN
+        }
+        fn on_init(&mut self, ctx: &mut Ctx<'_>) {
+            let wire = ctx.create_child(
+                "wire",
+                ModuleKind::Process,
+                ModuleLabels::default(),
+                MediumModule::new(self.medium.take().expect("initialized once")),
+            );
+            ctx.connect(ctx.self_ip(IpIndex(0)), crate::ctx::ip(wire, MEDIUM_IP));
+        }
+        fn transitions() -> Vec<Transition<Self>> {
+            vec![Transition::on(
+                "recv",
+                RUN,
+                IpIndex(0),
+                |m: &mut Self, _ctx, msg| {
+                    let d = crate::interaction::downcast::<WireData>(msg.unwrap()).unwrap();
+                    m.got.push(d.0);
+                },
+            )]
+        }
+    }
+
+    #[test]
+    fn data_that_arrived_before_the_waker_was_registered_is_delivered() {
+        let (ma, mb) = LoopbackMedium::pair();
+        // Nobody is registered yet: this send wakes no one.
+        mb.send(b"connect".to_vec());
+        let (rt, _c) = Runtime::sim();
+        let acceptor = rt
+            .add_module(
+                None,
+                "acceptor",
+                ModuleKind::SystemProcess,
+                ModuleLabels::default(),
+                Acceptor {
+                    medium: Some(Box::new(ma)),
+                    got: Vec::new(),
+                },
+            )
+            .unwrap();
+        rt.start().unwrap();
+        let before = rt.counters().selects;
+        let report = run_sequential(&rt, &SeqOptions::default());
+        // The look every new wake-driven module is owed finds it.
+        let got = |rt: &Runtime| {
+            rt.with_machine::<Acceptor, _>(acceptor, |a| a.got.clone())
+                .unwrap()
+        };
+        assert_eq!(got(&rt), vec![b"connect".to_vec()]);
+        assert_eq!(report.firings, 2);
+        // After that the wire is looked at when the medium says so,
+        // and not otherwise.
+        assert_eq!(rt.ready_index_violations(), Vec::<String>::new());
+        let idle = rt.counters().selects;
+        assert!(idle - before <= 4, "{} selections", idle - before);
+        run_sequential(&rt, &SeqOptions::default());
+        assert_eq!(rt.counters().selects, idle);
+        mb.send(b"request".to_vec());
+        run_sequential(&rt, &SeqOptions::default());
+        assert_eq!(got(&rt).len(), 2);
     }
 
     #[test]

@@ -62,6 +62,9 @@ pub struct Transition<M> {
     pub delay: Option<SimDuration>,
     /// Virtual execution cost for the multiprocessor simulator.
     pub cost: SimDuration,
+    /// Set by [`Transition::woken`]: the guard of this spontaneous
+    /// transition only changes when the runtime is told.
+    pub woken: bool,
     /// The transition body.
     pub action: fn(&mut M, &mut Ctx<'_>, Option<Box<dyn Interaction>>),
 }
@@ -76,6 +79,7 @@ impl<M> fmt::Debug for Transition<M> {
             .field("when", &self.when)
             .field("delay", &self.delay)
             .field("cost", &self.cost)
+            .field("woken", &self.woken)
             .finish_non_exhaustive()
     }
 }
@@ -91,6 +95,7 @@ impl<M> Clone for Transition<M> {
             provided: self.provided,
             delay: self.delay,
             cost: self.cost,
+            woken: self.woken,
             action: self.action,
         }
     }
@@ -112,6 +117,7 @@ impl<M> Transition<M> {
             provided: None,
             delay: None,
             cost: DEFAULT_TRANSITION_COST,
+            woken: false,
             action,
         }
     }
@@ -165,11 +171,41 @@ impl<M> Transition<M> {
         self
     }
 
+    /// Declares that the `provided` guard of this spontaneous
+    /// transition only changes when somebody tells the runtime: the
+    /// owner of whatever the guard reads holds the module's waker
+    /// ([`Ctx::waker`]) and calls it *after* publishing the change, or
+    /// the change is made through [`crate::Runtime::with_machine_mut`],
+    /// or by one of the module's own actions. The runtime then
+    /// evaluates the guard once after each such announcement (and once
+    /// on entering the state) instead of on every scheduler pass.
+    ///
+    /// Without this clause a spontaneous transition is polled, which
+    /// is what Estelle means by it. A row that also has a `delay`
+    /// stays polled — its deadline has to be visible to the idle
+    /// driver — and the clause is rejected on a row with a `when`
+    /// (see [`Fsm::new`]).
+    pub fn woken(mut self) -> Self {
+        self.woken = true;
+        self
+    }
+
     fn matches_state(&self, s: StateId) -> bool {
         match self.from {
             FromState::Any => true,
             FromState::In(f) => f == s,
         }
+    }
+
+    /// No `when` clause, and nobody announces when the guard changes
+    /// (or a `delay` has to be watched): selected on every pass.
+    fn polled(&self) -> bool {
+        self.when.is_none() && !self.wake_driven()
+    }
+
+    /// A `.woken()` row that is not polled: selected when told.
+    fn wake_driven(&self) -> bool {
+        self.woken && self.delay.is_none()
     }
 }
 
@@ -332,12 +368,20 @@ pub trait ModuleExec: Send {
     /// given current queues; `None` if no delay transition is pending.
     fn next_deadline(&self, ips: &[IpState], entered: SimTime) -> Option<SimTime>;
     /// Whether the current state owns a transition without a `when`
-    /// clause (spontaneous or `delay`-only). Such a state must be
-    /// polled: its transitions can become enabled with every queue
-    /// empty. In any other state `select` and `next_deadline` yield
-    /// `None` whenever every queue is empty, so the runtime's ready
-    /// index may skip the module until a message arrives.
+    /// clause (spontaneous or `delay`-only) that nobody announces
+    /// (no [`Transition::woken`] clause, or one beside a `delay`).
+    /// Such a state must be polled: its transitions can become enabled
+    /// with every queue empty and nothing said. In any other state
+    /// `next_deadline` yields `None` whenever every queue is empty,
+    /// and so does `select` unless the state is
+    /// [`ModuleExec::wake_driven`].
     fn polls(&self) -> bool;
+    /// Whether the current state owns a [`Transition::woken`] row
+    /// without a `delay`: with every queue empty, `select` can only
+    /// yield such a row, and only after a wake-up (or on entering the
+    /// state), so the runtime's ready index may skip the module in
+    /// between.
+    fn wake_driven(&self) -> bool;
     /// Static transition descriptions (priority order), for
     /// specification export.
     fn transition_info(&self) -> Vec<TransitionInfo>;
@@ -358,9 +402,12 @@ pub struct Fsm<M: StateMachine> {
     /// Per-state indices into `order` (includes `Any`-state
     /// transitions), used by table-driven dispatch.
     by_state: Vec<Vec<u16>>,
-    /// Per-state: the row holds a transition without a `when` clause
-    /// (see [`ModuleExec::polls`]).
+    /// Per-state: the row holds a polled transition (see
+    /// [`ModuleExec::polls`]).
     polls: Vec<bool>,
+    /// Per-state: the row holds a wake-driven transition (see
+    /// [`ModuleExec::wake_driven`]).
+    wakes: Vec<bool>,
 }
 
 impl<M: StateMachine + fmt::Debug> fmt::Debug for Fsm<M> {
@@ -376,8 +423,22 @@ impl<M: StateMachine + fmt::Debug> fmt::Debug for Fsm<M> {
 impl<M: StateMachine> Fsm<M> {
     /// Compiles the machine's transition list and wraps it for
     /// execution.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a transition carries both a `when` clause and
+    /// [`Transition::woken`]: an input transition is announced by its
+    /// message, and a specification that says otherwise is a bug.
     pub fn new(machine: M) -> Self {
         let mut order = M::transitions();
+        for t in &order {
+            assert!(
+                !(t.woken && t.when.is_some()),
+                "transition {:?} of {} has a `when` clause: only spontaneous transitions can be woken",
+                t.name,
+                machine.type_name()
+            );
+        }
         // Stable: ties keep declaration order.
         order.sort_by_key(|t| t.priority);
         let mut max_state = machine.initial_state().0 as usize;
@@ -400,10 +461,14 @@ impl<M: StateMachine> Fsm<M> {
                 FromState::In(s) => by_state[s.0 as usize].push(i as u16),
             }
         }
-        let polls = by_state
-            .iter()
-            .map(|row| row.iter().any(|&i| order[i as usize].when.is_none()))
-            .collect();
+        let per_state = |pred: fn(&Transition<M>) -> bool| {
+            by_state
+                .iter()
+                .map(|row| row.iter().any(|&i| pred(&order[i as usize])))
+                .collect()
+        };
+        let polls = per_state(Transition::polled);
+        let wakes = per_state(Transition::wake_driven);
         let state = machine.initial_state();
         Fsm {
             machine,
@@ -411,7 +476,23 @@ impl<M: StateMachine> Fsm<M> {
             order,
             by_state,
             polls,
+            wakes,
         }
+    }
+
+    /// The current state's entry in a per-state table compiled from
+    /// `pred`. A state past the table (reached by `Ctx::goto` only)
+    /// has no row; hard-coded dispatch still matches `Any` transitions
+    /// there.
+    fn state_has(&self, table: &[bool], pred: fn(&Transition<M>) -> bool) -> bool {
+        table
+            .get(self.state.0 as usize)
+            .copied()
+            .unwrap_or_else(|| {
+                self.order
+                    .iter()
+                    .any(|t| t.matches_state(self.state) && pred(t))
+            })
     }
 
     /// Immutable access to the wrapped machine (for assertions and the
@@ -449,6 +530,7 @@ impl<M: StateMachine> Fsm<M> {
             0,
             &mut effects,
             &BENCH_ALLOC,
+            std::task::Waker::noop(),
         );
         self.fire(sel, None, &mut ctx);
         true
@@ -581,17 +663,11 @@ impl<M: StateMachine> ModuleExec for Fsm<M> {
     }
 
     fn polls(&self) -> bool {
-        // A state past the table (reached by `Ctx::goto` only) has no
-        // row; hard-coded dispatch still matches `Any` transitions
-        // there.
-        self.polls
-            .get(self.state.0 as usize)
-            .copied()
-            .unwrap_or_else(|| {
-                self.order
-                    .iter()
-                    .any(|t| t.matches_state(self.state) && t.when.is_none())
-            })
+        self.state_has(&self.polls, Transition::polled)
+    }
+
+    fn wake_driven(&self) -> bool {
+        self.state_has(&self.wakes, Transition::wake_driven)
     }
 
     fn next_deadline(&self, ips: &[IpState], entered: SimTime) -> Option<SimTime> {
@@ -817,6 +893,76 @@ mod tests {
             Some(SimTime::from_millis(110))
         );
         assert!(fsm.polls(), "a delay-only row must be polled");
+    }
+
+    /// One guarded spontaneous row per state: S0 announced, S1
+    /// announced but delayed, `StateId(2)` plain.
+    #[derive(Debug, Default)]
+    struct Announced {
+        open: bool,
+    }
+    impl StateMachine for Announced {
+        fn num_ips(&self) -> usize {
+            0
+        }
+        fn initial_state(&self) -> StateId {
+            S0
+        }
+        fn transitions() -> Vec<Transition<Self>> {
+            let row = |name, from| {
+                Transition::spontaneous(name, from, |_m: &mut Self, _c, _i| {})
+                    .provided(|m, _| m.open)
+            };
+            vec![
+                row("told", S0).woken().to(S1),
+                row("told-late", S1)
+                    .woken()
+                    .delay(SimDuration::from_millis(1)),
+                row("asked", StateId(2)),
+            ]
+        }
+    }
+
+    #[test]
+    fn woken_rows_are_not_polled_unless_delayed() {
+        let mut fsm = Fsm::new(Announced::default());
+        assert!(!fsm.polls() && fsm.wake_driven());
+        // The guard still decides: the clause only says when to look.
+        assert!(fsm
+            .select(&[], SimTime::ZERO, SimTime::ZERO, Dispatch::TableDriven)
+            .is_none());
+        fsm.machine_mut().open = true;
+        assert!(fsm
+            .select(&[], SimTime::ZERO, SimTime::ZERO, Dispatch::HardCoded)
+            .is_some());
+        // Beside a `delay` the row is polled: its deadline must be seen.
+        fsm.state = S1;
+        assert!(fsm.polls() && !fsm.wake_driven());
+        assert!(fsm.next_deadline(&[], SimTime::ZERO).is_some());
+        fsm.state = StateId(2);
+        assert!(fsm.polls() && !fsm.wake_driven());
+        // Past the table only `Any` rows match, and there are none.
+        fsm.state = StateId(9);
+        assert!(!fsm.polls() && !fsm.wake_driven());
+    }
+
+    #[test]
+    #[should_panic(expected = "only spontaneous transitions can be woken")]
+    fn woken_is_rejected_on_an_input_transition() {
+        #[derive(Debug)]
+        struct Confused;
+        impl StateMachine for Confused {
+            fn num_ips(&self) -> usize {
+                1
+            }
+            fn initial_state(&self) -> StateId {
+                S0
+            }
+            fn transitions() -> Vec<Transition<Self>> {
+                vec![Transition::on("both", S0, IpIndex(0), |_m: &mut Self, _c, _i| {}).woken()]
+            }
+        }
+        let _ = Fsm::new(Confused);
     }
 
     #[test]

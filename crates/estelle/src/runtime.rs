@@ -11,7 +11,8 @@ use crate::error::{EstelleError, Result};
 use crate::ids::{IpIndex, IpRef, ModuleId, ModuleKind, ModuleLabels, StateId};
 use crate::interaction::Interaction;
 use crate::machine::{
-    Dispatch, FiredInfo, Fsm, IpState, ModuleExec, QueuedMsg, StateMachine, DEFAULT_TRANSITION_COST,
+    Dispatch, FiredInfo, Fsm, IpState, ModuleExec, QueuedMsg, Selected, StateMachine,
+    DEFAULT_TRANSITION_COST,
 };
 use crate::trace::{ExecTrace, FiringRecord, TraceModuleMeta};
 use netsim::{Clock, SimDuration, SimTime, VirtualClock};
@@ -19,6 +20,7 @@ use parking_lot::{Mutex, RwLock};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::task::{Wake, Waker};
 use std::time::Instant;
 
 /// Result of attempting to fire one module once.
@@ -141,6 +143,25 @@ struct ModuleCore {
     inited: bool,
 }
 
+/// Ready-index words are allocated in chunks shared between the
+/// module table and the slots of the modules whose bits they hold, so
+/// a module can be marked ready through its slot alone — without the
+/// topology lock (see [`ModuleSlot::mark_ready`]).
+type ReadyChunk = [AtomicU64; CHUNK_BITS / 64];
+
+/// Module ids covered by one [`ReadyChunk`].
+const CHUNK_BITS: usize = 512;
+
+/// The word of `chunk` holding the bit of module index `i`.
+fn chunk_word(chunk: &ReadyChunk, i: usize) -> &AtomicU64 {
+    &chunk[i % CHUNK_BITS / 64]
+}
+
+/// The name of the transition a selection picked.
+fn selected_name(exec: &dyn ModuleExec, sel: Selected) -> &'static str {
+    exec.transition_info()[sel.index as usize].name
+}
+
 struct ModuleSlot {
     id: ModuleId,
     name: String,
@@ -159,6 +180,11 @@ struct ModuleSlot {
     /// [`ModuleExec::polls`] of the current state, refreshed under the
     /// core lock whenever the state may have moved.
     polls: AtomicBool,
+    /// Somebody announced that a [`crate::Transition::woken`] guard of
+    /// this module may have changed and no selection has looked since.
+    woken: AtomicBool,
+    /// The chunk of the ready index holding this module's bit.
+    ready: Arc<ReadyChunk>,
 }
 
 impl ModuleSlot {
@@ -172,12 +198,66 @@ impl ModuleSlot {
     fn can_fire(&self) -> bool {
         self.is_alive()
             && self.kind != ModuleKind::Inactive
-            && (self.queued.load(Ordering::SeqCst) > 0 || self.polls.load(Ordering::SeqCst))
+            && (self.queued.load(Ordering::SeqCst) > 0
+                || self.polls.load(Ordering::SeqCst)
+                || self.woken.load(Ordering::SeqCst))
+    }
+
+    /// Sets the module's ready bit. Callers publish what made the
+    /// module ready (queue count, `polls`, `woken`) first.
+    fn mark_ready(&self) {
+        let i = self.id.index();
+        chunk_word(&self.ready, i).fetch_or(1 << (i % 64), Ordering::SeqCst);
+    }
+
+    /// Appends `msg` to one of the module's queues, counts it and
+    /// marks the module ready (in that order); false if the
+    /// interaction point does not exist.
+    fn enqueue(&self, ip: IpIndex, msg: QueuedMsg) -> bool {
+        {
+            let mut core = self.core.lock();
+            let Some(ip) = core.ips.get_mut(ip.0 as usize) else {
+                return false;
+            };
+            ip.queue.push_back(msg);
+            self.queued.fetch_add(1, Ordering::SeqCst);
+        }
+        self.mark_ready();
+        true
+    }
+
+    /// A wake-up: the next selection must evaluate the guards again.
+    /// Two atomic writes and no lock, so it may come from inside any
+    /// firing and from any thread.
+    fn mark_woken(&self) {
+        self.woken.store(true, Ordering::SeqCst);
+        self.mark_ready();
+    }
+
+    /// Republishes what the ready-index predicate reads of the state
+    /// machine after it may have moved (under the core lock): the
+    /// `polls` bit, and a wake-up if the state now owns a wake-driven
+    /// row — the action may have changed what its guard reads, and
+    /// nobody else knows.
+    fn refresh(&self, exec: &dyn ModuleExec) {
+        self.polls.store(exec.polls(), Ordering::SeqCst);
+        if exec.wake_driven() {
+            self.woken.store(true, Ordering::SeqCst);
+        }
+    }
+
+    /// Consumes the wake-up on behalf of the selection the caller is
+    /// about to make under the core lock: clear first, evaluate the
+    /// guards second, so a wake that lands in between is kept for the
+    /// next look. Returns whether one was pending.
+    fn take_woken(&self) -> bool {
+        self.woken.swap(false, Ordering::SeqCst)
     }
 
     /// Whether a transition is enabled now (ignoring parent
     /// precedence). Skips the core lock for modules outside the
-    /// ready-index predicate.
+    /// ready-index predicate, and leaves a pending wake-up alone: this
+    /// look is somebody else asking, not the module's turn.
     fn enabled(&self, dispatch: Dispatch, now: SimTime, counters: &AtomicCounters) -> bool {
         if !self.can_fire() {
             return false;
@@ -190,14 +270,27 @@ impl ModuleSlot {
     }
 }
 
+/// [`Ctx::waker`] is the slot itself: no allocation per module, and
+/// waking a released module only sets a flag nobody reads.
+impl Wake for ModuleSlot {
+    fn wake(self: Arc<Self>) {
+        self.mark_woken();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        self.mark_woken();
+    }
+}
+
 /// The module table and, beside it, the ready index (see
 /// [`Runtime`]). One lock guards both so the index grows with the table; the
 /// bits themselves flip under the read guard.
 #[derive(Default)]
 struct Topology {
     slots: Vec<Option<Arc<ModuleSlot>>>,
-    /// Bit `id % 64` of word `id / 64` ⇒ module `id` is a member.
-    ready: Vec<AtomicU64>,
+    /// Bit `id % 64` of word `id / 64` ⇒ module `id` is a member; the
+    /// words come in chunks of [`CHUNK_BITS`] ids.
+    ready: Vec<Arc<ReadyChunk>>,
 }
 
 impl Topology {
@@ -209,26 +302,9 @@ impl Topology {
         self.slots.iter().flatten().filter(|s| s.is_alive())
     }
 
-    /// Sets the ready bit of an inserted module. Callers publish what
-    /// made the module ready (queue count, `polls`, the slot) first.
-    fn mark_ready(&self, id: ModuleId) {
-        self.ready[id.index() / 64].fetch_or(1 << (id.index() % 64), Ordering::SeqCst);
-    }
-
-    /// Appends `msg` to a queue of `dest`, counts it and marks `dest`
-    /// ready (in that order); false if the interaction point does not
-    /// exist.
-    fn enqueue(&self, dest: &ModuleSlot, ip: IpIndex, msg: QueuedMsg) -> bool {
-        {
-            let mut core = dest.core.lock();
-            let Some(ip) = core.ips.get_mut(ip.0 as usize) else {
-                return false;
-            };
-            ip.queue.push_back(msg);
-            dest.queued.fetch_add(1, Ordering::SeqCst);
-        }
-        self.mark_ready(dest.id);
-        true
+    /// The ready-index word holding the bit of module index `i`.
+    fn word(&self, i: usize) -> &AtomicU64 {
+        chunk_word(&self.ready[i / CHUNK_BITS], i)
     }
 
     /// The first index member in `range` (ascending id), dropping idle
@@ -237,7 +313,7 @@ impl Topology {
         let end = range.end.index().min(self.slots.len());
         let mut i = range.start.index();
         while i < end {
-            let word = &self.ready[i / 64];
+            let word = self.word(i);
             let bits = word.load(Ordering::SeqCst) & (u64::MAX << (i % 64));
             if bits == 0 {
                 i = (i / 64 + 1) * 64;
@@ -328,24 +404,61 @@ pub enum Readiness {
 /// [`Runtime::readiness`], [`Runtime::next_deadline`]) consults members
 /// only.
 ///
-/// Invariant: `alive ∧ (queued > 0 ∨ polls(state))` ⇒ the module's bit
-/// is set, where `queued` counts the messages in the module's queues
-/// and `polls` is [`crate::ModuleExec::polls`] of its current state (a
-/// transition without a `when` clause); inactive modules, which never
-/// fire, are never members. Every transition of a module
-/// outside that predicate has a `when` on an empty queue, so `select`
-/// and `next_deadline` would both yield `None`: skipping it changes
+/// Invariant: `alive ∧ (queued > 0 ∨ polls(state) ∨ woken)` ⇒ the
+/// module's bit is set, where `queued` counts the messages in the
+/// module's queues, `polls` is [`crate::ModuleExec::polls`] of its
+/// current state (a transition without a `when` clause that nobody
+/// announces) and `woken` says a wake-up is pending; inactive modules,
+/// which never fire, are never members. A module outside that
+/// predicate has `when` transitions on empty queues and
+/// [`crate::Transition::woken`] transitions whose guards were false at
+/// the last look with no change announced since, so `select` and
+/// `next_deadline` would both yield `None`: skipping it changes
 /// nothing but the counters. Polling states stay members whatever
-/// their guards say, because guards read state the runtime cannot see
-/// change (a medium's receive buffer, a stream provider's flags).
+/// their guards say — that is what a spontaneous transition means when
+/// nothing else is said.
+///
+/// **Who sets `woken`:** the module's [`Ctx::waker`], held by whoever
+/// owns what a guard reads (a medium after a delivery, the stream
+/// provider when a recording finishes, the reaper list after a push);
+/// [`Runtime::with_machine_mut`], because the outside hand may have
+/// changed it; insertion and `initialize`, because it may have changed
+/// before anybody held the waker; and the module's own firing whenever
+/// the state it ends in owns a wake-driven row, because its action may
+/// have changed it. **Who consumes it:** the look — the selection made
+/// on the module's behalf by a firing attempt or by
+/// [`Runtime::readiness`] clears the flag immediately *before* it
+/// evaluates the guards. Guards false: the module drops out until the
+/// next wake-up. A wake that lands after the clear stays for the next
+/// look. A look that finds a transition without firing it
+/// (`readiness` answering `Enabled`) puts the flag back; a look on
+/// somebody else's behalf (parent precedence,
+/// [`Runtime::module_enabled`]) and an attempt refused as `Blocked`
+/// never touch it.
+///
+/// **Waking takes no lock.** A waker is called from inside firings —
+/// a medium's `send` runs under the topology read guard and a core
+/// lock, neither of which may be taken again — and from threads no
+/// scheduler owns. So the ready-index words live in chunks shared
+/// between the table and the slots, a slot knows its own bit, and a
+/// wake-up is two atomic stores: flag, then bit. The waker *is* the
+/// slot (`Arc<ModuleSlot>` implements [`std::task::Wake`]): no
+/// allocation per module, and waking a released module does nothing.
+/// A waker therefore keeps its module alive, and whoever holds it is
+/// usually held by that module's body; the runtime's `Drop` ends those
+/// cycles by dropping the bodies.
 ///
 /// The bit is set when a slot is inserted, after every enqueue (count
-/// first, bit second) and after `initialize` or a firing leaves the
-/// module able to fire again. It is cleared lazily by the scan that
-/// finds the member idle or dead: clear, then look at the predicate
-/// once more and set the bit back if it turned true meanwhile. All of
-/// these are `SeqCst`, so whichever of "set after publishing" and
-/// "re-check after clearing" comes second sees the other and no
+/// first, bit second), by every wake-up (flag first, bit second) and
+/// after `initialize` or a firing leaves the module able to fire
+/// again. It is cleared lazily by the scan that finds the member idle
+/// or dead: clear, then look at the predicate once more and set the
+/// bit back if it turned true meanwhile. All of these are `SeqCst`,
+/// and the same argument covers all three terms: a source publishes
+/// (queue count, `polls`, or its own state followed by `woken`) and
+/// *then* sets the bit; a scan clears the bit and *then* re-reads the
+/// predicate; a look clears `woken` and *then* reads the guards.
+/// Whichever of the two sides comes second sees the other, so no
 /// wake-up is lost under the parallel schedulers. One window remains:
 /// a module that consumed its last message is outside the index until
 /// its action returns, and holds no lock an index walk would wait on.
@@ -371,6 +484,37 @@ pub struct Runtime {
     qos_on: AtomicBool,
     qos: RwLock<Option<Arc<crate::qos::QosMonitor>>>,
     dynamic_systems: AtomicBool,
+}
+
+/// The body [`Runtime`]'s `Drop` leaves in every slot: no interaction
+/// points, no transitions.
+struct TornDown;
+
+impl StateMachine for TornDown {
+    fn num_ips(&self) -> usize {
+        0
+    }
+    fn initial_state(&self) -> StateId {
+        StateId(0)
+    }
+    fn transitions() -> Vec<crate::machine::Transition<Self>> {
+        Vec::new()
+    }
+}
+
+/// A waker is its module's slot, and the owners of what guards read
+/// keep wakers (a medium its reader's, the stream provider a waiting
+/// MCA's) while the module bodies keep those owners: slot → body →
+/// medium → waker → slot. The runtime ends every such cycle by
+/// dropping the bodies when it goes; without this a dropped runtime's
+/// modules, media and network would stay allocated for good.
+impl Drop for Runtime {
+    fn drop(&mut self) {
+        for slot in self.topo.get_mut().slots.iter().flatten() {
+            let body = std::mem::replace(&mut slot.core.lock().exec, Box::new(Fsm::new(TornDown)));
+            drop(body);
+        }
+    }
 }
 
 impl std::fmt::Debug for Runtime {
@@ -539,6 +683,16 @@ impl Runtime {
     ) {
         let num_ips = exec.num_ips();
         let polls = exec.polls();
+        // A wake-driven initial state gets its first look for free:
+        // whatever its guards read may have changed before anybody
+        // held the module's waker.
+        let woken = exec.wake_driven();
+        let mut topo = self.topo.write();
+        if topo.slots.len() <= id.index() {
+            topo.slots.resize_with(id.index() + 1, || None);
+            let chunks = topo.slots.len().div_ceil(CHUNK_BITS);
+            topo.ready.resize_with(chunks, Arc::default);
+        }
         let slot = Arc::new(ModuleSlot {
             id,
             name,
@@ -557,17 +711,12 @@ impl Runtime {
             family_lock: Mutex::new(()),
             queued: AtomicUsize::new(0),
             polls: AtomicBool::new(polls),
+            woken: AtomicBool::new(woken),
+            ready: Arc::clone(&topo.ready[id.index() / CHUNK_BITS]),
         });
-        {
-            let mut topo = self.topo.write();
-            if topo.slots.len() <= id.index() {
-                topo.slots.resize_with(id.index() + 1, || None);
-                let words = topo.slots.len().div_ceil(64);
-                topo.ready.resize_with(words, AtomicU64::default);
-            }
-            topo.slots[id.index()] = Some(slot);
-            topo.mark_ready(id);
-        }
+        slot.mark_ready();
+        topo.slots[id.index()] = Some(slot);
+        drop(topo);
         if let Some(p) = parent {
             if let Some(ps) = self.slot(p) {
                 ps.children.lock().push(id);
@@ -666,6 +815,7 @@ impl Runtime {
         }
         let mut effects = Vec::new();
         let seq = self.fire_seq.fetch_add(1, Ordering::SeqCst);
+        let waker = Waker::from(Arc::clone(&slot));
         {
             let mut core = slot.core.lock();
             if core.inited {
@@ -680,12 +830,13 @@ impl Runtime {
                 seq,
                 &mut effects,
                 &self.next_id,
+                &waker,
             );
             core.exec.on_init(&mut ctx);
-            slot.polls.store(core.exec.polls(), Ordering::SeqCst);
+            slot.refresh(&*core.exec);
         }
         if slot.can_fire() {
-            self.topo.read().mark_ready(id);
+            slot.mark_ready();
         }
         self.counters.inits.fetch_add(1, Ordering::Relaxed);
         if self.trace_on.load(Ordering::Relaxed) {
@@ -810,6 +961,9 @@ impl Runtime {
         let mut effects = Vec::new();
         let mut qos_obs = None;
         let mut core = slot.core.lock();
+        // This is the module's own look: a module whose guards turn
+        // out false leaves the index until the next wake-up.
+        slot.take_woken();
         self.counters.selects.fetch_add(1, Ordering::Relaxed);
         let sel = core
             .exec
@@ -846,7 +1000,8 @@ impl Runtime {
             }
             q.msg
         });
-        let mut ctx = Ctx::new(now, id, slot.kind, seq, &mut effects, &self.next_id);
+        let waker = Waker::from(Arc::clone(slot));
+        let mut ctx = Ctx::new(now, id, slot.kind, seq, &mut effects, &self.next_id, &waker);
         let info = core.exec.fire(sel, input_msg, &mut ctx);
         self.counters
             .action_ns
@@ -855,12 +1010,12 @@ impl Runtime {
             core.entered_at = now;
         }
         core.last_seq = Some(seq);
-        slot.polls.store(core.exec.polls(), Ordering::SeqCst);
+        slot.refresh(&*core.exec);
         drop(core);
         // Another thread's scan may have dropped the module from the
         // index while its last message was being consumed.
         if slot.can_fire() {
-            topo.mark_ready(id);
+            slot.mark_ready();
         }
         Ok(Firing {
             in_flight,
@@ -929,6 +1084,19 @@ impl Runtime {
         enabled
     }
 
+    /// The transition `id` would fire if it were selected now, by
+    /// name, whether or not the ready index would let a scheduler look
+    /// at it — for reports about what keeps a driver busy. Not counted
+    /// as a selection.
+    pub fn enabled_transition(&self, id: ModuleId, dispatch: Dispatch) -> Option<&'static str> {
+        let slot = self.slot(id).filter(|s| s.is_alive())?;
+        let core = slot.core.lock();
+        let sel = core
+            .exec
+            .select(&core.ips, self.clock.now(), core.entered_at, dispatch)?;
+        Some(selected_name(&*core.exec, sel))
+    }
+
     /// One walk of the ready index: whether a member has an enabled
     /// transition (looked for only with a `dispatch`, and ending the
     /// walk) and the earliest `delay` deadline among the members seen.
@@ -956,9 +1124,15 @@ impl Runtime {
             cursor = slot.id.next();
             let core = slot.core.lock();
             if let Some(dispatch) = dispatch {
+                let woken = slot.take_woken();
                 self.counters.selects.fetch_add(1, Ordering::Relaxed);
                 let sel = core.exec.select(&core.ips, now, core.entered_at, dispatch);
                 if sel.is_some() {
+                    // Found, not fired: the wake-up is still owed to
+                    // the scheduler that will fire it.
+                    if woken {
+                        slot.mark_woken();
+                    }
                     enabled = true;
                     break;
                 }
@@ -1062,7 +1236,7 @@ impl Runtime {
         let queued = topo
             .slot(peer.module)
             .filter(|dest| dest.is_alive())
-            .is_some_and(|dest| topo.enqueue(dest, peer.ip, msg));
+            .is_some_and(|dest| dest.enqueue(peer.ip, msg));
         if !queued {
             self.counters.msgs_to_dead.fetch_add(1, Ordering::Relaxed);
         }
@@ -1113,7 +1287,7 @@ impl Runtime {
             provenance: None,
             enqueued_at: self.clock.now(),
         };
-        if topo.enqueue(slot, target.ip, msg) {
+        if slot.enqueue(target.ip, msg) {
             Ok(())
         } else {
             Err(EstelleError::IpOutOfRange(target))
@@ -1182,7 +1356,10 @@ impl Runtime {
         Some(f(fsm.machine()))
     }
 
-    /// Mutable variant of [`Runtime::with_machine`].
+    /// Mutable variant of [`Runtime::with_machine`]. The outside hand
+    /// may have changed what a [`crate::Transition::woken`] guard of
+    /// the module reads, so a module whose current state owns such a
+    /// row is woken (see "The ready index" above).
     pub fn with_machine_mut<M: StateMachine, R>(
         &self,
         id: ModuleId,
@@ -1191,7 +1368,11 @@ impl Runtime {
         let slot = self.slot(id)?;
         let mut core = slot.core.lock();
         let fsm = core.exec.as_any_mut().downcast_mut::<Fsm<M>>()?;
-        Some(f(fsm.machine_mut()))
+        let result = f(fsm.machine_mut());
+        if core.exec.wake_driven() {
+            slot.mark_woken();
+        }
+        Some(result)
     }
 
     /// Total messages queued across all interaction points.
@@ -1208,9 +1389,13 @@ impl Runtime {
     /// bit, a module that satisfies the membership predicate but is
     /// not a member, and a module outside the predicate for which
     /// `select` or `next_deadline` nevertheless yields something (the
-    /// claim that lets scans skip it). Meaningful only while no
-    /// scheduler is running; the equivalence tests call it between
-    /// runs.
+    /// claim that lets scans skip it). With empty queues and no polled
+    /// row, what `select` yields is a [`crate::Transition::woken`]
+    /// transition whose guard changed unannounced, reported as
+    /// `missed wake-up: <instance> (<type>) has <transition> enabled
+    /// and nobody woke it`. Meaningful only while no scheduler is
+    /// running; the equivalence tests call it between runs and
+    /// `World`'s driver each time it returns (debug profile).
     #[doc(hidden)]
     pub fn ready_index_violations(&self) -> Vec<String> {
         let topo = self.topo.read();
@@ -1227,24 +1412,26 @@ impl Runtime {
                 found.push(format!("{id}: stale polls bit in {}", core.exec.state()));
             }
             let bit = 1u64 << (id.index() % 64);
-            if queued > 0 || core.exec.polls() {
-                if topo.ready[id.index() / 64].load(Ordering::SeqCst) & bit == 0 {
+            if queued > 0 || core.exec.polls() || slot.woken.load(Ordering::SeqCst) {
+                if topo.word(id.index()).load(Ordering::SeqCst) & bit == 0 {
                     found.push(format!("{id}: can fire but is not in the index"));
                 }
                 continue;
             }
-            let selectable = [Dispatch::HardCoded, Dispatch::TableDriven]
+            let selected = [Dispatch::HardCoded, Dispatch::TableDriven]
                 .iter()
-                .any(|&d| {
-                    core.exec
-                        .select(&core.ips, now, core.entered_at, d)
-                        .is_some()
-                });
-            if selectable
-                || core
-                    .exec
-                    .next_deadline(&core.ips, core.entered_at)
-                    .is_some()
+                .find_map(|&d| core.exec.select(&core.ips, now, core.entered_at, d));
+            if let Some(sel) = selected {
+                found.push(format!(
+                    "missed wake-up: {} ({}) has {} enabled and nobody woke it",
+                    slot.name,
+                    core.exec.type_name(),
+                    selected_name(&*core.exec, sel),
+                ));
+            } else if core
+                .exec
+                .next_deadline(&core.ips, core.entered_at)
+                .is_some()
             {
                 found.push(format!("{id}: skipped by scans but not inert"));
             }

@@ -668,3 +668,56 @@ fn release_kills_subtree() {
     assert!(!rt.module_meta(child).unwrap().alive);
     assert!(!rt.alive_modules().contains(&child));
 }
+
+/// A body that keeps its own waker: the shortest form of the cycle a
+/// medium closes when it holds its reader's waker (slot → body →
+/// waker → slot).
+#[derive(Debug)]
+struct Hoarder {
+    dropped: Arc<std::sync::atomic::AtomicBool>,
+    waker: Option<std::task::Waker>,
+}
+
+impl Drop for Hoarder {
+    fn drop(&mut self) {
+        self.dropped
+            .store(true, std::sync::atomic::Ordering::SeqCst);
+    }
+}
+
+impl StateMachine for Hoarder {
+    fn num_ips(&self) -> usize {
+        0
+    }
+    fn initial_state(&self) -> StateId {
+        S0
+    }
+    fn on_init(&mut self, ctx: &mut Ctx<'_>) {
+        self.waker = Some(ctx.waker());
+    }
+    fn transitions() -> Vec<Transition<Self>> {
+        Vec::new()
+    }
+}
+
+#[test]
+fn a_dropped_runtime_frees_bodies_that_hold_their_own_waker() {
+    let dropped = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let (rt, _c) = Runtime::sim();
+    rt.add_module(
+        None,
+        "hoarder",
+        ModuleKind::SystemProcess,
+        ModuleLabels::default(),
+        Hoarder {
+            dropped: Arc::clone(&dropped),
+            waker: None,
+        },
+    )
+    .unwrap();
+    rt.start().unwrap();
+    let dropped = || dropped.load(std::sync::atomic::Ordering::SeqCst);
+    assert!(!dropped());
+    drop(rt);
+    assert!(dropped(), "the module body leaked");
+}

@@ -176,11 +176,16 @@ impl StateMachine for IsodeInterfaceModule {
                 }
             })
             .provided(|m, _| m.stack.has_work())
+            // Woken by the stack's medium after each delivery; events
+            // the stack queues itself come from this module's actions.
+            .woken()
             .cost(SimDuration::from_micros(40)),
         ]
     }
 
-    fn on_init(&mut self, _ctx: &mut Ctx<'_>) {}
+    fn on_init(&mut self, ctx: &mut Ctx<'_>) {
+        self.stack.on_available(ctx.waker());
+    }
 }
 
 #[cfg(test)]

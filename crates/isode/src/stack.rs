@@ -282,6 +282,12 @@ impl IsodeStack {
         self.events.pop_front()
     }
 
+    /// Registers the waker of whoever asks [`IsodeStack::has_work`]
+    /// with the stack's medium (see [`Medium::on_available`]).
+    pub fn on_available(&self, waker: std::task::Waker) {
+        self.medium.on_available(waker);
+    }
+
     /// True when the medium has unprocessed traffic or events wait.
     pub fn has_work(&self) -> bool {
         !self.events.is_empty() || self.medium.available() > 0

@@ -15,6 +15,7 @@ use rand::SeedableRng;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
+use std::task::Waker;
 
 /// Identifies an endpoint registered with a [`Network`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -104,6 +105,9 @@ impl Ord for Scheduled {
 struct EndpointState {
     queue: VecDeque<Delivery>,
     stats: EndpointStats,
+    /// Called after each delivery into `queue` (see
+    /// [`Network::on_available`]).
+    reader: Option<Waker>,
 }
 
 #[derive(Debug)]
@@ -327,6 +331,17 @@ impl Network {
             .map_or(0, |e| e.queue.len())
     }
 
+    /// Registers the waker of whoever reads `ep`, replacing any
+    /// earlier one: [`Network::step`] calls it after (never before) a
+    /// delivery has been pushed onto the endpoint's receive queue, once
+    /// per delivery and outside the network's lock. Unknown endpoints
+    /// are ignored.
+    pub fn on_available(&self, ep: EndpointId, waker: Waker) {
+        if let Some(e) = self.inner.lock().endpoints.get_mut(&ep) {
+            e.reader = Some(waker);
+        }
+    }
+
     /// Returns a copy of `ep`'s traffic counters.
     pub fn stats(&self, ep: EndpointId) -> EndpointStats {
         self.inner
@@ -350,7 +365,7 @@ impl Network {
             return false;
         };
         self.clock.advance_to(ev.at);
-        if let Some(e) = inner.endpoints.get_mut(&ev.dest) {
+        let reader = inner.endpoints.get_mut(&ev.dest).and_then(|e| {
             e.stats.delivered += 1;
             e.stats.bytes_delivered += ev.data.len() as u64;
             e.queue.push_back(Delivery {
@@ -359,6 +374,12 @@ impl Network {
                 from: ev.from,
                 data: ev.data,
             });
+            e.reader.clone()
+        });
+        drop(inner);
+        // Published above, woken here.
+        if let Some(reader) = reader {
+            reader.wake();
         }
         true
     }

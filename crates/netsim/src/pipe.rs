@@ -37,6 +37,12 @@ impl PipeEnd {
         self.net.pending(self.local)
     }
 
+    /// Registers the waker [`Network::step`] calls after each delivery
+    /// into this end (see [`Network::on_available`]).
+    pub fn on_available(&self, waker: std::task::Waker) {
+        self.net.on_available(self.local, waker);
+    }
+
     /// The endpoint id of this pipe end.
     pub fn endpoint(&self) -> EndpointId {
         self.local
