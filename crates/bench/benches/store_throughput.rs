@@ -1,28 +1,29 @@
-//! Storage-subsystem benchmarks: streams sustained vs. disk count and
-//! disk-queue discipline, streams sustained vs. *server* count in a
-//! replicated cluster, buffer-cache hit ratio vs. viewer spacing, the
-//! mixed record+playback workload (each active recording displaces
-//! one playback stream of equal bitrate), and control-connection
-//! fan-out (client associations spread across the cluster through
-//! the referral protocol instead of piling onto one machine).
+//! Storage-subsystem benchmarks, one row of [`SCENARIOS`] each: streams
+//! sustained vs. disk count and queue discipline and vs. *server*
+//! count in a replicated cluster, hot-title rebalancing, the mixed
+//! record+playback workload, cache hit ratio vs. viewer spacing, flash
+//! crowds under stream sharing, control-connection fan-out, spindle
+//! rebuild, crash survival and the VCR-storm prefetch-hint A/B.
 //!
-//! Set `STORE_THROUGHPUT_SMOKE=1` to print the scenario report (with
-//! its assertions) and skip the timing loops — the mode CI runs on
-//! every PR to track the perf trajectory cheaply.
+//! The run prints every scenario's report lines (with its assertions)
+//! and then times the reduced runs. `STORE_THROUGHPUT_SMOKE=1` skips
+//! the timing loops and writes `BENCH_store_throughput.json` and the
+//! `target/` artifacts instead — the mode CI runs on every PR to track
+//! the perf trajectory cheaply.
 
 use cluster::{Placement, RebalanceConfig, RebalanceController, ReplicaDirectory};
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use directory::MovieEntry;
 use mcam::agents::source_for_entry;
 use mcam::{ClusterSpec, McamOp, McamPdu, StackKind, World};
 use mtp::MovieSource;
-use netsim::{LinkConfig, NetAddr, SimDuration, SimTime};
+use netsim::{NetAddr, SimDuration, SimTime};
 use share::{JoinPlan, ShareConfig, ShareManager};
-use std::sync::{Arc, Once};
+use std::sync::Arc;
 use store::{BlockStore, CachePolicy, DiskParams, DiskSched, StoreConfig};
-use workload::{Arrival, Behaviour, Phase, Popularity, TitleSpec, VcrMix, WorkloadSpec};
-
-static REPORT: Once = Once::new();
+use workload::{
+    Arrival, Behaviour, CompiledWorkload, Phase, Popularity, TitleSpec, VcrMix, WorkloadSpec,
+};
 
 fn slow_disk_config(disks: usize, sched: DiskSched) -> StoreConfig {
     StoreConfig {
@@ -36,6 +37,37 @@ fn slow_disk_config(disks: usize, sched: DiskSched) -> StoreConfig {
             ..DiskParams::default()
         },
         ..StoreConfig::default()
+    }
+}
+
+/// The hand-driven clock of the scenarios that run bare `BlockStore`s:
+/// no `World` advances time for them. Starts at time zero.
+#[derive(Default)]
+struct StoreClock {
+    now: SimTime,
+    jumps: u32,
+}
+
+impl StoreClock {
+    /// Jumps to the earliest of `pending` if it lies ahead of `now`,
+    /// and says whether it did. A scenario still jumping after a
+    /// million of them is not converging.
+    fn jump(&mut self, pending: impl IntoIterator<Item = SimTime>) -> bool {
+        self.jumps += 1;
+        assert!(self.jumps < 1_000_000, "store scenario did not converge");
+        match pending.into_iter().min() {
+            Some(t) if t > self.now => {
+                self.now = t;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Jumps to `store`'s next event and pumps it there.
+    fn pump(&mut self, store: &BlockStore) {
+        self.jump(store.next_event());
+        store.pump(self.now);
     }
 }
 
@@ -179,7 +211,8 @@ fn hot_title_streams_sustained(dynamic: bool) -> (usize, cluster::RebalanceStats
                 .expect("compiled titles are validated")
         })
         .collect();
-    let mut now = SimTime::ZERO;
+    let stores: Vec<Arc<BlockStore>> = dir.locations().iter().filter_map(|l| dir.get(l)).collect();
+    let mut clock = StoreClock::default();
     let mut admitted = 0usize;
     let mut stream = 0u32;
     'demand: loop {
@@ -197,7 +230,7 @@ fn hot_title_streams_sustained(dynamic: bool) -> (usize, cluster::RebalanceStats
                     }
                     false
                 };
-                if open(now, &mut stream) {
+                if open(clock.now, &mut stream) {
                     admitted += 1;
                     any = true;
                     continue;
@@ -214,33 +247,22 @@ fn hot_title_streams_sustained(dynamic: bool) -> (usize, cluster::RebalanceStats
                 // control plane sample the load and run its copy, then
                 // retry this viewer.
                 let before = ctl.stats().copies_completed;
-                let mut guard = 0u32;
                 loop {
-                    ctl.tick(now);
-                    for location in dir.locations() {
-                        if let Some(store) = dir.get(&location) {
-                            store.pump(now);
-                        }
+                    ctl.tick(clock.now);
+                    for store in &stores {
+                        store.pump(clock.now);
                     }
                     if ctl.stats().copies_completed > before {
-                        if open(now, &mut stream) {
+                        if open(clock.now, &mut stream) {
                             admitted += 1;
                             any = true;
                         }
                         break;
                     }
-                    let next = dir
-                        .locations()
-                        .iter()
-                        .filter_map(|l| dir.get(l).and_then(|s| s.next_event()))
-                        .chain(ctl.next_tick_at())
-                        .min();
-                    match next {
-                        Some(t) if t > now => now = t,
-                        _ => break 'demand, // no copy possible: cluster is done growing
+                    let pending = stores.iter().filter_map(|store| store.next_event());
+                    if !clock.jump(pending.chain(ctl.next_tick_at())) {
+                        break 'demand; // no copy possible: cluster is done growing
                     }
-                    guard += 1;
-                    assert!(guard < 1_000_000, "rebalance never converged");
                 }
             }
             if !any || stream > 1_000_000 {
@@ -326,17 +348,12 @@ fn streams_sustained_while_recording(recorders: u32) -> usize {
 /// are spread by connect-time referrals. Returns the per-server
 /// association counts (in location order) and the world's event
 /// journal, whose referral chain the smoke report summarises.
-fn control_fanout(
+fn run_control_fanout(
     servers: usize,
     clients: usize,
     referrals: bool,
 ) -> (Vec<usize>, Arc<journal::Journal>) {
-    let link = LinkConfig::lossy(
-        SimDuration::from_millis(2),
-        SimDuration::from_micros(500),
-        0.0,
-    );
-    let mut world = World::builder(41).stream_link(link).build();
+    let mut world = World::builder(41).build();
     let cluster = world.add_cluster(ClusterSpec::new(
         "vod",
         servers,
@@ -397,20 +414,14 @@ fn hit_ratio_at_spacing(policy: CachePolicy, cache_blocks: usize, spacing_frames
         .open_stream(1, id, 100, SimTime::ZERO)
         .expect("leader admitted");
     let mut started_follower = false;
-    let mut now = SimTime::ZERO;
-    let mut guard = 0u32;
+    let mut clock = StoreClock::default();
     loop {
-        guard += 1;
-        assert!(guard < 1_000_000, "bench did not converge");
-        if let Some(t) = store.next_event() {
-            now = now.max(t);
-        }
-        store.pump(now);
+        clock.pump(&store);
         let leader_frames = store.frames_ready_through(1).unwrap_or(0);
         store.note_position(1, leader_frames);
         if !started_follower && leader_frames >= spacing {
             store
-                .open_stream(2, id, 100, now)
+                .open_stream(2, id, 100, clock.now)
                 .expect("follower admitted");
             started_follower = true;
         }
@@ -464,7 +475,7 @@ fn flash_crowd_spec(viewers: u32, spacing_us: u64) -> WorkloadSpec {
 /// catch-up joiners charge only the fast-feed delta until they
 /// converge. The run continues for as long again after the last
 /// arrival so in-flight fast-feeds can converge and release.
-fn flash_crowd(
+fn run_flash_crowd(
     sharing: bool,
     viewers: u32,
     spacing_us: u64,
@@ -609,32 +620,17 @@ fn vcr_storm_spec() -> WorkloadSpec {
     ))
 }
 
-/// Outcome of one VCR-storm run.
-struct VcrStorm {
-    /// The workload runner's journal-derived verdict.
-    report: workload::RunReport,
-    /// The store's end-to-end service cache hit ratio, in permille.
-    hit_permille: u64,
-    /// The compiled agent-script dump (CI uploads it as an artifact).
-    agents_jsonl: String,
-}
-
 /// Runs the compiled VCR storm on the World driver with the store's
-/// trick-mode prefetch hints on or off.
-fn vcr_storm(hints: bool) -> VcrStorm {
-    let compiled = vcr_storm_spec().compile().expect("vcr-storm spec compiles");
-    let link = LinkConfig::lossy(
-        SimDuration::from_millis(2),
-        SimDuration::from_micros(500),
-        0.0,
-    );
+/// trick-mode prefetch hints on or off. Returns the workload runner's
+/// journal-derived verdict and the store's end-to-end service cache
+/// hit ratio, in permille.
+fn run_vcr_storm(compiled: &CompiledWorkload, hints: bool) -> (workload::RunReport, u64) {
     // Six viewers storm six private 600 s titles (≈800 blocks each
     // at 64 KiB) through a cache that holds a small fraction of any
     // one of them, so a 900-frame jump (≈48 blocks) lands outside
     // plain forward-window residency: only the hinted backward sweep
     // / widened skim horizon can have the target warm.
     let mut world = World::builder(47)
-        .stream_link(link)
         .store(StoreConfig {
             disks: 2,
             block_size: 64 * 1024,
@@ -649,23 +645,9 @@ fn vcr_storm(hints: bool) -> VcrStorm {
         })
         .build();
     let server = world.add_server("ksr1", StackKind::EstellePS);
-    let report = workload::run(&mut world, &server, &compiled);
+    let report = workload::run(&mut world, &server, compiled);
     let stats = server.services.store.stats();
-    VcrStorm {
-        report,
-        hit_permille: (stats.service_hit_ratio() * 1000.0).round() as u64,
-        agents_jsonl: compiled.to_jsonl(),
-    }
-}
-
-/// Outcome of one crash-survival run.
-struct CrashSurvival {
-    /// Streams in flight on the machine that crashed.
-    in_flight: usize,
-    /// Streams re-established on a survivor via the referral follower.
-    failed_over: usize,
-    /// The run's event journal (crashes, failovers, repair copies).
-    journal: Arc<journal::Journal>,
+    (report, (stats.service_hit_ratio() * 1000.0).round() as u64)
 }
 
 /// Crash survival: `viewers` clients of a `servers`-wide K=2 cluster,
@@ -674,14 +656,11 @@ struct CrashSurvival {
 /// all the streams — then that machine crashes mid-stream. Capable
 /// clients must fail over through the referral follower and replay
 /// their sessions on a survivor; the fraction that does is the
-/// survival fraction CI tracks.
-fn crash_survival(servers: usize, viewers: usize) -> CrashSurvival {
-    let link = LinkConfig::lossy(
-        SimDuration::from_millis(2),
-        SimDuration::from_micros(500),
-        0.0,
-    );
-    let mut world = World::builder(43).stream_link(link).build();
+/// survival fraction CI tracks. Returns the streams that were in flight
+/// on the machine that crashed and the run's event journal (crashes,
+/// failovers, repair copies).
+fn run_crash_survival(servers: usize, viewers: usize) -> (usize, Arc<journal::Journal>) {
+    let mut world = World::builder(43).build();
     let cluster = world.add_cluster(ClusterSpec::new(
         "vod",
         servers,
@@ -770,12 +749,7 @@ fn crash_survival(servers: usize, viewers: usize) -> CrashSurvival {
 
     let in_flight = world.crash_server(&cluster.servers[1]);
     world.run_for(SimDuration::from_secs(5));
-    let failed_over = world.journal().count(journal::kind::STREAM_FAILED_OVER) as usize;
-    CrashSurvival {
-        in_flight,
-        failed_over,
-        journal: Arc::clone(world.journal()),
-    }
+    (in_flight, Arc::clone(world.journal()))
 }
 
 /// Paced spindle rebuild under foreground load: a 4-disk store with
@@ -792,36 +766,23 @@ fn rebuild_time(foreground: u32, reserve_pct: u64) -> (u64, u64) {
             .open_stream(stream, id, 100, SimTime::ZERO)
             .expect("foreground viewer admitted");
     }
-    let mut now = SimTime::ZERO;
+    let mut clock = StoreClock::default();
     // Let the viewers pull a little so the layout is materialized hot.
     for _ in 0..20 {
-        if let Some(t) = store.next_event() {
-            now = now.max(t);
-        }
-        store.pump(now);
+        clock.pump(&store);
     }
-    let lost = store.fail_disk(0, now);
+    let lost = store.fail_disk(0, clock.now);
     assert!(lost > 0, "the dead arm held blocks");
     let reserve = (store.available_bps() * reserve_pct / 100).max(1);
     store
-        .begin_rebuild(reserve, now)
+        .begin_rebuild(reserve, clock.now)
         .expect("rebuild reservation admitted");
-    let started = now;
-    let mut guard = 0u32;
+    let started = clock.now;
     while store.rebuild_active() {
-        guard += 1;
-        assert!(guard < 1_000_000, "rebuild did not converge");
-        if let Some(t) = store.next_event() {
-            now = now.max(t);
-        }
-        store.pump(now);
+        clock.pump(&store);
     }
-    (lost, now.saturating_since(started).as_micros() / 1_000)
-}
-
-/// Joins `{...}` rows into a deterministic JSON array literal.
-fn json_array(rows: &[String]) -> String {
-    rows.join(", ")
+    let millis = clock.now.saturating_since(started).as_micros() / 1_000;
+    (lost, millis)
 }
 
 /// Wall-clock scaling on the threaded backend: the same per-thread
@@ -883,13 +844,42 @@ fn wall_clock_scaling_report() -> String {
     )
 }
 
-/// Runs every scenario with its assertions, prints the human report,
-/// and returns the machine-readable report (the exact bytes of
-/// `BENCH_store_throughput.json`) plus the control-fanout journal and
-/// the crash-survival fault journal.
-fn scenario_report() -> (String, Arc<journal::Journal>, Arc<journal::Journal>, String) {
-    println!("store_throughput: streams sustained vs. disk count and queue discipline");
-    let mut disk_rows = Vec::new();
+/// `obj! {"key": value, …}`: one object of `BENCH_store_throughput.json`,
+/// keys in the order written. The file holds integers, arrays and
+/// objects and nothing else (ratios go in as permille), which is what
+/// lets it regenerate byte for byte.
+macro_rules! obj {
+    ($($key:literal: $value:expr),+ $(,)?) => {
+        format!("{{{}}}", [$(format!("\"{}\": {}", $key, $value)),+].join(", "))
+    };
+}
+
+/// `[item, …]` of integers or objects.
+fn arr<T: ToString>(items: impl IntoIterator<Item = T>) -> String {
+    let items: Vec<String> = items.into_iter().map(|item| item.to_string()).collect();
+    format!("[{}]", items.join(", "))
+}
+
+/// What the smoke run writes beside the report: path from the
+/// repository root and contents, in the order the scenarios produced
+/// them.
+type Artifacts = Vec<(&'static str, String)>;
+
+/// One row of [`SCENARIOS`].
+struct Scenario {
+    /// The scenario's key in `BENCH_store_throughput.json`.
+    key: &'static str,
+    /// What the report prints above the scenario's lines.
+    headline: &'static str,
+    /// Runs the scenario, prints its lines, asserts its claims and
+    /// returns its section of the JSON file.
+    run: fn(&mut Artifacts) -> String,
+    /// The criterion id and body of the scenario's timing loop.
+    timed: Option<(&'static str, fn())>,
+}
+
+fn disk_sweep(_: &mut Artifacts) -> String {
+    let mut rows = Vec::new();
     let mut prev = 0;
     for disks in [1usize, 2, 4, 8] {
         let fifo = streams_sustained(disks, DiskSched::Fifo);
@@ -905,12 +895,13 @@ fn scenario_report() -> (String, Arc<journal::Journal>, Arc<journal::Journal>, S
             "the elevator sweep must outperform FIFO (scan={scan} fifo={fifo})"
         );
         prev = scan;
-        disk_rows.push(format!(
-            "{{\"disks\": {disks}, \"fifo\": {fifo}, \"scan\": {scan}}}"
-        ));
+        rows.push(obj! {"disks": disks, "fifo": fifo, "scan": scan});
     }
-    println!("store_throughput: cluster streams sustained vs. server count (K=2 replicas)");
-    let mut cluster_rows = Vec::new();
+    arr(rows)
+}
+
+fn cluster_sweep(_: &mut Artifacts) -> String {
+    let mut rows = Vec::new();
     let mut single = 0;
     let mut prev = 0;
     for servers in [1usize, 2, 3, 4] {
@@ -927,15 +918,16 @@ fn scenario_report() -> (String, Arc<journal::Journal>, Arc<journal::Journal>, S
             "more servers must not sustain fewer streams"
         );
         prev = sustained;
-        cluster_rows.push(format!(
-            "{{\"servers\": {servers}, \"streams_sustained\": {sustained}}}"
-        ));
+        rows.push(obj! {"servers": servers, "streams_sustained": sustained});
     }
     assert!(
         prev >= 3 * single,
         "4 servers must sustain at least 3x one server (got {prev} vs {single})"
     );
-    println!("store_throughput: hot-title skew (80% of demand on one title, 4 servers)");
+    arr(rows)
+}
+
+fn hot_title_skew(_: &mut Artifacts) -> String {
     let (static_k2, _) = hot_title_streams_sustained(false);
     let (dynamic, rebalance) = hot_title_streams_sustained(true);
     println!("  placement=static-K2  streams_sustained={static_k2}");
@@ -959,12 +951,17 @@ fn scenario_report() -> (String, Arc<journal::Journal>, Arc<journal::Journal>, S
         rebalance.copies_completed,
         rebalance.directory_updates
     );
-    println!("store_throughput: playback streams sustained vs. active recordings");
+    obj! {
+        "static_k2": static_k2, "rebalanced": dynamic,
+        "copies_completed": rebalance.copies_completed, "grows_started": rebalance.grows_started,
+        "directory_updates": rebalance.directory_updates,
+    }
+}
+
+fn record_playback(_: &mut Artifacts) -> String {
     let base = streams_sustained_while_recording(0);
     println!("  recorders=0 playback_streams={base}");
-    let mut record_rows = vec![format!(
-        "{{\"recorders\": 0, \"playback_streams\": {base}}}"
-    )];
+    let mut rows = vec![obj! {"recorders": 0, "playback_streams": base}];
     for recorders in [2u32, 4] {
         let sustained = streams_sustained_while_recording(recorders);
         println!("  recorders={recorders} playback_streams={sustained}");
@@ -973,11 +970,12 @@ fn scenario_report() -> (String, Arc<journal::Journal>, Arc<journal::Journal>, S
             base - recorders as usize,
             "each recording must displace exactly one equal-bitrate viewer"
         );
-        record_rows.push(format!(
-            "{{\"recorders\": {recorders}, \"playback_streams\": {sustained}}}"
-        ));
+        rows.push(obj! {"recorders": recorders, "playback_streams": sustained});
     }
-    println!("store_throughput: interval-cache hit ratio vs. viewer spacing");
+    arr(rows)
+}
+
+fn interval_cache(_: &mut Artifacts) -> String {
     let close = hit_ratio_at_spacing(CachePolicy::Interval, 64, 4);
     let far = hit_ratio_at_spacing(CachePolicy::Interval, 64, 100_000);
     println!("  spacing=close hit_ratio={close:.3}");
@@ -986,9 +984,15 @@ fn scenario_report() -> (String, Arc<journal::Journal>, Arc<journal::Journal>, S
         close > far,
         "closely-spaced viewers must hit the cache more (close={close:.3} far={far:.3})"
     );
-    println!("store_throughput: flash crowd (1000 viewers over 60 s, one title, 2 disks)");
-    let off = flash_crowd(false, 1000, 60_000, 96, 16);
-    let on = flash_crowd(true, 1000, 60_000, 96, 16);
+    obj! {
+        "close_hit_permille": (close * 1000.0).round() as u64,
+        "far_hit_permille": (far * 1000.0).round() as u64,
+    }
+}
+
+fn flash_crowd(_: &mut Artifacts) -> String {
+    let off = run_flash_crowd(false, 1000, 60_000, 96, 16);
+    let on = run_flash_crowd(true, 1000, 60_000, 96, 16);
     println!(
         "  sharing=off admitted={:<4} refused={:<4} (per-spindle {})",
         off.admitted,
@@ -1032,22 +1036,29 @@ fn scenario_report() -> (String, Arc<journal::Journal>, Arc<journal::Journal>, S
         merges_logged > 0 && feeds_logged > 0 && conversions_logged > 0,
         "every share lifecycle step must reach the journal"
     );
-    println!("store_throughput: flash-crowd calibration (40 viewers, spacing x cache x window)");
-    let mut calibration_rows = Vec::new();
+    obj! {
+        "viewers": 1000, "sharing_off": off.admitted, "sharing_on": on.admitted,
+        "refused_on": on.refused, "merges": on.stats.merges, "fast_feeds": on.stats.fast_feeds,
+        "conversions": on.stats.conversions, "journal_events": on.journal.len(),
+    }
+}
+
+fn flash_crowd_calibration(_: &mut Artifacts) -> String {
+    let mut runs = Vec::new();
     for spacing_ms in [250u64, 1000, 4000] {
         for cache_blocks in [16usize, 96] {
             for window in [4u64, 16] {
-                let run = flash_crowd(true, 40, spacing_ms * 1000, cache_blocks, window);
+                let run = run_flash_crowd(true, 40, spacing_ms * 1000, cache_blocks, window);
                 println!(
                     "  spacing={spacing_ms:<4}ms cache={cache_blocks:<2} window={window:<2} \
                      admitted={:<2} merges={:<2} fast_feeds={:<2}",
                     run.admitted, run.stats.merges, run.stats.fast_feeds
                 );
-                calibration_rows.push((spacing_ms, cache_blocks, window, run));
+                runs.push((spacing_ms, cache_blocks, window, run));
             }
         }
     }
-    for chunk in calibration_rows.chunks(2) {
+    for chunk in runs.chunks(2) {
         let (narrow, wide) = (&chunk[0].3, &chunk[1].3);
         assert!(
             wide.admitted >= narrow.admitted,
@@ -1058,23 +1069,18 @@ fn scenario_report() -> (String, Arc<journal::Journal>, Arc<journal::Journal>, S
             "a wider merge window must never merge fewer viewers"
         );
     }
-    let calibration_json: Vec<String> = calibration_rows
-        .iter()
-        .map(|(spacing_ms, cache_blocks, window, run)| {
-            format!(
-                "{{\"spacing_ms\": {spacing_ms}, \"cache_blocks\": {cache_blocks}, \
-                 \"merge_window\": {window}, \"admitted\": {}, \"merges\": {}, \
-                 \"fast_feeds\": {}}}",
-                run.admitted, run.stats.merges, run.stats.fast_feeds
-            )
-        })
-        .collect();
-    println!(
-        "store_throughput: control-connection fan-out \
-         (16 clients all dial server 0 of 4)"
-    );
-    let (legacy, _) = control_fanout(4, 16, false);
-    let (spread, fanout_journal) = control_fanout(4, 16, true);
+    arr(runs.iter().map(|(spacing_ms, cache_blocks, window, run)| {
+        obj! {
+            "spacing_ms": spacing_ms, "cache_blocks": cache_blocks, "merge_window": window,
+            "admitted": run.admitted, "merges": run.stats.merges,
+            "fast_feeds": run.stats.fast_feeds,
+        }
+    }))
+}
+
+fn control_fanout(artifacts: &mut Artifacts) -> String {
+    let (legacy, _) = run_control_fanout(4, 16, false);
+    let (spread, journal) = run_control_fanout(4, 16, true);
     println!("  clients=legacy        per_server={legacy:?}");
     println!("  clients=cluster-aware per_server={spread:?}");
     assert_eq!(
@@ -1092,18 +1098,26 @@ fn scenario_report() -> (String, Arc<journal::Journal>, Arc<journal::Journal>, S
         spread.iter().all(|n| *n >= 1),
         "no server may be left without control work: {spread:?}"
     );
-    journal::verify_events(&fanout_journal.events()).expect("fan-out journal chain intact");
-    let issued = fanout_journal.count(journal::kind::REFERRAL_ISSUED);
-    let followed = fanout_journal.count(journal::kind::REFERRAL_FOLLOWED);
-    let failed = fanout_journal.count(journal::kind::REFERRAL_FAILED);
+    journal::verify_events(&journal.events()).expect("fan-out journal chain intact");
+    let issued = journal.count(journal::kind::REFERRAL_ISSUED);
+    let followed = journal.count(journal::kind::REFERRAL_FOLLOWED);
+    let failed = journal.count(journal::kind::REFERRAL_FAILED);
     println!(
         "  journal: referrals issued={issued} followed={followed} failed={failed} \
          ({} events, chain verified)",
-        fanout_journal.len()
+        journal.len()
     );
     assert!(followed > 0, "cluster-aware clients must follow referrals");
-    println!("store_throughput: paced spindle rebuild under 4 foreground viewers");
-    let mut rebuild_rows = Vec::new();
+    artifacts.push(("target/store_throughput_journal.jsonl", journal.to_jsonl()));
+    obj! {
+        "legacy_per_server": arr(legacy), "referred_per_server": arr(spread),
+        "referrals_issued": issued, "referrals_followed": followed, "referrals_failed": failed,
+        "journal_events": journal.len(),
+    }
+}
+
+fn spindle_rebuild(_: &mut Artifacts) -> String {
+    let mut rows = Vec::new();
     let mut prev_ms = u64::MAX;
     let mut prev_lost = None;
     for reserve_pct in [25u64, 75] {
@@ -1118,182 +1132,163 @@ fn scenario_report() -> (String, Arc<journal::Journal>, Arc<journal::Journal>, S
             "a larger reservation must not slow the rebuild ({ms} ms after {prev_ms} ms)"
         );
         prev_ms = ms;
-        rebuild_rows.push(format!(
-            "{{\"reserve_pct\": {reserve_pct}, \"lost_blocks\": {lost}, \"rebuild_ms\": {ms}}}"
-        ));
+        rows.push(obj! {"reserve_pct": reserve_pct, "lost_blocks": lost, "rebuild_ms": ms});
     }
-    println!("store_throughput: crash survival (10 streams on one machine of 4, K=2)");
-    let crash = crash_survival(4, 10);
-    let survival_permille = 1000 * crash.failed_over / crash.in_flight.max(1);
+    arr(rows)
+}
+
+fn crash_survival(artifacts: &mut Artifacts) -> String {
+    let (in_flight, journal) = run_crash_survival(4, 10);
+    journal::verify_events(&journal.events()).expect("fault journal chain intact");
+    let crashes = journal.count(journal::kind::SERVER_CRASHED);
+    // Streams re-established on a survivor via the referral follower.
+    let failed_over = journal.count(journal::kind::STREAM_FAILED_OVER) as usize;
+    let survival_permille = 1000 * failed_over / in_flight.max(1);
     println!(
-        "  in_flight={} failed_over={} survival={}.{}%",
-        crash.in_flight,
-        crash.failed_over,
+        "  in_flight={in_flight} failed_over={failed_over} survival={}.{}%",
         survival_permille / 10,
         survival_permille % 10
     );
+    assert!(in_flight >= 10, "every viewer was streaming at the crash");
     assert!(
-        crash.in_flight >= 10,
-        "every viewer was streaming at the crash"
-    );
-    assert!(
-        10 * crash.failed_over >= 9 * crash.in_flight,
+        10 * failed_over >= 9 * in_flight,
         "at least 90% of in-flight streams must survive the crash \
-         (failed_over={} in_flight={})",
-        crash.failed_over,
-        crash.in_flight
+         (failed_over={failed_over} in_flight={in_flight})"
     );
-    journal::verify_events(&crash.journal.events()).expect("fault journal chain intact");
-    let crashes = crash.journal.count(journal::kind::SERVER_CRASHED);
-    let failovers = crash.journal.count(journal::kind::STREAM_FAILED_OVER);
     println!(
-        "  journal: server_crashed={crashes} stream_failed_over={failovers} \
+        "  journal: server_crashed={crashes} stream_failed_over={failed_over} \
          ({} events, chain verified)",
-        crash.journal.len()
+        journal.len()
     );
     assert_eq!(crashes, 1, "exactly one machine died");
-    println!("store_throughput: VCR storm (rewind-heavy trick modes, prefetch hints A/B)");
-    let storm_off = vcr_storm(false);
-    let storm_on = vcr_storm(true);
+    artifacts.push(("target/crash_survival_journal.jsonl", journal.to_jsonl()));
+    obj! {
+        "servers": 4, "k": 2, "in_flight": in_flight, "failed_over": failed_over,
+        "survival_permille": survival_permille, "server_crashes": crashes,
+        "journal_events": journal.len(),
+    }
+}
+
+fn vcr_storm(artifacts: &mut Artifacts) -> String {
+    let compiled = vcr_storm_spec().compile().expect("vcr-storm spec compiles");
+    let (off, off_hit_permille) = run_vcr_storm(&compiled, false);
+    let (on, on_hit_permille) = run_vcr_storm(&compiled, true);
     println!(
-        "  hints=off admitted={:<2} hit_permille={}",
-        storm_off.report.admitted, storm_off.hit_permille
+        "  hints=off admitted={:<2} hit_permille={off_hit_permille}",
+        off.admitted
     );
     println!(
-        "  hints=on  admitted={:<2} hit_permille={}",
-        storm_on.report.admitted, storm_on.hit_permille
+        "  hints=on  admitted={:<2} hit_permille={on_hit_permille}",
+        on.admitted
     );
     assert_eq!(
-        storm_on.report.agents, storm_off.report.agents,
+        on.agents, off.agents,
         "both runs drive the same compiled schedule"
     );
     assert!(
-        storm_on.report.admitted >= storm_off.report.admitted,
-        "trick-mode hints must never cost admitted streams \
-         (on={} off={})",
-        storm_on.report.admitted,
-        storm_off.report.admitted
+        on.admitted >= off.admitted,
+        "trick-mode hints must never cost admitted streams (on={} off={})",
+        on.admitted,
+        off.admitted
     );
     assert!(
-        storm_on.hit_permille > storm_off.hit_permille,
+        on_hit_permille > off_hit_permille,
         "direction/stride prefetch hints must raise the cache-hit permille \
-         under a rewind-heavy storm (on={} off={})",
-        storm_on.hit_permille,
-        storm_off.hit_permille
+         under a rewind-heavy storm (on={on_hit_permille} off={off_hit_permille})"
     );
-    let fanout = |v: &[usize]| {
-        v.iter()
-            .map(|n| n.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
+    // The exact per-client schedule both runs replayed.
+    artifacts.push(("target/vcr_storm_agents.jsonl", compiled.to_jsonl()));
+    obj! {
+        "viewers": on.agents, "ops": on.ops,
+        "hints_off_hit_permille": off_hit_permille, "hints_on_hit_permille": on_hit_permille,
+        "hints_off_admitted": off.admitted, "hints_on_admitted": on.admitted,
+    }
+}
+
+/// The storage evaluation, listed once: the scenario report, the
+/// sections of `BENCH_store_throughput.json` and the timing loops are
+/// walks of this table, in this order. A row is the scenario function
+/// (whose name is its JSON key), its headline and, where it has one,
+/// the criterion id and reduced run of its timing loop.
+macro_rules! scenarios {
+    (@timed) => { None };
+    (@timed $id:literal $body:expr) => { Some(($id, || { black_box($body); })) };
+    ($($run:ident: $headline:literal $(, $id:literal => $body:expr)?;)+) => {
+        const SCENARIOS: &[Scenario] = &[$(Scenario {
+            key: stringify!($run),
+            headline: $headline,
+            run: $run,
+            timed: scenarios!(@timed $($id $body)?),
+        }),+];
     };
-    // Ratios are reported in permille so the committed file carries
-    // only integers and regenerates byte-identically.
-    let json = format!(
-        "{{\n  \"bench\": \"store_throughput\",\n  \"mode\": \"smoke\",\n  \"scenarios\": {{\n    \"disk_sweep\": [{disk}],\n    \"cluster_sweep\": [{cluster}],\n    \"hot_title_skew\": {{\"static_k2\": {static_k2}, \"rebalanced\": {dynamic}, \"copies_completed\": {copies}, \"grows_started\": {grows}, \"directory_updates\": {dirs}}},\n    \"record_playback\": [{record}],\n    \"interval_cache\": {{\"close_hit_permille\": {close_pm}, \"far_hit_permille\": {far_pm}}},\n    \"flash_crowd\": {{\"viewers\": 1000, \"sharing_off\": {fc_off}, \"sharing_on\": {fc_on}, \"refused_on\": {fc_refused}, \"merges\": {fc_merges}, \"fast_feeds\": {fc_feeds}, \"conversions\": {fc_conversions}, \"journal_events\": {fc_journal}}},\n    \"flash_crowd_calibration\": [{calibration}],\n    \"control_fanout\": {{\"legacy_per_server\": [{legacy}], \"referred_per_server\": [{spread}], \"referrals_issued\": {issued}, \"referrals_followed\": {followed}, \"referrals_failed\": {failed}, \"journal_events\": {journal_len}}},\n    \"spindle_rebuild\": [{rebuild}],\n    \"crash_survival\": {{\"servers\": 4, \"k\": 2, \"in_flight\": {cs_in_flight}, \"failed_over\": {cs_failed_over}, \"survival_permille\": {cs_permille}, \"server_crashes\": {cs_crashes}, \"journal_events\": {cs_journal}}},\n    \"vcr_storm\": {{\"viewers\": {vs_agents}, \"ops\": {vs_ops}, \"hints_off_hit_permille\": {vs_off_pm}, \"hints_on_hit_permille\": {vs_on_pm}, \"hints_off_admitted\": {vs_off_adm}, \"hints_on_admitted\": {vs_on_adm}}}\n  }}\n}}\n",
-        disk = json_array(&disk_rows),
-        cluster = json_array(&cluster_rows),
-        copies = rebalance.copies_completed,
-        grows = rebalance.grows_started,
-        dirs = rebalance.directory_updates,
-        record = json_array(&record_rows),
-        close_pm = (close * 1000.0).round() as u64,
-        far_pm = (far * 1000.0).round() as u64,
-        fc_off = off.admitted,
-        fc_on = on.admitted,
-        fc_refused = on.refused,
-        fc_merges = on.stats.merges,
-        fc_feeds = on.stats.fast_feeds,
-        fc_conversions = on.stats.conversions,
-        fc_journal = on.journal.len(),
-        calibration = json_array(&calibration_json),
-        legacy = fanout(&legacy),
-        spread = fanout(&spread),
-        journal_len = fanout_journal.len(),
-        rebuild = json_array(&rebuild_rows),
-        cs_in_flight = crash.in_flight,
-        cs_failed_over = crash.failed_over,
-        cs_permille = survival_permille,
-        cs_crashes = crashes,
-        cs_journal = crash.journal.len(),
-        vs_agents = storm_on.report.agents,
-        vs_ops = storm_on.report.ops,
-        vs_off_pm = storm_off.hit_permille,
-        vs_on_pm = storm_on.hit_permille,
-        vs_off_adm = storm_off.report.admitted,
-        vs_on_adm = storm_on.report.admitted,
-    );
-    (json, fanout_journal, crash.journal, storm_on.agents_jsonl)
+}
+
+scenarios! {
+    disk_sweep: "streams sustained vs. disk count and queue discipline",
+        "admission_sweep_4_disks" => streams_sustained(4, DiskSched::Scan);
+    cluster_sweep: "cluster streams sustained vs. server count (K=2 replicas)",
+        "cluster_admission_3_servers" => cluster_streams_sustained(3, 2);
+    hot_title_skew: "hot-title skew (80% of demand on one title, 4 servers)",
+        "hot_title_rebalanced" => hot_title_streams_sustained(true).0;
+    record_playback: "playback streams sustained vs. active recordings",
+        "mixed_record_playback" => streams_sustained_while_recording(2);
+    interval_cache: "interval-cache hit ratio vs. viewer spacing",
+        "two_viewers_interval_cache" => hit_ratio_at_spacing(CachePolicy::Interval, 64, 4);
+    flash_crowd: "flash crowd (1000 viewers over 60 s, one title, 2 disks)",
+        "flash_crowd_200_viewers" => run_flash_crowd(true, 200, 60_000, 96, 16).admitted;
+    flash_crowd_calibration: "flash-crowd calibration (40 viewers, spacing x cache x window)";
+    control_fanout: "control-connection fan-out (16 clients all dial server 0 of 4)",
+        "control_fanout_8_clients" => run_control_fanout(4, 8, true).0;
+    spindle_rebuild: "paced spindle rebuild under 4 foreground viewers",
+        "spindle_rebuild_4_viewers" => rebuild_time(4, 50);
+    crash_survival: "crash survival (10 streams on one machine of 4, K=2)",
+        "crash_survival_10_viewers" => run_crash_survival(4, 10).0;
+    vcr_storm: "VCR storm (rewind-heavy trick modes, prefetch hints A/B)";
 }
 
 fn bench(c: &mut Criterion) {
-    let smoke = std::env::var_os("STORE_THROUGHPUT_SMOKE").is_some();
-    REPORT.call_once(|| {
-        let (json, fanout_journal, crash_journal, storm_agents) = scenario_report();
-        if smoke {
-            // Persist the perf trajectory (committed, CI diffs it) and
-            // the journals of the fan-out and fault runs (uploaded as
-            // artifacts).
-            let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-            let bench_path = format!("{root}/BENCH_store_throughput.json");
-            std::fs::write(&bench_path, &json).expect("write BENCH_store_throughput.json");
-            println!("store_throughput: wrote {bench_path}");
-            let journal_dir = format!("{root}/target");
-            std::fs::create_dir_all(&journal_dir).expect("create target dir");
-            let journal_path = format!("{journal_dir}/store_throughput_journal.jsonl");
-            std::fs::write(&journal_path, fanout_journal.to_jsonl())
-                .expect("write journal artifact");
-            println!("store_throughput: wrote {journal_path}");
-            let fault_path = format!("{journal_dir}/crash_survival_journal.jsonl");
-            std::fs::write(&fault_path, crash_journal.to_jsonl())
-                .expect("write fault journal artifact");
-            println!("store_throughput: wrote {fault_path}");
-            // The compiled VCR-storm agent scripts: the exact per-client
-            // schedule the A/B runs replayed (uploaded as an artifact).
-            let agents_path = format!("{journal_dir}/vcr_storm_agents.jsonl");
-            std::fs::write(&agents_path, &storm_agents).expect("write agent-script artifact");
-            println!("store_throughput: wrote {agents_path}");
-            // Real multi-core scaling of the threaded backend, written
-            // next to the simulated report (uploaded as an artifact).
-            let wall_path = format!("{journal_dir}/store_throughput_wallclock.json");
-            std::fs::write(&wall_path, wall_clock_scaling_report())
-                .expect("write wall-clock artifact");
-            println!("store_throughput: wrote {wall_path}");
+    let mut artifacts = Artifacts::new();
+    let sections: Vec<String> = SCENARIOS
+        .iter()
+        .map(|scenario| {
+            println!("store_throughput: {}", scenario.headline);
+            let section = (scenario.run)(&mut artifacts);
+            format!("    \"{}\": {section}", scenario.key)
+        })
+        .collect();
+    if std::env::var_os("STORE_THROUGHPUT_SMOKE").is_some() {
+        // Persist the perf trajectory (committed, CI diffs it) and, under
+        // `target/`, what CI uploads: the journals of the fan-out and
+        // fault runs, the compiled VCR-storm agent scripts and the real
+        // multi-core scaling of the threaded backend.
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let write = |file: &str, contents: &str| {
+            let path = format!("{root}/{file}");
+            std::fs::write(&path, contents).unwrap_or_else(|e| panic!("write {path}: {e}"));
+            println!("store_throughput: wrote {path}");
+        };
+        let report = format!(
+            "{{\n  \"bench\": \"store_throughput\",\n  \"mode\": \"smoke\",\n  \
+             \"scenarios\": {{\n{}\n  }}\n}}\n",
+            sections.join(",\n")
+        );
+        write("BENCH_store_throughput.json", &report);
+        std::fs::create_dir_all(format!("{root}/target")).expect("create target dir");
+        for (file, contents) in &artifacts {
+            write(file, contents);
         }
-    });
-    if smoke {
+        write(
+            "target/store_throughput_wallclock.json",
+            &wall_clock_scaling_report(),
+        );
         println!("store_throughput: smoke mode — timing loops skipped");
         return;
     }
     let mut group = c.benchmark_group("store_throughput");
     group.sample_size(10);
-    group.bench_function("admission_sweep_4_disks", |b| {
-        b.iter(|| criterion::black_box(streams_sustained(4, DiskSched::Scan)));
-    });
-    group.bench_function("cluster_admission_3_servers", |b| {
-        b.iter(|| criterion::black_box(cluster_streams_sustained(3, 2)));
-    });
-    group.bench_function("mixed_record_playback", |b| {
-        b.iter(|| criterion::black_box(streams_sustained_while_recording(2)));
-    });
-    group.bench_function("hot_title_rebalanced", |b| {
-        b.iter(|| criterion::black_box(hot_title_streams_sustained(true).0));
-    });
-    group.bench_function("two_viewers_interval_cache", |b| {
-        b.iter(|| criterion::black_box(hit_ratio_at_spacing(CachePolicy::Interval, 64, 4)));
-    });
-    group.bench_function("flash_crowd_200_viewers", |b| {
-        b.iter(|| criterion::black_box(flash_crowd(true, 200, 60_000, 96, 16).admitted));
-    });
-    group.bench_function("control_fanout_8_clients", |b| {
-        b.iter(|| criterion::black_box(control_fanout(4, 8, true).0));
-    });
-    group.bench_function("spindle_rebuild_4_viewers", |b| {
-        b.iter(|| criterion::black_box(rebuild_time(4, 50)));
-    });
-    group.bench_function("crash_survival_10_viewers", |b| {
-        b.iter(|| criterion::black_box(crash_survival(4, 10).failed_over));
-    });
+    for (id, body) in SCENARIOS.iter().filter_map(|scenario| scenario.timed) {
+        group.bench_function(id, |b| b.iter(body));
+    }
     group.finish();
 }
 

@@ -1,12 +1,15 @@
-//! `bench` — the Criterion benchmark suite of the reproduction.
+//! `bench` — the Criterion benchmark suite of the reproduction: two
+//! targets under `benches/`, each a walk of one table.
 //!
-//! Each bench target regenerates one table or figure of the paper's
-//! evaluation (the `harness` crate's root lists them; the sources are
-//! under `benches/`): it prints the harness report table and then
-//! measures the underlying operation so regressions in the reproduced
-//! shapes are caught over time. Run with `cargo bench --workspace`.
-//! The end-to-end benchmark with its own workloads is a separate
-//! package, described in `benchmark/README.md`.
+//! `paper_experiments` prints every row of `harness::EXPERIMENTS` (one
+//! per table or figure of the paper's evaluation) at paper scale with
+//! its shape check, then times the rows and the operations underneath
+//! them. `store_throughput` does the same for its own `SCENARIOS`
+//! table (one row per storage scenario) and, under
+//! `STORE_THROUGHPUT_SMOKE=1`, rewrites `BENCH_store_throughput.json`
+//! from it. Run with `cargo bench --workspace`. The end-to-end
+//! benchmark with its own workloads is a separate package, described
+//! in `benchmark/README.md`.
 //!
 //! The crate also exports [`CountingAllocator`], a global-allocator
 //! shim the `zero_alloc` integration test installs to prove the

@@ -9,7 +9,7 @@ use crate::service::{
 use crate::sps::{SpsError, StreamProviderSystem};
 use directory::{attr, Dn, Dua, Filter, ModOp, MovieEntry, Rdn, Scope};
 use equipment::{EquipmentId, Eua};
-use estelle::{downcast, Ctx, IpIndex, StateId, StateMachine, Transition};
+use estelle::{downcast, IpIndex, StateId, StateMachine, Transition};
 use netsim::SimDuration;
 use std::sync::Arc;
 
@@ -123,7 +123,6 @@ impl StateMachine for DuaAgent {
             .cost(AGENT_COST),
         ]
     }
-    fn on_init(&mut self, _ctx: &mut Ctx<'_>) {}
 }
 
 /// Stream agent (SPA on the server): executes [`StreamOp`]s against
@@ -286,7 +285,6 @@ impl StateMachine for SuaAgent {
             .cost(AGENT_COST),
         ]
     }
-    fn on_init(&mut self, _ctx: &mut Ctx<'_>) {}
 }
 
 /// Equipment agent: executes [`EquipOp`]s against the site's ECS.
@@ -358,7 +356,6 @@ impl StateMachine for EuaAgent {
             .cost(AGENT_COST),
         ]
     }
-    fn on_init(&mut self, _ctx: &mut Ctx<'_>) {}
 }
 
 /// Derives the synthetic stream source for a directory movie entry.

@@ -9,7 +9,7 @@
 
 use crate::pdus::McamPdu;
 use crate::service::{McamCnf, McamOp, McamReq};
-use estelle::{downcast, Ctx, IpIndex, StateId, StateMachine, Transition};
+use estelle::{downcast, is, Ctx, IpIndex, StateId, StateMachine, Transition};
 use netsim::SimDuration;
 use std::collections::VecDeque;
 
@@ -107,7 +107,7 @@ impl StateMachine for AppMachine {
                     m.awaiting = false;
                 },
             )
-            .provided(|_, msg| msg.is_some_and(|m| m.is::<McamCnf>()))
+            .provided(|_, msg| is::<McamCnf>(msg))
             .cost(SimDuration::from_micros(30)),
             Transition::spontaneous("next-op", RUN, |m: &mut Self, ctx, _| {
                 let op = m.next_op().expect("guard checked");

@@ -8,7 +8,7 @@ use crate::pdus::McamPdu;
 use crate::service::{
     AssocSettled, McamCnf, McamOp, McamReq, ReferralSignal, ReferralStale, StartAssociate,
 };
-use estelle::{downcast, Ctx, Interaction, IpIndex, StateId, StateMachine, Transition};
+use estelle::{downcast, is, Ctx, IpIndex, StateId, StateMachine, Transition};
 use netsim::{SimDuration, SimTime};
 use presentation::mcam_contexts;
 use presentation::service::{PAbortInd, PConCnf, PConReq, PDataInd, PDataReq, PRelCnf, PRelReq};
@@ -33,10 +33,6 @@ pub const WAITING: StateId = StateId(3);
 pub const P_RELEASING: StateId = StateId(4);
 
 const COST_REQ: SimDuration = SimDuration::from_micros(200);
-
-fn is<T: Interaction>(msg: Option<&dyn Interaction>) -> bool {
-    msg.is_some_and(|m| m.is::<T>())
-}
 
 /// The client's view of its stream session, maintained from confirmed
 /// request/response pairs so that a server crash can be survived: the
@@ -528,6 +524,4 @@ impl StateMachine for ClientMca {
             .cost(SimDuration::from_micros(20)),
         ]
     }
-
-    fn on_init(&mut self, _ctx: &mut Ctx<'_>) {}
 }

@@ -34,7 +34,7 @@ use crate::stacks::{wire_lower_stack_tagged, StackKind};
 use directory::{Dn, Dua, MovieEntry};
 use equipment::Eua;
 use estelle::{
-    downcast, ip, Ctx, Interaction, IpIndex, ModuleKind, ModuleLabels, StateId, StateMachine,
+    downcast, ip, is, Ctx, Interaction, IpIndex, ModuleKind, ModuleLabels, StateId, StateMachine,
     Transition,
 };
 use netsim::{Medium, SimDuration};
@@ -71,10 +71,6 @@ const REAP_GRACE: SimDuration = SimDuration::from_millis(20);
 /// MCAM error code for disk-bandwidth admission rejection (server
 /// saturated; retry later or elsewhere).
 pub const ERR_ADMISSION: u32 = 503;
-
-fn is<T: Interaction>(msg: Option<&dyn Interaction>) -> bool {
-    msg.is_some_and(|m| m.is::<T>())
-}
 
 /// Server entities whose client was referred away, waiting for the
 /// [`ServerRoot`] to collect them — and the root's waker beside the

@@ -11,7 +11,7 @@ use crate::service::{
 };
 use estelle::external::{MediumModule, MEDIUM_IP};
 use estelle::{
-    downcast, ip, Ctx, IpIndex, ModuleId, ModuleKind, ModuleLabels, StateId, StateMachine,
+    downcast, ip, is, Ctx, IpIndex, ModuleId, ModuleKind, ModuleLabels, StateId, StateMachine,
     Transition,
 };
 use isode::{IsodeInterfaceModule, IsodeStack};
@@ -557,7 +557,7 @@ impl StateMachine for ClientRoot {
                     );
                 },
             )
-            .provided(|_, msg| msg.is_some_and(|m| m.is::<McamReq>()))
+            .provided(|_, msg| is::<McamReq>(msg))
             .cost(SimDuration::from_micros(400)),
             // The server referred this client to another cluster
             // member: re-home the control association there.
@@ -565,7 +565,7 @@ impl StateMachine for ClientRoot {
                 let sig = downcast::<ReferralSignal>(msg.unwrap()).unwrap();
                 m.follow_referral(ctx, sig);
             })
-            .provided(|_, msg| msg.is_some_and(|m| m.is::<ReferralSignal>()))
+            .provided(|_, msg| is::<ReferralSignal>(msg))
             .cost(SimDuration::from_micros(400)),
             // Association up: the referral chain (if any) settled —
             // restore the hop budget, anchored at the new home.
@@ -574,7 +574,7 @@ impl StateMachine for ClientRoot {
                 let at = m.control_location.clone();
                 m.follower.settle(if at.is_empty() { &m.home } else { &at });
             })
-            .provided(|_, msg| msg.is_some_and(|m| m.is::<AssocSettled>()))
+            .provided(|_, msg| is::<AssocSettled>(msg))
             .cost(SimDuration::from_micros(20)),
             // Saturation or abort: the cached referral no longer
             // reflects cluster load.
@@ -582,7 +582,7 @@ impl StateMachine for ClientRoot {
                 let _ = downcast::<ReferralStale>(msg.unwrap()).unwrap();
                 m.cache = None;
             })
-            .provided(|_, msg| msg.is_some_and(|m| m.is::<ReferralStale>()))
+            .provided(|_, msg| is::<ReferralStale>(msg))
             .cost(SimDuration::from_micros(20)),
         ]
     }

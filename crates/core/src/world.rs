@@ -1130,3 +1130,21 @@ impl World {
         MtpReceiver::new(client.socket.clone(), params.stream_id, playout_delay)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Tests and bench scenarios that say nothing about the CM link
+    /// rely on this default instead of restating it.
+    #[test]
+    fn default_cm_link_is_2ms_jittered_and_lossless() {
+        let quiet = LinkConfig::lossy(
+            SimDuration::from_millis(2),
+            SimDuration::from_micros(500),
+            0.0,
+        );
+        let default = WorldBuilder::new(0).stream_link;
+        assert_eq!(format!("{default:?}"), format!("{quiet:?}"));
+    }
+}

@@ -8,16 +8,8 @@
 
 use directory::MovieEntry;
 use mcam::{ClusterSpec, McamOp, McamPdu, Placement, StackKind, World, ERR_REFERRAL};
-use netsim::{LinkConfig, SimDuration};
+use netsim::SimDuration;
 use store::{CachePolicy, DiskParams, StoreConfig};
-
-fn quiet_link() -> LinkConfig {
-    LinkConfig::lossy(
-        SimDuration::from_millis(2),
-        SimDuration::from_micros(500),
-        0.0,
-    )
-}
 
 fn associate(world: &World, client: &mcam::ClientHandle, user: &str) {
     let rsp = world.client_op(client, McamOp::Associate { user: user.into() });
@@ -43,7 +35,7 @@ fn select(world: &World, client: &mcam::ClientHandle, title: &str) -> Option<Mca
 /// client's requests (select, play) work exactly as before.
 #[test]
 fn control_connections_spread_across_the_cluster() {
-    let mut world = World::builder(7).stream_link(quiet_link()).build();
+    let mut world = World::builder(7).build();
     let cluster = world.add_cluster(ClusterSpec::new(
         "vod",
         4,
@@ -124,7 +116,7 @@ fn control_connections_spread_across_the_cluster() {
 /// AssociateReq rides in the original two-field encoding.
 #[test]
 fn legacy_client_is_served_locally() {
-    let mut world = World::builder(11).stream_link(quiet_link()).build();
+    let mut world = World::builder(11).build();
     let cluster = world.add_cluster(ClusterSpec::new(
         "vod",
         3,
@@ -168,7 +160,7 @@ fn legacy_client_is_served_locally() {
 /// list and settles on a live member.
 #[test]
 fn referral_to_dead_or_draining_target_falls_back() {
-    let mut world = World::builder(13).stream_link(quiet_link()).build();
+    let mut world = World::builder(13).build();
     let cluster = world.add_cluster(ClusterSpec::new(
         "vod",
         3,
@@ -211,7 +203,7 @@ fn referral_to_dead_or_draining_target_falls_back() {
 /// and never spins.
 #[test]
 fn referral_loops_are_detected() {
-    let mut world = World::builder(17).stream_link(quiet_link()).build();
+    let mut world = World::builder(17).build();
     let cluster = world.add_cluster(ClusterSpec::new(
         "vod",
         2,
@@ -256,7 +248,7 @@ fn referral_loops_are_detected() {
 /// A → B → C chain is refused.
 #[test]
 fn referral_hop_limit_terminates_chains() {
-    let mut world = World::builder(19).stream_link(quiet_link()).build();
+    let mut world = World::builder(19).build();
     world.referral_max_hops = 1;
     let cluster = world.add_cluster(ClusterSpec::new(
         "vod",
@@ -311,10 +303,7 @@ fn drain_refers_control_connections_away() {
         },
         ..StoreConfig::default()
     };
-    let mut world = World::builder(23)
-        .stream_link(quiet_link())
-        .store(store)
-        .build();
+    let mut world = World::builder(23).store(store).build();
     let cluster = world.add_cluster(ClusterSpec::new(
         "vod",
         3,
@@ -406,10 +395,7 @@ fn saturation_invalidates_the_cached_referral() {
         },
         ..StoreConfig::default()
     };
-    let mut world = World::builder(29)
-        .stream_link(quiet_link())
-        .store(store)
-        .build();
+    let mut world = World::builder(29).store(store).build();
     let cluster = world.add_cluster(ClusterSpec::new(
         "vod",
         2,

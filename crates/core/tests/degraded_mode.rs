@@ -9,16 +9,8 @@
 use directory::MovieEntry;
 use mcam::agents::source_for_entry;
 use mcam::{ClusterSpec, McamOp, McamPdu, Placement, StackKind, World};
-use netsim::{LinkConfig, NetAddr, SimDuration};
+use netsim::{NetAddr, SimDuration};
 use store::{CachePolicy, DiskParams, StoreConfig};
-
-fn quiet_link() -> LinkConfig {
-    LinkConfig::lossy(
-        SimDuration::from_millis(2),
-        SimDuration::from_micros(500),
-        0.0,
-    )
-}
 
 fn associate(world: &World, client: &mcam::ClientHandle, user: &str) {
     let rsp = world.client_op(client, McamOp::Associate { user: user.into() });
@@ -69,7 +61,7 @@ fn run_rebuild_to_completion(world: &World, server: &mcam::ServerHandle, max_sec
 /// journaled under an intact hash chain.
 #[test]
 fn spindle_death_rebuilds_under_foreground_load() {
-    let mut world = World::builder(101).stream_link(quiet_link()).build();
+    let mut world = World::builder(101).build();
     let server = world.add_server("ksr1", StackKind::EstellePS);
     let client = world.add_client(&server, StackKind::EstellePS, vec![]);
     world.start();
@@ -144,7 +136,7 @@ fn spindle_death_rebuilds_under_foreground_load() {
 /// played frame — journaled as `StreamFailedOver`.
 #[test]
 fn server_crash_fails_the_stream_over_to_a_replica() {
-    let mut world = World::builder(103).stream_link(quiet_link()).build();
+    let mut world = World::builder(103).build();
     let cluster = world.add_cluster(ClusterSpec::new(
         "vod",
         2,
@@ -261,10 +253,7 @@ fn sole_holder_crash_yields_503_not_a_panic() {
         },
         ..StoreConfig::default()
     };
-    let mut world = World::builder(107)
-        .stream_link(quiet_link())
-        .store(store)
-        .build();
+    let mut world = World::builder(107).store(store).build();
     let cluster = world.add_cluster(ClusterSpec::new(
         "vod",
         2,
@@ -327,7 +316,7 @@ fn sole_holder_crash_yields_503_not_a_panic() {
 /// crash left under-replicated.
 #[test]
 fn journal_chain_verifies_across_every_fault_lifecycle() {
-    let mut world = World::builder(109).stream_link(quiet_link()).build();
+    let mut world = World::builder(109).build();
     let cluster = world.add_cluster(ClusterSpec::new(
         "vod",
         3,

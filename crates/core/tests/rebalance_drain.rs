@@ -7,7 +7,7 @@
 
 use directory::{attr, MovieEntry};
 use mcam::{ClusterSpec, McamOp, McamPdu, Placement, StackKind, World};
-use netsim::{LinkConfig, SimDuration};
+use netsim::SimDuration;
 use store::{CachePolicy, DiskParams, StoreConfig};
 
 /// One slow disk per server: ~1.69 Mbit/s of admissible bandwidth
@@ -24,14 +24,6 @@ fn tight_store() -> StoreConfig {
         },
         ..StoreConfig::default()
     }
-}
-
-fn quiet_link() -> LinkConfig {
-    LinkConfig::lossy(
-        SimDuration::from_millis(2),
-        SimDuration::from_micros(500),
-        0.0,
-    )
 }
 
 fn associate(world: &World, client: &mcam::ClientHandle, user: &str) {
@@ -69,10 +61,7 @@ fn query_entry(world: &World, client: &mcam::ClientHandle, title: &str) -> direc
 /// rewritten entry still decodes for replica-unaware readers.
 #[test]
 fn hot_title_grows_onto_the_idle_server_and_routing_sees_it() {
-    let mut world = World::builder(31)
-        .stream_link(quiet_link())
-        .store(tight_store())
-        .build();
+    let mut world = World::builder(31).store(tight_store()).build();
     let cluster = world.add_cluster(ClusterSpec::new(
         "vod",
         3,
@@ -161,10 +150,7 @@ fn hot_title_grows_onto_the_idle_server_and_routing_sees_it() {
 /// decommission, and after completion no title is under-replicated.
 #[test]
 fn drain_under_load_migrates_sole_copies_and_decommissions_cleanly() {
-    let mut world = World::builder(32)
-        .stream_link(quiet_link())
-        .store(tight_store())
-        .build();
+    let mut world = World::builder(32).store(tight_store()).build();
     // K=1 placements make every title a sole copy — the hard case.
     let cluster = world.add_cluster(ClusterSpec::new(
         "vod",
@@ -285,10 +271,7 @@ fn drain_under_load_migrates_sole_copies_and_decommissions_cleanly() {
 /// double drain is reported as such.
 #[test]
 fn drain_refusals() {
-    let mut world = World::builder(33)
-        .stream_link(quiet_link())
-        .store(tight_store())
-        .build();
+    let mut world = World::builder(33).store(tight_store()).build();
     let solo = world.add_cluster(ClusterSpec::new(
         "solo",
         1,
@@ -326,10 +309,7 @@ fn drain_refusals() {
 /// to local service — never a panic, never a routing error.
 #[test]
 fn stale_replica_lists_fail_over_instead_of_panicking() {
-    let mut world = World::builder(34)
-        .stream_link(quiet_link())
-        .store(tight_store())
-        .build();
+    let mut world = World::builder(34).store(tight_store()).build();
     let cluster = world.add_cluster(ClusterSpec::new(
         "vod",
         2,

@@ -7,7 +7,7 @@
 use directory::MovieEntry;
 use mcam::agents::source_for_entry;
 use mcam::{ClusterSpec, McamOp, McamPdu, Placement, StackKind, World};
-use netsim::{LinkConfig, SimDuration};
+use netsim::SimDuration;
 use store::{CachePolicy, DiskParams, StoreConfig};
 
 /// One slow disk per server: ~1.0 Mbit/s of admissible bandwidth
@@ -24,14 +24,6 @@ fn tight_store() -> StoreConfig {
         },
         ..StoreConfig::default()
     }
-}
-
-fn quiet_link() -> LinkConfig {
-    LinkConfig::lossy(
-        SimDuration::from_millis(2),
-        SimDuration::from_micros(500),
-        0.0,
-    )
 }
 
 fn associate(world: &World, client: &mcam::ClientHandle, user: &str) {
@@ -58,10 +50,7 @@ fn await_record_reply(world: &World, client: &mcam::ClientHandle, limit_secs: u6
 
 #[test]
 fn record_steals_bandwidth_and_releases_it() {
-    let mut world = World::builder(11)
-        .stream_link(quiet_link())
-        .store(tight_store())
-        .build();
+    let mut world = World::builder(11).store(tight_store()).build();
     let cluster = world.add_cluster(ClusterSpec::new(
         "vod",
         2,
@@ -153,10 +142,7 @@ fn record_steals_bandwidth_and_releases_it() {
 #[test]
 fn recording_is_refused_on_a_saturated_server() {
     // Standalone server, capacity for one stream only.
-    let mut world = World::builder(12)
-        .stream_link(quiet_link())
-        .store(tight_store())
-        .build();
+    let mut world = World::builder(12).store(tight_store()).build();
     let server = world.add_server("solo", StackKind::EstellePS);
     let viewer = world.add_client(&server, StackKind::EstellePS, vec![]);
     let recorder = world.add_client(&server, StackKind::EstellePS, vec![]);
@@ -223,10 +209,7 @@ fn recording_is_refused_on_a_saturated_server() {
 #[test]
 fn recorded_movie_is_replicated_and_playable_from_every_replica() {
     // Generous storage: contention is not the point here.
-    let mut world = World::builder(13)
-        .stream_link(quiet_link())
-        .store(StoreConfig::default())
-        .build();
+    let mut world = World::builder(13).store(StoreConfig::default()).build();
     let cluster = world.add_cluster(ClusterSpec::new(
         "vod",
         3,

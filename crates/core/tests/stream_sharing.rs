@@ -7,7 +7,7 @@
 //! event journal.
 
 use mcam::{ClusterSpec, McamOp, McamPdu, Placement, ShareConfig, StackKind, World};
-use netsim::{LinkConfig, SimDuration};
+use netsim::SimDuration;
 use store::{CachePolicy, DiskParams, StoreConfig};
 
 /// One slow disk: ~1.69 Mbit/s of admissible bandwidth fits two
@@ -24,14 +24,6 @@ fn tight_store() -> StoreConfig {
         },
         ..StoreConfig::default()
     }
-}
-
-fn quiet_link() -> LinkConfig {
-    LinkConfig::lossy(
-        SimDuration::from_millis(2),
-        SimDuration::from_micros(500),
-        0.0,
-    )
 }
 
 /// The 503 sentence is what the client is told (and its length is on
@@ -71,7 +63,6 @@ fn publish(world: &World, cluster: &mcam::ClusterHandle, title: &str, frames: u6
 #[test]
 fn followers_admit_free_under_saturation() {
     let mut world = World::builder(71)
-        .stream_link(quiet_link())
         .store(tight_store())
         .share(ShareConfig::default())
         .build();
@@ -124,7 +115,6 @@ fn followers_admit_free_under_saturation() {
 #[test]
 fn fast_feed_converges_and_releases_its_delta() {
     let mut world = World::builder(72)
-        .stream_link(quiet_link())
         .store(tight_store())
         .share(ShareConfig {
             enabled: true,
@@ -196,7 +186,6 @@ fn fast_feed_converges_and_releases_its_delta() {
 #[test]
 fn leader_close_promotes_a_follower_without_a_playback_gap() {
     let mut world = World::builder(73)
-        .stream_link(quiet_link())
         .store(tight_store())
         .share(ShareConfig::default())
         .build();
@@ -267,7 +256,6 @@ fn leader_close_promotes_a_follower_without_a_playback_gap() {
 #[test]
 fn seek_out_of_group_readmits_or_503s_honestly() {
     let mut world = World::builder(74)
-        .stream_link(quiet_link())
         .store(tight_store())
         .share(ShareConfig::default())
         .build();
@@ -334,7 +322,6 @@ fn seek_out_of_group_readmits_or_503s_honestly() {
 #[test]
 fn journal_chain_verifies_across_the_merge_lifecycle() {
     let mut world = World::builder(75)
-        .stream_link(quiet_link())
         .store(tight_store())
         .share(ShareConfig {
             enabled: true,

@@ -195,7 +195,6 @@ impl Deployment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::Ctx;
     use crate::ids::{ModuleLabels, StateId};
     use crate::machine::{StateMachine, Transition};
 
@@ -211,7 +210,6 @@ mod tests {
         fn transitions() -> Vec<Transition<Self>> {
             vec![]
         }
-        fn on_init(&mut self, _ctx: &mut Ctx<'_>) {}
     }
 
     #[derive(Debug, Default)]

@@ -41,6 +41,12 @@ impl dyn Interaction {
     }
 }
 
+/// The `provided` guard of a `when` transition that takes only `T`s:
+/// an interaction is offered and it has concrete type `T`.
+pub fn is<T: Interaction>(msg: Option<&dyn Interaction>) -> bool {
+    msg.is_some_and(|m| m.is::<T>())
+}
+
 /// Consumes a boxed interaction, returning the concrete value if it has
 /// type `T`, or the original box otherwise.
 pub fn downcast<T: Interaction>(

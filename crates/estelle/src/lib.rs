@@ -98,7 +98,7 @@ pub use ctx::{ip, Ctx};
 pub use error::{EstelleError, Result};
 pub use grouping::GroupingPolicy;
 pub use ids::{IpIndex, IpRef, ModuleId, ModuleKind, ModuleLabels, StateId, UnitId};
-pub use interaction::{downcast, Interaction};
+pub use interaction::{downcast, is, Interaction};
 pub use machine::{
     Dispatch, FiredInfo, FromState, Fsm, IpState, ModuleExec, Selected, StateMachine, Transition,
     TransitionInfo, DEFAULT_TRANSITION_COST,

@@ -1,61 +1,13 @@
-//! Runs the full experiment suite and prints the report that
-//! EXPERIMENTS.md records.
+//! Prints every row of [`harness::EXPERIMENTS`] at paper scale and
+//! fails if a reproduced shape falls outside the paper's bands.
 
-use ksim::Overheads;
+use harness::{Scale, EXPERIMENTS};
 
 fn main() {
     println!("MCAM reproduction - experiment report\n");
-
-    let (t, control, stream) = harness::table1_experiment(0.05, 8);
-    println!("{t}");
-    println!(
-        "   (control reliable={:.3}, stream rate/control rate = {:.0}x)\n",
-        control.reliability,
-        stream.rate_kbps / control.rate_kbps.max(0.001)
-    );
-
-    let (t, speedups) =
-        harness::speedup_experiment(2, &[25, 50, 100, 500, 1000], Overheads::osf1_threads());
-    println!("{t}");
-    println!(
-        "   (paper: speedup 1.4-2.0 with 2 connections and varying data requests; \
-measured range: {:.2}-{:.2})\n",
-        speedups.iter().cloned().fold(f64::MAX, f64::min),
-        speedups.iter().cloned().fold(0.0, f64::max)
-    );
-
-    let (t, _) = harness::grouping_experiment(8, 50, &[2, 4]);
-    println!("{t}");
-
-    let (t, _) = harness::dispatch_experiment(200_000);
-    println!("{t}");
-
-    let (t, central, decentral) = harness::scheduler_experiment(2, 200);
-    println!("{t}");
-    println!(
-        "   (paper: centralized scheduler up to 80% of runtime; model: {:.0}% vs {:.0}%)\n",
-        central * 100.0,
-        decentral * 100.0
-    );
-
-    let (t, _est, _iso) = harness::generated_vs_handcoded(10);
-    println!("{t}");
-
-    let (t, _) = harness::parallel_asn1_experiment(&[10, 100, 1000, 10_000], &[2, 4]);
-    println!("{t}");
-
-    let (t, s_conn, s_layer) = harness::conn_vs_layer_experiment(4, 100);
-    println!("{t}");
-    println!("   (paper: connection-per-processor wins; measured {s_conn:.2} vs {s_layer:.2})\n");
-
-    let (t, outcome) = harness::mapping_experiment(&[200, 25, 25, 25], 2);
-    println!("{t}");
-    println!(
-        "   (ref [7] \"optimal mapping under development\": optimizer {}us vs best static {}us)",
-        outcome.optimized_us,
-        outcome
-            .by_connection_us
-            .min(outcome.by_layer_us)
-            .min(outcome.per_module_us)
-    );
+    let failed: Vec<String> = EXPERIMENTS
+        .iter()
+        .flat_map(|row| row.report(Scale::Paper))
+        .collect();
+    assert!(failed.is_empty(), "shapes not reproduced: {failed:#?}");
 }

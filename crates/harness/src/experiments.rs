@@ -1,5 +1,5 @@
-//! The experiment suite: one function per paper artifact (the crate
-//! root lists them).
+//! One function per paper artifact; `suite::EXPERIMENTS` lists them
+//! with their parameters and shape checks.
 
 use crate::pstack::{build_ps_env, run_ps_env};
 use crate::report::Table;
@@ -7,11 +7,24 @@ use asn1::parallel::{encode_sequence_of, encode_sequence_of_parallel};
 use asn1::Value;
 use directory::MovieEntry;
 use estelle::sched::{FirePolicy, SeqOptions};
-use estelle::{Ctx, Dispatch, GroupingPolicy, StateId, StateMachine, Transition};
-use ksim::{Machine, Overheads};
+use estelle::{Dispatch, ExecTrace, GroupingPolicy, StateId, StateMachine, Transition};
+use ksim::{Machine, Overheads, SimReport};
 use mcam::{McamOp, McamPdu, StackKind, World};
 use netsim::{LinkConfig, SimDuration, SimTime};
 use std::time::{Duration, Instant};
+
+/// The measurement of E1 and A1: `trace` replayed sequentially and with
+/// one thread per module on the full 32-CPU machine, and the speedup.
+fn per_module_speedup(trace: &ExecTrace, overheads: Overheads) -> (SimReport, SimReport, f64) {
+    let machine = Machine {
+        processors: 32,
+        overheads,
+    };
+    let baseline = ksim::simulate_sequential(trace, overheads);
+    let par = ksim::simulate(trace, GroupingPolicy::PerModule, &machine);
+    let speedup = ksim::speedup(&baseline, &par);
+    (baseline, par, speedup)
+}
 
 /// E1 — §5.1 sequential vs. parallel speedup.
 ///
@@ -42,16 +55,7 @@ pub fn speedup_experiment(
     for &dr in data_requests {
         let env = build_ps_env(connections, dr, 42);
         let trace = run_ps_env(&env, dr);
-        let baseline = ksim::simulate_sequential(&trace, overheads);
-        let par = ksim::simulate(
-            &trace,
-            GroupingPolicy::PerModule,
-            &Machine {
-                processors: 32,
-                overheads,
-            },
-        );
-        let s = ksim::speedup(&baseline, &par);
+        let (baseline, par, s) = per_module_speedup(&trace, overheads);
         speedups.push(s);
         table.row([
             dr.to_string(),
@@ -88,28 +92,19 @@ pub fn grouping_experiment(
         ],
     );
     let mut pairs = Vec::new();
-    for &p in processors {
-        let per_module = ksim::simulate(
-            &trace,
-            GroupingPolicy::PerModule,
-            &Machine {
-                processors: p,
-                overheads,
-            },
-        );
-        let grouped = ksim::simulate(
-            &trace,
-            GroupingPolicy::ByConnection { units: p as u32 },
-            &Machine {
-                processors: p,
-                overheads,
-            },
-        );
+    for &processors in processors {
+        let machine = Machine {
+            processors,
+            overheads,
+        };
+        let units = processors as u32;
+        let per_module = ksim::simulate(&trace, GroupingPolicy::PerModule, &machine);
+        let grouped = ksim::simulate(&trace, GroupingPolicy::ByConnection { units }, &machine);
         let s_un = ksim::speedup(&baseline, &per_module);
         let s_gr = ksim::speedup(&baseline, &grouped);
         pairs.push((s_un, s_gr));
         table.row([
-            p.to_string(),
+            processors.to_string(),
             per_module.makespan.to_string(),
             grouped.makespan.to_string(),
             format!("{s_un:.2}"),
@@ -146,7 +141,6 @@ macro_rules! wide_fsm {
                     })
                     .collect()
             }
-            fn on_init(&mut self, _ctx: &mut Ctx<'_>) {}
         }
     };
 }
@@ -212,10 +206,8 @@ pub fn dispatch_experiment(firings: u64) -> (Table, Vec<(usize, f64, f64)>) {
 
 /// E4 — §5.2 scheduler overhead: centralized vs. decentralized.
 ///
-/// Two views: (a) the ksim model (dispatch serialized through a
-/// coordinator vs. charged locally) on the §5.1 trace; (b) the real
-/// instrumented share of selection time under the `OnePerScan`
-/// (centralized rescan) vs. `Pass` firing policies.
+/// The ksim model (dispatch serialized through a coordinator vs.
+/// charged locally) on the §5.1 trace.
 pub fn scheduler_experiment(connections: usize, data_requests: u32) -> (Table, f64, f64) {
     let env = build_ps_env(connections, data_requests, 13);
     let trace = run_ps_env(&env, data_requests);
@@ -229,56 +221,38 @@ pub fn scheduler_experiment(connections: usize, data_requests: u32) -> (Table, f
         dispatch: SimDuration::from_micros(20),
         ..Overheads::default()
     };
-    let central = ksim::simulate(
-        &small,
-        GroupingPolicy::ByConnection {
-            units: connections as u32,
-        },
-        &Machine {
+    let replay = |centralized| {
+        let machine = Machine {
             processors: connections,
             overheads: Overheads {
-                centralized: true,
+                centralized,
                 ..overheads
             },
-        },
-    );
-    let decentral = ksim::simulate(
-        &small,
-        GroupingPolicy::ByConnection {
-            units: connections as u32,
-        },
-        &Machine {
-            processors: connections,
-            overheads,
-        },
-    );
-
-    // Real instrumentation.
-    let env_a = build_ps_env(connections, data_requests, 13);
-    env_a.rt.start().expect("valid");
-    let opts = SeqOptions {
-        fire_policy: FirePolicy::OnePerScan,
-        advance_time: false,
-        ..Default::default()
+        };
+        let units = connections as u32;
+        ksim::simulate(&small, GroupingPolicy::ByConnection { units }, &machine)
     };
-    estelle::driver::run_sim(&env_a.rt, &env_a.net, &opts, SimTime::from_secs(600));
-    let central_counters = env_a.rt.counters();
-    let central_share_real = central_counters.scheduler_share();
-    let central_selects_per_firing =
-        central_counters.selects as f64 / central_counters.firings.max(1) as f64;
+    let (central, decentral) = (replay(true), replay(false));
 
-    let env_b = build_ps_env(connections, data_requests, 13);
-    env_b.rt.start().expect("valid");
-    let opts = SeqOptions {
-        fire_policy: FirePolicy::Pass,
-        advance_time: false,
-        ..Default::default()
+    // Sanity: the centralized rescan (`OnePerScan`) and the `Pass`
+    // firing policy complete the same protocol work. Their wall-clock
+    // scheduler shares on a small container mean nothing for the
+    // claim, so only the model is reported.
+    let firings_under = |fire_policy| {
+        let env = build_ps_env(connections, data_requests, 13);
+        env.rt.start().expect("valid");
+        let opts = SeqOptions {
+            fire_policy,
+            advance_time: false,
+            ..Default::default()
+        };
+        estelle::driver::run_sim(&env.rt, &env.net, &opts, SimTime::from_secs(600));
+        env.rt.counters().firings
     };
-    estelle::driver::run_sim(&env_b.rt, &env_b.net, &opts, SimTime::from_secs(600));
-    let pass_counters = env_b.rt.counters();
-    let pass_share_real = pass_counters.scheduler_share();
-    let pass_selects_per_firing =
-        pass_counters.selects as f64 / pass_counters.firings.max(1) as f64;
+    assert_eq!(
+        firings_under(FirePolicy::OnePerScan),
+        firings_under(FirePolicy::Pass)
+    );
 
     // Scheduler share: for the centralized scheduler all dispatch
     // serializes through one coordinator, so its share of the critical
@@ -289,12 +263,6 @@ pub fn scheduler_experiment(connections: usize, data_requests: u32) -> (Table, f
     let decentral_share = (decentral.dispatch_time.as_secs_f64()
         / (decentral.makespan.as_secs_f64() * connections as f64))
         .min(1.0);
-    // Sanity: the two real firing policies complete the same protocol
-    // work (their wall-clock scheduler share on this one-CPU container
-    // is not meaningful for the claim, so only the model is reported).
-    assert_eq!(central_counters.firings, pass_counters.firings);
-    let _ = (central_share_real, pass_share_real);
-    let _ = (central_selects_per_firing, pass_selects_per_firing);
     let mut table = Table::new(
         "E4 scheduler overhead (small transitions)",
         &["scheduler", "makespan", "scheduler share of critical path"],
@@ -374,6 +342,20 @@ pub fn generated_vs_handcoded(ops_per_client: usize) -> (Table, (Duration, u64),
     (table, (wall_est, firings_est), (wall_iso, firings_iso))
 }
 
+/// The SEQUENCE OF E6 encodes: `n` movie attribute sets.
+pub fn movie_attribute_sets(n: usize) -> Vec<Value> {
+    (0..n)
+        .map(|i| {
+            Value::Seq(vec![
+                Value::Str(format!("movie-{i}")),
+                Value::Int(25),
+                Value::Int(i as i64),
+                Value::Bool(i % 2 == 0),
+            ])
+        })
+        .collect()
+}
+
 /// E6 — footnote 3: parallel ASN.1 encoding does not pay off.
 pub fn parallel_asn1_experiment(sizes: &[usize], workers: &[usize]) -> (Table, Vec<Vec<Duration>>) {
     let mut table = Table::new(
@@ -382,16 +364,7 @@ pub fn parallel_asn1_experiment(sizes: &[usize], workers: &[usize]) -> (Table, V
     );
     let mut all = Vec::new();
     for &n in sizes {
-        let items: Vec<Value> = (0..n)
-            .map(|i| {
-                Value::Seq(vec![
-                    Value::Str(format!("movie-{i}")),
-                    Value::Int(25),
-                    Value::Int(i as i64),
-                    Value::Bool(i % 2 == 0),
-                ])
-            })
-            .collect();
+        let items = movie_attribute_sets(n);
         let reps = (200_000 / n.max(1)).clamp(3, 2000);
         let time = |f: &dyn Fn() -> Vec<u8>| {
             let t0 = Instant::now();
@@ -420,27 +393,17 @@ pub fn conn_vs_layer_experiment(connections: usize, data_requests: u32) -> (Tabl
     let trace = run_ps_env(&env, data_requests);
     let overheads = Overheads::ksr1_like();
     let baseline = ksim::simulate_sequential(&trace, overheads);
-    let p = connections;
-    let by_conn = ksim::simulate(
-        &trace,
-        GroupingPolicy::ByConnection { units: p as u32 },
-        &Machine {
-            processors: p,
-            overheads,
-        },
-    );
-    let by_layer = ksim::simulate(
-        &trace,
-        GroupingPolicy::ByLayer { units: p as u32 },
-        &Machine {
-            processors: p,
-            overheads,
-        },
-    );
+    let machine = Machine {
+        processors: connections,
+        overheads,
+    };
+    let units = connections as u32;
+    let by_conn = ksim::simulate(&trace, GroupingPolicy::ByConnection { units }, &machine);
+    let by_layer = ksim::simulate(&trace, GroupingPolicy::ByLayer { units }, &machine);
     let s_conn = ksim::speedup(&baseline, &by_conn);
     let s_layer = ksim::speedup(&baseline, &by_layer);
     let mut table = Table::new(
-        format!("E7 mapping: {connections} connections on {p} processors"),
+        format!("E7 mapping: {connections} connections on {connections} processors"),
         &["mapping", "makespan", "speedup", "cross-unit sync time"],
     );
     table.row([
@@ -589,7 +552,7 @@ pub struct MappingOutcome {
     pub rounds: usize,
 }
 
-/// Ablation — the automatic mapping algorithm (paper ref \[7\],
+/// A2 — ablation: the automatic mapping algorithm (paper ref \[7\],
 /// "currently under development") against the static policies of §3
 /// and §5.2, on a *skewed* per-connection workload where structural
 /// policies misplace the load.
@@ -603,21 +566,10 @@ pub fn mapping_experiment(requests: &[u32], processors: usize) -> (Table, Mappin
     };
     let baseline = ksim::simulate_sequential(&trace, overheads);
 
+    let units = processors as u32;
     let per_module = ksim::simulate(&trace, GroupingPolicy::PerModule, &machine);
-    let by_conn = ksim::simulate(
-        &trace,
-        GroupingPolicy::ByConnection {
-            units: processors as u32,
-        },
-        &machine,
-    );
-    let by_layer = ksim::simulate(
-        &trace,
-        GroupingPolicy::ByLayer {
-            units: processors as u32,
-        },
-        &machine,
-    );
+    let by_conn = ksim::simulate(&trace, GroupingPolicy::ByConnection { units }, &machine);
+    let by_layer = ksim::simulate(&trace, GroupingPolicy::ByLayer { units }, &machine);
     let optimized = ksim::optimize(
         &trace,
         &machine,
@@ -629,7 +581,7 @@ pub fn mapping_experiment(requests: &[u32], processors: usize) -> (Table, Mappin
 
     let mut table = Table::new(
         format!(
-            "Ablation: automatic mapping (ref [7]) — requests {requests:?} on {processors} CPUs"
+            "A2 ablation: automatic mapping (ref [7]) — requests {requests:?} on {processors} CPUs"
         ),
         &["mapping", "makespan", "speedup", "imbalance"],
     );
@@ -664,7 +616,7 @@ pub fn mapping_experiment(requests: &[u32], processors: usize) -> (Table, Mappin
     (table, outcome)
 }
 
-/// Ablation — sensitivity of the E1 speedup to the overhead model:
+/// A1 — ablation: sensitivity of the E1 speedup to the overhead model:
 /// sweeps the cross-thread synchronization cost and reports the
 /// module-per-thread speedup on the full machine. Shows *why* the
 /// paper's numbers sit at 1.4–2.0: cheap synchronization would have
@@ -678,7 +630,7 @@ pub fn overhead_sensitivity(
     let env = build_ps_env(connections, data_requests, 42);
     let trace = run_ps_env(&env, data_requests);
     let mut table = Table::new(
-        format!("Ablation: sync-cost sensitivity ({connections} connections, {data_requests} data requests)"),
+        format!("A1 ablation: sync-cost sensitivity ({connections} connections, {data_requests} data requests)"),
         &["sync cost", "speedup (module-per-thread, 32 CPUs)"],
     );
     let mut speedups = Vec::new();
@@ -687,16 +639,7 @@ pub fn overhead_sensitivity(
             sync: SimDuration::from_micros(sync),
             ..Overheads::osf1_threads()
         };
-        let base = ksim::simulate_sequential(&trace, ov);
-        let par = ksim::simulate(
-            &trace,
-            GroupingPolicy::PerModule,
-            &Machine {
-                processors: 32,
-                overheads: ov,
-            },
-        );
-        let s = ksim::speedup(&base, &par);
+        let (_, _, s) = per_module_speedup(&trace, ov);
         speedups.push(s);
         table.row([format!("{}us", sync), format!("{s:.2}")]);
     }

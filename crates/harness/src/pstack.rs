@@ -8,8 +8,8 @@
 
 use estelle::external::{MediumModule, MEDIUM_IP};
 use estelle::{
-    downcast, ip, Ctx, ExecTrace, Interaction, IpIndex, ModuleKind, ModuleLabels, Runtime, StateId,
-    StateMachine, Transition,
+    downcast, ip, is, Ctx, ExecTrace, IpIndex, ModuleId, ModuleKind, ModuleLabels, Runtime,
+    StateId, StateMachine, Transition,
 };
 use netsim::{Network, Pipe, PipeMedium, SimDuration, SimTime};
 use presentation::service::{PConCnf, PConInd, PConReq, PConRsp, PDataInd, PDataReq};
@@ -19,10 +19,6 @@ use std::sync::Arc;
 
 const DOWN: IpIndex = IpIndex(0);
 const S0: StateId = StateId(0);
-
-fn is<T: Interaction>(msg: Option<&dyn Interaction>) -> bool {
-    msg.is_some_and(|m| m.is::<T>())
-}
 
 /// Drives one connection: connects, then issues `to_send` small
 /// P-DATA requests.
@@ -133,7 +129,7 @@ pub struct PsEnv {
     /// The network carrying the transport pipes.
     pub net: Arc<Network>,
     /// Per-connection (initiator, responder) module ids.
-    pub endpoints: Vec<(estelle::ModuleId, estelle::ModuleId)>,
+    pub endpoints: Vec<(ModuleId, ModuleId)>,
 }
 
 impl std::fmt::Debug for PsEnv {
@@ -155,6 +151,14 @@ pub fn build_ps_env(connections: usize, data_requests: u32, seed: u64) -> PsEnv 
     build_ps_env_mixed(&vec![data_requests; connections], seed)
 }
 
+/// Adds the system module `name-conn` of protocol layer `layer`.
+fn add<M: StateMachine>(rt: &Runtime, name: &str, layer: u16, conn: u16, machine: M) -> ModuleId {
+    let labels = ModuleLabels::layer_conn(layer, conn);
+    let name = format!("{name}-{conn}");
+    rt.add_module(None, name, ModuleKind::SystemProcess, labels, machine)
+        .expect("builds before start")
+}
+
 /// Like [`build_ps_env`] but with a *different* number of data
 /// requests per connection — the skewed workload used by the mapping
 /// optimizer ablation (one busy connection next to idle ones defeats
@@ -165,80 +169,15 @@ pub fn build_ps_env_mixed(requests: &[u32], seed: u64) -> PsEnv {
     let mut endpoints = Vec::new();
     for (conn, &data_requests) in (0u16..).zip(requests) {
         let (a_end, b_end) = Pipe::create(&net, SimDuration::from_micros(300));
-        // Initiator side.
-        let init = rt
-            .add_module(
-                None,
-                format!("init-{conn}"),
-                ModuleKind::SystemProcess,
-                ModuleLabels::layer_conn(0, conn),
-                Initiator::new(data_requests),
-            )
-            .expect("builds before start");
-        let pres_a = rt
-            .add_module(
-                None,
-                format!("pres-a-{conn}"),
-                ModuleKind::SystemProcess,
-                ModuleLabels::layer_conn(1, conn),
-                PresentationMachine::default(),
-            )
-            .expect("builds before start");
-        let sess_a = rt
-            .add_module(
-                None,
-                format!("sess-a-{conn}"),
-                ModuleKind::SystemProcess,
-                ModuleLabels::layer_conn(2, conn),
-                SessionMachine::default(),
-            )
-            .expect("builds before start");
-        let wire_a = rt
-            .add_module(
-                None,
-                format!("wire-a-{conn}"),
-                ModuleKind::SystemProcess,
-                ModuleLabels::layer_conn(3, conn),
-                MediumModule::new(Box::new(PipeMedium::new(a_end))),
-            )
-            .expect("builds before start");
-        // Responder side.
-        let resp = rt
-            .add_module(
-                None,
-                format!("resp-{conn}"),
-                ModuleKind::SystemProcess,
-                ModuleLabels::layer_conn(0, conn),
-                Responder::default(),
-            )
-            .expect("builds before start");
-        let pres_b = rt
-            .add_module(
-                None,
-                format!("pres-b-{conn}"),
-                ModuleKind::SystemProcess,
-                ModuleLabels::layer_conn(1, conn),
-                PresentationMachine::default(),
-            )
-            .expect("builds before start");
-        let sess_b = rt
-            .add_module(
-                None,
-                format!("sess-b-{conn}"),
-                ModuleKind::SystemProcess,
-                ModuleLabels::layer_conn(2, conn),
-                SessionMachine::default(),
-            )
-            .expect("builds before start");
-        let wire_b = rt
-            .add_module(
-                None,
-                format!("wire-b-{conn}"),
-                ModuleKind::SystemProcess,
-                ModuleLabels::layer_conn(3, conn),
-                MediumModule::new(Box::new(PipeMedium::new(b_end))),
-            )
-            .expect("builds before start");
+        let wire = |end| MediumModule::new(Box::new(PipeMedium::new(end)));
+        let init = add(&rt, "init", 0, conn, Initiator::new(data_requests));
+        let pres_a = add(&rt, "pres-a", 1, conn, PresentationMachine::default());
+        let sess_a = add(&rt, "sess-a", 2, conn, SessionMachine::default());
+        let wire_a = add(&rt, "wire-a", 3, conn, wire(a_end));
+        let resp = add(&rt, "resp", 0, conn, Responder::default());
+        let pres_b = add(&rt, "pres-b", 1, conn, PresentationMachine::default());
+        let sess_b = add(&rt, "sess-b", 2, conn, SessionMachine::default());
+        let wire_b = add(&rt, "wire-b", 3, conn, wire(b_end));
         rt.connect(ip(init, DOWN), ip(pres_a, presentation::UP))
             .expect("fresh points");
         rt.connect(ip(pres_a, presentation::DOWN), ip(sess_a, session::UP))

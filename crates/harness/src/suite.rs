@@ -1,0 +1,281 @@
+//! The paper's evaluation, listed once: [`EXPERIMENTS`] holds one row
+//! per artifact — its id, its two parameter sets and its shape check.
+//! The `experiments` binary (paper scale, run by CI), the
+//! `experiment_shapes` test (small scale) and the `paper_experiments`
+//! bench target are loops over it.
+
+use crate::experiments::*;
+use crate::report::Table;
+use ksim::Overheads;
+use std::fmt;
+
+/// Which of a row's two parameter sets to run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scale {
+    /// Quick enough for `cargo test` and for the body of a timing loop.
+    Small,
+    /// The parameters the paper's figures are compared at.
+    Paper,
+}
+
+impl Scale {
+    fn pick<T>(self, small: T, paper: T) -> T {
+        match self {
+            Scale::Small => small,
+            Scale::Paper => paper,
+        }
+    }
+}
+
+/// What one run of a row produced.
+#[derive(Debug)]
+pub struct Outcome {
+    /// The result table.
+    pub table: Table,
+    /// The paper's figure beside the measured one, where the table
+    /// alone does not say it.
+    pub note: Option<String>,
+    /// Every condition of the paper's shape the numbers miss, with the
+    /// numbers; empty when the artifact is reproduced.
+    pub violations: Vec<String>,
+}
+
+impl fmt::Display for Outcome {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.table)?;
+        match &self.note {
+            Some(note) => write!(f, "\n   ({note})\n"),
+            None => Ok(()),
+        }
+    }
+}
+
+/// `shape!(table, note, numbers; condition, …)`: the row's [`Outcome`].
+/// A condition that does not hold is reported as written, beside the
+/// numbers it was evaluated on.
+macro_rules! shape {
+    ($table:expr, $note:expr, $numbers:expr; $($holds:expr),+ $(,)?) => {{
+        let mut violations = Vec::new();
+        $(let holds: bool = $holds; // a NaN compares false: a violation
+        if !holds {
+            violations.push(format!("{} fails on {:?}", stringify!($holds), $numbers));
+        })+
+        Outcome { table: $table, note: $note, violations }
+    }};
+}
+
+/// One row of [`EXPERIMENTS`].
+#[derive(Debug)]
+pub struct Experiment {
+    /// The artifact's id, which is also the first word of its table's
+    /// title.
+    pub id: &'static str,
+    /// Runs the experiment on the parameter set of the given scale and
+    /// checks the shape the paper reports.
+    pub run: fn(Scale) -> Outcome,
+}
+
+impl Experiment {
+    /// Runs the row at `scale`, prints its table and note, and returns
+    /// what is wrong with it, each finding naming the row; nothing
+    /// when the artifact is reproduced.
+    pub fn report(&self, scale: Scale) -> Vec<String> {
+        let outcome = (self.run)(scale);
+        println!("{outcome}");
+        let title = &outcome.table.title;
+        let mistitled = (!title.starts_with(self.id)).then(|| format!("table titled {title:?}"));
+        let findings = outcome.violations.iter().cloned().chain(mistitled);
+        findings
+            .map(|what| format!("{}: {what}", self.id))
+            .collect()
+    }
+}
+
+/// The row called `id`.
+///
+/// # Panics
+/// If there is no such row.
+pub fn experiment(id: &str) -> &'static Experiment {
+    EXPERIMENTS
+        .iter()
+        .find(|row| row.id == id)
+        .unwrap_or_else(|| panic!("no experiment {id}"))
+}
+
+/// Every table and figure of the paper's evaluation. A bound differs
+/// between the scales only where a host-clock comparison needs more
+/// slack on a short, loaded `cargo test` run.
+pub const EXPERIMENTS: &[Experiment] = &[
+    // Table 1: the control protocol is low-rate, fully reliable and
+    // asynchronous, the CM stream (here over a link losing 5 %)
+    // high-rate, lossy and isochronous.
+    Experiment {
+        id: "T1",
+        run: |scale| {
+            let (table, control, stream) = table1_experiment(0.05, scale.pick(1, 8));
+            let note = format!(
+                "control reliable={:.3}, stream rate/control rate = {:.0}x",
+                control.reliability,
+                stream.rate_kbps / control.rate_kbps.max(0.001)
+            );
+            shape!(table, Some(note), (&control, &stream);
+                (control.reliability - 1.0).abs() < 1e-9,
+                stream.reliability < 1.0,
+                stream.rate_kbps > 20.0 * control.rate_kbps,
+                stream.jitter_us > control.jitter_us)
+        },
+    },
+    // §5.1: sequential vs parallel implementation, 2 connections and a
+    // varying number of data requests. Paper: speedup 1.4-2.0 (checked
+    // as 1.3-2.1), growing with the work.
+    Experiment {
+        id: "E1",
+        run: |scale| {
+            let requests: &[u32] = scale.pick(&[25, 100], &[25, 50, 100, 500, 1000]);
+            let (table, speedups) = speedup_experiment(2, requests, Overheads::osf1_threads());
+            let note = format!(
+                "paper: speedup 1.4-2.0 with 2 connections and varying data requests; \
+                 measured range: {:.2}-{:.2}",
+                speedups.iter().cloned().fold(f64::MAX, f64::min),
+                speedups.iter().cloned().fold(0.0, f64::max)
+            );
+            shape!(table, Some(note), &speedups;
+                speedups.len() == requests.len(),
+                speedups.iter().all(|s| (1.3..=2.1).contains(s)),
+                speedups.windows(2).all(|w| w[0] <= w[1] + 0.05))
+        },
+    },
+    // §5.2: grouping modules into as many units as processors beats
+    // module-per-thread when modules outnumber processors.
+    Experiment {
+        id: "E2",
+        run: |scale| {
+            let (table, pairs) = match scale {
+                Scale::Small => grouping_experiment(4, 25, &[2]),
+                Scale::Paper => grouping_experiment(8, 50, &[2, 4]),
+            };
+            shape!(table, None, &pairs;
+                !pairs.is_empty(),
+                pairs.iter().all(|(ungrouped, grouped)| grouped >= ungrouped))
+        },
+    },
+    // §5.2: table-driven transition selection beats the hard-coded
+    // selection function once a module has more than a handful of
+    // transitions (host clock: the short run only asks for a win at 64).
+    Experiment {
+        id: "E3",
+        run: |scale| {
+            let (table, rows) = dispatch_experiment(scale.pick(20_000, 300_000));
+            let widths: Vec<usize> = rows.iter().map(|row| row.0).collect();
+            let ((_, hard2, _), (_, hard32, table32), (_, hard64, table64)) =
+                (rows[0], rows[4], rows[5]);
+            shape!(table, None, &rows;
+                widths == [2, 4, 8, 16, 32, 64],
+                hard64 > hard2,
+                table64 < hard64 * scale.pick(1.0, 0.8),
+                scale == Scale::Small || table32 < hard32)
+        },
+    },
+    // §5.2: a centralized scheduler consumes up to 80 % of the runtime
+    // of a protocol with small processing times.
+    Experiment {
+        id: "E4",
+        run: |scale| {
+            let (table, central, decentral) = scheduler_experiment(2, scale.pick(50, 200));
+            let note = format!(
+                "paper: centralized scheduler up to 80% of runtime; model: {:.0}% vs {:.0}%",
+                central * 100.0,
+                decentral * 100.0
+            );
+            shape!(table, Some(note), (central, decentral);
+                (0.6..=0.85).contains(&central),
+                (0.0..=1.0).contains(&decentral))
+        },
+    },
+    // Generated (Estelle P+S) vs hand-written (ISODE) lower layers under
+    // the same MCAM workload: hand-written fires fewer transitions and
+    // is faster, generated is the same order of magnitude (host clock:
+    // within 10x, 50x on the short run).
+    Experiment {
+        id: "E5",
+        run: |scale| {
+            let (table, (wall_est, firings_est), (wall_iso, firings_iso)) =
+                generated_vs_handcoded(scale.pick(5, 10));
+            let slack = scale.pick(50.0, 10.0);
+            shape!(table, None, ((wall_est, firings_est), (wall_iso, firings_iso));
+                firings_iso < firings_est,
+                wall_iso.as_secs_f64() < wall_est.as_secs_f64() * slack,
+                wall_est.as_secs_f64() < wall_iso.as_secs_f64() * slack)
+        },
+    },
+    // Footnote 3 / ref [12]: parallelizing ASN.1 encoding does not
+    // obtain better performance (host clock: no parallel encoder may
+    // win by more than 20 %, 25 % on the short run).
+    Experiment {
+        id: "E6",
+        run: |scale| {
+            let (table, rows) = match scale {
+                Scale::Small => parallel_asn1_experiment(&[100, 1000], &[2]),
+                Scale::Paper => parallel_asn1_experiment(&[10, 100, 1000, 10_000], &[2, 4]),
+            };
+            let floor = scale.pick(0.75, 0.8);
+            let never_wins = |durs: &Vec<std::time::Duration>| {
+                let sequential = durs[0].as_secs_f64();
+                durs[1..]
+                    .iter()
+                    .all(|par| par.as_secs_f64() > floor * sequential)
+            };
+            shape!(table, None, &rows; !rows.is_empty(), rows.iter().all(never_wins))
+        },
+    },
+    // §3: connection-per-processor yields better performance than
+    // layer-per-processor.
+    Experiment {
+        id: "E7",
+        run: |scale| {
+            let (table, s_conn, s_layer) = conn_vs_layer_experiment(4, scale.pick(30, 100));
+            let note = format!(
+                "paper: connection-per-processor wins; measured {s_conn:.2} vs {s_layer:.2}"
+            );
+            shape!(table, Some(note), (s_conn, s_layer); s_conn > s_layer)
+        },
+    },
+    // Ablation: the 1.4-2.0 band pins the overhead regime. Free
+    // synchronization (unrealistic for 1993 OSF/1) lets layer
+    // pipelining overshoot it, expensive synchronization erases the
+    // parallel win.
+    Experiment {
+        id: "A1",
+        run: |scale| {
+            let (table, speedups) = match scale {
+                Scale::Small => overhead_sensitivity(2, 25, &[0, 200, 1200]),
+                Scale::Paper => overhead_sensitivity(2, 100, &[0, 50, 150, 400, 800, 1600]),
+            };
+            shape!(table, None, &speedups;
+                speedups.windows(2).all(|w| w[1] < w[0]),
+                speedups[0] > 2.5,
+                speedups[speedups.len() - 1] < 1.4)
+        },
+    },
+    // Ablation: "an algorithm for an optimal mapping is currently under
+    // development" (ref [7]). Ours (`ksim::optimize`) never loses to a
+    // static policy on one busy connection next to light ones.
+    Experiment {
+        id: "A2",
+        run: |scale| {
+            let requests: &[u32] = scale.pick(&[50, 10, 10, 10], &[200, 25, 25, 25]);
+            let (table, found) = mapping_experiment(requests, 2);
+            let best_static = (found.by_connection_us)
+                .min(found.by_layer_us)
+                .min(found.per_module_us);
+            let note = format!(
+                "ref [7] \"optimal mapping under development\": optimizer {}us vs best static \
+                 {best_static}us",
+                found.optimized_us
+            );
+            shape!(table, Some(note), &found;
+                found.optimized_us <= best_static,
+                found.evaluations > 0 && found.rounds > 0)
+        },
+    },
+];

@@ -1,126 +1,45 @@
-//! Smoke tests: every experiment function runs on small parameters and
-//! its headline *shape* holds (the benches assert the full-size
-//! versions; these keep `cargo test` fast while covering the code).
+//! One walk of [`harness::EXPERIMENTS`] at the small scale: every row
+//! runs and the shape the paper reports holds (the `experiments` binary
+//! checks the paper-scale parameter sets). The walk is one `#[test]`
+//! per row so a failure names the row twice, in the test and in the
+//! message.
 
-use ksim::Overheads;
+use harness::{Scale, EXPERIMENTS};
 
-#[test]
-fn e1_speedup_in_band_at_small_scale() {
-    let (table, speedups) = harness::speedup_experiment(2, &[25, 100], Overheads::osf1_threads());
-    assert_eq!(speedups.len(), 2);
-    for s in &speedups {
-        assert!(*s > 1.0 && *s <= 2.5, "speedup out of plausible band: {s}");
-    }
-    assert!(table.to_string().contains("E1"));
+fn holds(id: &str) {
+    let failed = harness::experiment(id).report(Scale::Small);
+    assert!(failed.is_empty(), "{failed:#?}");
 }
 
-#[test]
-fn e2_grouping_never_loses() {
-    let (_table, pairs) = harness::grouping_experiment(4, 20, &[2]);
-    for (ungrouped, grouped) in pairs {
-        assert!(
-            grouped >= ungrouped,
-            "grouped {grouped} < ungrouped {ungrouped}"
-        );
-    }
+macro_rules! walk {
+    ($($test:ident => $id:literal),+ $(,)?) => {
+        const WALKED: &[&str] = &[$($id),+];
+        $(
+            #[test]
+            fn $test() {
+                holds($id);
+            }
+        )+
+    };
 }
 
-#[test]
-fn e3_dispatch_table_flatter_than_hardcoded() {
-    let (_table, rows) = harness::dispatch_experiment(20_000);
-    assert_eq!(rows.len(), 6);
-    let (n_small, h_small, _) = rows[0];
-    let (n_big, h_big, t_big) = rows[5];
-    assert_eq!((n_small, n_big), (2, 64));
-    // Hard-coded cost grows with the transition count; table-driven
-    // must win at 64 transitions.
-    assert!(
-        h_big > h_small,
-        "hard-coded should grow: {h_small} -> {h_big}"
-    );
-    assert!(t_big < h_big, "table-driven must win at 64 transitions");
+walk! {
+    t1_dichotomy_holds_at_small_scale => "T1",
+    e1_speedup_in_band_at_small_scale => "E1",
+    e2_grouping_never_loses => "E2",
+    e3_dispatch_table_flatter_than_hardcoded => "E3",
+    e4_centralized_scheduler_dominates_critical_path => "E4",
+    e5_handcoded_fewer_firings_same_order => "E5",
+    e6_parallel_asn1_never_wins => "E6",
+    e7_connection_beats_layer => "E7",
+    ablation_speedup_monotone_in_sync_cost => "A1",
+    a2_optimizer_never_loses_to_static_policies => "A2",
 }
 
+/// The table is the paper's ten artifacts, each once and in the
+/// paper's order: exactly the ids the walk above spells out.
 #[test]
-fn e4_centralized_scheduler_dominates_critical_path() {
-    let (_table, central_share, decentral_share) = harness::scheduler_experiment(2, 60);
-    assert!(central_share > 0.5, "central share {central_share}");
-    // Both shares are valid fractions.
-    assert!((0.0..=1.0).contains(&central_share));
-    assert!((0.0..=1.0).contains(&decentral_share));
-}
-
-#[test]
-fn e5_handcoded_fewer_firings_same_order() {
-    let (_table, (est_time, est_firings), (iso_time, iso_firings)) =
-        harness::generated_vs_handcoded(5);
-    // The hand-coded stack does the same work in fewer module hops.
-    assert!(
-        iso_firings < est_firings,
-        "ISODE {iso_firings} vs generated {est_firings}"
-    );
-    // Same order of magnitude in wall time: within 50x either way
-    // (wall time is noisy in CI; the firing count is the stable signal).
-    assert!(est_time.as_nanos() < iso_time.as_nanos() * 50);
-    assert!(iso_time.as_nanos() < est_time.as_nanos() * 50);
-}
-
-#[test]
-fn e6_parallel_asn1_never_wins() {
-    let (_table, rows) = harness::parallel_asn1_experiment(&[100, 1000], &[2]);
-    for sizes in rows {
-        let seq = sizes[0];
-        for &par in &sizes[1..] {
-            // Wall-clock comparison under a loaded test runner is noisy;
-            // the claim holds as long as parallelism never wins by more
-            // than measurement noise (25%).
-            assert!(
-                par.as_nanos() * 4 >= seq.as_nanos() * 3,
-                "parallel {par:?} decisively beat sequential {seq:?}"
-            );
-        }
-    }
-}
-
-#[test]
-fn e7_connection_beats_layer() {
-    let (_table, s_conn, s_layer) = harness::conn_vs_layer_experiment(4, 30);
-    assert!(
-        s_conn > s_layer,
-        "connection {s_conn} must beat layer {s_layer}"
-    );
-}
-
-#[test]
-fn a2_optimizer_never_loses_to_static_policies() {
-    let (_table, outcome) = harness::mapping_experiment(&[60, 10, 10], 2);
-    assert!(outcome.optimized_us <= outcome.by_connection_us);
-    assert!(outcome.optimized_us <= outcome.by_layer_us);
-    assert!(outcome.optimized_us <= outcome.per_module_us);
-    assert!(outcome.evaluations > 0 && outcome.rounds > 0);
-}
-
-#[test]
-fn t1_dichotomy_holds_at_small_scale() {
-    let (_table, control, stream) = harness::table1_experiment(0.05, 3);
-    assert!(
-        (control.reliability - 1.0).abs() < 1e-9,
-        "control must be 100% reliable"
-    );
-    assert!(stream.reliability < 1.0, "5% loss must show on the stream");
-    assert!(
-        stream.rate_kbps > control.rate_kbps * 20.0,
-        "stream rate must dwarf control"
-    );
-    assert!(stream.jitter_us > 0.0);
-}
-
-#[test]
-fn ablation_speedup_monotone_in_sync_cost() {
-    let (_table, speedups) = harness::overhead_sensitivity(2, 30, &[0, 200, 1200]);
-    assert_eq!(speedups.len(), 3);
-    assert!(
-        speedups[0] > speedups[1] && speedups[1] > speedups[2],
-        "speedup must fall as sync gets dearer: {speedups:?}"
-    );
+fn ids_are_the_papers_ten() {
+    let ids: Vec<&str> = EXPERIMENTS.iter().map(|row| row.id).collect();
+    assert_eq!(ids, WALKED);
 }

@@ -10,7 +10,7 @@ use crate::service::{
     PAbortInd, PAbortReq, PConCnf, PConInd, PConReq, PConRsp, PDataInd, PDataReq, PRelCnf, PRelInd,
     PRelReq, PRelRsp,
 };
-use estelle::{downcast, Ctx, Interaction, IpIndex, StateId, StateMachine, Transition};
+use estelle::{downcast, is, IpIndex, StateId, StateMachine, Transition};
 use netsim::SimDuration;
 use session::service::{
     SAbortInd, SAbortReq, SConCnf, SConInd, SConReq, SConRsp, SDataInd, SDataReq, SRelCnf, SRelInd,
@@ -70,10 +70,6 @@ impl PresentationMachine {
         }
         results
     }
-}
-
-fn is<T: Interaction>(msg: Option<&dyn Interaction>) -> bool {
-    msg.is_some_and(|m| m.is::<T>())
 }
 
 impl StateMachine for PresentationMachine {
@@ -351,8 +347,6 @@ impl StateMachine for PresentationMachine {
             .cost(SimDuration::from_micros(10)),
         ]
     }
-
-    fn on_init(&mut self, _ctx: &mut Ctx<'_>) {}
 }
 
 /// The default MCAM presentation context proposal.

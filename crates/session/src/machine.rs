@@ -10,7 +10,7 @@ use crate::service::{
 };
 use crate::spdu::{Spdu, VERSION_1, VERSION_2};
 use estelle::external::WireData;
-use estelle::{downcast, Ctx, Interaction, IpIndex, StateId, StateMachine, Transition};
+use estelle::{downcast, is, Interaction, IpIndex, StateId, StateMachine, Transition};
 use netsim::SimDuration;
 
 /// Interaction point towards the session user (presentation layer).
@@ -83,7 +83,7 @@ impl StateMachine for SessionMachine {
                 };
                 ctx.output(DOWN, WireData(cn.encode()));
             })
-            .provided(|_, msg| msg.is_some_and(|m| m.is::<SConReq>()))
+            .provided(|_, msg| is::<SConReq>(msg))
             .to(CONNECTING)
             .cost(COST_CONNECT),
             Transition::on("cn-ind", IDLE, DOWN, |m: &mut Self, ctx, msg| {
@@ -130,7 +130,7 @@ impl StateMachine for SessionMachine {
                     ctx.goto(IDLE);
                 }
             })
-            .provided(|_, msg| msg.is_some_and(|m| m.is::<SConRsp>()))
+            .provided(|_, msg| is::<SConRsp>(msg))
             .cost(COST_CONNECT),
             Transition::on(
                 "ac-cnf",
@@ -189,7 +189,7 @@ impl StateMachine for SessionMachine {
                     ),
                 );
             })
-            .provided(|_, msg| msg.is_some_and(|m| m.is::<SDataReq>()))
+            .provided(|_, msg| is::<SDataReq>(msg))
             .cost(COST_DATA),
             Transition::on(
                 "dt-ind",
@@ -218,7 +218,7 @@ impl StateMachine for SessionMachine {
                     ),
                 );
             })
-            .provided(|_, msg| msg.is_some_and(|m| m.is::<SRelReq>()))
+            .provided(|_, msg| is::<SRelReq>(msg))
             .to(RELEASING)
             .cost(COST_RELEASE),
             Transition::on("fn-ind", CONNECTED, DOWN, |_m: &mut Self, ctx, msg| {
@@ -245,7 +245,7 @@ impl StateMachine for SessionMachine {
                     );
                 },
             )
-            .provided(|_, msg| msg.is_some_and(|m| m.is::<SRelRsp>()))
+            .provided(|_, msg| is::<SRelRsp>(msg))
             .to(IDLE)
             .cost(COST_RELEASE),
             Transition::on("dn-cnf", RELEASING, DOWN, |_m: &mut Self, ctx, msg| {
@@ -261,7 +261,7 @@ impl StateMachine for SessionMachine {
                 ctx.output(DOWN, WireData(Spdu::Ab { reason: req.reason }.encode()));
             })
             .any_state()
-            .provided(|_, msg| msg.is_some_and(|m| m.is::<SAbortReq>()))
+            .provided(|_, msg| is::<SAbortReq>(msg))
             .priority(1)
             .to(IDLE)
             .cost(COST_RELEASE),
@@ -296,8 +296,6 @@ impl StateMachine for SessionMachine {
             .cost(SimDuration::from_micros(10)),
         ]
     }
-
-    fn on_init(&mut self, _ctx: &mut Ctx<'_>) {}
 }
 
 #[cfg(test)]

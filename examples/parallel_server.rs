@@ -1,28 +1,16 @@
 //! Parallel server: regenerates the paper's §5 measurements on the
-//! simulated KSR1 — speedup vs data requests, grouping, and the
-//! connection-vs-layer mapping.
+//! simulated KSR1 — speedup vs data requests (E1), grouping (E2) and
+//! the connection-vs-layer mapping (E7) — from their rows of
+//! `harness::EXPERIMENTS`, at paper scale.
 //!
 //! Run with `cargo run --release --example parallel_server`.
 
-use ksim::Overheads;
+use harness::Scale;
 
 fn main() {
-    println!("-- E1: sequential vs parallel (2 connections, module-per-thread) --\n");
-    let (table, speedups) =
-        harness::speedup_experiment(2, &[25, 50, 100, 500], Overheads::osf1_threads());
-    println!("{table}");
-    println!(
-        "paper: 1.4-2.0; measured {:.2}-{:.2}\n",
-        speedups.iter().cloned().fold(f64::MAX, f64::min),
-        speedups.iter().cloned().fold(0.0_f64, f64::max),
-    );
-
-    println!("-- E2: grouping (units = processors) --\n");
-    let (table, _) = harness::grouping_experiment(8, 50, &[2, 4, 8]);
-    println!("{table}");
-
-    println!("-- E7: connection-per-processor vs layer-per-processor --\n");
-    let (table, s_conn, s_layer) = harness::conn_vs_layer_experiment(4, 100);
-    println!("{table}");
-    println!("connection mapping {s_conn:.2}x vs layer mapping {s_layer:.2}x");
+    let failed: Vec<String> = ["E1", "E2", "E7"]
+        .iter()
+        .flat_map(|id| harness::experiment(id).report(Scale::Paper))
+        .collect();
+    assert!(failed.is_empty(), "shapes not reproduced: {failed:#?}");
 }
