@@ -21,7 +21,6 @@
 use crate::ServerLoad;
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Cluster-wide accounting of control associations and the referral
 /// policy over them. One per cluster, shared by all member servers.
@@ -32,9 +31,6 @@ pub struct ControlBalancer {
     /// Operator steering: a pinned source refers every capable client
     /// to the pinned target, liveness unchecked.
     pins: RwLock<HashMap<String, String>>,
-    /// Referral decisions handed out ([`ControlBalancer::refer_target`]
-    /// returning `Some`).
-    referrals: AtomicU64,
 }
 
 impl ControlBalancer {
@@ -70,11 +66,6 @@ impl ControlBalancer {
             .collect();
         all.sort();
         all
-    }
-
-    /// Referrals issued so far.
-    pub fn referrals_issued(&self) -> u64 {
-        self.referrals.load(Ordering::Relaxed)
     }
 
     /// Pins `from` so that every capable client it would serve is
@@ -115,14 +106,13 @@ impl ControlBalancer {
     ///    the minimum and cannot immediately exceed another member).
     pub fn refer_target(&self, local: &str, loads: &[ServerLoad]) -> Option<String> {
         if let Some(to) = self.pins.read().get(local) {
-            self.referrals.fetch_add(1, Ordering::Relaxed);
             return Some(to.clone());
         }
         let counts = self.counts.read();
         let count = |loc: &str| counts.get(loc).copied().unwrap_or(0);
         let best = loads
             .iter()
-            .filter(|s| !s.draining && !s.crashed && s.location != local)
+            .filter(|s| s.in_service() && s.location != local)
             .min_by_key(|s| {
                 (
                     count(&s.location),
@@ -133,13 +123,9 @@ impl ControlBalancer {
         let local_out_of_service = loads
             .iter()
             .find(|s| s.location == local)
-            .is_none_or(|s| s.draining || s.crashed);
-        if local_out_of_service || count(local) > count(&best.location) {
-            self.referrals.fetch_add(1, Ordering::Relaxed);
-            Some(best.location.clone())
-        } else {
-            None
-        }
+            .is_none_or(|s| !s.in_service());
+        (local_out_of_service || count(local) > count(&best.location))
+            .then(|| best.location.clone())
     }
 
     /// The candidate list a referral carries: every live server with
@@ -149,8 +135,7 @@ impl ControlBalancer {
     pub fn candidates(&self, loads: &[ServerLoad]) -> Vec<(String, u64)> {
         let counts = self.counts.read();
         let count = |loc: &str| counts.get(loc).copied().unwrap_or(0);
-        let mut live: Vec<&ServerLoad> =
-            loads.iter().filter(|s| !s.draining && !s.crashed).collect();
+        let mut live: Vec<&ServerLoad> = loads.iter().filter(|s| s.in_service()).collect();
         live.sort_by_key(|s| {
             (
                 count(&s.location),
@@ -217,7 +202,6 @@ mod tests {
         b.connected("node-2");
         assert_eq!(b.refer_target("node-1", &l), None);
         assert_eq!(b.refer_target("node-2", &l), None);
-        assert_eq!(b.referrals_issued(), 1);
     }
 
     #[test]

@@ -119,6 +119,14 @@ pub struct ServerLoad {
     pub crashed: bool,
 }
 
+impl ServerLoad {
+    /// Neither draining nor crashed: the only servers placement,
+    /// routing, referral and copies may choose.
+    pub fn in_service(&self) -> bool {
+        !self.draining && !self.crashed
+    }
+}
+
 /// How [`Placement`] picks the K replica servers of a new movie.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlacementStrategy {
@@ -192,7 +200,7 @@ impl Placement {
     ) -> Vec<String> {
         let candidates: Vec<&ServerLoad> = loads
             .iter()
-            .filter(|s| !s.draining && !s.crashed && !exclude.contains(&s.location))
+            .filter(|s| s.in_service() && !exclude.contains(&s.location))
             .collect();
         if candidates.is_empty() || k == 0 {
             return Vec::new();
@@ -238,6 +246,14 @@ struct Slot<P> {
     probe: P,
     draining: bool,
     crashed: bool,
+}
+
+/// The slot registered under `location`, if it is in service (see
+/// [`ServerLoad::in_service`]).
+fn serving<'a, P>(servers: &'a [Slot<P>], location: &str) -> Option<&'a Slot<P>> {
+    servers
+        .iter()
+        .find(|s| s.location == location && !s.draining && !s.crashed)
 }
 
 /// The cluster-wide registry of server locations and their load
@@ -293,6 +309,12 @@ impl<P> ReplicaDirectory<P> {
             .collect()
     }
 
+    /// Whether `location` is registered and in service: the servers a
+    /// dialer may reach and a copy may keep landing on.
+    pub fn in_service(&self, location: &str) -> bool {
+        serving(&self.servers.read(), location).is_some()
+    }
+
     /// Whether `location` is registered and currently draining.
     pub fn is_draining(&self, location: &str) -> bool {
         self.servers
@@ -314,14 +336,6 @@ impl<P> ReplicaDirectory<P> {
             }
             None => false,
         }
-    }
-
-    /// Whether `location` is registered and currently marked crashed.
-    pub fn is_crashed(&self, location: &str) -> bool {
-        self.servers
-            .read()
-            .iter()
-            .any(|s| s.location == location && s.crashed)
     }
 
     /// Marks `location` as crashed (or un-marks it): unlike a drain,
@@ -434,18 +448,15 @@ impl<P: LoadProbe + Clone> ReplicaDirectory<P> {
             .iter()
             .enumerate()
             .filter_map(|(order, location)| {
-                servers
-                    .iter()
-                    .find(|s| s.location == *location && !s.draining && !s.crashed)
-                    .map(|s| {
-                        (
-                            order,
-                            s.probe.load().available_bps,
-                            prefer(&s.probe),
-                            s.location.clone(),
-                            s.probe.clone(),
-                        )
-                    })
+                serving(&servers, location).map(|s| {
+                    (
+                        order,
+                        s.probe.load().available_bps,
+                        prefer(&s.probe),
+                        s.location.clone(),
+                        s.probe.clone(),
+                    )
+                })
             })
             .collect();
         candidates.sort_by(|a, b| b.1.cmp(&a.1).then(b.2.cmp(&a.2)).then(a.0.cmp(&b.0)));
@@ -606,7 +617,7 @@ mod tests {
         probes[0].set(900_000); // crashed node would otherwise win
         let replicas: Vec<String> = vec!["node-1".into(), "node-2".into(), "node-3".into()];
         assert!(dir.set_crashed("node-1", true));
-        assert!(dir.is_crashed("node-1"));
+        assert!(!dir.in_service("node-1"));
         let order: Vec<String> = dir.route(&replicas).into_iter().map(|(l, _)| l).collect();
         assert_eq!(order, ["node-2", "node-3"], "crashed replica never routed");
         // Placement never selects a crashed server either.
@@ -615,7 +626,7 @@ mod tests {
         // Re-registration (recovery) puts it back in service.
         let probe = dir.get("node-1").unwrap();
         dir.register("node-1", probe);
-        assert!(!dir.is_crashed("node-1"));
+        assert!(dir.in_service("node-1"));
         assert_eq!(dir.route(&replicas).len(), 3);
         assert!(!dir.set_crashed("node-9", true), "unknown location");
     }

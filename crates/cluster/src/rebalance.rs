@@ -509,7 +509,7 @@ impl<P: LoadProbe + MigrationHost + Clone> RebalanceController<P> {
             .dir
             .loads()
             .into_iter()
-            .filter(|s| !s.draining && !s.crashed && s.location != location)
+            .filter(|s| s.in_service() && s.location != location)
             .map(|s| s.location)
             .collect();
         if alive.is_empty() {
@@ -612,10 +612,7 @@ impl<P: LoadProbe + MigrationHost + Clone> RebalanceController<P> {
         let mut i = 0;
         while i < inner.active.len() {
             let copy = &inner.active[i];
-            let target_alive = self.dir.get(&copy.target).is_some()
-                && !self.dir.is_draining(&copy.target)
-                && !self.dir.is_crashed(&copy.target);
-            if !target_alive {
+            if !self.dir.in_service(&copy.target) {
                 let copy = inner.active.swap_remove(i);
                 copy.host.abort_copy(copy.token);
                 self.journal.record(
@@ -715,7 +712,7 @@ impl<P: LoadProbe + MigrationHost + Clone> RebalanceController<P> {
     /// Replication floor this cluster can actually sustain: the
     /// configured K, capped at the number of live servers.
     fn replication_target(&self, loads: &[ServerLoad]) -> usize {
-        let live = loads.iter().filter(|s| !s.draining && !s.crashed).count();
+        let live = loads.iter().filter(|s| s.in_service()).count();
         self.placement.lock().k().min(live)
     }
 
@@ -838,8 +835,7 @@ impl<P: LoadProbe + MigrationHost + Clone> RebalanceController<P> {
         let target = loads
             .iter()
             .filter(|s| {
-                !s.draining
-                    && !s.crashed
+                s.in_service()
                     && !rec.replicas.contains(&s.location)
                     && s.load.available_bps >= reserve
             })
@@ -923,15 +919,15 @@ impl<P: LoadProbe + MigrationHost + Clone> RebalanceController<P> {
     }
 }
 
-/// The replicas of `rec` that are registered, not draining, and not
-/// crashed, in replica-list order.
+/// The replicas of `rec` that are registered and in service, in
+/// replica-list order.
 fn alive_replicas(rec: &TitleRec, loads: &[ServerLoad]) -> Vec<String> {
     rec.replicas
         .iter()
         .filter(|location| {
             loads
                 .iter()
-                .any(|s| s.location == **location && !s.draining && !s.crashed)
+                .any(|s| s.location == **location && s.in_service())
         })
         .cloned()
         .collect()

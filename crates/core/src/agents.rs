@@ -8,7 +8,7 @@ use crate::service::{
 };
 use crate::sps::{SpsError, StreamProviderSystem};
 use directory::{attr, Dn, Dua, Filter, ModOp, MovieEntry, Rdn, Scope};
-use equipment::{EquipmentId, Eua};
+use equipment::{Eca, EquipmentId, Eua};
 use estelle::{downcast, IpIndex, StateId, StateMachine, Transition};
 use netsim::SimDuration;
 use std::sync::Arc;
@@ -25,22 +25,19 @@ const AGENT_COST: SimDuration = SimDuration::from_micros(120);
 pub struct DuaAgent {
     dua: Dua,
     base: Dn,
-    /// Operations served.
-    pub ops: u64,
 }
 
 impl DuaAgent {
     /// Creates an agent querying through `dua` under `base`.
     pub fn new(dua: Dua, base: Dn) -> Self {
-        DuaAgent { dua, base, ops: 0 }
+        DuaAgent { dua, base }
     }
 
     fn movie_dn(&self, title: &str) -> Dn {
         self.base.child(Rdn::new("cn", title))
     }
 
-    fn execute(&mut self, op: DirOp) -> DirOutcome {
-        self.ops += 1;
+    fn execute(&self, op: DirOp) -> DirOutcome {
         match op {
             DirOp::Add { entry } => {
                 let dn = self.movie_dn(&entry.title);
@@ -136,8 +133,6 @@ pub struct SuaAgent {
     /// closing a recording hands the title to it for replication to
     /// `k - 1` peers and for later grow/shrink/drain decisions.
     rebalancer: Arc<ClusterController>,
-    /// Operations served.
-    pub ops: u64,
 }
 
 /// The cluster registry of stream providers, keyed by their
@@ -177,7 +172,6 @@ impl SuaAgent {
             sps,
             peers,
             rebalancer,
-            ops: 0,
         }
     }
 
@@ -197,8 +191,7 @@ impl SuaAgent {
             .unwrap_or_else(|| Arc::clone(&self.sps))
     }
 
-    fn execute(&mut self, op: StreamOp, now: netsim::SimTime) -> StreamOutcome {
-        self.ops += 1;
+    fn execute(&self, op: StreamOp, now: netsim::SimTime) -> StreamOutcome {
         let done = |r: Result<(), SpsError>| match r {
             Ok(()) => StreamOutcome::Done,
             Err(e) => e.into(),
@@ -293,40 +286,35 @@ pub struct EuaAgent {
     eua: Eua,
     site: String,
     held: Vec<EquipmentId>,
-    /// Operations served.
-    pub ops: u64,
 }
 
 impl EuaAgent {
-    /// Creates an agent for `site` using `eua`.
-    pub fn new(eua: Eua, site: impl Into<String>) -> Self {
+    /// Creates an agent for the server site `eca` serves. Every
+    /// server entity's agent acts as equipment client 0, so they all
+    /// hold the site's devices as one client.
+    pub fn new(eca: &Arc<Eca>) -> Self {
+        let mut eua = Eua::new(0);
+        eua.add_site(eca);
         EuaAgent {
             eua,
-            site: site.into(),
+            site: eca.site().to_string(),
             held: Vec::new(),
-            ops: 0,
         }
     }
 
     fn execute(&mut self, op: EquipOp) -> EquipOutcome {
-        self.ops += 1;
         match op {
             EquipOp::AcquireClass(class) => {
-                let list = match self.eua.list(&self.site, Some(class)) {
-                    Ok(l) => l,
+                let id = match self.eua.acquire_class(&self.site, class) {
+                    Ok(id) => id,
                     Err(e) => return EquipOutcome::Failed(e.to_string()),
                 };
-                for desc in list {
-                    if self.eua.reserve(&self.site, desc.id).is_ok() {
-                        if let Err(e) = self.eua.activate(&self.site, desc.id) {
-                            let _ = self.eua.release(&self.site, desc.id);
-                            return EquipOutcome::Failed(e.to_string());
-                        }
-                        self.held.push(desc.id);
-                        return EquipOutcome::Acquired(desc.id);
-                    }
+                if let Err(e) = self.eua.activate(&self.site, id) {
+                    let _ = self.eua.release(&self.site, id);
+                    return EquipOutcome::Failed(e.to_string());
                 }
-                EquipOutcome::Failed(format!("no free {class} at {}", self.site))
+                self.held.push(id);
+                EquipOutcome::Acquired(id)
             }
             EquipOp::ReleaseAll => {
                 for id in self.held.drain(..) {

@@ -201,7 +201,7 @@
 //! // twice the fair share of 3.
 //! let counts = cluster.control_connections();
 //! assert!(counts.iter().all(|(_, n)| *n <= 6), "{counts:?}");
-//! assert!(cluster.control.referrals_issued() > 0);
+//! assert!(cluster.referrals_issued() > 0);
 //! ```
 //!
 //! # Stream sharing

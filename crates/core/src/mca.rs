@@ -88,12 +88,6 @@ pub struct ClientMca {
     last_op: Option<McamOp>,
     /// The confirmed stream session, if a movie is selected.
     session: Option<Session>,
-    /// Requests sent.
-    pub requests: u64,
-    /// Responses delivered to the application.
-    pub responses: u64,
-    /// Referral responses handed to the root for re-homing.
-    pub referrals_seen: u64,
     /// Decode or sequencing errors.
     pub protocol_errors: u64,
 }
@@ -110,9 +104,6 @@ impl ClientMca {
             resume: Vec::new(),
             last_op: None,
             session: None,
-            requests: 0,
-            responses: 0,
-            referrals_seen: 0,
             protocol_errors: 0,
         }
     }
@@ -161,7 +152,6 @@ impl ClientMca {
         self.release_pending = matches!(op, McamOp::Release);
         self.last_op = Some(op.clone());
         let pdu = self.op_to_pdu(op);
-        self.requests += 1;
         ctx.output(
             DOWN,
             PDataReq {
@@ -295,7 +285,6 @@ impl StateMachine for ClientMca {
                         if let Ok(McamPdu::ReferralRsp { target, candidates }) =
                             McamPdu::decode(&cnf.user_data)
                         {
-                            m.referrals_seen += 1;
                             ctx.output(
                                 CTRL,
                                 ReferralSignal {
@@ -364,7 +353,6 @@ impl StateMachine for ClientMca {
                     // the root, which re-dials and replays it there;
                     // this association is dead to us.
                     Ok(McamPdu::ReferralRsp { target, candidates }) if m.referral_capable => {
-                        m.referrals_seen += 1;
                         let mut resume: Vec<McamOp> = m.last_op.take().into_iter().collect();
                         resume.extend(std::mem::take(&mut m.resume));
                         ctx.output(
@@ -378,7 +366,6 @@ impl StateMachine for ClientMca {
                         ctx.goto(UNBOUND);
                     }
                     Ok(pdu) => {
-                        m.responses += 1;
                         // A saturation report voids whatever referral
                         // the root cached: cluster load has moved.
                         if matches!(pdu, McamPdu::ErrorRsp { code: 503, .. }) {
@@ -448,7 +435,6 @@ impl StateMachine for ClientMca {
                 // confirmation answers it.
                 if m.referral_capable {
                     if let Some(sess) = m.session.take() {
-                        m.referrals_seen += 1;
                         let frame = sess.frame_at(ctx.now());
                         let mut resume = vec![McamOp::SelectMovie {
                             title: sess.title.clone(),

@@ -32,7 +32,6 @@ use crate::service::{
 use crate::sps::StreamProviderSystem;
 use crate::stacks::{wire_lower_stack_tagged, StackKind};
 use directory::{Dn, Dua, MovieEntry};
-use equipment::Eua;
 use estelle::{
     downcast, ip, is, Ctx, Interaction, IpIndex, ModuleKind, ModuleLabels, StateId, StateMachine,
     Transition,
@@ -149,13 +148,10 @@ pub struct ServerServices {
     /// stack — once the grace period has let the referral reply
     /// drain through the stack.
     pub reaper: Arc<Reaper>,
-    /// Equipment client for the server site.
-    pub eua: Eua,
-    /// The site's equipment control agent (for direct inspection and
-    /// competing reservations in tests).
+    /// The site's equipment control agent: each entity's EUA agent
+    /// reserves the site's devices here (inspect them, or compete for
+    /// them, through it too).
     pub eca: Arc<equipment::Eca>,
-    /// Equipment site name.
-    pub site: String,
     /// The world's event journal: route decisions, failovers,
     /// referrals, and admission outcomes are chained here under this
     /// server's location.
@@ -265,8 +261,6 @@ pub struct ServerMca {
     /// Recording session in progress on the local provider, if any.
     recording: Option<u32>,
     pending: Option<Pending>,
-    /// Requests processed.
-    pub requests: u64,
     /// Protocol/decode errors observed.
     pub protocol_errors: u64,
     /// Labels inherited by the child agents.
@@ -284,7 +278,6 @@ impl ServerMca {
             selected: None,
             recording: None,
             pending: None,
-            requests: 0,
             protocol_errors: 0,
             labels,
         }
@@ -452,7 +445,7 @@ impl ServerMca {
             let mut fallback: Vec<(u64, String)> = peers
                 .loads()
                 .into_iter()
-                .filter(|s| !s.draining && !s.crashed && s.location != local)
+                .filter(|s| s.in_service() && s.location != local)
                 .map(|s| (s.load.available_bps, s.location))
                 .collect();
             fallback.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
@@ -469,7 +462,6 @@ impl ServerMca {
 
     fn dispatch(&mut self, ctx: &mut Ctx<'_>, pdu: McamPdu) {
         use McamPdu::*;
-        self.requests += 1;
         match pdu {
             AssociateReq { .. } => {
                 // Association is carried in the P-CONNECT exchange;
@@ -822,7 +814,7 @@ impl StateMachine for ServerMca {
             "eua",
             ModuleKind::Process,
             self.labels,
-            EuaAgent::new(self.services.eua.clone(), self.services.site.clone()),
+            EuaAgent::new(&self.services.eca),
         );
         ctx.connect(ctx.self_ip(TO_DUA), ip(dua, AGENT_IP));
         ctx.connect(ctx.self_ip(TO_SUA), ip(sua, AGENT_IP));

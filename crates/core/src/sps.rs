@@ -26,7 +26,7 @@ use mtp::{MovieSource, MtpSender, StreamState};
 use netsim::{DatagramNet, DatagramSocket, NetAddr, SimDuration, SimTime};
 use parking_lot::Mutex;
 use share::{Departure, JoinPlan, ShareConfig, ShareManager};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -121,8 +121,12 @@ impl From<StoreError> for SpsError {
 pub struct StreamProviderSystem {
     socket: DatagramSocket,
     addr: NetAddr,
-    streams: Mutex<HashMap<u32, Stream>>,
-    recordings: Mutex<HashMap<u32, RecordingSession>>,
+    /// Open streams and recordings by id. Ordered maps: `pump` walks
+    /// them, and the walk's order is the order frames reach the
+    /// datagram network and draw from its seeded link model, so it
+    /// must be the same in every process.
+    streams: Mutex<BTreeMap<u32, Stream>>,
+    recordings: Mutex<BTreeMap<u32, RecordingSession>>,
     store: Arc<BlockStore>,
     /// The stream-sharing merge engine (followers are served from the
     /// store's interval cache).
@@ -178,8 +182,8 @@ impl StreamProviderSystem {
         Arc::new(StreamProviderSystem {
             socket,
             addr,
-            streams: Mutex::new(HashMap::new()),
-            recordings: Mutex::new(HashMap::new()),
+            streams: Mutex::new(BTreeMap::new()),
+            recordings: Mutex::new(BTreeMap::new()),
             store,
             share,
             next_stream: AtomicU32::new((addr.0 << 16) | 1),

@@ -248,16 +248,9 @@ pub struct ClientRoot {
     pub mca: Option<ModuleId>,
     /// Location currently carrying the control association.
     pub control_location: String,
-    /// Referrals successfully followed.
-    pub referrals_followed: u64,
-    /// Referral chains that ended without a new home (hop budget or
-    /// candidate exhaustion).
-    pub referral_failures: u64,
-    /// Bootstrap errors (e.g. duplicate Associate).
-    pub errors: u64,
-    /// The world's event journal; referral follows/failures are
-    /// chained under `client-<conn>`.
-    journal: Option<std::sync::Arc<journal::Journal>>,
+    /// The world's event journal; referral follows, crash failovers
+    /// and failed referral chains are chained under `client-<conn>`.
+    journal: Arc<journal::Journal>,
 }
 
 impl std::fmt::Debug for ClientRoot {
@@ -274,8 +267,9 @@ impl std::fmt::Debug for ClientRoot {
 
 impl ClientRoot {
     /// Creates a client root for connection index `conn`, listening
-    /// for streams on `client_addr`, with the given application.
-    /// Without [`ClientRoot::with_referrals`] the client speaks the
+    /// for streams on `client_addr`, with the given application,
+    /// journaling under `client-<conn>` in `journal`. Without
+    /// [`ClientRoot::with_referrals`] the client speaks the
     /// pre-referral protocol and stays on its original server.
     pub fn new(
         medium: Box<dyn Medium>,
@@ -283,6 +277,7 @@ impl ClientRoot {
         conn: u16,
         client_addr: u32,
         app: AppMachine,
+        journal: Arc<journal::Journal>,
     ) -> Self {
         ClientRoot {
             medium: Some(medium),
@@ -300,25 +295,13 @@ impl ClientRoot {
             app: None,
             mca: None,
             control_location: String::new(),
-            referrals_followed: 0,
-            referral_failures: 0,
-            errors: 0,
-            journal: None,
+            journal,
         }
-    }
-
-    /// Attaches the world's event journal: this client's referral
-    /// follows and failures are recorded under `client-<conn>`.
-    pub fn with_journal(mut self, journal: std::sync::Arc<journal::Journal>) -> Self {
-        self.journal = Some(journal);
-        self
     }
 
     /// Records an event under this client's hash chain.
     fn journal_event(&self, kind: journal::EventKind) {
-        if let Some(journal) = &self.journal {
-            journal.record(&format!("client-{}", self.conn), kind);
-        }
+        self.journal.record(&format!("client-{}", self.conn), kind);
     }
 
     /// Makes this a cluster-aware client: the MCA advertises referral
@@ -359,7 +342,6 @@ impl ClientRoot {
             None => {
                 // A referral reached a client that cannot re-dial
                 // (should not happen: it never advertises support).
-                self.referral_failures += 1;
                 self.journal_event(journal::EventKind::ReferralFailed {
                     target: sig.target.clone(),
                 });
@@ -384,7 +366,6 @@ impl ClientRoot {
             .next(&sig.target, &candidates, |loc| dialer.dial(loc, conn))
         {
             Ok((location, medium)) => {
-                self.referrals_followed += 1;
                 if sig.target.is_empty() {
                     // Crash failover, not a server-issued referral:
                     // record where the stream session moved and the
@@ -432,7 +413,6 @@ impl ClientRoot {
                 );
             }
             Err(end) => {
-                self.referral_failures += 1;
                 self.journal_event(journal::EventKind::ReferralFailed {
                     target: sig.target.clone(),
                 });
@@ -534,13 +514,12 @@ impl StateMachine for ClientRoot {
                 RUN,
                 ROOT_TO_APP,
                 |m: &mut Self, ctx, msg| {
+                    // Anything but a first Associate is dropped.
                     let req = downcast::<McamReq>(msg.unwrap()).unwrap();
                     let McamOp::Associate { user } = req.0 else {
-                        m.errors += 1;
                         return;
                     };
                     if m.mca.is_some() {
-                        m.errors += 1;
                         return;
                     }
                     m.user = user.clone();

@@ -11,7 +11,7 @@ use crate::sps::StreamProviderSystem;
 use crate::stacks::{ClientRoot, ControlDial, StackKind};
 use cluster::{ControlBalancer, DrainError, Placement, RebalanceConfig, RebalanceStats};
 use directory::{attr, Dn, Dsa, Dua, MovieEntry, Rdn};
-use equipment::{Eca, EquipmentClass, Eua};
+use equipment::{Eca, EquipmentClass};
 use estelle::sched::{run_sequential, SeqOptions};
 use estelle::{ip, ModuleId, ModuleKind, ModuleLabels, Readiness, Runtime};
 use journal::{EventKind, Journal};
@@ -73,10 +73,7 @@ impl ControlDial for WorldDialer {
         // crashed ones must not gain control associations either. All
         // look dead to the dialer, which makes the client fall back
         // across the referral's candidate list.
-        if peers.get(location).is_none()
-            || peers.is_draining(location)
-            || peers.is_crashed(location)
-        {
+        if !peers.in_service(location) {
             return None;
         }
         let (client_medium, server_medium) = self.backend.connect();
@@ -191,24 +188,26 @@ impl ClusterHandle {
     /// `SelectMovie` routing decisions taken across all members
     /// (journal-derived; one per successful directory lookup).
     pub fn route_decisions(&self) -> u64 {
-        self.servers
-            .iter()
-            .map(|s| {
-                self.journal
-                    .count_for(&s.services.sps.location(), journal::kind::ROUTE_DECISION)
-            })
-            .sum()
+        self.count_for_members(journal::kind::ROUTE_DECISION)
     }
 
     /// `SelectMovie` opens that fell over to another replica after an
     /// admission rejection, across all members (journal-derived).
     pub fn failovers(&self) -> u64 {
+        self.count_for_members(journal::kind::FAILOVER)
+    }
+
+    /// Control associations (and draining members' selects) referred
+    /// to another member, across all members (journal-derived).
+    pub fn referrals_issued(&self) -> u64 {
+        self.count_for_members(journal::kind::REFERRAL_ISSUED)
+    }
+
+    /// Journal events of kind `tag` recorded by the member servers.
+    fn count_for_members(&self, tag: &str) -> u64 {
         self.servers
             .iter()
-            .map(|s| {
-                self.journal
-                    .count_for(&s.services.sps.location(), journal::kind::FAILOVER)
-            })
+            .map(|s| self.journal.count_for(&s.services.sps.location(), tag))
             .sum()
     }
 
@@ -271,7 +270,10 @@ pub struct World {
     /// Referral hop budget handed to cluster-aware clients (the
     /// bounded hop count of the redirect protocol).
     pub referral_max_hops: u32,
-    providers: Vec<Arc<StreamProviderSystem>>,
+    /// Every server machine, in the order it was added: the driver
+    /// pumps their stream providers and the health sampler reports
+    /// them in this order.
+    servers: Vec<ServerHandle>,
     /// Every client root added so far ([`World::crash_server`] aborts
     /// the control association of clients homed on the dead machine).
     clients: Vec<ModuleId>,
@@ -285,24 +287,14 @@ pub struct World {
     pub seq_options: SeqOptions,
     /// The world's event journal, stamped from the network clock.
     journal: Arc<Journal>,
-    /// Per-server handles the health sampler reads.
-    health_probes: Vec<HealthProbe>,
     /// Next health-snapshot deadline (armed on first driver activity).
     next_health: Mutex<Option<SimTime>>,
-}
-
-/// What the driver's health sampler reads for one server.
-struct HealthProbe {
-    location: String,
-    sps: Arc<StreamProviderSystem>,
-    store: Arc<BlockStore>,
-    control: Arc<ControlBalancer>,
 }
 
 impl std::fmt::Debug for World {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("World")
-            .field("providers", &self.providers.len())
+            .field("servers", &self.servers.len())
             .field("next_conn", &self.next_conn)
             .finish_non_exhaustive()
     }
@@ -385,14 +377,13 @@ impl WorldBuilder {
             store_config: self.store,
             share_config: self.share,
             referral_max_hops: 4,
-            providers: Vec::new(),
+            servers: Vec::new(),
             clients: Vec::new(),
             rebalancers: Vec::new(),
             dialer,
             next_addr: 1,
             next_conn: 0,
             seq_options: SeqOptions::default(),
-            health_probes: Vec::new(),
             next_health: Mutex::new(None),
         }
     }
@@ -601,8 +592,6 @@ impl World {
         eca.register(EquipmentClass::Microphone, "mic-0");
         eca.register(EquipmentClass::Speaker, "spk-0");
         eca.register(EquipmentClass::Display, "dsp-0");
-        let mut eua = Eua::new(0);
-        eua.add_site(&eca);
         let sps_addr = self.alloc_addr();
         let store = BlockStore::new(self.store_config);
         let share = Arc::new(share::ShareManager::new(self.share_config));
@@ -612,16 +601,9 @@ impl World {
             Arc::clone(&store),
             Arc::clone(&share),
         );
-        self.providers.push(Arc::clone(&sps));
         peers.register(sps.location(), Arc::clone(&sps));
         store.attach_journal(Arc::clone(&self.journal), sps.location());
         share.attach_journal(Arc::clone(&self.journal), sps.location());
-        self.health_probes.push(HealthProbe {
-            location: sps.location(),
-            sps: Arc::clone(&sps),
-            store: Arc::clone(&store),
-            control: Arc::clone(control),
-        });
         let services = ServerServices {
             dua,
             base,
@@ -632,9 +614,7 @@ impl World {
             rebalancer: Arc::clone(rebalancer),
             control: Arc::clone(control),
             reaper: Arc::default(),
-            eua,
-            eca: Arc::clone(&eca),
-            site: format!("site-{name}"),
+            eca,
             journal: Arc::clone(&self.journal),
         };
         let root = self
@@ -649,7 +629,9 @@ impl World {
             .expect("world builds before start");
         self.dialer
             .register(services.sps.location(), root, Arc::clone(peers));
-        ServerHandle { root, services }
+        let server = ServerHandle { root, services };
+        self.servers.push(server.clone());
+        server
     }
 
     /// Enables dynamic client generation (the ref \[2\] Estelle
@@ -729,9 +711,9 @@ impl World {
             conn,
             addr.0,
             app,
+            Arc::clone(&self.journal),
         );
         client_root.control_location = server.services.sps.location();
-        client_root = client_root.with_journal(Arc::clone(&self.journal));
         if cluster_aware {
             client_root = client_root.with_referrals(
                 Arc::clone(&self.dialer) as Arc<dyn crate::stacks::ControlDial>,
@@ -865,8 +847,8 @@ impl World {
             }
             self.sample_health(now);
             let mut sent = 0;
-            for sps in &self.providers {
-                sent += sps.pump(now);
+            for server in &self.servers {
+                sent += server.services.sps.pump(now);
             }
             if sent > 0 {
                 continue;
@@ -876,7 +858,11 @@ impl World {
                 Readiness::IdleUntil(deadline) => deadline,
             };
             let next_net = self.net.next_event_at();
-            let next_due = self.providers.iter().filter_map(|s| s.next_due()).min();
+            let next_due = self
+                .servers
+                .iter()
+                .filter_map(|s| s.services.sps.next_due())
+                .min();
             let next_tick = self
                 .rebalancers
                 .iter()
@@ -927,12 +913,19 @@ impl World {
             Some(_) => return,
         }
         drop(next);
-        for probe in &self.health_probes {
-            let stats = probe.store.stats();
-            let depths = probe.store.disk_queue_depths();
+        for ServerServices {
+            sps,
+            store,
+            control,
+            ..
+        } in self.servers.iter().map(|s| &s.services)
+        {
+            let location = sps.location();
+            let stats = store.stats();
+            let depths = store.disk_queue_depths();
             for (disk, depth) in depths.iter().enumerate() {
                 self.journal.record(
-                    &probe.location,
+                    &location,
                     EventKind::DiskQueueSample {
                         disk: disk as u32,
                         depth: *depth,
@@ -940,18 +933,18 @@ impl World {
                 );
             }
             self.journal.record(
-                &probe.location,
+                &location,
                 EventKind::CacheSummary {
                     hits: stats.cache.hits,
                     misses: stats.cache.misses,
                 },
             );
             self.journal.record(
-                &probe.location,
+                &location,
                 EventKind::HealthSnapshot {
-                    streams: probe.sps.stream_count() as u32,
-                    control_assocs: probe.control.connections(&probe.location) as u32,
-                    available_bps: probe.store.available_bps(),
+                    streams: sps.stream_count() as u32,
+                    control_assocs: control.connections(&location) as u32,
+                    available_bps: store.available_bps(),
                     cache_hit_permille: (stats.service_hit_ratio() * 1000.0) as u32,
                     queue_depth_max: depths.iter().copied().max().unwrap_or(0),
                 },
@@ -1073,13 +1066,17 @@ impl World {
             .expect("client root exists")
     }
 
-    /// Referral statistics of one client, as `(followed, failed)`.
+    /// Referral statistics of one client, as `(followed, failed)`:
+    /// referrals and crash failovers that re-homed it, and referral
+    /// chains that ended without a new home (journal-derived, from the
+    /// `client-<conn>` chain).
     pub fn client_referrals(&self, client: &ClientHandle) -> (u64, u64) {
-        self.rt
-            .with_machine::<ClientRoot, _>(client.root, |r| {
-                (r.referrals_followed, r.referral_failures)
-            })
-            .expect("client root exists")
+        let actor = format!("client-{}", client.conn);
+        let count = |tag| self.journal.count_for(&actor, tag);
+        (
+            count(journal::kind::REFERRAL_FOLLOWED) + count(journal::kind::STREAM_FAILED_OVER),
+            count(journal::kind::REFERRAL_FAILED),
+        )
     }
 
     /// The referral target a client has cached, if any (`None` after

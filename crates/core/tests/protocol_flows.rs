@@ -293,12 +293,8 @@ fn record_reserves_camera_and_creates_entry() {
     // The camera was released again after the recording.
     let cams = server
         .services
-        .eua
-        .list(
-            &server.services.site,
-            Some(equipment::EquipmentClass::Camera),
-        )
-        .unwrap();
+        .eca
+        .list(Some(equipment::EquipmentClass::Camera));
     assert!(cams.iter().all(|c| c.state == equipment::DeviceState::Free));
 }
 

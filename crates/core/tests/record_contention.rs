@@ -185,11 +185,7 @@ fn recording_is_refused_on_a_saturated_server() {
     }
     assert_eq!(server.services.sps.recording_count(), 0);
     let cam = equipment::EquipmentClass::Camera;
-    let free = server
-        .services
-        .eua
-        .list(&server.services.site, Some(cam))
-        .unwrap();
+    let free = server.services.eca.list(Some(cam));
     assert!(!free.is_empty(), "camera released after the rejection");
 
     // Releasing the viewer clears the path for the recorder.

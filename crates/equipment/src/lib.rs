@@ -9,9 +9,10 @@
 //!
 //! Beyond the paper's base model the crate provides *leased*
 //! reservations with expiry ([`Eca::reserve_until`] /
-//! [`Eca::expire_leases`]), FIFO wait queues for contended devices
-//! ([`Eca::enqueue`]), and an event log of all state changes
-//! ([`Eca::events`]).
+//! [`Eca::expire_leases`], judged by the ECA's monotonic clock) and
+//! FIFO wait queues for contended devices ([`Eca::enqueue`]). The
+//! crate keeps no log of its own: what happened in a run is recorded
+//! once, in the `journal` crate.
 //!
 //! # Examples
 //!
@@ -35,7 +36,6 @@
 
 mod agents;
 mod error;
-mod events;
 pub mod params;
 mod registry;
 
@@ -44,7 +44,6 @@ pub use self::params as param;
 
 pub use agents::Eua;
 pub use error::EcsError;
-pub use events::{EcsEvent, EventLog, LoggedEvent};
 pub use registry::{
     ClientId, DeviceState, Eca, Enqueued, EquipmentClass, EquipmentDesc, EquipmentId,
 };

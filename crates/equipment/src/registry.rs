@@ -1,7 +1,6 @@
 //! Per-site device registry: the Equipment Control Agent (ECA).
 
 use crate::error::EcsError;
-use crate::events::{EcsEvent, EventLog, LoggedEvent};
 use crate::params;
 use netsim::SimTime;
 use parking_lot::RwLock;
@@ -102,12 +101,12 @@ impl Device {
         }
     }
 
-    /// Hands the device to the next waiter, returning the grantee.
-    fn grant_next(&mut self) -> Option<ClientId> {
-        let next = self.waiters.pop_front()?;
-        self.state = DeviceState::Reserved(next);
-        self.lease = None;
-        Some(next)
+    /// Hands the device to the next waiter, if any.
+    fn grant_next(&mut self) {
+        if let Some(next) = self.waiters.pop_front() {
+            self.state = DeviceState::Reserved(next);
+            self.lease = None;
+        }
     }
 }
 
@@ -131,15 +130,13 @@ pub struct EquipmentDesc {
 /// base model) or *leased* until an absolute [`SimTime`]
 /// ([`Eca::reserve_until`]); expired leases are revoked by
 /// [`Eca::expire_leases`] and the device passes to the first waiting
-/// client, if any. All state changes are recorded in an event log
-/// ([`Eca::events`]).
+/// client, if any.
 #[derive(Debug)]
 pub struct Eca {
     site: String,
     devices: RwLock<BTreeMap<EquipmentId, Device>>,
     next_id: RwLock<u32>,
     clock: RwLock<SimTime>,
-    log: RwLock<EventLog>,
 }
 
 impl Eca {
@@ -150,7 +147,6 @@ impl Eca {
             devices: RwLock::new(BTreeMap::new()),
             next_id: RwLock::new(1),
             clock: RwLock::new(SimTime::ZERO),
-            log: RwLock::new(EventLog::default()),
         })
     }
 
@@ -159,8 +155,8 @@ impl Eca {
         &self.site
     }
 
-    /// Advances the registry clock used to stamp events and judge
-    /// leases. Time never moves backwards.
+    /// Advances the registry clock leases are judged by. Time never
+    /// moves backwards.
     pub fn set_time(&self, now: SimTime) {
         let mut clock = self.clock.write();
         *clock = clock.max(now);
@@ -169,16 +165,6 @@ impl Eca {
     /// The registry's current notion of time.
     pub fn now(&self) -> SimTime {
         *self.clock.read()
-    }
-
-    fn record(&self, event: EcsEvent) {
-        let at = self.now();
-        self.log.write().push(at, event);
-    }
-
-    /// The most recent `n` logged events, oldest first.
-    pub fn events(&self, n: usize) -> Vec<LoggedEvent> {
-        self.log.read().recent(n)
     }
 
     /// Registers a device and returns its id. Parameters start at
@@ -190,7 +176,6 @@ impl Eca {
         self.devices
             .write()
             .insert(id, Device::new(class, name.into()));
-        self.record(EcsEvent::Registered(id));
         id
     }
 
@@ -247,8 +232,6 @@ impl Eca {
             DeviceState::Free => {
                 d.state = DeviceState::Reserved(client);
                 d.lease = lease;
-                drop(devs);
-                self.record(EcsEvent::Reserved(id, client));
                 Ok(())
             }
             DeviceState::Reserved(c) | DeviceState::Active(c) if c == client => {
@@ -299,34 +282,17 @@ impl Eca {
         self.set_time(now);
         let now = self.now();
         let mut revoked = Vec::new();
-        let mut grants = Vec::new();
-        {
-            let mut devs = self.devices.write();
-            for (&id, d) in devs.iter_mut() {
-                let expired = matches!(d.lease, Some(t) if t < now);
-                if !expired {
-                    continue;
-                }
-                let owner = match d.state.owner() {
-                    Some(c) => c,
-                    None => {
-                        d.lease = None;
-                        continue;
-                    }
-                };
-                d.lease = None;
-                d.state = DeviceState::Free;
-                revoked.push((id, owner));
-                if let Some(next) = d.grant_next() {
-                    grants.push((id, next));
-                }
+        for (&id, d) in self.devices.write().iter_mut() {
+            if !matches!(d.lease, Some(t) if t < now) {
+                continue;
             }
-        }
-        for &(id, owner) in &revoked {
-            self.record(EcsEvent::LeaseExpired(id, owner));
-        }
-        for (id, next) in grants {
-            self.record(EcsEvent::GrantedFromQueue(id, next));
+            d.lease = None;
+            let Some(owner) = d.state.owner() else {
+                continue;
+            };
+            d.state = DeviceState::Free;
+            revoked.push((id, owner));
+            d.grant_next();
         }
         revoked
     }
@@ -349,8 +315,6 @@ impl Eca {
             DeviceState::Free => {
                 d.state = DeviceState::Reserved(client);
                 d.lease = None;
-                drop(devs);
-                self.record(EcsEvent::Reserved(id, client));
                 Ok(Enqueued::Granted)
             }
             DeviceState::Reserved(c) | DeviceState::Active(c) if c == client => {
@@ -397,12 +361,7 @@ impl Eca {
             DeviceState::Reserved(c) | DeviceState::Active(c) if c == client => {
                 d.state = DeviceState::Free;
                 d.lease = None;
-                let grant = d.grant_next();
-                drop(devs);
-                self.record(EcsEvent::Released(id, client));
-                if let Some(next) = grant {
-                    self.record(EcsEvent::GrantedFromQueue(id, next));
-                }
+                d.grant_next();
                 Ok(())
             }
             DeviceState::Free => Err(EcsError::NotReserved(id)),
@@ -421,8 +380,6 @@ impl Eca {
         match d.state {
             DeviceState::Reserved(c) | DeviceState::Active(c) if c == client => {
                 d.state = DeviceState::Active(client);
-                drop(devs);
-                self.record(EcsEvent::Activated(id, client));
                 Ok(())
             }
             DeviceState::Free => Err(EcsError::NotReserved(id)),
@@ -441,8 +398,6 @@ impl Eca {
         match d.state {
             DeviceState::Active(c) | DeviceState::Reserved(c) if c == client => {
                 d.state = DeviceState::Reserved(client);
-                drop(devs);
-                self.record(EcsEvent::Deactivated(id, client));
                 Ok(())
             }
             DeviceState::Free => Err(EcsError::NotReserved(id)),
@@ -481,12 +436,6 @@ impl Eca {
             });
         }
         d.params.insert(name.to_string(), value);
-        drop(devs);
-        self.record(EcsEvent::ParamSet {
-            id,
-            name: name.to_string(),
-            value,
-        });
         Ok(())
     }
 
@@ -672,39 +621,6 @@ mod tests {
         assert!(!eca.cancel_wait(cam, b));
         eca.release(cam, a).unwrap();
         assert_eq!(eca.state(cam), Some(DeviceState::Reserved(c)));
-    }
-
-    #[test]
-    fn events_logged_in_order() {
-        let eca = Eca::new("lab");
-        let cam = eca.register(EquipmentClass::Camera, "cam");
-        let a = ClientId(1);
-        eca.set_time(t(5));
-        eca.reserve(cam, a).unwrap();
-        eca.activate(cam, a).unwrap();
-        eca.set_param(cam, a, params::GAIN, 70).unwrap();
-        eca.deactivate(cam, a).unwrap();
-        eca.release(cam, a).unwrap();
-        let events: Vec<_> = eca.events(16).into_iter().map(|e| e.event).collect();
-        assert_eq!(
-            events,
-            vec![
-                EcsEvent::Registered(cam),
-                EcsEvent::Reserved(cam, a),
-                EcsEvent::Activated(cam, a),
-                EcsEvent::ParamSet {
-                    id: cam,
-                    name: params::GAIN.into(),
-                    value: 70
-                },
-                EcsEvent::Deactivated(cam, a),
-                EcsEvent::Released(cam, a),
-            ]
-        );
-        // Registration predates set_time(5); the rest are stamped at 5.
-        let stamped = eca.events(16);
-        assert_eq!(stamped[0].at, SimTime::ZERO);
-        assert!(stamped[1..].iter().all(|e| e.at == t(5)));
     }
 
     #[test]

@@ -46,7 +46,7 @@
 
 #![warn(missing_docs)]
 
-use journal::{EventKind, Journal};
+use journal::{kind, EventKind, Journal};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -154,7 +154,8 @@ pub enum Departure {
     },
 }
 
-/// Counters kept by the manager.
+/// Counter view over the manager's journal chain, one field per
+/// lifecycle event kind ([`ShareManager::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShareStats {
     /// Followers merged straight into a group.
@@ -169,21 +170,22 @@ pub struct ShareStats {
     pub splits: u64,
 }
 
-#[derive(Debug, Default)]
 struct ShareInner {
     groups: HashMap<u32, Group>,
     /// Stream → group id.
     group_of: HashMap<u32, u32>,
     next_group: u32,
-    stats: ShareStats,
-    journal: Option<(Arc<Journal>, String)>,
+    /// Every lifecycle step is recorded here under `actor`'s hash
+    /// chain, and [`ShareManager::stats`] is counted from it: a
+    /// standalone journal until [`ShareManager::attach_journal`] wires
+    /// in the shared one.
+    journal: Arc<Journal>,
+    actor: String,
 }
 
 impl ShareInner {
     fn record(&self, kind: EventKind) {
-        if let Some((journal, server)) = &self.journal {
-            journal.record(server, kind);
-        }
+        self.journal.record(&self.actor, kind);
     }
 
     /// Detaches `stream` from its group. Returns the departure
@@ -214,7 +216,6 @@ impl ShareInner {
         promoted.role = Role::Leader;
         let movie = group.movie;
         let followers = (group.members.len() - 1) as u32;
-        self.stats.promotions += 1;
         self.record(EventKind::LeaderPromoted {
             movie: movie.0,
             from: stream,
@@ -268,7 +269,13 @@ impl ShareManager {
     pub fn new(config: ShareConfig) -> Self {
         ShareManager {
             config,
-            inner: Mutex::new(ShareInner::default()),
+            inner: Mutex::new(ShareInner {
+                groups: HashMap::new(),
+                group_of: HashMap::new(),
+                next_group: 0,
+                journal: Arc::new(Journal::standalone()),
+                actor: "share".to_string(),
+            }),
         }
     }
 
@@ -278,9 +285,11 @@ impl ShareManager {
     }
 
     /// Attaches an event journal: every lifecycle step from here on is
-    /// recorded under `server`'s hash chain.
+    /// recorded under `server`'s hash chain, and counted from there.
     pub fn attach_journal(&self, journal: Arc<Journal>, server: impl Into<String>) {
-        self.inner.lock().journal = Some((journal, server.into()));
+        let mut inner = self.inner.lock();
+        inner.journal = journal;
+        inner.actor = server.into();
     }
 
     /// Decides how a new viewer of `movie` (starting at block 0)
@@ -351,7 +360,6 @@ impl ShareManager {
             },
         );
         inner.group_of.insert(stream, gid);
-        inner.stats.merges += 1;
         inner.record(EventKind::MergeJoined {
             movie: movie.0,
             leader,
@@ -378,7 +386,6 @@ impl ShareManager {
             },
         );
         inner.group_of.insert(stream, gid);
-        inner.stats.fast_feeds += 1;
         inner.record(EventKind::FastFeedStarted {
             movie: movie.0,
             leader,
@@ -445,7 +452,6 @@ impl ShareManager {
             return;
         }
         member.role = Role::Merged;
-        inner.stats.conversions += 1;
         inner.record(EventKind::FastFeedConverged {
             movie: movie.0,
             follower: stream,
@@ -553,7 +559,6 @@ impl ShareManager {
         let movie = inner.groups[&gid].movie;
         inner.detach(stream);
         inner.new_group(stream, movie, position_block);
-        inner.stats.splits += 1;
         inner.record(EventKind::GroupSplit {
             movie: movie.0,
             follower: stream,
@@ -607,9 +612,17 @@ impl ShareManager {
             .sum()
     }
 
-    /// Counter snapshot.
+    /// Counter view derived from the journal chain (O(1) per field).
     pub fn stats(&self) -> ShareStats {
-        self.inner.lock().stats
+        let inner = self.inner.lock();
+        let count = |tag| inner.journal.count_for(&inner.actor, tag);
+        ShareStats {
+            merges: count(kind::MERGE_JOINED),
+            fast_feeds: count(kind::FAST_FEED_STARTED),
+            conversions: count(kind::FAST_FEED_CONVERGED),
+            promotions: count(kind::LEADER_PROMOTED),
+            splits: count(kind::GROUP_SPLIT),
+        }
     }
 }
 

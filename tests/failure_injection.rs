@@ -128,15 +128,13 @@ fn equipment_contention_fails_record_cleanly() {
     world.client_op(&client, McamOp::Associate { user: "rec".into() });
     // A rival user (different client id) grabs the site's only camera
     // out-of-band.
-    let site = server.services.site.clone();
-    let cams = server
-        .services
-        .eua
-        .list(&site, Some(equipment::EquipmentClass::Camera))
-        .unwrap();
+    let eca = &server.services.eca;
+    let cams = eca.list(Some(equipment::EquipmentClass::Camera));
     let mut rival = equipment::Eua::new(42);
-    rival.add_site(&server.services.eca);
-    rival.reserve(&site, cams[0].id).expect("rival reservation");
+    rival.add_site(eca);
+    rival
+        .reserve(eca.site(), cams[0].id)
+        .expect("rival reservation");
     // Now the protocol-level record cannot acquire a camera.
     assert_eq!(
         world.client_op(
@@ -149,7 +147,7 @@ fn equipment_contention_fails_record_cleanly() {
         Some(McamPdu::RecordRsp { ok: false })
     );
     // Release and retry succeeds.
-    rival.release(&site, cams[0].id).unwrap();
+    rival.release(eca.site(), cams[0].id).unwrap();
     assert_eq!(
         world.client_op(
             &client,
