@@ -23,7 +23,9 @@
 //! replica lifecycle — place, grow a hot title onto idle servers,
 //! shrink over-provisioned ones, migrate sole copies off a draining
 //! server, and decommission it — with every copy flowing through the
-//! target store's admission-charged, paced write path.
+//! target store's admission-charged, paced write path. A server
+//! handle only hands over its store ([`MigrationHost::store`]); the
+//! controller calls the store's import methods by their own names.
 //!
 //! # Examples
 //!
@@ -50,7 +52,7 @@ pub mod rebalance;
 
 pub use control::ControlBalancer;
 pub use rebalance::{
-    CopyRejected, DrainError, MigrationHost, RebalanceConfig, RebalanceController, RebalanceStats,
+    DrainError, MigrationHost, RebalanceConfig, RebalanceController, RebalanceStats,
 };
 
 use parking_lot::RwLock;

@@ -22,8 +22,7 @@
 //!   reserves the copy's bandwidth in the same admission controller
 //!   playback draws on and writes blocks through the allocator and
 //!   the elevator/SCAN queues at the reserved pace
-//!   ([`MigrationHost::begin_copy`], backed by
-//!   `BlockStore::begin_import`), so migrations visibly compete with
+//!   (`BlockStore::begin_import`), so migrations visibly compete with
 //!   streams instead of teleporting data;
 //! * **drain** — [`RebalanceController::drain`] migrates every
 //!   sole-copy title off a server, stops new streams from routing to
@@ -56,108 +55,28 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-/// A migration copy could not be admitted on the target server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CopyRejected {
-    /// Bandwidth the copy wanted to reserve, bits/second.
-    pub demanded_bps: u64,
-    /// Bandwidth still uncommitted on the target, bits/second.
-    pub available_bps: u64,
-}
-
 /// A server that can receive replica copies: the storage-facing half
-/// of the control plane. Paced copies (`begin_copy` …) reserve
-/// admission bandwidth and take real disk time; `import_bulk` is the
-/// record-replication fan-out — an immediate background copy, written
-/// through the same allocator and disk queues but not
-/// admission-charged (a recording already paid for its bandwidth
-/// while capturing).
+/// of the control plane, which drives the store's import path
+/// directly. Paced copies (`BlockStore::begin_import` …) reserve
+/// admission bandwidth and take real disk time;
+/// `BlockStore::import_movie` is the record-replication fan-out — an
+/// immediate background copy, written through the same allocator and
+/// disk queues but not admission-charged (a recording already paid
+/// for its bandwidth while capturing).
 pub trait MigrationHost {
-    /// Starts an admission-charged, paced copy of `source` onto this
-    /// server, reserving `reserve_bps`. Returns an opaque copy token.
-    ///
-    /// # Errors
-    ///
-    /// [`CopyRejected`] when the reservation does not fit next to the
-    /// streams already admitted.
-    fn begin_copy(
-        &self,
-        source: &MovieSource,
-        reserve_bps: u64,
-        now: SimTime,
-    ) -> Result<u64, CopyRejected>;
-
-    /// Whether the copy has issued and persisted every block.
-    fn copy_done(&self, token: u64) -> bool;
-
-    /// Finalizes a durable copy: the title becomes streamable from
-    /// this server and the reservation is released. Returns false if
-    /// the copy could not be finalized.
-    fn finish_copy(&self, token: u64) -> bool;
-
-    /// Abandons a copy, releasing its reservation and blocks.
-    fn abort_copy(&self, token: u64);
-
-    /// Immediate bulk copy (record replication fan-out).
-    fn import_bulk(&self, source: &MovieSource, now: SimTime);
+    /// The server's block store.
+    fn store(&self) -> &store::BlockStore;
 }
 
 impl<T: MigrationHost + ?Sized> MigrationHost for Arc<T> {
-    fn begin_copy(
-        &self,
-        source: &MovieSource,
-        reserve_bps: u64,
-        now: SimTime,
-    ) -> Result<u64, CopyRejected> {
-        (**self).begin_copy(source, reserve_bps, now)
-    }
-    fn copy_done(&self, token: u64) -> bool {
-        (**self).copy_done(token)
-    }
-    fn finish_copy(&self, token: u64) -> bool {
-        (**self).finish_copy(token)
-    }
-    fn abort_copy(&self, token: u64) {
-        (**self).abort_copy(token)
-    }
-    fn import_bulk(&self, source: &MovieSource, now: SimTime) {
-        (**self).import_bulk(source, now)
+    fn store(&self) -> &store::BlockStore {
+        (**self).store()
     }
 }
 
 impl MigrationHost for store::BlockStore {
-    fn begin_copy(
-        &self,
-        source: &MovieSource,
-        reserve_bps: u64,
-        now: SimTime,
-    ) -> Result<u64, CopyRejected> {
-        match self.begin_import(source, reserve_bps, now) {
-            Ok(id) => Ok(u64::from(id)),
-            Err(store::StoreError::AdmissionRejected {
-                demanded_bps,
-                available_bps,
-            }) => Err(CopyRejected {
-                demanded_bps,
-                available_bps,
-            }),
-            Err(_) => Err(CopyRejected {
-                demanded_bps: reserve_bps,
-                available_bps: 0,
-            }),
-        }
-    }
-    fn copy_done(&self, token: u64) -> bool {
-        self.import_durable(token as u32) == Some(true)
-    }
-    fn finish_copy(&self, token: u64) -> bool {
-        self.finish_import(token as u32).is_ok()
-    }
-    fn abort_copy(&self, token: u64) {
-        self.abort_import(token as u32);
-    }
-    fn import_bulk(&self, source: &MovieSource, now: SimTime) {
-        self.import_movie(source, now);
+    fn store(&self) -> &store::BlockStore {
+        self
     }
 }
 
@@ -270,7 +189,7 @@ enum CopyReason {
 struct ActiveCopy<P> {
     title: String,
     target: String,
-    token: u64,
+    import_id: u32,
     host: P,
     reason: CopyReason,
 }
@@ -476,7 +395,7 @@ impl<P: LoadProbe + MigrationHost + Clone> RebalanceController<P> {
         let mut replicas = vec![origin.to_string()];
         for location in peers {
             if let Some(host) = self.dir.get(&location) {
-                host.import_bulk(source, now);
+                host.store().import_movie(source, now);
                 replicas.push(location);
             }
         }
@@ -614,7 +533,7 @@ impl<P: LoadProbe + MigrationHost + Clone> RebalanceController<P> {
             let copy = &inner.active[i];
             if !self.dir.in_service(&copy.target) {
                 let copy = inner.active.swap_remove(i);
-                copy.host.abort_copy(copy.token);
+                copy.host.store().abort_import(copy.import_id);
                 self.journal.record(
                     &self.actor,
                     EventKind::CopyAborted {
@@ -624,9 +543,9 @@ impl<P: LoadProbe + MigrationHost + Clone> RebalanceController<P> {
                 );
                 continue;
             }
-            if copy.host.copy_done(copy.token) {
+            if copy.host.store().import_durable(copy.import_id) == Some(true) {
                 let copy = inner.active.swap_remove(i);
-                if copy.host.finish_copy(copy.token) {
+                if copy.host.store().finish_import(copy.import_id).is_ok() {
                     if let Some(rec) = inner.titles.get_mut(&copy.title) {
                         if !rec.replicas.contains(&copy.target) {
                             rec.replicas.push(copy.target.clone());
@@ -844,11 +763,11 @@ impl<P: LoadProbe + MigrationHost + Clone> RebalanceController<P> {
         let candidate = target.clone().unwrap_or_default();
         let started = target.and_then(|target| {
             let host = self.dir.get(&target)?;
-            let token = host.begin_copy(&rec.source, reserve, now).ok()?;
+            let import_id = host.store().begin_import(&rec.source, reserve, now).ok()?;
             Some(ActiveCopy {
                 title: title.to_string(),
                 target,
-                token,
+                import_id,
                 host,
                 reason,
             })

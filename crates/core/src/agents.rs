@@ -6,12 +6,13 @@ use crate::service::{
     DirOp, DirOutcome, DirRequest, DirResponse, EquipOp, EquipOutcome, EquipRequest, EquipResponse,
     StreamOp, StreamOutcome, StreamRequest, StreamResponse,
 };
-use crate::sps::{SpsError, StreamProviderSystem};
+use crate::sps::StreamProviderSystem;
 use directory::{attr, Dn, Dua, Filter, ModOp, MovieEntry, Rdn, Scope};
 use equipment::{Eca, EquipmentId, Eua};
 use estelle::{downcast, IpIndex, StateId, StateMachine, Transition};
 use netsim::SimDuration;
 use std::sync::Arc;
+use store::StoreError;
 
 /// Every agent exposes one interaction point to its MCA parent.
 pub const AGENT_IP: IpIndex = IpIndex(0);
@@ -144,10 +145,10 @@ pub type ClusterController = cluster::RebalanceController<Arc<StreamProviderSyst
 
 /// An admission refusal reaches the MCA as such — the server is
 /// storage-saturated, not broken; every other error is a failure.
-impl From<SpsError> for StreamOutcome {
-    fn from(e: SpsError) -> Self {
+impl From<StoreError> for StreamOutcome {
+    fn from(e: StoreError) -> Self {
         match e {
-            SpsError::AdmissionRejected {
+            StoreError::AdmissionRejected {
                 demanded_bps,
                 available_bps,
             } => StreamOutcome::Rejected {
@@ -192,7 +193,7 @@ impl SuaAgent {
     }
 
     fn execute(&self, op: StreamOp, now: netsim::SimTime) -> StreamOutcome {
-        let done = |r: Result<(), SpsError>| match r {
+        let done = |r: Result<(), StoreError>| match r {
             Ok(()) => StreamOutcome::Done,
             Err(e) => e.into(),
         };

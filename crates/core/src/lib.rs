@@ -494,7 +494,7 @@ pub use service::{
     StreamOp, StreamOutcome, StreamRequest, StreamResponse,
 };
 pub use share::{ShareConfig, ShareStats};
-pub use sps::{RecordedMovie, SpsError, StreamProviderSystem};
+pub use sps::{RecordedMovie, StreamProviderSystem};
 pub use stacks::{
     wire_lower_stack, wire_lower_stack_tagged, ClientRoot, ControlDial, ReferralEnd,
     ReferralFollower, StackKind, ERR_REFERRAL, ROOT_TO_APP, ROOT_TO_MCA,

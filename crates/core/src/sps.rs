@@ -21,6 +21,10 @@
 //! on the virtual clock and are appended through the store's write
 //! path, so a recording reserves and consumes real disk bandwidth and
 //! can crowd out (or be refused like) a playback stream.
+//!
+//! Every fallible operation fails with the store's own
+//! [`StoreError`]: an unknown id is [`StoreError::UnknownStream`], and
+//! whatever the store refuses passes through unchanged.
 
 use mtp::{MovieSource, MtpSender, StreamState};
 use netsim::{DatagramNet, DatagramSocket, NetAddr, SimDuration, SimTime};
@@ -35,8 +39,8 @@ use store::{BlockStore, MovieId, PrefetchHint, StoreError};
 
 /// A finished recording, as returned by
 /// [`StreamProviderSystem::record_close`]: enough to finalize the
-/// directory entry and to [`StreamProviderSystem::import_movie`] the
-/// copy onto replica servers.
+/// directory entry and to import the copy onto replica servers
+/// ([`BlockStore::import_movie`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecordedMovie {
     /// The captured content (replayable source parameters).
@@ -66,54 +70,6 @@ struct Stream {
     /// jumps of the same width are treated as a skimming pattern and
     /// turned into a strided prefetch hint.
     last_forward_delta: Option<u64>,
-}
-
-/// Stream-provider errors.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SpsError {
-    /// Unknown stream id.
-    NoSuchStream(u32),
-    /// Admission control refused the stream's disk-bandwidth demand.
-    AdmissionRejected {
-        /// Bandwidth the stream would need, in bits/second.
-        demanded_bps: u64,
-        /// Bandwidth still uncommitted, in bits/second.
-        available_bps: u64,
-    },
-    /// The storage subsystem failed the operation.
-    StorageError(String),
-}
-
-impl fmt::Display for SpsError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SpsError::NoSuchStream(id) => write!(f, "no such stream {id}"),
-            SpsError::AdmissionRejected {
-                demanded_bps,
-                available_bps,
-            } => write!(
-                f,
-                "admission rejected: stream needs {demanded_bps} bps, {available_bps} bps available"
-            ),
-            SpsError::StorageError(msg) => write!(f, "storage error: {msg}"),
-        }
-    }
-}
-impl std::error::Error for SpsError {}
-
-impl From<StoreError> for SpsError {
-    fn from(e: StoreError) -> Self {
-        match e {
-            StoreError::AdmissionRejected {
-                demanded_bps,
-                available_bps,
-            } => SpsError::AdmissionRejected {
-                demanded_bps,
-                available_bps,
-            },
-            other => SpsError::StorageError(other.to_string()),
-        }
-    }
 }
 
 /// The per-server stream provider: a registry of paced MTP senders
@@ -232,9 +188,9 @@ impl StreamProviderSystem {
     ///
     /// # Errors
     ///
-    /// [`SpsError::AdmissionRejected`] when the store's admission
+    /// [`StoreError::AdmissionRejected`] when the store's admission
     /// control cannot fit the stream's bandwidth demand.
-    pub fn open(&self, movie: MovieSource, dest: NetAddr, now: SimTime) -> Result<u32, SpsError> {
+    pub fn open(&self, movie: MovieSource, dest: NetAddr, now: SimTime) -> Result<u32, StoreError> {
         let id = self.alloc_stream_id();
         let (store, share) = (&self.store, &self.share);
         let movie_id = store.register_movie(&movie);
@@ -267,7 +223,7 @@ impl StreamProviderSystem {
 
     /// The movie an open stream plays; every trick operation starts
     /// here, so an unknown id fails before anything is touched.
-    fn known(&self, id: u32) -> Result<MovieId, SpsError> {
+    fn known(&self, id: u32) -> Result<MovieId, StoreError> {
         self.with_stream(id, |s| s.movie)
     }
 
@@ -291,7 +247,7 @@ impl StreamProviderSystem {
     ///   does not fit, the leader may not strand its followers without
     ///   bandwidth; then it departs into a standalone band (keeping
     ///   its own charge) and the nearest follower is promoted.
-    fn share_departure(&self, stream: u32, target_block: u64) -> Result<(), SpsError> {
+    fn share_departure(&self, stream: u32, target_block: u64) -> Result<(), StoreError> {
         let (store, share) = (&self.store, &self.share);
         if share.is_follower(stream) {
             store.recharge_stream(stream, self.full_demand(stream))?;
@@ -326,9 +282,9 @@ impl StreamProviderSystem {
     ///
     /// # Errors
     ///
-    /// [`SpsError::AdmissionRejected`] when the write bandwidth does
+    /// [`StoreError::AdmissionRejected`] when the write bandwidth does
     /// not fit next to the streams already admitted.
-    pub fn record_open(&self, movie: MovieSource, now: SimTime) -> Result<u32, SpsError> {
+    pub fn record_open(&self, movie: MovieSource, now: SimTime) -> Result<u32, StoreError> {
         let id = self.alloc_stream_id();
         self.store.open_recording(id, &movie)?;
         self.recordings.lock().insert(
@@ -373,12 +329,13 @@ impl StreamProviderSystem {
     ///
     /// # Errors
     ///
-    /// Fails for unknown ids, and with [`SpsError::StorageError`]
-    /// while the recording is still capturing or persisting.
-    pub fn record_close(&self, id: u32) -> Result<RecordedMovie, SpsError> {
+    /// Fails for unknown ids, and with
+    /// [`StoreError::RecordingIncomplete`] while the recording is
+    /// still capturing or persisting.
+    pub fn record_close(&self, id: u32) -> Result<RecordedMovie, StoreError> {
         let mut recordings = self.recordings.lock();
         if !recordings.contains_key(&id) {
-            return Err(SpsError::NoSuchStream(id));
+            return Err(StoreError::UnknownStream(id));
         }
         let bitrate_bps = self.store.finish_recording(id)?.bitrate_bps;
         let session = recordings.remove(&id).expect("checked above");
@@ -391,12 +348,6 @@ impl StreamProviderSystem {
     /// Number of recording sessions in progress.
     pub fn recording_count(&self) -> usize {
         self.recordings.lock().len()
-    }
-
-    /// Copies a finished recording onto this provider's store (the
-    /// replication path).
-    pub fn import_movie(&self, source: &MovieSource, now: SimTime) {
-        self.store.import_movie(source, now);
     }
 
     /// Tears the provider down as a machine crash: every live stream
@@ -426,7 +377,7 @@ impl StreamProviderSystem {
     /// # Errors
     ///
     /// Fails for unknown ids.
-    pub fn close(&self, id: u32) -> Result<(), SpsError> {
+    pub fn close(&self, id: u32) -> Result<(), StoreError> {
         if self.recordings.lock().remove(&id).is_some() {
             self.store.abort_recording(id);
             return Ok(());
@@ -445,25 +396,25 @@ impl StreamProviderSystem {
             .lock()
             .remove(&id)
             .map(|_| ())
-            .ok_or(SpsError::NoSuchStream(id))
+            .ok_or(StoreError::UnknownStream(id))
     }
 
-    fn with_stream<R>(&self, id: u32, f: impl FnOnce(&mut Stream) -> R) -> Result<R, SpsError> {
+    fn with_stream<R>(&self, id: u32, f: impl FnOnce(&mut Stream) -> R) -> Result<R, StoreError> {
         let mut streams = self.streams.lock();
         streams
             .get_mut(&id)
             .map(f)
-            .ok_or(SpsError::NoSuchStream(id))
+            .ok_or(StoreError::UnknownStream(id))
     }
 
     /// Starts or resumes playback.
     ///
     /// # Errors
     ///
-    /// Fails for unknown ids, and with [`SpsError::AdmissionRejected`]
+    /// Fails for unknown ids, and with [`StoreError::AdmissionRejected`]
     /// when a speed above nominal would exceed the store's remaining
     /// disk bandwidth (the stream then keeps its previous speed).
-    pub fn play(&self, id: u32, speed_pct: u32, now: SimTime) -> Result<(), SpsError> {
+    pub fn play(&self, id: u32, speed_pct: u32, now: SimTime) -> Result<(), StoreError> {
         self.known(id)?;
         let (store, share) = (&self.store, &self.share);
         if speed_pct == 100 && share.is_follower(id) {
@@ -507,10 +458,10 @@ impl StreamProviderSystem {
     ///
     /// # Errors
     ///
-    /// Fails for unknown ids, and with [`SpsError::AdmissionRejected`]
+    /// Fails for unknown ids, and with [`StoreError::AdmissionRejected`]
     /// when a group member's split-out stream does not fit (the member
     /// then stays in its group, still playing).
-    pub fn pause(&self, id: u32) -> Result<(), SpsError> {
+    pub fn pause(&self, id: u32) -> Result<(), StoreError> {
         self.known(id)?;
         let block = self.store.stream_position_block(id).unwrap_or(0);
         self.share_departure(id, block)?;
@@ -523,9 +474,9 @@ impl StreamProviderSystem {
     ///
     /// # Errors
     ///
-    /// Fails for unknown ids, and with [`SpsError::AdmissionRejected`]
+    /// Fails for unknown ids, and with [`StoreError::AdmissionRejected`]
     /// when a group member's split-out stream does not fit.
-    pub fn stop(&self, id: u32, now: SimTime) -> Result<(), SpsError> {
+    pub fn stop(&self, id: u32, now: SimTime) -> Result<(), StoreError> {
         self.known(id)?;
         self.share_departure(id, 0)?;
         self.with_stream(id, |s| s.sender.stop())?;
@@ -565,10 +516,10 @@ impl StreamProviderSystem {
     ///
     /// # Errors
     ///
-    /// Fails for unknown ids, and with [`SpsError::AdmissionRejected`]
+    /// Fails for unknown ids, and with [`StoreError::AdmissionRejected`]
     /// when a group member's split-out stream does not fit (the member
     /// then stays in its group at its old position).
-    pub fn seek(&self, id: u32, frame: u64, now: SimTime) -> Result<(), SpsError> {
+    pub fn seek(&self, id: u32, frame: u64, now: SimTime) -> Result<(), StoreError> {
         let movie = self.known(id)?;
         let store = &self.store;
         let block = store.block_of_frame(movie, frame).unwrap_or(0);
@@ -724,25 +675,8 @@ impl cluster::LoadProbe for StreamProviderSystem {
 /// Migration copies land in the provider's block store through the
 /// paced, admission-charged import path.
 impl cluster::MigrationHost for StreamProviderSystem {
-    fn begin_copy(
-        &self,
-        source: &MovieSource,
-        reserve_bps: u64,
-        now: SimTime,
-    ) -> Result<u64, cluster::CopyRejected> {
-        self.store.begin_copy(source, reserve_bps, now)
-    }
-    fn copy_done(&self, token: u64) -> bool {
-        self.store.copy_done(token)
-    }
-    fn finish_copy(&self, token: u64) -> bool {
-        self.store.finish_copy(token)
-    }
-    fn abort_copy(&self, token: u64) {
-        self.store.abort_copy(token);
-    }
-    fn import_bulk(&self, source: &MovieSource, now: SimTime) {
-        self.store.import_bulk(source, now);
+    fn store(&self) -> &BlockStore {
+        &self.store
     }
 }
 
@@ -778,7 +712,7 @@ mod tests {
         net.run_until_idle();
         assert!(client.pending() >= 25);
         sps.close(id).unwrap();
-        assert_eq!(sps.close(id), Err(SpsError::NoSuchStream(id)));
+        assert_eq!(sps.close(id), Err(StoreError::UnknownStream(id)));
     }
 
     #[test]
@@ -978,7 +912,7 @@ mod tests {
             }
             assert!(ids.len() < 100, "slow disk must saturate eventually");
         };
-        assert!(matches!(err, SpsError::AdmissionRejected { .. }), "{err}");
+        assert!(matches!(err, StoreError::AdmissionRejected { .. }), "{err}");
         // Closing one stream re-opens the door.
         sps.close(ids[0]).unwrap();
         sps.open(MovieSource::test_movie(30, 1), NetAddr(5), net.now())

@@ -12,8 +12,8 @@ use crate::stacks::{ClientRoot, ControlDial, StackKind};
 use cluster::{ControlBalancer, DrainError, Placement, RebalanceConfig, RebalanceStats};
 use directory::{attr, Dn, Dsa, Dua, MovieEntry, Rdn};
 use equipment::{Eca, EquipmentClass};
-use estelle::sched::{run_sequential, SeqOptions};
-use estelle::{ip, ModuleId, ModuleKind, ModuleLabels, Readiness, Runtime};
+use estelle::sched::{run_sequential, FirePolicy, SeqOptions};
+use estelle::{ip, Dispatch, ModuleId, ModuleKind, ModuleLabels, Readiness, Runtime};
 use journal::{EventKind, Journal};
 use mtp::MtpReceiver;
 use netsim::{
@@ -43,6 +43,15 @@ struct WorldDialer {
 /// A dialed control pipe's server end, waiting for the world's driver
 /// to hand it to its server root: (root, medium, connection index).
 type PendingDial = (ModuleId, Box<dyn Medium>, u16);
+
+/// The scheduler options of the world's driver: the defaults, except
+/// that the driver itself advances the clock between passes.
+const DRIVER_OPTIONS: SeqOptions = SeqOptions {
+    dispatch: Dispatch::TableDriven,
+    fire_policy: FirePolicy::Pass,
+    max_firings: None,
+    advance_time: false,
+};
 
 impl WorldDialer {
     fn new(backend: SimBackend) -> Self {
@@ -251,16 +260,14 @@ pub struct World {
     pub dg: Arc<DatagramNet>,
     /// The Estelle runtime hosting all control modules.
     pub rt: Arc<Runtime>,
-    /// One-way delay of control pipes.
-    pub control_delay: SimDuration,
     /// The transport backend minting control-pipe conduits (the
     /// simulated, deterministic one — the world's Estelle driver runs
     /// on the virtual clock; see `wall_clock` for the threaded rig).
     backend: SimBackend,
-    /// Storage configuration applied to every server added after this
-    /// point (disk count, block size, cache size/policy, admission
-    /// headroom).
-    pub store_config: StoreConfig,
+    /// Storage configuration applied to every server (disk count,
+    /// block size, cache size/policy), set through
+    /// [`WorldBuilder::store`].
+    store_config: StoreConfig,
     /// Stream-sharing configuration applied to every server added
     /// after this point. Off by default: every viewer charges a full
     /// disk stream, exactly the pre-sharing behaviour. Set it through
@@ -283,8 +290,6 @@ pub struct World {
     dialer: Arc<WorldDialer>,
     next_addr: u32,
     next_conn: u16,
-    /// Scheduler options used by the driver.
-    pub seq_options: SeqOptions,
     /// The world's event journal, stamped from the network clock.
     journal: Arc<Journal>,
     /// Next health-snapshot deadline (armed on first driver activity).
@@ -363,8 +368,8 @@ impl WorldBuilder {
         let net = Arc::new(Network::new(self.seed));
         let dg = DatagramNet::new(&net, self.stream_link, self.seed.wrapping_add(17));
         let rt = Arc::new(Runtime::with_virtual_clock(net.clock()));
-        let control_delay = SimDuration::from_millis(1);
-        let backend = SimBackend::new(&net, control_delay);
+        // Control pipes have a one-way delay of 1 ms.
+        let backend = SimBackend::new(&net, SimDuration::from_millis(1));
         let dialer = Arc::new(WorldDialer::new(backend.clone()));
         let journal = Arc::new(Journal::new(net.clock()));
         World {
@@ -372,7 +377,6 @@ impl WorldBuilder {
             net,
             dg,
             rt,
-            control_delay,
             backend,
             store_config: self.store,
             share_config: self.share,
@@ -383,7 +387,6 @@ impl WorldBuilder {
             dialer,
             next_addr: 1,
             next_conn: 0,
-            seq_options: SeqOptions::default(),
             next_health: Mutex::new(None),
         }
     }
@@ -793,10 +796,9 @@ impl World {
     /// What is spinning when the driver does not quiesce: every module
     /// with an enabled transition, and the transition.
     fn enabled_report(&self) -> String {
-        let dispatch = self.seq_options.dispatch;
         let mut lines = Vec::new();
         for id in self.rt.alive_modules() {
-            let Some(transition) = self.rt.enabled_transition(id, dispatch) else {
+            let Some(transition) = self.rt.enabled_transition(id, DRIVER_OPTIONS.dispatch) else {
                 continue;
             };
             let name = self.rt.module_meta(id).map_or_else(String::new, |m| m.name);
@@ -812,8 +814,6 @@ impl World {
     }
 
     fn drive_loop(&self, limit: SimTime, mut done: impl FnMut(&Self) -> bool) {
-        let mut opts = self.seq_options.clone();
-        opts.advance_time = false;
         let mut guard = 0u32;
         loop {
             guard += 1;
@@ -833,7 +833,7 @@ impl World {
                     r.pending_media.push((medium, conn));
                 });
             }
-            run_sequential(&self.rt, &opts);
+            run_sequential(&self.rt, &DRIVER_OPTIONS);
             if done(self) {
                 break;
             }
@@ -853,7 +853,7 @@ impl World {
             if sent > 0 {
                 continue;
             }
-            let next_delay = match self.rt.readiness(opts.dispatch) {
+            let next_delay = match self.rt.readiness(DRIVER_OPTIONS.dispatch) {
                 Readiness::Enabled => continue,
                 Readiness::IdleUntil(deadline) => deadline,
             };

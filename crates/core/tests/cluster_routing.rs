@@ -126,9 +126,11 @@ fn select_spreads_across_replicas_and_scales_past_one_server() {
 /// Single-stepping opens the window between a routing decision and
 /// the stream open that the normal run-to-quiescence driver closes.
 fn step_once(world: &World) -> bool {
-    let mut opts = world.seq_options.clone();
-    opts.advance_time = false;
-    opts.max_firings = Some(1);
+    let opts = estelle::sched::SeqOptions {
+        advance_time: false,
+        max_firings: Some(1),
+        ..Default::default()
+    };
     let report = estelle::sched::run_sequential(&world.rt, &opts);
     if report.firings > 0 {
         return true;

@@ -142,11 +142,15 @@ impl MtpReceiver {
             }
             self.stats.received += 1;
             self.stats.bytes += pkt.payload.len() as u64;
-            // Loss detection via sequence gaps.
+            // Loss detection via sequence gaps; a packet from inside an
+            // earlier gap arrived reordered, not lost.
             match self.highest_seq {
                 Some(h) if pkt.seq > h => {
                     self.stats.lost += u64::from(pkt.seq - h - 1);
                     self.highest_seq = Some(pkt.seq);
+                }
+                Some(h) if pkt.seq < h => {
+                    self.stats.lost = self.stats.lost.saturating_sub(1);
                 }
                 None => {
                     self.stats.lost += u64::from(pkt.seq); // missed from 0

@@ -56,11 +56,16 @@ proptest! {
     }
 
     #[test]
-    fn received_plus_lost_equals_sent(loss_pct in 0u32..50, seed in 0u64..1000) {
+    fn received_plus_lost_equals_sent(
+        loss_pct in 0u32..50,
+        // Up to three 40 ms frame gaps: packets overtake each other.
+        jitter_us in 200u64..120_000,
+        seed in 0u64..1000,
+    ) {
         let net = Arc::new(Network::new(seed));
         let cfg = LinkConfig::lossy(
             SimDuration::from_millis(1),
-            SimDuration::from_micros(200),
+            SimDuration::from_micros(jitter_us),
             f64::from(loss_pct) / 100.0,
         );
         let dg = DatagramNet::new(&net, cfg, seed.wrapping_add(3));

@@ -142,10 +142,6 @@ impl DatagramNet {
         let inner = &mut *inner;
         let loss_state = inner.loss_states.entry((from, to)).or_default();
         if self.config.loss.drops(loss_state, &mut inner.rng) {
-            // Account the drop at the destination for delivery-ratio
-            // measurements; there is no src-side stat for datagrams.
-            let _ = dest_ep;
-            drop_note(&self.net, src_ep, dest_ep, payload.len());
             return false;
         }
         let delay =
@@ -153,13 +149,6 @@ impl DatagramNet {
         self.net.send(src_ep, dest_ep, payload, delay);
         true
     }
-}
-
-/// Records a dropped datagram in the core network's per-endpoint stats.
-fn drop_note(net: &Network, src: EndpointId, dest: EndpointId, _len: usize) {
-    // The event core has no public drop hook for direct sends, so we
-    // emulate it: count a send at the source and a drop at the dest.
-    let _ = (net, src, dest);
 }
 
 impl DatagramSocket {
