@@ -1,8 +1,10 @@
-//! Hostile mutations of golden BER lines, shared by the `malformed.rs`
-//! suites of the crates whose PDUs are `asn1::choice!` tables (they
-//! include this file by `#[path]`). The generators only build the
-//! mutated buffers; what a decoder must do with one is the caller's
-//! assertion.
+//! Hostile mutations of golden wire lines, shared by the `malformed.rs`
+//! suites of every crate with a hand-written or generated decoder
+//! (they include this file by `#[path]`). `lines` and `bit_flips` fit
+//! any format; `length_lies` rewrites BER length octets, so only the
+//! BER suites (`asn1` and the `asn1::choice!` tables) call it. The
+//! generators only build the mutated buffers; what a decoder must do
+//! with one is the caller's assertion.
 
 /// The golden file's lines (hex, one PDU each) as bytes.
 pub fn lines(golden: &str) -> impl Iterator<Item = Vec<u8>> + '_ {
@@ -56,6 +58,7 @@ fn length_offsets(data: &[u8], base: usize, out: &mut Vec<usize>) {
 /// the first length octet of a TLV replaced by a length that is too
 /// short, too long, zero, indefinite, non-minimal, wider than `usize`,
 /// or cut off.
+#[allow(dead_code)] // unused by the fixed-header suites
 pub fn length_lies(golden: &str, mut f: impl FnMut(&[u8])) {
     for line in lines(golden) {
         let mut offsets = Vec::new();

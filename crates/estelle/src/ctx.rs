@@ -3,9 +3,11 @@
 //!
 //! Actions do not mutate the runtime directly; they record *effects*
 //! (outputs, child creation, channel connection, release) which the
-//! runtime applies atomically after the action returns. This keeps
-//! actions free of aliasing with the module tree and makes the same
-//! action code safe under the sequential and the parallel schedulers.
+//! runtime applies after the action returns, in the order recorded.
+//! This keeps actions free of aliasing with the module tree: an action
+//! runs under its own module's lock and the runtime's topology read
+//! guard, and creating a child needs the write guard, so the effects
+//! wait until both are released.
 
 use crate::ids::{IpIndex, IpRef, ModuleId, ModuleKind, ModuleLabels, StateId};
 use crate::interaction::Interaction;

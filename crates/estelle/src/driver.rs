@@ -8,75 +8,41 @@
 //! co-simulation.
 
 use crate::runtime::{Readiness, Runtime};
-use crate::sched::{run_sequential, RunReport, SeqOptions, StopReason};
+use crate::sched::{run_sequential, SeqOptions, StopReason};
 use netsim::{Network, SimTime};
-use std::time::{Duration, Instant};
 
-/// Report of a co-simulation run.
-#[derive(Debug, Clone)]
-pub struct SimReport {
-    /// Total transition firings.
-    pub firings: u64,
-    /// Simulated completion time.
-    pub sim_time: SimTime,
-    /// Wall time spent driving.
-    pub wall: Duration,
-    /// True if the run ended because nothing remained to do (rather
-    /// than hitting `limit`).
-    pub completed: bool,
-}
-
-/// Runs `rt` against `net` until both are idle or simulated time
-/// exceeds `limit`.
+/// Runs `rt` against `net` until both are idle, simulated time would
+/// pass `limit`, or `opts.max_firings` is spent by one scheduler run.
 ///
 /// The runtime must share the network's virtual clock (construct it
 /// with `Runtime::with_virtual_clock(net.clock())`).
-///
-/// # Panics
-///
-/// Panics if the runtime has no virtual clock.
-pub fn run_sim(rt: &Runtime, net: &Network, opts: &SeqOptions, limit: SimTime) -> SimReport {
-    assert!(
-        rt.virtual_clock().is_some(),
-        "run_sim requires a virtual-clock runtime sharing the network clock"
-    );
-    let t0 = Instant::now();
-    let mut firings = 0u64;
-    let mut inner_opts = opts.clone();
-    // Time advancement is the driver's job here: the scheduler must
-    // return Quiescent instead of skipping over pending network events.
-    inner_opts.advance_time = false;
-    let completed = loop {
-        let report: RunReport = run_sequential(rt, &inner_opts);
-        firings += report.firings;
-        if report.stopped == StopReason::MaxFirings {
-            break false;
+pub fn run_sim(rt: &Runtime, net: &Network, opts: &SeqOptions, limit: SimTime) {
+    let opts = SeqOptions {
+        // Time advancement is the driver's job here: the scheduler
+        // must return Quiescent instead of skipping over pending
+        // network events.
+        advance_time: false,
+        ..opts.clone()
+    };
+    loop {
+        if run_sequential(rt, &opts).stopped == StopReason::MaxFirings {
+            return;
         }
-        let next_delay = match rt.readiness(inner_opts.dispatch) {
+        let next_delay = match rt.readiness(opts.dispatch) {
             Readiness::Enabled => continue,
             Readiness::IdleUntil(deadline) => deadline,
         };
         let next_net = net.next_event_at();
-        let next = match (next_net, next_delay) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
+        let Some(next) = [next_net, next_delay].into_iter().flatten().min() else {
+            return; // fully quiescent
         };
-        match next {
-            Some(t) if t <= limit => {
-                if next_net.is_some_and(|a| a <= t) {
-                    net.step();
-                } else {
-                    rt.advance_clock_to(t);
-                }
-            }
-            Some(_) => break false, // next event beyond horizon
-            None => break true,     // fully quiescent
+        if next > limit {
+            return; // next event beyond the horizon
         }
-    };
-    SimReport {
-        firings,
-        sim_time: rt.now(),
-        wall: t0.elapsed(),
-        completed,
+        if next_net.is_some_and(|a| a <= next) {
+            net.step();
+        } else {
+            rt.advance_clock_to(next);
+        }
     }
 }

@@ -4,11 +4,10 @@
 //! loses to *grouping* modules into as many units as there are
 //! processors, and (§3) that *connection-per-processor* outperforms
 //! *layer-per-processor*. These policies are encoded here and consumed
-//! by both the thread scheduler and the `ksim` multiprocessor
-//! simulator.
+//! by the `ksim` multiprocessor simulator, which replays recorded
+//! traces under them.
 
 use crate::ids::{ModuleId, ModuleLabels, UnitId};
-use crate::runtime::Runtime;
 
 /// A policy assigning each module to an execution unit.
 ///
@@ -70,12 +69,6 @@ impl GroupingPolicy {
             }
             GroupingPolicy::Single => UnitId(0),
         }
-    }
-
-    /// Unit assignment looked up through a runtime (fetches labels).
-    pub fn assign_in(&self, rt: &Runtime, id: ModuleId) -> UnitId {
-        let labels = rt.module_meta(id).map(|m| m.labels).unwrap_or_default();
-        self.assign(id, labels)
     }
 }
 

@@ -12,17 +12,23 @@
 //! - transitions with `when`, `provided`, `priority`, `delay`, and
 //!   `to` clauses ([`Transition`]);
 //! - per-interaction-point FIFO queues and `connect`-ed channels;
-//! - parent-over-child precedence and activity mutual exclusion;
+//! - parent-over-child precedence, and activity mutual exclusion by
+//!   firing one transition at a time;
 //! - dynamic creation/release of child modules by their parent
 //!   ([`Ctx::create_child`], [`Ctx::release_child`]);
 //! - the two transition-dispatch mappings studied in §5.2
 //!   ([`Dispatch::HardCoded`] vs [`Dispatch::TableDriven`]);
-//! - sequential, decentralized-parallel, and centralized-parallel
-//!   schedulers ([`sched`]) with scheduler-overhead instrumentation;
+//! - one scheduler ([`sched::run_sequential`]) on the runtime's
+//!   virtual clock, with scheduler-overhead instrumentation;
 //! - module grouping policies ([`GroupingPolicy`]) including the
 //!   paper's connection-per-processor and layer-per-processor mappings;
 //! - execution tracing ([`ExecTrace`]) consumed by the `ksim`
 //!   multiprocessor simulator.
+//!
+//! The paper's parallel runtime is reproduced by replay, not by
+//! threads: `ksim` schedules the traces this runtime records on a
+//! modelled multiprocessor, and its E4 experiment is the §5.2
+//! comparison of a centralized with a decentralized scheduler.
 //!
 //! # Examples
 //!

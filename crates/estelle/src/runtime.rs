@@ -171,9 +171,6 @@ struct ModuleSlot {
     children: Mutex<Vec<ModuleId>>,
     core: Mutex<ModuleCore>,
     alive: AtomicBool,
-    /// Held while a child of an `activity`-kind module fires, realizing
-    /// sibling mutual exclusion under parallel schedulers.
-    family_lock: Mutex<()>,
     /// Messages queued across all interaction points (bumped under the
     /// core lock, readable without it).
     queued: AtomicUsize,
@@ -343,28 +340,10 @@ impl Topology {
     }
 }
 
-/// Counts a firing as in flight from the moment its transition is
-/// selected until its effects are applied (or its action unwinds).
-struct InFlight<'a>(&'a AtomicUsize);
-
-impl<'a> InFlight<'a> {
-    fn enter(count: &'a AtomicUsize) -> Self {
-        count.fetch_add(1, Ordering::SeqCst);
-        InFlight(count)
-    }
-}
-
-impl Drop for InFlight<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
 /// A transition that ran under the topology guard; its effects are
 /// applied by [`Runtime::commit`] once the guard is gone (creating a
 /// child takes the write lock).
-struct Firing<'rt> {
-    in_flight: InFlight<'rt>,
+struct Firing {
     slot: Arc<ModuleSlot>,
     seq: u64,
     info: FiredInfo,
@@ -379,9 +358,7 @@ struct Firing<'rt> {
 /// ready index ([`Runtime::readiness`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Readiness {
-    /// Some module has an enabled transition now, or a firing was in
-    /// flight while the question was asked (what it enables is not
-    /// visible until its effects are applied).
+    /// Some module has an enabled transition now.
     Enabled,
     /// Nothing is enabled; the earliest `delay` deadline, if any.
     IdleUntil(Option<SimTime>),
@@ -400,7 +377,7 @@ pub enum Readiness {
 /// part only has to check the transitions of one module". The runtime
 /// applies the same idea to *which* modules are checked at all: beside
 /// the module table it keeps one bit per module id, the **ready
-/// index**, and every scan (the schedulers' passes, parent precedence,
+/// index**, and every scan (the scheduler's passes, parent precedence,
 /// [`Runtime::readiness`], [`Runtime::next_deadline`]) consults members
 /// only.
 ///
@@ -432,41 +409,39 @@ pub enum Readiness {
 /// next wake-up. A wake that lands after the clear stays for the next
 /// look. A look that finds a transition without firing it
 /// (`readiness` answering `Enabled`) puts the flag back; a look on
-/// somebody else's behalf (parent precedence,
-/// [`Runtime::module_enabled`]) and an attempt refused as `Blocked`
-/// never touch it.
+/// somebody else's behalf (parent precedence) and an attempt refused
+/// as `Blocked` never touch it.
 ///
 /// **Waking takes no lock.** A waker is called from inside firings —
 /// a medium's `send` runs under the topology read guard and a core
 /// lock, neither of which may be taken again — and from threads no
-/// scheduler owns. So the ready-index words live in chunks shared
-/// between the table and the slots, a slot knows its own bit, and a
-/// wake-up is two atomic stores: flag, then bit. The waker *is* the
-/// slot (`Arc<ModuleSlot>` implements [`std::task::Wake`]): no
-/// allocation per module, and waking a released module does nothing.
-/// A waker therefore keeps its module alive, and whoever holds it is
-/// usually held by that module's body; the runtime's `Drop` ends those
-/// cycles by dropping the bodies.
+/// scheduler owns (a [`netsim::ThreadMedium`] peer). So the
+/// ready-index words live in chunks shared between the table and the
+/// slots, a slot knows its own bit, and a wake-up is two atomic
+/// stores: flag, then bit. The waker *is* the slot (`Arc<ModuleSlot>`
+/// implements [`std::task::Wake`], which asks for `Send + Sync`, so
+/// the flags and bits stay atomics): no allocation per module, and
+/// waking a released module does nothing. A waker therefore keeps its
+/// module alive, and whoever holds it is usually held by that module's
+/// body; the runtime's `Drop` ends those cycles by dropping the
+/// bodies.
 ///
 /// The bit is set when a slot is inserted, after every enqueue (count
 /// first, bit second), by every wake-up (flag first, bit second) and
-/// after `initialize` or a firing leaves the module able to fire
-/// again. It is cleared lazily by the scan that finds the member idle
-/// or dead: clear, then look at the predicate once more and set the
-/// bit back if it turned true meanwhile. All of these are `SeqCst`,
-/// and the same argument covers all three terms: a source publishes
-/// (queue count, `polls`, or its own state followed by `woken`) and
-/// *then* sets the bit; a scan clears the bit and *then* re-reads the
-/// predicate; a look clears `woken` and *then* reads the guards.
-/// Whichever of the two sides comes second sees the other, so no
-/// wake-up is lost under the parallel schedulers. One window remains:
-/// a module that consumed its last message is outside the index until
-/// its action returns, and holds no lock an index walk would wait on.
-/// The runtime therefore counts firings in flight, and
-/// [`Runtime::readiness`] answers `Enabled` while there is one.
+/// after `initialize` leaves the module able to fire. It is cleared
+/// lazily by the scan that finds the member idle or dead: clear, then
+/// look at the predicate once more and set the bit back if it turned
+/// true meanwhile. All of these are `SeqCst`, and the same argument
+/// covers all three terms: a source publishes (queue count, `polls`,
+/// or its own state followed by `woken`) and *then* sets the bit; a
+/// scan clears the bit and *then* re-reads the predicate; a look
+/// clears `woken` and *then* reads the guards. Whichever of the two
+/// sides comes second sees the other, so no wake-up from another
+/// thread is lost. A firing leaves its module's bit as the scan found
+/// it, set: firings happen one at a time, so no other scan runs while
+/// an action consumes the last message.
 pub struct Runtime {
-    clock: Arc<dyn Clock>,
-    vclock: Option<Arc<VirtualClock>>,
+    clock: Arc<VirtualClock>,
     next_id: AtomicU32,
     /// Never acquired while holding it or a module's core lock: the
     /// scans hold the read guard across many core locks, and a waiting
@@ -476,10 +451,6 @@ pub struct Runtime {
     trace_on: AtomicBool,
     trace: Mutex<Vec<FiringRecord>>,
     fire_seq: AtomicU64,
-    /// Firings selected but not yet committed. A module in that window
-    /// may be outside the ready index with no lock a scan would wait
-    /// on, so the idle query has to ask.
-    in_flight: AtomicUsize,
     counters: AtomicCounters,
     qos_on: AtomicBool,
     qos: RwLock<Option<Arc<crate::qos::QosMonitor>>>,
@@ -527,18 +498,18 @@ impl std::fmt::Debug for Runtime {
 }
 
 impl Runtime {
-    /// Creates a runtime reading time from `clock`.
-    pub fn new(clock: Arc<dyn Clock>) -> Self {
+    /// Creates a runtime driven by the given virtual clock, the only
+    /// time it reads; an idle scheduler may advance it to the next
+    /// `delay` deadline.
+    pub fn with_virtual_clock(clock: Arc<VirtualClock>) -> Self {
         Runtime {
             clock,
-            vclock: None,
             next_id: AtomicU32::new(0),
             topo: RwLock::new(Topology::default()),
             frozen: AtomicBool::new(false),
             trace_on: AtomicBool::new(false),
             trace: Mutex::new(Vec::new()),
             fire_seq: AtomicU64::new(1),
-            in_flight: AtomicUsize::new(0),
             counters: AtomicCounters::default(),
             qos_on: AtomicBool::new(false),
             qos: RwLock::new(None),
@@ -586,33 +557,15 @@ impl Runtime {
         self.qos.read().clone()
     }
 
-    /// Creates a runtime driven by the given virtual clock; idle
-    /// schedulers may advance it to the next `delay` deadline.
-    pub fn with_virtual_clock(vclock: Arc<VirtualClock>) -> Self {
-        let mut rt = Runtime::new(vclock.clone() as Arc<dyn Clock>);
-        rt.vclock = Some(vclock);
-        rt
-    }
-
     /// Convenience: a fresh runtime with its own virtual clock.
     pub fn sim() -> (Self, Arc<VirtualClock>) {
         let vclock = Arc::new(VirtualClock::new());
         (Self::with_virtual_clock(Arc::clone(&vclock)), vclock)
     }
 
-    /// The clock this runtime reads.
-    pub fn clock(&self) -> Arc<dyn Clock> {
-        Arc::clone(&self.clock)
-    }
-
     /// Current time.
     pub fn now(&self) -> SimTime {
         self.clock.now()
-    }
-
-    /// The virtual clock, when running in simulated time.
-    pub fn virtual_clock(&self) -> Option<Arc<VirtualClock>> {
-        self.vclock.clone()
     }
 
     fn slot(&self, id: ModuleId) -> Option<Arc<ModuleSlot>> {
@@ -708,7 +661,6 @@ impl Runtime {
                 inited: false,
             }),
             alive: AtomicBool::new(true),
-            family_lock: Mutex::new(()),
             queued: AtomicUsize::new(0),
             polls: AtomicBool::new(polls),
             woken: AtomicBool::new(woken),
@@ -854,7 +806,7 @@ impl Runtime {
     }
 
     /// Attempts to fire one transition of `id`, honouring parent
-    /// precedence and activity mutual exclusion.
+    /// precedence.
     pub fn try_fire(&self, id: ModuleId, dispatch: Dispatch) -> FireOutcome {
         let t_scan = Instant::now();
         let attempt = {
@@ -935,7 +887,7 @@ impl Runtime {
         dispatch: Dispatch,
         now: SimTime,
         t_scan: Instant,
-    ) -> std::result::Result<Firing<'_>, FireOutcome> {
+    ) -> std::result::Result<Firing, FireOutcome> {
         if !slot.is_alive() {
             return Err(FireOutcome::Dead);
         }
@@ -952,11 +904,6 @@ impl Runtime {
             }
             anc = ps.parent;
         }
-        // Activity mutual exclusion among siblings.
-        let _family_guard = match slot.parent.and_then(|p| topo.slot(p)) {
-            Some(ps) if ps.kind.children_exclusive() => Some(ps.family_lock.lock()),
-            _ => None,
-        };
         let id = slot.id;
         let mut effects = Vec::new();
         let mut qos_obs = None;
@@ -969,7 +916,6 @@ impl Runtime {
             .exec
             .select(&core.ips, now, core.entered_at, dispatch)
             .ok_or(FireOutcome::NotEnabled)?;
-        let in_flight = InFlight::enter(&self.in_flight);
         let t_act = Instant::now();
         self.counters.scan_ns.fetch_add(
             t_act.duration_since(t_scan).as_nanos() as u64,
@@ -1012,13 +958,7 @@ impl Runtime {
         core.last_seq = Some(seq);
         slot.refresh(&*core.exec);
         drop(core);
-        // Another thread's scan may have dropped the module from the
-        // index while its last message was being consumed.
-        if slot.can_fire() {
-            slot.mark_ready();
-        }
         Ok(Firing {
-            in_flight,
             slot: Arc::clone(slot),
             seq,
             info,
@@ -1031,9 +971,8 @@ impl Runtime {
 
     /// Applies the effects of a firing and records it. Runs without
     /// the topology guard.
-    fn commit(&self, firing: Firing<'_>) -> FiredMeta {
+    fn commit(&self, firing: Firing) -> FiredMeta {
         let Firing {
-            in_flight,
             slot,
             seq,
             info,
@@ -1060,7 +999,6 @@ impl Runtime {
             });
         }
         self.counters.firings.fetch_add(1, Ordering::Relaxed);
-        drop(in_flight);
         FiredMeta {
             module: slot.id,
             transition: info.transition,
@@ -1069,19 +1007,6 @@ impl Runtime {
             from_state: info.from_state,
             to_state: info.to_state,
         }
-    }
-
-    /// Whether `id` currently has an enabled transition (ignoring
-    /// parent precedence).
-    pub fn module_enabled(&self, id: ModuleId, dispatch: Dispatch) -> bool {
-        let t_scan = Instant::now();
-        let enabled = self
-            .topo
-            .read()
-            .slot(id)
-            .is_some_and(|s| s.enabled(dispatch, self.clock.now(), &self.counters));
-        self.add_scan_ns(t_scan);
-        enabled
     }
 
     /// The transition `id` would fire if it were selected now, by
@@ -1100,21 +1025,9 @@ impl Runtime {
     /// One walk of the ready index: whether a member has an enabled
     /// transition (looked for only with a `dispatch`, and ending the
     /// walk) and the earliest `delay` deadline among the members seen.
-    ///
-    /// With a `dispatch` the answer is "enabled" as well if a firing
-    /// overlapped the walk. Under the parallel schedulers a module
-    /// that consumed its last message sits outside the index until
-    /// its action returns, and what the action outputs reaches the
-    /// index later still; a walk that overlaps neither an in-flight
-    /// firing (count read before and after) nor the start of one
-    /// (firing sequence unchanged) has seen everything.
     fn scan_ready(&self, dispatch: Option<Dispatch>) -> (bool, Option<SimTime>) {
         let t_scan = Instant::now();
         let now = self.clock.now();
-        let epoch = self.fire_seq.load(Ordering::SeqCst);
-        if dispatch.is_some() && self.in_flight.load(Ordering::SeqCst) > 0 {
-            return (true, None);
-        }
         let topo = self.topo.read();
         let end = ModuleId(topo.slots.len() as u32);
         let mut cursor = ModuleId(0);
@@ -1143,10 +1056,7 @@ impl Runtime {
         }
         drop(topo);
         self.add_scan_ns(t_scan);
-        let overlapped = dispatch.is_some()
-            && (self.in_flight.load(Ordering::SeqCst) > 0
-                || self.fire_seq.load(Ordering::SeqCst) != epoch);
-        (enabled || overlapped, deadline)
+        (enabled, deadline)
     }
 
     /// Whether anything is enabled now and, if not, when the earliest
@@ -1159,23 +1069,15 @@ impl Runtime {
         }
     }
 
-    /// Whether any alive module has an enabled transition.
-    pub fn any_enabled(&self, dispatch: Dispatch) -> bool {
-        self.scan_ready(Some(dispatch)).0
-    }
-
     /// Earliest instant at which a `delay` transition could become
     /// enabled, across all modules.
     pub fn next_deadline(&self) -> Option<SimTime> {
         self.scan_ready(None).1
     }
 
-    /// Advances the virtual clock to `t` (no-op for real clocks or
-    /// past instants).
+    /// Advances the virtual clock to `t` (no-op for past instants).
     pub fn advance_clock_to(&self, t: SimTime) {
-        if let Some(v) = &self.vclock {
-            v.advance_to(t);
-        }
+        self.clock.advance_to(t);
     }
 
     fn apply_effects(&self, owner: ModuleId, seq: u64, effects: Vec<Effect>) {

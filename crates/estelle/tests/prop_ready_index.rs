@@ -1,4 +1,4 @@
-//! Equivalence oracle for the ready-index schedulers.
+//! Equivalence oracle for the ready-index scheduler.
 //!
 //! `run_sequential` walks the runtime's ready index; the reference
 //! scheduler below is the scan it replaced — every alive module, in id
@@ -10,23 +10,22 @@
 //! children created and released mid-run, interactions injected and
 //! guards flipped between runs and from other modules' actions) both
 //! must produce the same trace, record for record, and the index must
-//! agree with the modules whenever the run pauses.
+//! agree with the modules whenever the run pauses. Beside the oracle:
+//! an idle module costs no selection, a flip nobody announces is named
+//! by the checker, and a wake-up sent from a thread the scheduler does
+//! not own while it runs is never lost.
 
 use estelle::external::{MediumModule, WireData, MEDIUM_IP};
-use estelle::sched::{
-    run_centralized, run_sequential, run_threads, FirePolicy, ParOptions, SeqOptions, StopReason,
-};
+use estelle::sched::{run_sequential, FirePolicy, SeqOptions, StopReason};
 use estelle::{
-    downcast, impl_interaction, ip, Ctx, Dispatch, FireOutcome, GroupingPolicy, Interaction,
-    IpIndex, ModuleId, ModuleKind, ModuleLabels, Readiness, Runtime, StateId, StateMachine,
-    Transition,
+    downcast, impl_interaction, ip, Ctx, Dispatch, FireOutcome, Interaction, IpIndex, ModuleId,
+    ModuleKind, ModuleLabels, Readiness, Runtime, StateId, StateMachine, Transition,
 };
 use netsim::{Medium, SimDuration, SimTime, ThreadMedium};
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::task::Waker;
-use std::time::{Duration, Instant};
 
 /// The scan the ready index replaced, kept as the reference semantics.
 fn run_full_scan(rt: &Runtime, opts: &SeqOptions) -> u64 {
@@ -493,7 +492,6 @@ fn idle_input_only_modules_cost_no_selection() {
         Readiness::IdleUntil(None)
     );
     assert_eq!(rt.next_deadline(), None);
-    assert!(!rt.any_enabled(Dispatch::TableDriven));
     assert_eq!(rt.counters().selects, before.selects);
     // One message costs the selections of the one module it reaches.
     rt.inject(ip(ids[617], IN), Box::new(Msg { ttl: 0 }))
@@ -564,7 +562,7 @@ fn a_flip_nobody_announces_is_reported_by_module_and_transition() {
     rt.start().unwrap();
     run_sequential(&rt, &SeqOptions::default());
     assert_eq!(rt.ready_index_violations(), Vec::<String>::new());
-    // Published, never announced: the schedulers do not look...
+    // Published, never announced: the scheduler does not look...
     gate.credits.fetch_add(1, Ordering::SeqCst);
     assert_eq!(run_sequential(&rt, &SeqOptions::default()).firings, 0);
     // ...and the checker says who was forgotten.
@@ -572,212 +570,25 @@ fn a_flip_nobody_announces_is_reported_by_module_and_transition() {
         rt.ready_index_violations(),
         ["missed wake-up: forgotten (Node<true>) has latch enabled and nobody woke it"]
     );
-    // Asking by id sees the flag before any walk has; with it the
-    // module fires and the report is clean again.
+    // Once told, the module is looked at, and a look that finds the
+    // latch open leaves the wake-up for the firing: it fires and the
+    // report is clean again.
     gate.reader.lock().unwrap().as_ref().unwrap().wake_by_ref();
-    assert!(rt.module_enabled(id, Dispatch::TableDriven));
+    assert_eq!(rt.next_ready(id..rt.id_watermark()), Some(id));
+    assert_eq!(rt.readiness(Dispatch::TableDriven), Readiness::Enabled);
     assert_eq!(run_sequential(&rt, &SeqOptions::default()).firings, 1);
     assert_eq!(rt.ready_index_violations(), Vec::<String>::new());
 }
 
 // ---------------------------------------------------------------------
-// Parallel schedulers lose no wake-up.
-//
-// A hopper consumes its only message in an input-only row (so scans
-// may drop it from the index while the action runs) and the same
-// action moves it to a polling row with work left. If the runtime did
-// not put it back after the firing, nothing would ever visit it again.
-// The action holds still until other scanners have demonstrably walked
-// past it: every walk ends at the sentinel, whose guard counts.
-// ---------------------------------------------------------------------
-
-const BURST: StateId = StateId(1);
-const SCANNERS: u64 = 2; // the sentinel's worker and the supervisor
-
-#[derive(Debug)]
-struct Hopper {
-    received: u32,
-    worked: u32,
-    budget: u32,
-    /// Scans completed past the sentinel; `None` when nothing scans
-    /// concurrently (sequential and centralized runs).
-    scans: Option<Arc<AtomicU64>>,
-}
-
-impl Hopper {
-    fn take(&mut self, ctx: &mut Ctx<'_>, msg: Option<Box<dyn Interaction>>) {
-        let msg = downcast::<Msg>(msg.unwrap()).unwrap();
-        self.received += 1;
-        self.budget += 2;
-        if msg.ttl > 0 {
-            ctx.output(OUT, Msg { ttl: msg.ttl - 1 });
-        }
-    }
-}
-
-impl StateMachine for Hopper {
-    fn num_ips(&self) -> usize {
-        2
-    }
-    fn initial_state(&self) -> StateId {
-        WAIT
-    }
-    fn transitions() -> Vec<Transition<Self>> {
-        vec![
-            Transition::on("wake", WAIT, IN, |m: &mut Self, ctx, msg| {
-                m.take(ctx, msg);
-                if let Some(scans) = &m.scans {
-                    // With two walkers, one more count than walkers
-                    // means one of them began a walk after this action
-                    // did and has passed this module.
-                    let seen = scans.load(Ordering::SeqCst);
-                    let t0 = Instant::now();
-                    while scans.load(Ordering::SeqCst) <= seen + SCANNERS
-                        && t0.elapsed() < Duration::from_millis(50)
-                    {
-                        std::thread::yield_now();
-                    }
-                }
-            })
-            .to(BURST),
-            Transition::on("more", BURST, IN, Self::take),
-            Transition::spontaneous("work", BURST, |m: &mut Self, ctx, _| {
-                m.worked += 1;
-                m.budget -= 1;
-                if m.budget == 0 {
-                    ctx.goto(WAIT);
-                }
-            }),
-        ]
-    }
-}
-
-/// Always polled, never enabled; its guard counts the visits.
-#[derive(Debug)]
-struct Sentinel {
-    scans: Arc<AtomicU64>,
-}
-
-impl StateMachine for Sentinel {
-    fn num_ips(&self) -> usize {
-        0
-    }
-    fn initial_state(&self) -> StateId {
-        WAIT
-    }
-    fn transitions() -> Vec<Transition<Self>> {
-        vec![
-            Transition::spontaneous("never", WAIT, |_m: &mut Self, _ctx, _| {}).provided(|m, _| {
-                m.scans.fetch_add(1, Ordering::SeqCst);
-                false
-            }),
-        ]
-    }
-}
-
-const HOPPERS: usize = 3;
-
-/// Three hoppers in a ring (units 0–2 under 4-way round robin) and the
-/// sentinel behind them (unit 3), two tokens injected.
-fn hopper_ring(gated: bool) -> (Arc<Runtime>, Vec<ModuleId>) {
-    let (rt, _clock) = Runtime::sim();
-    let scans = Arc::new(AtomicU64::new(0));
-    let ids: Vec<ModuleId> = (0..HOPPERS)
-        .map(|i| {
-            rt.add_module(
-                None,
-                format!("hopper{i}"),
-                ModuleKind::SystemProcess,
-                ModuleLabels::default(),
-                Hopper {
-                    received: 0,
-                    worked: 0,
-                    budget: 0,
-                    scans: gated.then(|| Arc::clone(&scans)),
-                },
-            )
-            .unwrap()
-        })
-        .collect();
-    rt.add_module(
-        None,
-        "sentinel",
-        ModuleKind::SystemProcess,
-        ModuleLabels::default(),
-        Sentinel { scans },
-    )
-    .unwrap();
-    for i in 0..HOPPERS {
-        rt.connect(ip(ids[i], OUT), ip(ids[(i + 1) % HOPPERS], IN))
-            .unwrap();
-    }
-    rt.start().unwrap();
-    rt.inject(ip(ids[0], IN), Box::new(Msg { ttl: 7 })).unwrap();
-    rt.inject(ip(ids[1], IN), Box::new(Msg { ttl: 4 })).unwrap();
-    (Arc::new(rt), ids)
-}
-
-fn hopper_outcome(rt: &Runtime, ids: &[ModuleId]) -> Vec<(u32, u32, u32, StateId)> {
-    ids.iter()
-        .map(|&id| {
-            let state = rt.module_state(id).unwrap();
-            rt.with_machine::<Hopper, _>(id, |m| (m.received, m.worked, m.budget, state))
-                .unwrap()
-        })
-        .collect()
-}
-
-#[test]
-fn parallel_schedulers_lose_no_wakeup() {
-    let (rt, ids) = hopper_ring(false);
-    let sequential = run_sequential(&rt, &SeqOptions::default());
-    let expected = hopper_outcome(&rt, &ids);
-    // 8 + 5 deliveries, two units of work each.
-    assert_eq!(sequential.firings, 13 * 3);
-    assert!(expected.iter().all(|o| o.2 == 0 && o.3 == WAIT));
-
-    let opts = ParOptions {
-        units: 4,
-        grouping: GroupingPolicy::RoundRobin { units: 4 },
-        ..Default::default()
-    };
-    for round in 0..200 {
-        let (rt, ids) = hopper_ring(true);
-        let report = run_threads(&rt, &opts);
-        assert_eq!(report.stopped, StopReason::Quiescent, "round {round}");
-        assert_eq!(
-            hopper_outcome(&rt, &ids),
-            expected,
-            "threads, round {round}"
-        );
-        assert_eq!(report.firings, sequential.firings, "threads, round {round}");
-        assert_eq!(rt.ready_index_violations(), Vec::<String>::new());
-
-        let (rt, ids) = hopper_ring(false);
-        let report = run_centralized(&rt, &opts);
-        assert_eq!(report.stopped, StopReason::Quiescent, "round {round}");
-        assert_eq!(
-            hopper_outcome(&rt, &ids),
-            expected,
-            "centralized, round {round}"
-        );
-        assert_eq!(
-            report.firings, sequential.firings,
-            "centralized, round {round}"
-        );
-        assert_eq!(rt.ready_index_violations(), Vec::<String>::new());
-    }
-}
-
-// ---------------------------------------------------------------------
-// ...nor one that comes from a medium, from inside a firing or from a
-// thread no scheduler owns.
+// No wake-up is lost, whether it comes from a medium, from inside a
+// firing or from a thread the scheduler does not own.
 //
 // Two players bounce a countdown over a `ThreadMedium` pair, each
 // behind a `MediumModule` whose `from-medium` row is wake-driven:
 // every look that finds the medium empty takes the module out of the
 // index, and only the peer's `send` (publish, then wake) brings it
-// back. Meanwhile a thread outside the schedulers sends extra messages
+// back. Meanwhile a thread outside the scheduler sends extra messages
 // into the same medium. A wake-up lost between a look's clear and its
 // guard would strand a message for good.
 // ---------------------------------------------------------------------
@@ -822,7 +633,7 @@ impl StateMachine for Player {
 
 /// player-a — wire-a ═ThreadMedium═ wire-b — player-b, and a second
 /// handle on wire-a's end of the medium for the outside thread.
-fn rally() -> (Arc<Runtime>, [ModuleId; 4], ThreadMedium) {
+fn rally() -> (Runtime, [ModuleId; 4], ThreadMedium) {
     let (rt, _clock) = Runtime::sim();
     let (end_a, end_b) = ThreadMedium::pair();
     let outside = end_a.clone();
@@ -857,7 +668,7 @@ fn rally() -> (Arc<Runtime>, [ModuleId; 4], ThreadMedium) {
     rt.connect(ip(ids[3], IN), ip(ids[2], MEDIUM_IP)).unwrap();
     rt.enable_trace();
     rt.start().unwrap();
-    (Arc::new(rt), ids, outside)
+    (rt, ids, outside)
 }
 
 /// Firings per module, in the order of `ids`.
@@ -873,7 +684,7 @@ fn firings_per_module(rt: &Runtime, ids: &[ModuleId; 4]) -> [usize; 4] {
 }
 
 #[test]
-fn media_wakeups_are_not_lost_under_the_parallel_schedulers() {
+fn media_wakeups_from_an_unowned_thread_are_not_lost() {
     let (rt, ids, outside) = rally();
     (0..EXTRAS).for_each(|_| outside.send(vec![0]));
     run_sequential(&rt, &SeqOptions::default());
@@ -894,53 +705,31 @@ fn media_wakeups_are_not_lost_under_the_parallel_schedulers() {
         ]
     );
 
-    let opts = ParOptions {
-        units: 4,
-        grouping: GroupingPolicy::RoundRobin { units: 4 },
-        ..Default::default()
-    };
-    type Scheduler = fn(&Arc<Runtime>, &ParOptions) -> estelle::sched::RunReport;
-    let schedulers: [(&str, Scheduler); 2] =
-        [("threads", run_threads), ("centralized", run_centralized)];
     for round in 0..200 {
-        for (name, run) in schedulers {
-            let (rt, ids, outside) = rally();
-            let sender = std::thread::spawn(move || {
-                for _ in 0..EXTRAS {
-                    outside.send(vec![0]);
-                    std::thread::yield_now();
-                }
-            });
-            let report = run(&rt, &opts);
-            assert_eq!(
-                report.stopped,
-                StopReason::Quiescent,
-                "{name}, round {round}"
-            );
-            // The schedulers may have found the world quiet between two
-            // of the outside sends; what arrived later is still
-            // announced, so a second run picks it up.
-            sender.join().unwrap();
-            let report = run(&rt, &opts);
-            assert_eq!(
-                report.stopped,
-                StopReason::Quiescent,
-                "{name}, round {round}"
-            );
-            let received = rt
-                .with_machine::<Player, _>(ids[3], |p| p.received)
-                .unwrap();
-            assert_eq!(
-                received as usize,
-                rally_b + EXTRAS as usize,
-                "{name}, round {round}: a message was stranded"
-            );
-            assert_eq!(
-                firings_per_module(&rt, &ids),
-                expected,
-                "{name}, round {round}"
-            );
-            assert_eq!(rt.ready_index_violations(), Vec::<String>::new());
-        }
+        let (rt, ids, outside) = rally();
+        let sender = std::thread::spawn(move || {
+            for _ in 0..EXTRAS {
+                outside.send(vec![0]);
+                std::thread::yield_now();
+            }
+        });
+        let report = run_sequential(&rt, &SeqOptions::default());
+        assert_eq!(report.stopped, StopReason::Quiescent, "round {round}");
+        // The scheduler may have found the world quiet between two of
+        // the outside sends; what arrived later is still announced, so
+        // a second run picks it up.
+        sender.join().unwrap();
+        let report = run_sequential(&rt, &SeqOptions::default());
+        assert_eq!(report.stopped, StopReason::Quiescent, "round {round}");
+        let received = rt
+            .with_machine::<Player, _>(ids[3], |p| p.received)
+            .unwrap();
+        assert_eq!(
+            received as usize,
+            rally_b + EXTRAS as usize,
+            "round {round}: a message was stranded"
+        );
+        assert_eq!(firings_per_module(&rt, &ids), expected, "round {round}");
+        assert_eq!(rt.ready_index_violations(), Vec::<String>::new());
     }
 }

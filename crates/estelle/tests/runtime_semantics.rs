@@ -1,12 +1,10 @@
 //! Integration tests for the Estelle runtime semantics: structural
-//! rules, dynamic creation, precedence, exclusion, schedulers, traces.
+//! rules, dynamic creation, precedence, firing policies, traces.
 
-use estelle::sched::{
-    run_centralized, run_sequential, run_threads, FirePolicy, ParOptions, SeqOptions, StopReason,
-};
+use estelle::sched::{run_sequential, FirePolicy, SeqOptions, StopReason};
 use estelle::{
-    downcast, impl_interaction, ip, Ctx, Dispatch, EstelleError, GroupingPolicy, IpIndex,
-    ModuleKind, ModuleLabels, Runtime, StateId, StateMachine, Transition,
+    downcast, impl_interaction, ip, Ctx, Dispatch, EstelleError, IpIndex, ModuleKind, ModuleLabels,
+    Runtime, StateId, StateMachine, Transition,
 };
 use netsim::{Clock, SimDuration};
 use std::sync::Arc;
@@ -127,35 +125,6 @@ fn hardcoded_dispatch_reaches_same_outcome() {
     };
     run_sequential(&rt, &opts);
     assert_eq!(rt.with_machine::<Echo, _>(b, |m| m.seen).unwrap(), 5);
-}
-
-#[test]
-fn thread_scheduler_matches_sequential_outcome() {
-    let (rt, a, b) = echo_pair(99);
-    let rt = Arc::new(rt);
-    let report = run_threads(
-        &rt,
-        &ParOptions {
-            units: 2,
-            grouping: GroupingPolicy::RoundRobin { units: 2 },
-            ..Default::default()
-        },
-    );
-    assert_eq!(report.firings, 100, "stopped: {:?}", report.stopped);
-    let total = rt.with_machine::<Echo, _>(a, |m| m.seen).unwrap()
-        + rt.with_machine::<Echo, _>(b, |m| m.seen).unwrap();
-    assert_eq!(total, 100);
-}
-
-#[test]
-fn centralized_scheduler_matches_sequential_outcome() {
-    let (rt, a, b) = echo_pair(49);
-    let rt = Arc::new(rt);
-    let report = run_centralized(&rt, &ParOptions::default());
-    assert_eq!(report.firings, 50);
-    let total = rt.with_machine::<Echo, _>(a, |m| m.seen).unwrap()
-        + rt.with_machine::<Echo, _>(b, |m| m.seen).unwrap();
-    assert_eq!(total, 50);
 }
 
 // ---------------------------------------------------------------------

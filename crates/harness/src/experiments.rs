@@ -243,7 +243,6 @@ pub fn scheduler_experiment(connections: usize, data_requests: u32) -> (Table, f
         env.rt.start().expect("valid");
         let opts = SeqOptions {
             fire_policy,
-            advance_time: false,
             ..Default::default()
         };
         estelle::driver::run_sim(&env.rt, &env.net, &opts, SimTime::from_secs(600));

@@ -1,15 +1,16 @@
-//! Clock abstraction: virtual (simulation-driven) and real (wall) clocks.
+//! The simulated clock, advanced by whoever drives the simulation.
 
 use crate::time::{SimDuration, SimTime};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 /// A source of [`SimTime`] instants.
 ///
-/// Protocol code reads time only through this trait so the same state
-/// machines run under the discrete-event simulator (deterministic,
-/// [`VirtualClock`]) and under real threads ([`RealClock`]).
+/// The one implementation is [`VirtualClock`]: the network, the
+/// Estelle runtime and the journal all read the same simulated time,
+/// which moves only when a driver advances it. The journal takes its
+/// clock as `Arc<dyn Clock>`, so a caller can stamp records with any
+/// other source.
 pub trait Clock: Send + Sync + fmt::Debug {
     /// Returns the current instant.
     fn now(&self) -> SimTime;
@@ -56,35 +57,6 @@ impl Clock for VirtualClock {
     }
 }
 
-/// A clock backed by the host's monotonic wall clock.
-///
-/// The origin ([`SimTime::ZERO`]) is the moment the clock was created.
-#[derive(Debug)]
-pub struct RealClock {
-    start: Instant,
-}
-
-impl RealClock {
-    /// Creates a clock whose origin is "now".
-    pub fn new() -> Self {
-        RealClock {
-            start: Instant::now(),
-        }
-    }
-}
-
-impl Default for RealClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Clock for RealClock {
-    fn now(&self) -> SimTime {
-        SimTime::from_micros(self.start.elapsed().as_micros() as u64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,20 +72,8 @@ mod tests {
     }
 
     #[test]
-    fn real_clock_moves_forward() {
-        let c = RealClock::new();
-        let a = c.now();
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        let b = c.now();
-        assert!(b > a);
-    }
-
-    #[test]
     fn clocks_are_object_safe() {
-        let clocks: Vec<Box<dyn Clock>> =
-            vec![Box::new(VirtualClock::new()), Box::new(RealClock::new())];
-        for c in &clocks {
-            let _ = c.now();
-        }
+        let clock: Box<dyn Clock> = Box::new(VirtualClock::new());
+        assert_eq!(clock.now(), SimTime::ZERO);
     }
 }

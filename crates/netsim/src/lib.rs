@@ -42,7 +42,7 @@ mod pipe;
 mod time;
 
 pub use backend::{SimBackend, ThreadedBackend, TransportBackend};
-pub use clock::{Clock, RealClock, VirtualClock};
+pub use clock::{Clock, VirtualClock};
 pub use datagram::{AddrInUse, Datagram, DatagramNet, DatagramSocket, NetAddr};
 pub use medium::{LoopbackMedium, Medium, PipeMedium, ThreadMedium};
 pub use models::{DelayModel, LinkConfig, LossModel, LossState};

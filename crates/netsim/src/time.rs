@@ -2,8 +2,7 @@
 //!
 //! All protocol substrates in this workspace are measured against a
 //! [`SimTime`] axis so that experiments are deterministic and independent
-//! of the host machine. Wall-clock execution uses the same types via
-//! [`crate::clock::RealClock`].
+//! of the host machine.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
