@@ -368,12 +368,6 @@
 //!
 //! ```
 //! use mcam::wall_clock::{self, WallClockConfig};
-//! use netsim::TransportBackend;
-//!
-//! // Deterministic virtual time — the default, and what every
-//! // example above used under the hood.
-//! let world = mcam::World::builder(5).build();
-//! assert!(world.backend().is_simulated());
 //!
 //! // Real threads, real time: 2 workers x 4 streams x 100 frames.
 //! let report = wall_clock::run(WallClockConfig {
@@ -496,7 +490,7 @@ pub use service::{
 pub use share::{ShareConfig, ShareStats};
 pub use sps::{RecordedMovie, StreamProviderSystem};
 pub use stacks::{
-    wire_lower_stack, wire_lower_stack_tagged, ClientRoot, ControlDial, ReferralEnd,
-    ReferralFollower, StackKind, ERR_REFERRAL, ROOT_TO_APP, ROOT_TO_MCA,
+    wire_lower_stack, ClientRoot, ControlDial, ReferralEnd, ReferralFollower, StackKind,
+    ERR_REFERRAL, ROOT_TO_APP, ROOT_TO_MCA,
 };
 pub use world::{ClientHandle, ClusterHandle, ClusterSpec, ServerHandle, World, WorldBuilder};

@@ -30,7 +30,7 @@ use crate::service::{
     StreamOp, StreamOutcome, StreamRequest, StreamResponse,
 };
 use crate::sps::StreamProviderSystem;
-use crate::stacks::{wire_lower_stack_tagged, StackKind};
+use crate::stacks::{wire_lower_stack, StackKind};
 use directory::{Dn, Dua, MovieEntry};
 use estelle::{
     downcast, ip, is, Ctx, Interaction, IpIndex, ModuleKind, ModuleLabels, StateId, StateMachine,
@@ -1038,7 +1038,7 @@ impl StateMachine for ServerRoot {
                     labels,
                     ServerMca::new(m.services.clone(), labels),
                 );
-                let stack = wire_lower_stack_tagged(ctx, mca, DOWN, m.stack, medium, conn, &tag);
+                let stack = wire_lower_stack(ctx, mca, DOWN, m.stack, medium, conn, &tag);
                 m.entities.push(mca);
                 m.stacks.push((mca, stack));
             })

@@ -33,24 +33,12 @@ pub enum StackKind {
 
 /// Creates the lower-stack child modules under the calling root and
 /// wires `upper`'s `upper_ip` to them. Layer labels: presentation = 1,
-/// session = 2, wire/ISODE = 3. Returns the created module ids so a
+/// session = 2, wire/ISODE = 3. `tag` suffixes the module names, so a
+/// root that builds more than one stack over a connection's lifetime
+/// tells the incarnations apart. Returns the created module ids so a
 /// root that rebuilds its stack (e.g. a client following a referral
 /// to another server) can release the old one.
 pub fn wire_lower_stack(
-    ctx: &mut Ctx<'_>,
-    upper: ModuleId,
-    upper_ip: IpIndex,
-    stack: StackKind,
-    medium: Box<dyn Medium>,
-    conn: u16,
-) -> Vec<ModuleId> {
-    wire_lower_stack_tagged(ctx, upper, upper_ip, stack, medium, conn, &conn.to_string())
-}
-
-/// [`wire_lower_stack`] with an explicit module-name tag, for roots
-/// that build more than one stack over a connection's lifetime and
-/// want distinguishable module names per incarnation.
-pub fn wire_lower_stack_tagged(
     ctx: &mut Ctx<'_>,
     upper: ModuleId,
     upper_ip: IpIndex,
@@ -480,7 +468,7 @@ impl ClientRoot {
         }
         let mca = ctx.create_child(format!("mca-{tag}"), ModuleKind::Process, labels, mca);
         self.stack_modules =
-            wire_lower_stack_tagged(ctx, mca, MCA_DOWN, self.stack, medium, self.conn, &tag);
+            wire_lower_stack(ctx, mca, MCA_DOWN, self.stack, medium, self.conn, &tag);
         ctx.connect(ctx.self_ip(ROOT_TO_MCA), ip(mca, MCA_CTRL));
         ctx.connect(ip(self.app.expect("init ran"), APP_TO_MCA), ip(mca, MCA_UP));
         self.mca = Some(mca);

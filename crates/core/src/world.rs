@@ -452,14 +452,6 @@ impl World {
         &self.journal
     }
 
-    /// The transport backend every control connection in this world is
-    /// minted from. Always the simulated, deterministic backend: the
-    /// world's Estelle driver advances the virtual clock. For
-    /// wall-clock multi-core measurements see [`crate::wall_clock`].
-    pub fn backend(&self) -> &SimBackend {
-        &self.backend
-    }
-
     fn alloc_addr(&mut self) -> NetAddr {
         let a = NetAddr(self.next_addr);
         self.next_addr += 1;

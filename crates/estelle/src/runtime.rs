@@ -15,7 +15,7 @@ use crate::machine::{
     DEFAULT_TRANSITION_COST,
 };
 use crate::trace::{ExecTrace, FiringRecord, TraceModuleMeta};
-use netsim::{Clock, SimDuration, SimTime, VirtualClock};
+use netsim::{SimDuration, SimTime, VirtualClock};
 use parking_lot::{Mutex, RwLock};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};

@@ -6,7 +6,7 @@ use estelle::{
     downcast, impl_interaction, ip, Ctx, Dispatch, EstelleError, IpIndex, ModuleKind, ModuleLabels,
     Runtime, StateId, StateMachine, Transition,
 };
-use netsim::{Clock, SimDuration};
+use netsim::SimDuration;
 use std::sync::Arc;
 
 const S0: StateId = StateId(0);
@@ -689,4 +689,18 @@ fn a_dropped_runtime_frees_bodies_that_hold_their_own_waker() {
     assert!(!dropped());
     drop(rt);
     assert!(dropped(), "the module body leaked");
+}
+
+/// A runtime built on the network's clock reads the instants the
+/// network delivers at, and the network sees the runtime's advances.
+#[test]
+fn a_runtime_on_the_network_clock_shares_its_time() {
+    let net = Arc::new(netsim::Network::new(0));
+    let rt = Runtime::with_virtual_clock(net.clock());
+    let (a, _b) = netsim::Pipe::create(&net, SimDuration::from_millis(3));
+    a.send(vec![1]);
+    net.run_until_idle();
+    assert_eq!(rt.now(), netsim::SimTime::from_millis(3));
+    rt.advance_clock_to(netsim::SimTime::from_millis(10));
+    assert_eq!(net.now(), netsim::SimTime::from_millis(10));
 }

@@ -37,7 +37,7 @@
 //! journal::verify_events(&copy).expect("round-trip intact");
 //! ```
 
-use netsim::{Clock, SimTime, VirtualClock};
+use netsim::{SimTime, VirtualClock};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -652,23 +652,6 @@ impl fmt::Display for ReplayMismatch {
 
 impl std::error::Error for ReplayMismatch {}
 
-enum ClockSource {
-    /// The simulation's shared clock; `record` stamps from it.
-    Shared(Arc<dyn Clock>),
-    /// A private clock advanced via [`Journal::observe_time`], for
-    /// components used outside a full simulation.
-    Owned(Arc<VirtualClock>),
-}
-
-impl ClockSource {
-    fn now(&self) -> SimTime {
-        match self {
-            ClockSource::Shared(c) => c.now(),
-            ClockSource::Owned(c) => c.now(),
-        }
-    }
-}
-
 /// What the journal keeps per actor: the tail of its hash chain and
 /// how many events of each kind it has recorded, by schema row.
 struct Actor {
@@ -689,7 +672,11 @@ struct JournalInner {
 /// global sequence. Count queries never walk the events: counters are
 /// maintained per actor on append.
 pub struct Journal {
-    clock: ClockSource,
+    /// `record` stamps from this clock: the simulation's shared one,
+    /// or a private one advanced via [`Journal::observe_time`].
+    clock: Arc<VirtualClock>,
+    /// True for a private clock, the only kind `observe_time` moves.
+    owns_clock: bool,
     inner: Mutex<JournalInner>,
 }
 
@@ -705,9 +692,10 @@ impl fmt::Debug for Journal {
 impl Journal {
     /// Creates a journal stamping events from `clock` (normally the
     /// simulation's `Network::clock()`).
-    pub fn new(clock: Arc<dyn Clock>) -> Self {
+    pub fn new(clock: Arc<VirtualClock>) -> Self {
         Journal {
-            clock: ClockSource::Shared(clock),
+            clock,
+            owns_clock: false,
             inner: Mutex::new(JournalInner::default()),
         }
     }
@@ -717,7 +705,8 @@ impl Journal {
     /// explicit `now` arguments outside a full simulation.
     pub fn standalone() -> Self {
         Journal {
-            clock: ClockSource::Owned(Arc::new(VirtualClock::new())),
+            clock: Arc::new(VirtualClock::new()),
+            owns_clock: true,
             inner: Mutex::new(JournalInner::default()),
         }
     }
@@ -725,8 +714,8 @@ impl Journal {
     /// Advances a standalone journal's private clock to `now`; no-op
     /// for journals sharing the simulation clock.
     pub fn observe_time(&self, now: SimTime) {
-        if let ClockSource::Owned(c) = &self.clock {
-            c.advance_to(now);
+        if self.owns_clock {
+            self.clock.advance_to(now);
         }
     }
 
@@ -1334,6 +1323,25 @@ mod tests {
         // observe_time must not rewind or affect a shared clock.
         j.observe_time(SimTime::from_secs(1));
         assert_eq!(clock.now(), SimTime::from_secs(3));
+    }
+
+    #[test]
+    fn a_private_clock_never_runs_backwards() {
+        let j = Journal::standalone();
+        j.observe_time(SimTime::from_secs(5));
+        j.observe_time(SimTime::from_secs(2));
+        j.record("node-1", EventKind::RebalanceSample);
+        assert_eq!(j.events()[0].sim_time, SimTime::from_secs(5));
+    }
+
+    #[test]
+    fn a_journal_on_the_network_clock_stamps_network_time() {
+        // How `World` builds its journal: no `observe_time` needed.
+        let net = netsim::Network::new(0);
+        let j = Journal::new(net.clock());
+        net.run_until(SimTime::from_millis(7));
+        j.record("node-1", EventKind::RebalanceSample);
+        assert_eq!(j.events()[0].sim_time, SimTime::from_millis(7));
     }
 
     #[test]

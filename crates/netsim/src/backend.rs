@@ -13,9 +13,9 @@
 //!   live on different OS threads, so an N-server world runs on N
 //!   cores and throughput is measured on the wall clock.
 //!
-//! The trait is deliberately tiny: `connect` mints one full-duplex
-//! conduit, `settle` lets simulated time advance far enough for
-//! in-flight messages to arrive (a no-op for real threads).
+//! The trait has one method: `connect` mints one full-duplex conduit.
+//! Making its traffic arrive is the caller's business — stepping the
+//! [`Network`] for simulated pipes, nothing for channels.
 
 use crate::medium::{Medium, PipeMedium, ThreadMedium};
 use crate::net::Network;
@@ -24,22 +24,10 @@ use crate::time::SimDuration;
 use std::fmt;
 use std::sync::Arc;
 
-/// A source of connected [`Medium`] pairs plus the knowledge of how to
-/// make their traffic arrive.
+/// A source of connected [`Medium`] pairs.
 pub trait TransportBackend: Send + Sync + fmt::Debug {
-    /// Short identifier (`"simulated"` / `"threaded"`), for reports.
-    fn name(&self) -> &'static str;
-
     /// Opens one full-duplex connection and returns its two ends.
     fn connect(&self) -> (Box<dyn Medium>, Box<dyn Medium>);
-
-    /// Makes everything sent so far available at the peer: steps the
-    /// simulated network to idle, or merely yields for real threads
-    /// (channel delivery is immediate).
-    fn settle(&self);
-
-    /// True when the backend runs on the deterministic virtual clock.
-    fn is_simulated(&self) -> bool;
 }
 
 /// The deterministic simulated-clock backend: each connection is a
@@ -60,16 +48,6 @@ impl SimBackend {
         }
     }
 
-    /// The network the pipes live on.
-    pub fn network(&self) -> &Arc<Network> {
-        &self.net
-    }
-
-    /// The per-connection propagation delay.
-    pub fn delay(&self) -> SimDuration {
-        self.delay
-    }
-
     /// Like [`TransportBackend::connect`], but returns the raw pipe
     /// ends for callers that need endpoint identities (traffic
     /// accounting) alongside the media.
@@ -79,21 +57,9 @@ impl SimBackend {
 }
 
 impl TransportBackend for SimBackend {
-    fn name(&self) -> &'static str {
-        "simulated"
-    }
-
     fn connect(&self) -> (Box<dyn Medium>, Box<dyn Medium>) {
         let (a, b) = Pipe::create(&self.net, self.delay);
         (Box::new(PipeMedium::new(a)), Box::new(PipeMedium::new(b)))
-    }
-
-    fn settle(&self) {
-        self.net.run_until_idle();
-    }
-
-    fn is_simulated(&self) -> bool {
-        true
     }
 }
 
@@ -111,23 +77,9 @@ impl ThreadedBackend {
 }
 
 impl TransportBackend for ThreadedBackend {
-    fn name(&self) -> &'static str {
-        "threaded"
-    }
-
     fn connect(&self) -> (Box<dyn Medium>, Box<dyn Medium>) {
         let (a, b) = ThreadMedium::pair();
         (Box::new(a), Box::new(b))
-    }
-
-    fn settle(&self) {
-        // Channel delivery is immediate; give concurrently running
-        // peers a scheduling opportunity.
-        std::thread::yield_now();
-    }
-
-    fn is_simulated(&self) -> bool {
-        false
     }
 }
 
@@ -135,34 +87,42 @@ impl TransportBackend for ThreadedBackend {
 mod tests {
     use super::*;
 
-    fn exercise(backend: &dyn TransportBackend) {
+    #[test]
+    fn sim_backend_delivers_when_the_network_runs() {
+        let net = Arc::new(Network::new(1));
+        let backend = SimBackend::new(&net, SimDuration::from_millis(1));
         let (a, b) = backend.connect();
         a.send(vec![1, 2]);
         b.send(vec![3]);
-        backend.settle();
+        assert!(b.poll().is_none(), "pipe traffic waits for the clock");
+        net.run_until_idle();
         assert_eq!(b.poll().unwrap(), vec![1, 2]);
         assert_eq!(a.poll().unwrap(), vec![3]);
         assert!(a.poll().is_none());
     }
 
     #[test]
-    fn sim_backend_delivers_after_settle() {
+    fn a_clone_mints_pipes_on_the_same_network() {
+        // `World` hands its dialer a clone of its backend.
         let net = Arc::new(Network::new(1));
         let backend = SimBackend::new(&net, SimDuration::from_millis(1));
-        assert!(backend.is_simulated());
-        assert_eq!(backend.name(), "simulated");
-        let (a, b) = backend.connect();
-        a.send(vec![9]);
-        assert!(b.poll().is_none(), "pipe traffic waits for the clock");
-        exercise(&backend);
+        let (a, b) = backend.clone().connect();
+        a.send(vec![5]);
+        net.run_until_idle();
+        assert_eq!(b.poll().unwrap(), vec![5]);
+        assert_eq!(net.now().as_micros(), 1_000);
     }
 
     #[test]
-    fn threaded_backend_delivers_immediately() {
-        let backend = ThreadedBackend::new();
-        assert!(!backend.is_simulated());
-        assert_eq!(backend.name(), "threaded");
-        exercise(&backend);
+    fn connect_pipe_counts_traffic_per_endpoint() {
+        let net = Arc::new(Network::new(1));
+        let backend = SimBackend::new(&net, SimDuration::from_millis(1));
+        let (near, far) = backend.connect_pipe();
+        assert_ne!(near.endpoint(), far.endpoint());
+        near.send(vec![0; 40]);
+        net.run_until_idle();
+        assert_eq!(net.stats(near.endpoint()).bytes_sent, 40);
+        assert_eq!(net.stats(far.endpoint()).bytes_delivered, 40);
     }
 
     #[test]

@@ -1,30 +1,19 @@
 //! The simulated clock, advanced by whoever drives the simulation.
 
 use crate::time::{SimDuration, SimTime};
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// A source of [`SimTime`] instants.
-///
-/// The one implementation is [`VirtualClock`]: the network, the
-/// Estelle runtime and the journal all read the same simulated time,
-/// which moves only when a driver advances it. The journal takes its
-/// clock as `Arc<dyn Clock>`, so a caller can stamp records with any
-/// other source.
-pub trait Clock: Send + Sync + fmt::Debug {
-    /// Returns the current instant.
-    fn now(&self) -> SimTime;
-}
 
 /// A clock advanced explicitly by a simulation driver.
 ///
-/// The clock is monotone: [`VirtualClock::advance_to`] ignores attempts
-/// to move backwards.
+/// The network, the Estelle runtime and the journal all read the same
+/// simulated time, which moves only when a driver advances it. The
+/// clock is monotone: [`VirtualClock::advance_to`] ignores attempts to
+/// move backwards.
 ///
 /// # Examples
 ///
 /// ```
-/// use netsim::{Clock, VirtualClock, SimTime};
+/// use netsim::{VirtualClock, SimTime};
 /// let clock = VirtualClock::new();
 /// clock.advance_to(SimTime::from_millis(10));
 /// assert_eq!(clock.now(), SimTime::from_millis(10));
@@ -40,6 +29,11 @@ impl VirtualClock {
         Self::default()
     }
 
+    /// Returns the current instant.
+    pub fn now(&self) -> SimTime {
+        SimTime::from_micros(self.micros.load(Ordering::SeqCst))
+    }
+
     /// Moves the clock forward to `t`; no-op if `t` is in the past.
     pub fn advance_to(&self, t: SimTime) {
         self.micros.fetch_max(t.as_micros(), Ordering::SeqCst);
@@ -48,12 +42,6 @@ impl VirtualClock {
     /// Moves the clock forward by `d`.
     pub fn advance(&self, d: SimDuration) {
         self.micros.fetch_add(d.as_micros(), Ordering::SeqCst);
-    }
-}
-
-impl Clock for VirtualClock {
-    fn now(&self) -> SimTime {
-        SimTime::from_micros(self.micros.load(Ordering::SeqCst))
     }
 }
 
@@ -72,8 +60,17 @@ mod tests {
     }
 
     #[test]
-    fn clocks_are_object_safe() {
-        let clock: Box<dyn Clock> = Box::new(VirtualClock::new());
-        assert_eq!(clock.now(), SimTime::ZERO);
+    fn advances_from_many_threads_keep_the_furthest_instant() {
+        let c = std::sync::Arc::new(VirtualClock::new());
+        let threads: Vec<_> = (0..4u64)
+            .map(|k| {
+                let c = std::sync::Arc::clone(&c);
+                std::thread::spawn(move || {
+                    (0..1000).for_each(|i| c.advance_to(SimTime::from_micros(k * 1000 + i)))
+                })
+            })
+            .collect();
+        threads.into_iter().for_each(|t| t.join().unwrap());
+        assert_eq!(c.now().as_micros(), 3999);
     }
 }

@@ -5,7 +5,8 @@
 //! (XMovie MTP) over UDP/IP/FDDI. This crate provides both substrates
 //! in-process and deterministically:
 //!
-//! - [`SimTime`] / [`SimDuration`] / [`Clock`] — the simulated time axis;
+//! - [`SimTime`] / [`SimDuration`] / [`VirtualClock`] — the simulated
+//!   time axis;
 //! - [`Network`] — a discrete-event message core with per-endpoint
 //!   queues and statistics;
 //! - [`Pipe`] — a reliable, in-order duplex channel (the measured
@@ -42,7 +43,7 @@ mod pipe;
 mod time;
 
 pub use backend::{SimBackend, ThreadedBackend, TransportBackend};
-pub use clock::{Clock, VirtualClock};
+pub use clock::VirtualClock;
 pub use datagram::{AddrInUse, Datagram, DatagramNet, DatagramSocket, NetAddr};
 pub use medium::{LoopbackMedium, Medium, PipeMedium, ThreadMedium};
 pub use models::{DelayModel, LinkConfig, LossModel, LossState};

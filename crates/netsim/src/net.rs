@@ -6,7 +6,7 @@
 //! the clock to each delivery instant and moves the message into the
 //! destination endpoint's receive queue.
 
-use crate::clock::{Clock, VirtualClock};
+use crate::clock::VirtualClock;
 use crate::models::{LinkConfig, LossState};
 use crate::time::{SimDuration, SimTime};
 use parking_lot::Mutex;

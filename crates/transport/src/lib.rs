@@ -1,43 +1,31 @@
-//! `transport` — an ISO 8073 class-0 flavoured transport service.
+//! `transport` — the ISO 8073 class-0 flavoured TPDU codec.
 //!
 //! The paper places its control stacks on the ISODE transport layer
-//! (or on a simulated transport pipe for measurements). This crate is
-//! the transport substrate: CR/CC/DT/DR/DC/ER TPDUs, connection
-//! references, TSDU segmentation/reassembly, and a user-facing service
-//! interface ([`TEvent`]) — all over any [`netsim::Medium`], so the
-//! same entity runs on the simulated pipe, in-process loopback, or
-//! across threads.
+//! and measures them over a simulated transport pipe. The running
+//! stacks here do the latter: both flavours carry their sessions
+//! directly over `netsim` pipes. This crate is the wire format of the
+//! layer they stand on — CR/CC/DR/DC/DT/ER [`Tpdu`]s with an owned
+//! decoder and a zero-copy DT path ([`encode_dt_into`],
+//! [`Tpdu::decode_dt_view`]) — which the per-layer cost ledger and the
+//! hostile-input suite exercise.
 //!
 //! # Examples
 //!
 //! ```
-//! use transport::{TransportEntity, TEvent};
-//! use netsim::LoopbackMedium;
+//! use transport::{encode_dt_into, Tpdu};
 //!
-//! let (ma, mb) = LoopbackMedium::pair();
-//! let mut initiator = TransportEntity::new(Box::new(ma));
-//! let mut responder = TransportEntity::new(Box::new(mb));
-//!
-//! let conn = initiator.connect();
-//! responder.pump(); // CR -> auto-accept, sends CC
-//! initiator.pump(); // CC
-//! assert!(initiator.is_open(conn));
-//! initiator.data(conn, b"T-DATA over class 0").unwrap();
-//! responder.pump();
-//! match responder.poll_event() {
-//!     Some(TEvent::ConnectInd(_)) => {}
-//!     other => panic!("{other:?}"),
-//! }
-//! match responder.poll_event() {
-//!     Some(TEvent::DataInd(_, tsdu)) => assert_eq!(tsdu, b"T-DATA over class 0"),
-//!     other => panic!("{other:?}"),
-//! }
+//! let mut wire = Vec::new();
+//! encode_dt_into(9, 0, true, b"T-DATA over class 0", &mut wire);
+//! let view = Tpdu::decode_dt_view(&wire).unwrap().expect("a DT");
+//! assert_eq!(view.payload, b"T-DATA over class 0");
+//! assert_eq!(
+//!     Tpdu::decode(&Tpdu::Cr { src_ref: 5 }.encode()),
+//!     Ok(Tpdu::Cr { src_ref: 5 })
+//! );
 //! ```
 
 #![warn(missing_docs)]
 
-mod entity;
 mod tpdu;
 
-pub use entity::{ConnId, TEvent, TransportEntity, TransportError};
-pub use tpdu::{encode_dt_into, DtView, Tpdu, TpduDecodeError, MAX_TPDU_PAYLOAD};
+pub use tpdu::{encode_dt_into, DtView, Tpdu, TpduDecodeError};

@@ -1,5 +1,8 @@
 //! TPDU wire format — a compact ISO 8073 class-0 flavoured encoding.
 //!
+//! A codec only: no protocol entity in the workspace sends these; the
+//! running stacks carry sessions over `netsim` pipes.
+//!
 //! | code | meaning              | fields                               |
 //! |------|----------------------|--------------------------------------|
 //! | 0xE0 | CR connection request| src_ref                              |
@@ -10,9 +13,6 @@
 //! | 0x70 | ER error             | dst_ref, cause                       |
 
 use std::fmt;
-
-/// Maximum TPDU payload; longer TSDUs are segmented (ISO 8073 §6).
-pub const MAX_TPDU_PAYLOAD: usize = 1024;
 
 /// A decoded transport PDU.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -278,8 +278,23 @@ mod tests {
     fn malformed_rejected() {
         assert!(Tpdu::decode(&[]).is_err());
         assert!(Tpdu::decode(&[0x42]).is_err());
+        // DT's high nibble with a non-zero low nibble is still unknown.
+        assert!(Tpdu::decode(&[0xFF]).is_err());
         assert!(Tpdu::decode(&[0xE0, 0x01]).is_err());
         assert!(Tpdu::decode(&[0xF0, 0, 1, 0, 0]).is_err());
+    }
+
+    #[test]
+    fn decode_errors_name_the_problem() {
+        let reason = |wire: &[u8]| Tpdu::decode(wire).unwrap_err().to_string();
+        assert_eq!(reason(&[]), "malformed TPDU: empty");
+        assert_eq!(reason(&[0x42]), "malformed TPDU: unknown TPDU code");
+        assert_eq!(reason(&[0xC0, 9]), "malformed TPDU: short u16");
+        assert_eq!(reason(&[0x80, 0, 9]), "malformed TPDU: short DR");
+        assert_eq!(
+            reason(&[0xF0, 0, 9, 0, 0, 0, 1]),
+            "malformed TPDU: short DT"
+        );
     }
 
     #[test]

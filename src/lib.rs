@@ -4,7 +4,9 @@
 //! a single dependency root:
 //!
 //! - control plane: [`mcam`] (agents, PDUs, world), [`estelle`],
-//!   [`asn1`], [`presentation`], [`session`], [`transport`], [`isode`];
+//!   [`asn1`], [`presentation`], [`session`], [`isode`], all carried
+//!   over [`netsim`] pipes, and [`transport`] (the TPDU codec of the
+//!   layer below, measured by the per-layer ledger);
 //! - CM-stream plane: [`mtp`] (stream protocol) and [`store`] (striped
 //!   block store, buffer cache, prefetch, disk-bandwidth admission
 //!   control feeding the stream provider);
