@@ -8,7 +8,7 @@ use crate::service::{
 };
 use crate::sps::StreamProviderSystem;
 use directory::{attr, Dn, Dua, Filter, ModOp, MovieEntry, Rdn, Scope};
-use equipment::{Eca, EquipmentId, Eua};
+use equipment::{ClientId, Eca, EquipmentId};
 use estelle::{downcast, IpIndex, StateId, StateMachine, Transition};
 use netsim::SimDuration;
 use std::sync::Arc;
@@ -281,24 +281,24 @@ impl StateMachine for SuaAgent {
     }
 }
 
-/// Equipment agent: executes [`EquipOp`]s against the site's ECS.
+/// Equipment User Agent (EUA, Fig. 3): executes [`EquipOp`]s against
+/// the server site's [`Eca`], which it calls directly. It is the only
+/// EUA implementation; each server entity runs one as its `eua` child.
 #[derive(Debug)]
 pub struct EuaAgent {
-    eua: Eua,
-    site: String,
+    eca: Arc<Eca>,
     held: Vec<EquipmentId>,
 }
 
 impl EuaAgent {
-    /// Creates an agent for the server site `eca` serves. Every
-    /// server entity's agent acts as equipment client 0, so they all
-    /// hold the site's devices as one client.
+    /// Every server entity's agent acts as this equipment client, so
+    /// they all hold the site's devices as one client.
+    const CLIENT: ClientId = ClientId(0);
+
+    /// Creates an agent for the server site `eca` serves.
     pub fn new(eca: &Arc<Eca>) -> Self {
-        let mut eua = Eua::new(0);
-        eua.add_site(eca);
         EuaAgent {
-            eua,
-            site: eca.site().to_string(),
+            eca: Arc::clone(eca),
             held: Vec::new(),
         }
     }
@@ -306,12 +306,12 @@ impl EuaAgent {
     fn execute(&mut self, op: EquipOp) -> EquipOutcome {
         match op {
             EquipOp::AcquireClass(class) => {
-                let id = match self.eua.acquire_class(&self.site, class) {
+                let id = match self.eca.acquire_class(class, Self::CLIENT) {
                     Ok(id) => id,
                     Err(e) => return EquipOutcome::Failed(e.to_string()),
                 };
-                if let Err(e) = self.eua.activate(&self.site, id) {
-                    let _ = self.eua.release(&self.site, id);
+                if let Err(e) = self.eca.activate(id, Self::CLIENT) {
+                    let _ = self.eca.release(id, Self::CLIENT);
                     return EquipOutcome::Failed(e.to_string());
                 }
                 self.held.push(id);
@@ -319,7 +319,7 @@ impl EuaAgent {
             }
             EquipOp::ReleaseAll => {
                 for id in self.held.drain(..) {
-                    let _ = self.eua.release(&self.site, id);
+                    let _ = self.eca.release(id, Self::CLIENT);
                 }
                 EquipOutcome::Done
             }
@@ -370,5 +370,71 @@ pub fn source_for_title(title: &str, frame_rate: u32, frame_count: u64) -> mtp::
         b_size: 1_800,
         gop: 12,
         seed,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use equipment::{DeviceState, EcsError, EquipmentClass};
+
+    const CAMERA: EquipOp = EquipOp::AcquireClass(EquipmentClass::Camera);
+
+    fn site() -> (Arc<Eca>, EquipmentId, EquipmentId) {
+        let eca = Eca::new("site-test");
+        let cam = eca.register(EquipmentClass::Camera, "cam-0");
+        let mic = eca.register(EquipmentClass::Microphone, "mic-0");
+        (eca, cam, mic)
+    }
+
+    #[test]
+    fn eua_agent_acquires_an_active_device_as_client_0() {
+        let (eca, cam, _) = site();
+        let mut eua = EuaAgent::new(&eca);
+        assert_eq!(eua.execute(CAMERA), EquipOutcome::Acquired(cam));
+        assert_eq!(eca.state(cam), Some(DeviceState::Active(ClientId(0))));
+    }
+
+    #[test]
+    fn eua_agent_release_all_frees_everything_it_holds() {
+        let (eca, cam, mic) = site();
+        let mut eua = EuaAgent::new(&eca);
+        eua.execute(CAMERA);
+        let microphone = EquipOp::AcquireClass(EquipmentClass::Microphone);
+        assert_eq!(eua.execute(microphone), EquipOutcome::Acquired(mic));
+        assert_eq!(eua.execute(EquipOp::ReleaseAll), EquipOutcome::Done);
+        assert_eq!(eca.state(cam), Some(DeviceState::Free));
+        assert_eq!(eca.state(mic), Some(DeviceState::Free));
+        // Nothing is held twice: a second release is a no-op.
+        assert_eq!(eua.execute(EquipOp::ReleaseAll), EquipOutcome::Done);
+    }
+
+    #[test]
+    fn eua_agent_reports_a_device_held_by_another_client() {
+        let (eca, cam, _) = site();
+        let rival = ClientId(42);
+        eca.reserve(cam, rival).unwrap();
+        let mut eua = EuaAgent::new(&eca);
+        let refusal = EcsError::NoFreeDevice(EquipmentClass::Camera).to_string();
+        assert_eq!(eua.execute(CAMERA), EquipOutcome::Failed(refusal));
+        // The refusal holds nothing, so releasing leaves the rival's
+        // reservation alone.
+        eua.execute(EquipOp::ReleaseAll);
+        assert_eq!(eca.state(cam), Some(DeviceState::Reserved(rival)));
+    }
+
+    /// ROADMAP's recorded `ClientId(0)` finding: every agent of a site
+    /// is one equipment client, so a second agent is granted the
+    /// camera the first holds (`vcr_record_mix`'s overlapping
+    /// recorders rely on it). A client id per association changes this.
+    #[test]
+    fn eua_agents_of_one_site_share_its_devices_as_one_client() {
+        let (eca, cam, _) = site();
+        let mut first = EuaAgent::new(&eca);
+        let mut second = EuaAgent::new(&eca);
+        assert_eq!(first.execute(CAMERA), EquipOutcome::Acquired(cam));
+        assert_eq!(second.execute(CAMERA), EquipOutcome::Acquired(cam));
+        first.execute(EquipOp::ReleaseAll);
+        assert_eq!(eca.state(cam), Some(DeviceState::Free));
     }
 }

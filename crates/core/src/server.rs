@@ -148,9 +148,10 @@ pub struct ServerServices {
     /// stack — once the grace period has let the referral reply
     /// drain through the stack.
     pub reaper: Arc<Reaper>,
-    /// The site's equipment control agent: each entity's EUA agent
-    /// reserves the site's devices here (inspect them, or compete for
-    /// them, through it too).
+    /// The site's equipment control agent (ECA): every entity's
+    /// [`EuaAgent`] reserves the site's devices here, all as
+    /// `ClientId(0)`. Read device states through it, or reserve a
+    /// device as another client to contend with `Record`.
     pub eca: Arc<equipment::Eca>,
     /// The world's event journal: route decisions, failovers,
     /// referrals, and admission outcomes are chained here under this

@@ -463,24 +463,12 @@ impl World {
     /// own one-member "cluster" (its registry holds only itself, its
     /// control plane has nowhere to migrate to).
     pub fn add_server(&mut self, name: &str, stack: StackKind) -> ServerHandle {
-        let dsa = Dsa::new(format!("dsa-{name}"));
-        let base: Dn = "o=movies".parse().expect("static DN");
-        // The subtree root entry.
-        dsa.add(base.clone(), directory::Attrs::new())
-            .expect("fresh DSA");
-        let peers = Arc::new(SpsRegistry::new());
         // A standalone server replicates recordings only to itself.
-        let rebalancer = Arc::new(
-            ClusterController::new(
-                Arc::clone(&peers),
-                Placement::round_robin(1),
-                RebalanceConfig::default(),
-            )
-            .with_journal(Arc::clone(&self.journal), format!("rebalance-{name}")),
-        );
-        self.rebalancers.push(Arc::clone(&rebalancer));
-        let control = Arc::new(ControlBalancer::new());
-        self.build_server(name, stack, &dsa, base, &peers, &rebalancer, &control)
+        let placement = Placement::round_robin(1);
+        let members = vec![name.to_string()];
+        let rebalance = RebalanceConfig::default();
+        let cluster = self.build_cluster(name, members, stack, placement, rebalance);
+        cluster.servers.into_iter().next().expect("one member")
     }
 
     /// Adds the server machines of one [`ClusterSpec`]: the members
@@ -498,9 +486,25 @@ impl World {
             placement,
             rebalance,
         } = spec;
-        let name = name.as_str();
+        let members = (0..count.max(1)).map(|i| format!("{name}-{i}")).collect();
+        self.build_cluster(&name, members, stack, placement, rebalance)
+    }
+
+    /// The one construction path for servers: the cluster `name`'s
+    /// DSA and base entry, replica registry, control plane with its
+    /// directory sink, and control balancer, then one server per
+    /// entry of `members`.
+    fn build_cluster(
+        &mut self,
+        name: &str,
+        members: Vec<String>,
+        stack: StackKind,
+        placement: Placement,
+        rebalance: RebalanceConfig,
+    ) -> ClusterHandle {
         let dsa = Dsa::new(format!("dsa-{name}"));
         let base: Dn = "o=movies".parse().expect("static DN");
+        // The subtree root entry.
         dsa.add(base.clone(), directory::Attrs::new())
             .expect("fresh DSA");
         let peers = Arc::new(SpsRegistry::new());
@@ -509,6 +513,8 @@ impl World {
         // `SelectMovie` lookup routes to the new copy. A title whose
         // entry does not exist yet (a recording that has not
         // finalized) reports failure and is retried on a later tick.
+        // A one-member cluster never changes a replica list (nowhere to
+        // copy to, nothing to shrink, drain refuses a last holder).
         let sink_dua = Dua::new(&dsa);
         let sink_base = base.clone();
         let sink = Box::new(move |title: &str, replicas: &[String]| -> bool {
@@ -532,19 +538,55 @@ impl World {
         );
         self.rebalancers.push(Arc::clone(&rebalancer));
         let control = Arc::new(ControlBalancer::new());
-        let servers = (0..count.max(1))
-            .map(|i| {
-                self.build_server(
-                    &format!("{name}-{i}"),
-                    stack,
-                    &dsa,
-                    base.clone(),
-                    &peers,
-                    &rebalancer,
-                    &control,
+        let mut servers = Vec::with_capacity(members.len());
+        for member in members {
+            let dua = Dua::new(&dsa);
+            let eca = Eca::new(format!("site-{member}"));
+            eca.register(EquipmentClass::Camera, "cam-0");
+            eca.register(EquipmentClass::Microphone, "mic-0");
+            eca.register(EquipmentClass::Speaker, "spk-0");
+            eca.register(EquipmentClass::Display, "dsp-0");
+            let sps_addr = self.alloc_addr();
+            let store = BlockStore::new(self.store_config);
+            let share = Arc::new(share::ShareManager::new(self.share_config));
+            let sps = StreamProviderSystem::with_shared_store(
+                &self.dg,
+                sps_addr,
+                Arc::clone(&store),
+                Arc::clone(&share),
+            );
+            peers.register(sps.location(), Arc::clone(&sps));
+            store.attach_journal(Arc::clone(&self.journal), sps.location());
+            share.attach_journal(Arc::clone(&self.journal), sps.location());
+            let services = ServerServices {
+                dua,
+                base: base.clone(),
+                sps,
+                store,
+                share,
+                peers: Arc::clone(&peers),
+                rebalancer: Arc::clone(&rebalancer),
+                control: Arc::clone(&control),
+                reaper: Arc::default(),
+                eca,
+                journal: Arc::clone(&self.journal),
+            };
+            let root = self
+                .rt
+                .add_module(
+                    None,
+                    format!("server-{member}"),
+                    ModuleKind::SystemProcess,
+                    ModuleLabels::default(),
+                    ServerRoot::new(services.clone(), stack),
                 )
-            })
-            .collect();
+                .expect("world builds before start");
+            self.dialer
+                .register(services.sps.location(), root, Arc::clone(&peers));
+            let server = ServerHandle { root, services };
+            self.servers.push(server.clone());
+            servers.push(server);
+        }
         ClusterHandle {
             name: name.to_string(),
             servers,
@@ -568,65 +610,6 @@ impl World {
         let lead = &cluster.servers[0];
         self.seed_movie(lead, &entry);
         replicas
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn build_server(
-        &mut self,
-        name: &str,
-        stack: StackKind,
-        dsa: &Arc<Dsa>,
-        base: Dn,
-        peers: &Arc<SpsRegistry>,
-        rebalancer: &Arc<ClusterController>,
-        control: &Arc<ControlBalancer>,
-    ) -> ServerHandle {
-        let dua = Dua::new(dsa);
-        let eca = Eca::new(format!("site-{name}"));
-        eca.register(EquipmentClass::Camera, "cam-0");
-        eca.register(EquipmentClass::Microphone, "mic-0");
-        eca.register(EquipmentClass::Speaker, "spk-0");
-        eca.register(EquipmentClass::Display, "dsp-0");
-        let sps_addr = self.alloc_addr();
-        let store = BlockStore::new(self.store_config);
-        let share = Arc::new(share::ShareManager::new(self.share_config));
-        let sps = StreamProviderSystem::with_shared_store(
-            &self.dg,
-            sps_addr,
-            Arc::clone(&store),
-            Arc::clone(&share),
-        );
-        peers.register(sps.location(), Arc::clone(&sps));
-        store.attach_journal(Arc::clone(&self.journal), sps.location());
-        share.attach_journal(Arc::clone(&self.journal), sps.location());
-        let services = ServerServices {
-            dua,
-            base,
-            sps,
-            store,
-            share,
-            peers: Arc::clone(peers),
-            rebalancer: Arc::clone(rebalancer),
-            control: Arc::clone(control),
-            reaper: Arc::default(),
-            eca,
-            journal: Arc::clone(&self.journal),
-        };
-        let root = self
-            .rt
-            .add_module(
-                None,
-                format!("server-{name}"),
-                ModuleKind::SystemProcess,
-                ModuleLabels::default(),
-                ServerRoot::new(services.clone(), stack),
-            )
-            .expect("world builds before start");
-        self.dialer
-            .register(services.sps.location(), root, Arc::clone(peers));
-        let server = ServerHandle { root, services };
-        self.servers.push(server.clone());
-        server
     }
 
     /// Enables dynamic client generation (the ref \[2\] Estelle

@@ -1,6 +1,7 @@
 //! Cluster replication end-to-end: replicated publishing, load-aware
 //! `SelectMovie` routing across server machines, mid-burst failover,
-//! and re-routing after a release frees bandwidth.
+//! and re-routing after a release frees bandwidth; and the names a
+//! cluster's members and a standalone server are built under.
 
 use directory::MovieEntry;
 use mcam::{ClusterHandle, ClusterSpec, McamOp, McamPdu, Placement, StackKind, World};
@@ -341,4 +342,36 @@ fn least_loaded_placement_and_replicated_playback() {
         Some(McamPdu::DeselectMovieRsp)
     );
     assert_eq!(cluster.total_streams(), 1, "only the Busy stream remains");
+}
+
+fn module_name(world: &World, server: &mcam::ServerHandle) -> String {
+    world.rt.module_meta(server.root).expect("server root").name
+}
+
+/// Journal chains and module names are keyed by these, so the shared
+/// construction path must keep a standalone server's.
+#[test]
+fn a_standalone_server_is_a_one_member_cluster_under_its_own_names() {
+    let mut world = World::builder(0).build();
+    let server = world.add_server("vod", StackKind::EstellePS);
+    assert_eq!(module_name(&world, &server), "server-vod");
+    assert_eq!(server.services.eca.site(), "site-vod");
+    assert_eq!(server.services.rebalancer.actor(), "rebalance-vod");
+    let location = server.services.sps.location();
+    assert_eq!(server.services.peers.locations(), [location]);
+}
+
+#[test]
+fn cluster_members_are_named_after_the_cluster() {
+    let mut world = World::builder(0).build();
+    let spec = ClusterSpec::new("cl", 2, StackKind::Isode, Placement::round_robin(2));
+    let cluster = world.add_cluster(spec);
+    for (i, server) in cluster.servers.iter().enumerate() {
+        assert_eq!(module_name(&world, server), format!("server-cl-{i}"));
+        assert_eq!(server.services.eca.site(), format!("site-cl-{i}"));
+        let shared = &server.services.rebalancer;
+        assert!(std::sync::Arc::ptr_eq(shared, &cluster.rebalancer));
+    }
+    assert_eq!(cluster.rebalancer.actor(), "rebalance-cl");
+    assert_eq!(cluster.peers.len(), 2);
 }

@@ -184,9 +184,14 @@ fn recording_is_refused_on_a_saturated_server() {
         other => panic!("expected 503 for the recorder: {other:?}"),
     }
     assert_eq!(server.services.sps.recording_count(), 0);
-    let cam = equipment::EquipmentClass::Camera;
-    let free = server.services.eca.list(Some(cam));
-    assert!(!free.is_empty(), "camera released after the rejection");
+    let cams = server
+        .services
+        .eca
+        .list(Some(equipment::EquipmentClass::Camera));
+    assert!(
+        cams.iter().all(|c| c.state == equipment::DeviceState::Free),
+        "camera released after the rejection: {cams:?}"
+    );
 
     // Releasing the viewer clears the path for the recorder.
     world.client_op(&viewer, McamOp::Deselect);

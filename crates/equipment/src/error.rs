@@ -19,14 +19,8 @@ pub enum EcsError {
         /// Offending value.
         value: i64,
     },
-    /// Unknown site name (EUA-level).
-    UnknownSite(String),
     /// Operation requires the device to be reserved first.
     NotReserved(EquipmentId),
-    /// The lease on the device has expired.
-    LeaseExpired(EquipmentId),
-    /// The caller is already waiting for this device.
-    AlreadyWaiting(EquipmentId),
     /// No free device of the requested class exists at the site.
     NoFreeDevice(crate::registry::EquipmentClass),
 }
@@ -40,10 +34,7 @@ impl fmt::Display for EcsError {
             EcsError::InvalidParameter { name, value } => {
                 write!(f, "invalid parameter {name}={value}")
             }
-            EcsError::UnknownSite(s) => write!(f, "unknown site {s}"),
             EcsError::NotReserved(id) => write!(f, "equipment not reserved: {id:?}"),
-            EcsError::LeaseExpired(id) => write!(f, "lease expired on {id:?}"),
-            EcsError::AlreadyWaiting(id) => write!(f, "already waiting for {id:?}"),
             EcsError::NoFreeDevice(class) => write!(f, "no free {class} available"),
         }
     }

@@ -7,43 +7,43 @@
 //! per site and an Equipment User Agent (EUA) inside each MCAM
 //! instance.
 //!
-//! Beyond the paper's base model the crate provides *leased*
-//! reservations with expiry ([`Eca::reserve_until`] /
-//! [`Eca::expire_leases`], judged by the ECA's monotonic clock) and
-//! FIFO wait queues for contended devices ([`Eca::enqueue`]). The
-//! crate keeps no log of its own: what happened in a run is recorded
-//! once, in the `journal` crate.
+//! This crate is the ECA ([`Eca`]) and the paper's reservation model:
+//! a client reserves a device, sets its parameters, activates it, and
+//! releases it; a device held by one client is refused to every other.
+//! The EUA is the MCA's agent module, `mcam::agents::EuaAgent`, which
+//! calls the site's [`Eca`] directly. The crate keeps no log of its
+//! own: what happened in a run is recorded once, in the `journal`
+//! crate.
 //!
 //! # Examples
 //!
 //! ```
-//! use equipment::{Eca, Eua, EquipmentClass, param};
+//! use equipment::{params, ClientId, Eca, EcsError, EquipmentClass};
 //!
-//! # fn main() -> Result<(), equipment::EcsError> {
+//! # fn main() -> Result<(), EcsError> {
 //! let site = Eca::new("studio");
 //! let cam = site.register(EquipmentClass::Camera, "cam-1");
-//! let mut eua = Eua::new(1);
-//! eua.add_site(&site);
-//! eua.reserve("studio", cam)?;
-//! eua.set_param("studio", cam, param::FRAME_RATE, 25)?;
-//! eua.activate("studio", cam)?;
-//! eua.release("studio", cam)?;
+//! let (producer, viewer) = (ClientId(1), ClientId(2));
+//! site.reserve(cam, producer)?;
+//! site.set_param(cam, producer, params::FRAME_RATE, 25)?;
+//! site.activate(cam, producer)?;
+//! // The camera is the producer's until released.
+//! assert_eq!(site.reserve(cam, viewer), Err(EcsError::AlreadyReserved(cam)));
+//! assert_eq!(
+//!     site.acquire_class(EquipmentClass::Camera, viewer),
+//!     Err(EcsError::NoFreeDevice(EquipmentClass::Camera))
+//! );
+//! site.release(cam, producer)?;
+//! assert_eq!(site.acquire_class(EquipmentClass::Camera, viewer), Ok(cam));
 //! # Ok(())
 //! # }
 //! ```
 
 #![warn(missing_docs)]
 
-mod agents;
 mod error;
 pub mod params;
 mod registry;
 
-/// Compatibility alias for [`params`].
-pub use self::params as param;
-
-pub use agents::Eua;
 pub use error::EcsError;
-pub use registry::{
-    ClientId, DeviceState, Eca, Enqueued, EquipmentClass, EquipmentDesc, EquipmentId,
-};
+pub use registry::{ClientId, DeviceState, Eca, EquipmentClass, EquipmentDesc, EquipmentId};

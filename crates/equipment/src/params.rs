@@ -78,11 +78,6 @@ pub fn spec(class: EquipmentClass, name: &str) -> Option<&'static ParamSpec> {
     specs(class).iter().find(|s| s.name == name)
 }
 
-/// Validity range for a parameter on a class (compatibility helper).
-pub fn range(class: EquipmentClass, name: &str) -> Option<(i64, i64)> {
-    spec(class, name).map(|s| (s.min, s.max))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,12 +109,6 @@ mod tests {
         assert!(spec(EquipmentClass::Speaker, GAIN).is_none());
         assert!(spec(EquipmentClass::Camera, GAIN).is_some());
         assert!(spec(EquipmentClass::Microphone, FRAME_RATE).is_none());
-    }
-
-    #[test]
-    fn range_agrees_with_spec() {
-        assert_eq!(range(EquipmentClass::Camera, FRAME_RATE), Some((1, 120)));
-        assert_eq!(range(EquipmentClass::Speaker, BRIGHTNESS), None);
     }
 
     #[test]

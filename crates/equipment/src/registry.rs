@@ -2,9 +2,8 @@
 
 use crate::error::EcsError;
 use crate::params;
-use netsim::SimTime;
 use parking_lot::RwLock;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -52,37 +51,12 @@ pub enum DeviceState {
     Active(ClientId),
 }
 
-impl DeviceState {
-    /// The reservation holder, if any.
-    pub fn owner(&self) -> Option<ClientId> {
-        match self {
-            DeviceState::Free => None,
-            DeviceState::Reserved(c) | DeviceState::Active(c) => Some(*c),
-        }
-    }
-}
-
-/// Outcome of [`Eca::enqueue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Enqueued {
-    /// The device was free (or already ours); the reservation is held
-    /// now.
-    Granted,
-    /// The device is busy; the caller is waiting at this queue
-    /// position (0 = next in line).
-    Waiting(usize),
-}
-
 #[derive(Debug)]
 struct Device {
     class: EquipmentClass,
     name: String,
     state: DeviceState,
     params: BTreeMap<String, i64>,
-    /// Absolute expiry of the current reservation, if leased.
-    lease: Option<SimTime>,
-    /// Clients waiting for the reservation, FIFO.
-    waiters: VecDeque<ClientId>,
 }
 
 impl Device {
@@ -96,16 +70,18 @@ impl Device {
             name,
             state: DeviceState::Free,
             params,
-            lease: None,
-            waiters: VecDeque::new(),
         }
     }
 
-    /// Hands the device to the next waiter, if any.
-    fn grant_next(&mut self) {
-        if let Some(next) = self.waiters.pop_front() {
-            self.state = DeviceState::Reserved(next);
-            self.lease = None;
+    /// Takes the reservation for `client`: granted when the device is
+    /// free or already `client`'s, refused when another client holds it.
+    fn reserve(&mut self, client: ClientId) -> bool {
+        match self.state {
+            DeviceState::Free => {
+                self.state = DeviceState::Reserved(client);
+                true
+            }
+            DeviceState::Reserved(c) | DeviceState::Active(c) => c == client,
         }
     }
 }
@@ -123,20 +99,15 @@ pub struct EquipmentDesc {
     pub state: DeviceState,
 }
 
-/// Equipment Control Agent: the per-site device registry and state
-/// machine server.
-///
-/// Reservations may be *unleased* (held until released, the paper's
-/// base model) or *leased* until an absolute [`SimTime`]
-/// ([`Eca::reserve_until`]); expired leases are revoked by
-/// [`Eca::expire_leases`] and the device passes to the first waiting
-/// client, if any.
+/// Equipment Control Agent: the per-site device registry and the
+/// paper's reservation model. A device is free, reserved by one
+/// client, or active under that client; a reservation is held until
+/// its owner releases it.
 #[derive(Debug)]
 pub struct Eca {
     site: String,
     devices: RwLock<BTreeMap<EquipmentId, Device>>,
     next_id: RwLock<u32>,
-    clock: RwLock<SimTime>,
 }
 
 impl Eca {
@@ -146,25 +117,12 @@ impl Eca {
             site: site.into(),
             devices: RwLock::new(BTreeMap::new()),
             next_id: RwLock::new(1),
-            clock: RwLock::new(SimTime::ZERO),
         })
     }
 
     /// This ECA's site name.
     pub fn site(&self) -> &str {
         &self.site
-    }
-
-    /// Advances the registry clock leases are judged by. Time never
-    /// moves backwards.
-    pub fn set_time(&self, now: SimTime) {
-        let mut clock = self.clock.write();
-        *clock = clock.max(now);
-    }
-
-    /// The registry's current notion of time.
-    pub fn now(&self) -> SimTime {
-        *self.clock.read()
     }
 
     /// Registers a device and returns its id. Parameters start at
@@ -194,162 +152,45 @@ impl Eca {
             .collect()
     }
 
-    /// Reserves a device for `client` with no lease. Reservation is
-    /// idempotent for the same client (an existing lease is kept).
+    /// Reserves a device for `client`. Reservation is idempotent for
+    /// the same client.
     ///
     /// # Errors
     ///
     /// Fails if the device is unknown or held by another client.
     pub fn reserve(&self, id: EquipmentId, client: ClientId) -> Result<(), EcsError> {
-        self.reserve_inner(id, client, None)
+        let mut devs = self.devices.write();
+        let d = devs.get_mut(&id).ok_or(EcsError::NotFound(id))?;
+        if d.reserve(client) {
+            Ok(())
+        } else {
+            Err(EcsError::AlreadyReserved(id))
+        }
     }
 
-    /// Reserves a device for `client` under a lease that
-    /// [`Eca::expire_leases`] revokes once past `expires`. Re-reserving
-    /// as the same client replaces the lease.
+    /// Reserves the first device of `class` (in id order) that
+    /// [`Eca::reserve`] grants `client`, and returns its id. A device
+    /// `client` already holds counts as granted.
     ///
     /// # Errors
     ///
-    /// Fails if the device is unknown or held by another client.
-    pub fn reserve_until(
+    /// Returns [`EcsError::NoFreeDevice`] when every device of the
+    /// class is held by other clients, or none is registered.
+    pub fn acquire_class(
         &self,
-        id: EquipmentId,
+        class: EquipmentClass,
         client: ClientId,
-        expires: SimTime,
-    ) -> Result<(), EcsError> {
-        self.reserve_inner(id, client, Some(expires))
-    }
-
-    fn reserve_inner(
-        &self,
-        id: EquipmentId,
-        client: ClientId,
-        lease: Option<SimTime>,
-    ) -> Result<(), EcsError> {
-        let mut devs = self.devices.write();
-        let d = devs.get_mut(&id).ok_or(EcsError::NotFound(id))?;
-        match d.state {
-            DeviceState::Free => {
-                d.state = DeviceState::Reserved(client);
-                d.lease = lease;
-                Ok(())
-            }
-            DeviceState::Reserved(c) | DeviceState::Active(c) if c == client => {
-                if lease.is_some() {
-                    d.lease = lease;
-                }
-                Ok(())
-            }
-            _ => Err(EcsError::AlreadyReserved(id)),
-        }
-    }
-
-    /// Extends (or sets) the lease of an owned reservation.
-    ///
-    /// # Errors
-    ///
-    /// Fails if unknown, free, or held by someone else.
-    pub fn renew(
-        &self,
-        id: EquipmentId,
-        client: ClientId,
-        expires: SimTime,
-    ) -> Result<(), EcsError> {
-        let mut devs = self.devices.write();
-        let d = devs.get_mut(&id).ok_or(EcsError::NotFound(id))?;
-        match d.state {
-            DeviceState::Reserved(c) | DeviceState::Active(c) if c == client => {
-                d.lease = Some(expires);
-                Ok(())
-            }
-            DeviceState::Free => Err(EcsError::NotReserved(id)),
-            _ => Err(EcsError::NotOwner(id)),
-        }
-    }
-
-    /// The absolute lease expiry of a device's reservation, if leased.
-    pub fn lease(&self, id: EquipmentId) -> Option<SimTime> {
-        self.devices.read().get(&id).and_then(|d| d.lease)
-    }
-
-    /// Revokes every reservation whose lease lies strictly before the
-    /// registry clock after advancing it to `now` (the clock is
-    /// monotonic, so a stale `now` cannot resurrect an expired
-    /// lease); each affected device passes to its first waiter (who
-    /// receives an unleased reservation) or becomes free. Returns the
-    /// revoked (device, previous owner) pairs.
-    pub fn expire_leases(&self, now: SimTime) -> Vec<(EquipmentId, ClientId)> {
-        self.set_time(now);
-        let now = self.now();
-        let mut revoked = Vec::new();
-        for (&id, d) in self.devices.write().iter_mut() {
-            if !matches!(d.lease, Some(t) if t < now) {
-                continue;
-            }
-            d.lease = None;
-            let Some(owner) = d.state.owner() else {
-                continue;
-            };
-            d.state = DeviceState::Free;
-            revoked.push((id, owner));
-            d.grant_next();
-        }
-        revoked
-    }
-
-    /// Requests the device, waiting in FIFO order if it is busy.
-    ///
-    /// Returns [`Enqueued::Granted`] when the reservation is held on
-    /// return (free device, or already ours) and
-    /// [`Enqueued::Waiting`] with the 0-based queue position
-    /// otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the device is unknown or the client is already in the
-    /// queue.
-    pub fn enqueue(&self, id: EquipmentId, client: ClientId) -> Result<Enqueued, EcsError> {
-        let mut devs = self.devices.write();
-        let d = devs.get_mut(&id).ok_or(EcsError::NotFound(id))?;
-        match d.state {
-            DeviceState::Free => {
-                d.state = DeviceState::Reserved(client);
-                d.lease = None;
-                Ok(Enqueued::Granted)
-            }
-            DeviceState::Reserved(c) | DeviceState::Active(c) if c == client => {
-                Ok(Enqueued::Granted)
-            }
-            _ => {
-                if d.waiters.contains(&client) {
-                    return Err(EcsError::AlreadyWaiting(id));
-                }
-                d.waiters.push_back(client);
-                Ok(Enqueued::Waiting(d.waiters.len() - 1))
-            }
-        }
-    }
-
-    /// Withdraws `client` from a device's wait queue. Returns whether
-    /// the client was waiting.
-    pub fn cancel_wait(&self, id: EquipmentId, client: ClientId) -> bool {
-        let mut devs = self.devices.write();
-        let Some(d) = devs.get_mut(&id) else {
-            return false;
-        };
-        let before = d.waiters.len();
-        d.waiters.retain(|&c| c != client);
-        d.waiters.len() != before
-    }
-
-    /// Number of clients waiting for the device.
-    pub fn queue_len(&self, id: EquipmentId) -> usize {
-        self.devices.read().get(&id).map_or(0, |d| d.waiters.len())
+    ) -> Result<EquipmentId, EcsError> {
+        self.devices
+            .write()
+            .iter_mut()
+            .filter(|(_, d)| d.class == class)
+            .find_map(|(&id, d)| d.reserve(client).then_some(id))
+            .ok_or(EcsError::NoFreeDevice(class))
     }
 
     /// Releases a device held by `client` (active devices stop
-    /// first). The first waiting client, if any, immediately receives
-    /// an unleased reservation.
+    /// first).
     ///
     /// # Errors
     ///
@@ -360,8 +201,6 @@ impl Eca {
         match d.state {
             DeviceState::Reserved(c) | DeviceState::Active(c) if c == client => {
                 d.state = DeviceState::Free;
-                d.lease = None;
-                d.grant_next();
                 Ok(())
             }
             DeviceState::Free => Err(EcsError::NotReserved(id)),
@@ -457,11 +296,6 @@ impl Eca {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::SimDuration;
-
-    fn t(ms: u64) -> SimTime {
-        SimTime::ZERO + SimDuration::from_millis(ms)
-    }
 
     #[test]
     fn reservation_lifecycle() {
@@ -536,98 +370,22 @@ mod tests {
     }
 
     #[test]
-    fn lease_expiry_revokes() {
-        let eca = Eca::new("lab");
-        let cam = eca.register(EquipmentClass::Camera, "cam");
-        let alice = ClientId(1);
-        eca.reserve_until(cam, alice, t(100)).unwrap();
-        assert_eq!(eca.lease(cam), Some(t(100)));
-        // Not yet expired at exactly the deadline.
-        assert!(eca.expire_leases(t(100)).is_empty());
-        assert_eq!(eca.state(cam), Some(DeviceState::Reserved(alice)));
-        // Expired strictly after.
-        let revoked = eca.expire_leases(t(101));
-        assert_eq!(revoked, vec![(cam, alice)]);
-        assert_eq!(eca.state(cam), Some(DeviceState::Free));
-        assert_eq!(eca.lease(cam), None);
-    }
-
-    #[test]
-    fn renew_extends_lease() {
-        let eca = Eca::new("lab");
-        let cam = eca.register(EquipmentClass::Camera, "cam");
-        let alice = ClientId(1);
-        eca.reserve_until(cam, alice, t(100)).unwrap();
-        eca.renew(cam, alice, t(500)).unwrap();
-        assert!(eca.expire_leases(t(200)).is_empty());
-        assert_eq!(eca.state(cam), Some(DeviceState::Reserved(alice)));
+    fn acquire_class_picks_a_free_device() {
+        let site = Eca::new("studio");
+        let c1 = site.register(EquipmentClass::Camera, "c1");
+        let c2 = site.register(EquipmentClass::Camera, "c2");
+        let (a, b, c) = (ClientId(1), ClientId(2), ClientId(3));
+        let got_a = site.acquire_class(EquipmentClass::Camera, a).unwrap();
+        let got_b = site.acquire_class(EquipmentClass::Camera, b).unwrap();
+        assert_ne!(got_a, got_b);
+        assert!([c1, c2].contains(&got_a));
+        assert!([c1, c2].contains(&got_b));
+        // Both taken now.
         assert_eq!(
-            eca.renew(cam, ClientId(2), t(900)),
-            Err(EcsError::NotOwner(cam))
+            site.acquire_class(EquipmentClass::Camera, c),
+            Err(EcsError::NoFreeDevice(EquipmentClass::Camera))
         );
-    }
-
-    #[test]
-    fn unleased_reservation_never_expires() {
-        let eca = Eca::new("lab");
-        let cam = eca.register(EquipmentClass::Camera, "cam");
-        eca.reserve(cam, ClientId(1)).unwrap();
-        assert!(eca.expire_leases(t(1_000_000)).is_empty());
-        assert_eq!(eca.state(cam), Some(DeviceState::Reserved(ClientId(1))));
-    }
-
-    #[test]
-    fn queue_fifo_grant_on_release() {
-        let eca = Eca::new("lab");
-        let cam = eca.register(EquipmentClass::Camera, "cam");
-        let (a, b, c) = (ClientId(1), ClientId(2), ClientId(3));
-        assert_eq!(eca.enqueue(cam, a).unwrap(), Enqueued::Granted);
-        assert_eq!(eca.enqueue(cam, b).unwrap(), Enqueued::Waiting(0));
-        assert_eq!(eca.enqueue(cam, c).unwrap(), Enqueued::Waiting(1));
-        assert_eq!(eca.enqueue(cam, b), Err(EcsError::AlreadyWaiting(cam)));
-        assert_eq!(eca.queue_len(cam), 2);
-        eca.release(cam, a).unwrap();
-        assert_eq!(eca.state(cam), Some(DeviceState::Reserved(b)));
-        assert_eq!(eca.queue_len(cam), 1);
-        eca.release(cam, b).unwrap();
-        assert_eq!(eca.state(cam), Some(DeviceState::Reserved(c)));
-        eca.release(cam, c).unwrap();
-        assert_eq!(eca.state(cam), Some(DeviceState::Free));
-    }
-
-    #[test]
-    fn queue_grant_on_lease_expiry() {
-        let eca = Eca::new("lab");
-        let cam = eca.register(EquipmentClass::Camera, "cam");
-        let (a, b) = (ClientId(1), ClientId(2));
-        eca.reserve_until(cam, a, t(10)).unwrap();
-        assert_eq!(eca.enqueue(cam, b).unwrap(), Enqueued::Waiting(0));
-        let revoked = eca.expire_leases(t(11));
-        assert_eq!(revoked, vec![(cam, a)]);
-        assert_eq!(eca.state(cam), Some(DeviceState::Reserved(b)));
-        // The grant from the queue is unleased.
-        assert_eq!(eca.lease(cam), None);
-    }
-
-    #[test]
-    fn cancel_wait_removes_from_queue() {
-        let eca = Eca::new("lab");
-        let cam = eca.register(EquipmentClass::Camera, "cam");
-        let (a, b, c) = (ClientId(1), ClientId(2), ClientId(3));
-        eca.reserve(cam, a).unwrap();
-        eca.enqueue(cam, b).unwrap();
-        eca.enqueue(cam, c).unwrap();
-        assert!(eca.cancel_wait(cam, b));
-        assert!(!eca.cancel_wait(cam, b));
-        eca.release(cam, a).unwrap();
-        assert_eq!(eca.state(cam), Some(DeviceState::Reserved(c)));
-    }
-
-    #[test]
-    fn clock_is_monotonic() {
-        let eca = Eca::new("lab");
-        eca.set_time(t(50));
-        eca.set_time(t(10));
-        assert_eq!(eca.now(), t(50));
+        // But a different class is unaffected (none registered).
+        assert!(site.acquire_class(EquipmentClass::Speaker, c).is_err());
     }
 }

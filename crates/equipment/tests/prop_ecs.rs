@@ -1,38 +1,28 @@
 //! Property tests for the ECS reservation state machine.
 //!
 //! A random sequence of operations from a small client population is
-//! applied to one device; a reference model (plain enum + Vec queue)
-//! must agree with the registry at every step, and global invariants
-//! must hold: at most one owner, the owner is never simultaneously a
-//! waiter, and FIFO grant order.
+//! applied to one device; a reference model (a plain owner field)
+//! must agree with the registry at every step. The same holds for
+//! class acquisition over a site of several devices.
 
-use equipment::{ClientId, DeviceState, Eca, EcsError, Enqueued, EquipmentClass, EquipmentId};
-use netsim::{SimDuration, SimTime};
+use equipment::{ClientId, DeviceState, Eca, EcsError, EquipmentClass, EquipmentId};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
 enum Op {
     Reserve(u32),
-    ReserveUntil(u32, u64),
-    Enqueue(u32),
-    CancelWait(u32),
     Release(u32),
     Activate(u32),
     Deactivate(u32),
-    Expire(u64),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     let client = 1u32..5;
     prop_oneof![
         client.clone().prop_map(Op::Reserve),
-        (client.clone(), 1u64..100).prop_map(|(c, t)| Op::ReserveUntil(c, t)),
-        client.clone().prop_map(Op::Enqueue),
-        client.clone().prop_map(Op::CancelWait),
         client.clone().prop_map(Op::Release),
         client.clone().prop_map(Op::Activate),
         client.prop_map(Op::Deactivate),
-        (1u64..100).prop_map(Op::Expire),
     ]
 }
 
@@ -40,75 +30,18 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 #[derive(Debug, Default)]
 struct Model {
     owner: Option<(u32, bool)>, // (client, active)
-    lease: Option<u64>,
-    queue: Vec<u32>,
-    now: u64,
 }
 
 impl Model {
     fn apply(&mut self, op: &Op) {
+        let owns = |c| self.owner.map(|(o, _)| o) == Some(c);
         match *op {
-            Op::Reserve(c) => {
-                if self.owner.is_none() {
-                    self.owner = Some((c, false));
-                    self.lease = None;
-                }
-                // Idempotent self-reserve keeps state; foreign reserve fails.
-            }
-            Op::ReserveUntil(c, t) => {
-                if self.owner.is_none() {
-                    self.owner = Some((c, false));
-                    self.lease = Some(t);
-                } else if self.owner.map(|(o, _)| o) == Some(c) {
-                    self.lease = Some(t);
-                }
-            }
-            Op::Enqueue(c) => match self.owner {
-                None => {
-                    self.owner = Some((c, false));
-                    self.lease = None;
-                }
-                Some((o, _)) if o == c => {}
-                Some(_) => {
-                    if !self.queue.contains(&c) {
-                        self.queue.push(c);
-                    }
-                }
-            },
-            Op::CancelWait(c) => self.queue.retain(|&q| q != c),
-            Op::Release(c) => {
-                if self.owner.map(|(o, _)| o) == Some(c) {
-                    self.owner = None;
-                    self.lease = None;
-                    self.grant_next();
-                }
-            }
-            Op::Activate(c) => {
-                if self.owner.map(|(o, _)| o) == Some(c) {
-                    self.owner = Some((c, true));
-                }
-            }
-            Op::Deactivate(c) => {
-                if self.owner.map(|(o, _)| o) == Some(c) {
-                    self.owner = Some((c, false));
-                }
-            }
-            Op::Expire(t) => {
-                self.now = self.now.max(t);
-                if self.owner.is_some() && matches!(self.lease, Some(l) if l < self.now) {
-                    self.owner = None;
-                    self.lease = None;
-                    self.grant_next();
-                }
-            }
-        }
-    }
-
-    fn grant_next(&mut self) {
-        if !self.queue.is_empty() {
-            let next = self.queue.remove(0);
-            self.owner = Some((next, false));
-            self.lease = None;
+            // Idempotent self-reserve keeps state; foreign reserve fails.
+            Op::Reserve(c) if self.owner.is_none() => self.owner = Some((c, false)),
+            Op::Release(c) if owns(c) => self.owner = None,
+            Op::Activate(c) if owns(c) => self.owner = Some((c, true)),
+            Op::Deactivate(c) if owns(c) => self.owner = Some((c, false)),
+            _ => {}
         }
     }
 
@@ -121,37 +54,13 @@ impl Model {
     }
 }
 
-fn ms(t: u64) -> SimTime {
-    SimTime::ZERO + SimDuration::from_millis(t)
-}
-
 fn apply_real(eca: &Eca, id: EquipmentId, op: &Op) {
-    match *op {
-        Op::Reserve(c) => {
-            let _ = eca.reserve(id, ClientId(c));
-        }
-        Op::ReserveUntil(c, t) => {
-            let _ = eca.reserve_until(id, ClientId(c), ms(t));
-        }
-        Op::Enqueue(c) => {
-            let _ = eca.enqueue(id, ClientId(c));
-        }
-        Op::CancelWait(c) => {
-            let _ = eca.cancel_wait(id, ClientId(c));
-        }
-        Op::Release(c) => {
-            let _ = eca.release(id, ClientId(c));
-        }
-        Op::Activate(c) => {
-            let _ = eca.activate(id, ClientId(c));
-        }
-        Op::Deactivate(c) => {
-            let _ = eca.deactivate(id, ClientId(c));
-        }
-        Op::Expire(t) => {
-            let _ = eca.expire_leases(ms(t));
-        }
-    }
+    let _ = match *op {
+        Op::Reserve(c) => eca.reserve(id, ClientId(c)),
+        Op::Release(c) => eca.release(id, ClientId(c)),
+        Op::Activate(c) => eca.activate(id, ClientId(c)),
+        Op::Deactivate(c) => eca.deactivate(id, ClientId(c)),
+    };
 }
 
 proptest! {
@@ -162,34 +71,10 @@ proptest! {
         let eca = Eca::new("prop");
         let id = eca.register(EquipmentClass::Camera, "cam");
         let mut model = Model::default();
-        // The registry clock is monotonic; mirror that by feeding
-        // Expire with a monotone clock in the model (handled by
-        // `now.max(t)` there) while the registry does the same.
         for op in &ops {
             apply_real(&eca, id, op);
             model.apply(op);
             prop_assert_eq!(eca.state(id), Some(model.state()), "after {:?}", op);
-            prop_assert_eq!(eca.queue_len(id), model.queue.len(), "queue after {:?}", op);
-        }
-    }
-
-    /// An owner never waits in the queue of the device it owns, and
-    /// queue entries are unique.
-    #[test]
-    fn owner_never_waits(ops in prop::collection::vec(op_strategy(), 1..60)) {
-        let eca = Eca::new("prop");
-        let id = eca.register(EquipmentClass::Microphone, "mic");
-        let mut model = Model::default();
-        for op in &ops {
-            apply_real(&eca, id, op);
-            model.apply(op);
-            if let Some((owner, _)) = model.owner {
-                prop_assert!(!model.queue.contains(&owner), "owner {} queued after {:?}", owner, op);
-            }
-            let mut q = model.queue.clone();
-            q.sort_unstable();
-            q.dedup();
-            prop_assert_eq!(q.len(), model.queue.len(), "duplicate waiters after {:?}", op);
         }
     }
 
@@ -211,25 +96,47 @@ proptest! {
         );
     }
 
-    /// `enqueue` grants exactly one reservation per release, in FIFO
-    /// order, regardless of the claimant population.
+    /// `acquire_class` grants the first camera, in id order, that is
+    /// free or already the caller's, never another class, and refuses
+    /// with `NoFreeDevice` when no camera qualifies.
     #[test]
-    fn fifo_grant_chain(clients in proptest::sample::subsequence(vec![2u32,3,4,5,6,7], 1..6)) {
+    fn acquire_class_matches_reference_model(
+        ops in prop::collection::vec((1u32..5, prop::option::of(0usize..4)), 1..60)
+    ) {
         let eca = Eca::new("prop");
-        let id = eca.register(EquipmentClass::Display, "d");
-        eca.reserve(id, ClientId(1)).unwrap();
-        for (i, &c) in clients.iter().enumerate() {
-            prop_assert_eq!(eca.enqueue(id, ClientId(c)).unwrap(), Enqueued::Waiting(i));
+        let classes = [
+            EquipmentClass::Camera,
+            EquipmentClass::Microphone,
+            EquipmentClass::Camera,
+            EquipmentClass::Camera,
+        ];
+        let ids: Vec<_> = classes.iter().map(|&c| eca.register(c, "dev")).collect();
+        let mut owners: [Option<u32>; 4] = [None; 4];
+        // `(c, None)` acquires a camera for c; `(c, Some(i))` has c
+        // release device i (refused unless c holds it).
+        for &(c, release) in &ops {
+            if let Some(i) = release {
+                let _ = eca.release(ids[i], ClientId(c));
+                if owners[i] == Some(c) {
+                    owners[i] = None;
+                }
+            } else {
+                let pick = (0..4).find(|&i| {
+                    classes[i] == EquipmentClass::Camera && owners[i].is_none_or(|o| o == c)
+                });
+                let expected = match pick {
+                    Some(i) => {
+                        owners[i] = Some(c);
+                        Ok(ids[i])
+                    }
+                    None => Err(EcsError::NoFreeDevice(EquipmentClass::Camera)),
+                };
+                prop_assert_eq!(eca.acquire_class(EquipmentClass::Camera, ClientId(c)), expected);
+            }
+            for (i, &id) in ids.iter().enumerate() {
+                let state = owners[i].map_or(DeviceState::Free, |o| DeviceState::Reserved(ClientId(o)));
+                prop_assert_eq!(eca.state(id), Some(state), "device {} after {:?}", i, (c, release));
+            }
         }
-        prop_assert_eq!(eca.queue_len(id), clients.len());
-        // Release the chain: each grant must follow enqueue order.
-        let mut current = 1u32;
-        for &expected in &clients {
-            eca.release(id, ClientId(current)).unwrap();
-            prop_assert_eq!(eca.state(id), Some(DeviceState::Reserved(ClientId(expected))));
-            current = expected;
-        }
-        eca.release(id, ClientId(current)).unwrap();
-        prop_assert_eq!(eca.state(id), Some(DeviceState::Free));
     }
 }

@@ -5,7 +5,7 @@
 //! Run with `cargo run --example directory_equipment_tour`.
 
 use directory::{attr, Dn, Dsa, Dua, Filter, ModOp, MovieEntry, Scope};
-use equipment::{param, Eca, EquipmentClass, Eua};
+use equipment::{params, ClientId, DeviceState, Eca, EcsError, EquipmentClass};
 
 fn main() {
     // --- movie directory -------------------------------------------
@@ -71,38 +71,43 @@ fn main() {
     let mic = studio.register(EquipmentClass::Microphone, "mic-1");
     studio.register(EquipmentClass::Speaker, "spk-1");
 
-    let mut producer = Eua::new(1);
-    producer.add_site(&studio);
-    producer.reserve("studio", cam).unwrap();
-    producer.reserve("studio", mic).unwrap();
-    producer
-        .set_param("studio", cam, param::FRAME_RATE, 25)
+    // Two clients contend for the studio's devices on one ECA.
+    let (producer, viewer) = (ClientId(1), ClientId(2));
+    studio.reserve(cam, producer).unwrap();
+    studio.reserve(mic, producer).unwrap();
+    studio
+        .set_param(cam, producer, params::FRAME_RATE, 25)
         .unwrap();
-    producer
-        .set_param("studio", cam, param::BRIGHTNESS, 70)
+    studio
+        .set_param(cam, producer, params::BRIGHTNESS, 70)
         .unwrap();
-    producer.activate("studio", cam).unwrap();
-    producer.activate("studio", mic).unwrap();
+    studio.activate(cam, producer).unwrap();
+    studio.activate(mic, producer).unwrap();
     println!(
         "producer recording with {:?}",
         studio
             .list(None)
             .iter()
-            .filter(|d| !matches!(d.state, equipment::DeviceState::Free))
+            .filter(|d| d.state != DeviceState::Free)
             .map(|d| d.name.clone())
             .collect::<Vec<_>>()
     );
 
     // A competing user is locked out while the recording runs.
-    let mut viewer = Eua::new(2);
-    viewer.add_site(&studio);
-    match viewer.reserve("studio", cam) {
-        Err(e) => println!("viewer blocked as expected: {e}"),
-        Ok(()) => unreachable!("camera is held by the producer"),
+    match studio.reserve(cam, viewer) {
+        Err(e @ EcsError::AlreadyReserved(_)) => println!("viewer blocked as expected: {e}"),
+        other => unreachable!("camera is held by the producer: {other:?}"),
+    }
+    match studio.acquire_class(EquipmentClass::Camera, viewer) {
+        Err(e @ EcsError::NoFreeDevice(_)) => println!("no other camera either: {e}"),
+        other => unreachable!("the studio has one camera: {other:?}"),
     }
 
-    producer.release("studio", cam).unwrap();
-    producer.release("studio", mic).unwrap();
-    viewer.reserve("studio", cam).unwrap();
+    studio.release(cam, producer).unwrap();
+    studio.release(mic, producer).unwrap();
+    let handed = studio
+        .acquire_class(EquipmentClass::Camera, viewer)
+        .unwrap();
+    assert_eq!(handed, cam);
     println!("camera handed over to the viewer");
 }

@@ -130,11 +130,8 @@ fn equipment_contention_fails_record_cleanly() {
     // out-of-band.
     let eca = &server.services.eca;
     let cams = eca.list(Some(equipment::EquipmentClass::Camera));
-    let mut rival = equipment::Eua::new(42);
-    rival.add_site(eca);
-    rival
-        .reserve(eca.site(), cams[0].id)
-        .expect("rival reservation");
+    let rival = equipment::ClientId(42);
+    eca.reserve(cams[0].id, rival).expect("rival reservation");
     // Now the protocol-level record cannot acquire a camera.
     assert_eq!(
         world.client_op(
@@ -147,7 +144,7 @@ fn equipment_contention_fails_record_cleanly() {
         Some(McamPdu::RecordRsp { ok: false })
     );
     // Release and retry succeeds.
-    rival.release(eca.site(), cams[0].id).unwrap();
+    eca.release(cams[0].id, rival).unwrap();
     assert_eq!(
         world.client_op(
             &client,
