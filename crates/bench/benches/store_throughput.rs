@@ -785,65 +785,6 @@ fn rebuild_time(foreground: u32, reserve_pct: u64) -> (u64, u64) {
     (lost, millis)
 }
 
-/// Wall-clock scaling on the threaded backend: the same per-thread
-/// workload at 1, 2 and 4 worker threads. On a >= 4-core host the
-/// 4-thread run must deliver at least 2x the 1-thread frames/sec; on
-/// smaller hosts the assertion is skipped (the threads would only
-/// time-slice one core) and the report says so. Returns the artifact
-/// JSON CI uploads next to the simulated report.
-fn wall_clock_scaling_report() -> String {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("store_throughput: wall-clock scaling (threaded backend, {cores} core(s))");
-    let mut rows = Vec::new();
-    let mut fps_at = [0u64; 3];
-    for (i, threads) in [1usize, 2, 4].into_iter().enumerate() {
-        let report = mcam::wall_clock::run(mcam::wall_clock::WallClockConfig {
-            threads,
-            streams_per_thread: 8,
-            frames_per_stream: 400,
-            frame_size: 16 * 1024,
-        });
-        assert_eq!(report.sequence_errors, 0, "conduits deliver in order");
-        assert_eq!(
-            report.steady_state_allocs, 0,
-            "senders must live off recycled buffers after warm-up"
-        );
-        let fps = report.frames_per_sec();
-        fps_at[i] = fps;
-        println!(
-            "  threads={threads} streams_sustained={:<2} frames/s={fps}",
-            report.streams_sustained
-        );
-        rows.push(format!(
-            "{{\"threads\": {threads}, \"streams_sustained\": {}, \
-             \"frames_delivered\": {}, \"frames_per_sec\": {fps}}}",
-            report.streams_sustained, report.frames_delivered
-        ));
-    }
-    let scaling_asserted = cores >= 4;
-    if scaling_asserted {
-        assert!(
-            fps_at[2] >= 2 * fps_at[0],
-            "4 worker threads must sustain >= 2x the 1-thread wall-clock \
-             throughput on a {cores}-core host (4t={} 1t={})",
-            fps_at[2],
-            fps_at[0]
-        );
-        println!(
-            "  scaling: 4-thread >= 2x 1-thread holds ({} vs {})",
-            fps_at[2], fps_at[0]
-        );
-    } else {
-        println!("  scaling assertion skipped: {cores} core(s) < 4 would only time-slice");
-    }
-    format!(
-        "{{\n  \"bench\": \"store_throughput\",\n  \"mode\": \"wall_clock\",\n  \
-         \"backend\": \"threaded\",\n  \"cores\": {cores},\n  \
-         \"scaling_asserted\": {scaling_asserted},\n  \"runs\": [{}]\n}}\n",
-        rows.join(", ")
-    )
-}
-
 /// `obj! {"key": value, …}`: one object of `BENCH_store_throughput.json`,
 /// keys in the order written. The file holds integers, arrays and
 /// objects and nothing else (ratios go in as permille), which is what
@@ -1259,8 +1200,7 @@ fn bench(c: &mut Criterion) {
     if std::env::var_os("STORE_THROUGHPUT_SMOKE").is_some() {
         // Persist the perf trajectory (committed, CI diffs it) and, under
         // `target/`, what CI uploads: the journals of the fan-out and
-        // fault runs, the compiled VCR-storm agent scripts and the real
-        // multi-core scaling of the threaded backend.
+        // fault runs and the compiled VCR-storm agent scripts.
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
         let write = |file: &str, contents: &str| {
             let path = format!("{root}/{file}");
@@ -1277,10 +1217,6 @@ fn bench(c: &mut Criterion) {
         for (file, contents) in &artifacts {
             write(file, contents);
         }
-        write(
-            "target/store_throughput_wallclock.json",
-            &wall_clock_scaling_report(),
-        );
         println!("store_throughput: smoke mode — timing loops skipped");
         return;
     }

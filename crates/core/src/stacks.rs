@@ -138,18 +138,10 @@ impl ReferralFollower {
         }
     }
 
-    /// Starts a fresh chain anchored at `home` (the server the client
-    /// dialed itself): hop budget restored, only `home` visited.
-    pub fn begin(&mut self, home: &str) {
-        self.hops = 0;
-        self.visited.clear();
-        self.visited.push(home.to_string());
-    }
-
-    /// The chain settled at `location`: the association is up. The
-    /// hop budget is restored and a future referral starts a new
-    /// chain anchored there.
-    pub fn settle(&mut self, location: &str) {
+    /// Starts a fresh chain anchored at `location` (the server the
+    /// client dialed itself, or the one a chain settled at): hop
+    /// budget restored, only `location` visited.
+    pub fn anchor(&mut self, location: &str) {
         self.hops = 0;
         self.visited.clear();
         self.visited.push(location.to_string());
@@ -417,14 +409,20 @@ impl ClientRoot {
                 // MCA's re-associate transition directly, never this
                 // root) starts fresh from the surviving stack's
                 // server instead of inheriting this chain's failure.
-                let anchor = if self.control_location.is_empty() {
-                    self.home.clone()
-                } else {
-                    self.control_location.clone()
-                };
-                self.follower.begin(&anchor);
+                self.reanchor();
             }
         }
+    }
+
+    /// Starts a fresh referral chain at the server now carrying the
+    /// control association (`home` while none is recorded).
+    fn reanchor(&mut self) {
+        let at = if self.control_location.is_empty() {
+            &self.home
+        } else {
+            &self.control_location
+        };
+        self.follower.anchor(at);
     }
 
     /// Delivers a referral failure to the application as the
@@ -511,7 +509,7 @@ impl StateMachine for ClientRoot {
                         return;
                     }
                     m.user = user.clone();
-                    m.follower.begin(&m.home.clone());
+                    m.follower.anchor(&m.home);
                     let medium = m.medium.take().expect("unused medium");
                     m.rebuild_stack(ctx, medium);
                     ctx.output(
@@ -538,8 +536,7 @@ impl StateMachine for ClientRoot {
             // restore the hop budget, anchored at the new home.
             Transition::on("settled", RUN, ROOT_TO_MCA, |m: &mut Self, _ctx, msg| {
                 let _ = downcast::<AssocSettled>(msg.unwrap()).unwrap();
-                let at = m.control_location.clone();
-                m.follower.settle(if at.is_empty() { &m.home } else { &at });
+                m.reanchor();
             })
             .provided(|_, msg| is::<AssocSettled>(msg))
             .cost(SimDuration::from_micros(20)),
@@ -571,7 +568,7 @@ mod tests {
     #[test]
     fn follower_prefers_target_then_candidates() {
         let mut f = ReferralFollower::new(4);
-        f.begin("node-1");
+        f.anchor("node-1");
         let (loc, _) = f
             .next("node-2", &hint(&["node-3"]), dialer(&["node-2", "node-3"]))
             .unwrap();
@@ -583,7 +580,7 @@ mod tests {
     #[test]
     fn follower_falls_back_when_target_is_dead() {
         let mut f = ReferralFollower::new(4);
-        f.begin("node-1");
+        f.anchor("node-1");
         // The named target is gone (decommissioned/draining): the
         // next live candidate takes the association.
         let (loc, _) = f
@@ -604,7 +601,7 @@ mod tests {
     #[test]
     fn follower_detects_referral_loops() {
         let mut f = ReferralFollower::new(8);
-        f.begin("node-1");
+        f.anchor("node-1");
         // node-1 refers to node-2; node-2 refers straight back.
         // Loop detection (visited set) terminates the chain even
         // though the hop budget is far from spent.
@@ -625,7 +622,7 @@ mod tests {
     #[test]
     fn follower_enforces_hop_limit() {
         let mut f = ReferralFollower::new(2);
-        f.begin("node-1");
+        f.anchor("node-1");
         let all = ["node-1", "node-2", "node-3", "node-4", "node-5"];
         f.next("node-2", &hint(&[]), dialer(&all)).unwrap();
         f.next("node-3", &hint(&[]), dialer(&all)).unwrap();
@@ -634,10 +631,59 @@ mod tests {
             Err(ReferralEnd::HopLimit),
             "a chain longer than max_hops is cut"
         );
-        // Settling restores the budget for the next chain.
-        f.settle("node-3");
+        // Settling re-anchors: the budget is restored for the next chain.
+        f.anchor("node-3");
         assert_eq!(f.hops(), 0);
         assert_eq!(f.visited(), ["node-3"]);
         assert!(f.next("node-4", &hint(&[]), dialer(&all)).is_ok());
+    }
+
+    /// A re-dialer that reaches nobody.
+    struct NoDial;
+
+    impl ControlDial for NoDial {
+        fn dial(&self, _location: &str, _conn: u16) -> Option<Box<dyn Medium>> {
+            None
+        }
+    }
+
+    fn root_homed_at(home: &str) -> ClientRoot {
+        let (medium, _peer) = netsim::LoopbackMedium::pair();
+        let clock = Arc::new(netsim::VirtualClock::new());
+        ClientRoot::new(
+            Box::new(medium),
+            StackKind::EstellePS,
+            0,
+            1,
+            AppMachine::default(),
+            Arc::new(journal::Journal::new(clock)),
+        )
+        .with_referrals(Arc::new(NoDial), home, 4)
+    }
+
+    #[test]
+    fn reanchor_starts_at_the_control_location() {
+        let mut root = root_homed_at("node-1");
+        root.follower
+            .next("node-2", &hint(&[]), dialer(&["node-2"]))
+            .unwrap();
+        root.control_location = "node-2".into();
+        root.reanchor();
+        assert_eq!(root.follower.hops(), 0);
+        assert_eq!(root.follower.visited(), ["node-2"]);
+    }
+
+    #[test]
+    fn reanchor_falls_back_to_home() {
+        let mut root = root_homed_at("node-1");
+        root.follower
+            .next("node-2", &hint(&[]), dialer(&["node-2"]))
+            .unwrap();
+        // No association recorded: the chain restarts where the world
+        // attached the client.
+        root.control_location.clear();
+        root.reanchor();
+        assert_eq!(root.follower.hops(), 0);
+        assert_eq!(root.follower.visited(), ["node-1"]);
     }
 }

@@ -34,11 +34,6 @@ impl Filter {
         Filter::Eq(attr.into().to_lowercase(), Value::Str(value.into()))
     }
 
-    /// Convenience: equality on an integer attribute.
-    pub fn eq_int(attr: impl Into<String>, value: i64) -> Filter {
-        Filter::Eq(attr.into().to_lowercase(), Value::Int(value))
-    }
-
     /// Evaluates the filter against an attribute set.
     pub fn matches(&self, attrs: &Attrs) -> bool {
         match self {
@@ -90,7 +85,7 @@ mod tests {
             "case-insensitive"
         );
         assert!(!Filter::eq_str(attr::TITLE, "Alien").matches(&a));
-        assert!(Filter::eq_int(attr::FRAME_RATE, 25).matches(&a));
+        assert!(Filter::Eq(attr::FRAME_RATE.into(), Value::Int(25)).matches(&a));
         assert!(Filter::Contains(attr::TITLE.into(), "war".into()).matches(&a));
         assert!(!Filter::Contains(attr::TITLE.into(), "trek".into()).matches(&a));
         assert!(Filter::Ge(attr::FRAME_RATE.into(), 24).matches(&a));

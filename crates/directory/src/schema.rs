@@ -218,11 +218,6 @@ impl MovieEntry {
             },
         })
     }
-
-    /// Duration of the movie at its nominal rate.
-    pub fn duration_secs(&self) -> f64 {
-        self.frame_count as f64 / f64::from(self.frame_rate.max(1))
-    }
 }
 
 #[cfg(test)]
@@ -372,13 +367,5 @@ mod tests {
             MovieEntry::from_attrs(&attrs),
             Err(SchemaError::Invalid(attr::BITRATE))
         );
-    }
-
-    #[test]
-    fn duration() {
-        let mut e = MovieEntry::new("X", "node-1");
-        e.frame_count = 250;
-        e.frame_rate = 25;
-        assert!((e.duration_secs() - 10.0).abs() < 1e-9);
     }
 }

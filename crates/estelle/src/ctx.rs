@@ -58,7 +58,6 @@ pub struct Ctx<'a> {
     pub(crate) now: SimTime,
     pub(crate) self_id: ModuleId,
     pub(crate) self_kind: ModuleKind,
-    pub(crate) firing_seq: u64,
     pub(crate) effects: &'a mut Vec<Effect>,
     pub(crate) next_state: Option<StateId>,
     pub(crate) id_alloc: &'a AtomicU32,
@@ -73,7 +72,6 @@ impl<'a> Ctx<'a> {
         now: SimTime,
         self_id: ModuleId,
         self_kind: ModuleKind,
-        firing_seq: u64,
         effects: &'a mut Vec<Effect>,
         id_alloc: &'a AtomicU32,
         waker: &'a Waker,
@@ -82,7 +80,6 @@ impl<'a> Ctx<'a> {
             now,
             self_id,
             self_kind,
-            firing_seq,
             effects,
             next_state: None,
             id_alloc,
@@ -98,14 +95,13 @@ impl<'a> Ctx<'a> {
             SimTime::ZERO,
             ModuleId(0),
             ModuleKind::SystemProcess,
-            0,
             effects,
             &TEST_ID_ALLOC,
             Waker::noop(),
         )
     }
 
-    /// Current (virtual or real) time.
+    /// The virtual time at which the transition fires.
     pub fn now(&self) -> SimTime {
         self.now
     }
@@ -168,21 +164,6 @@ impl<'a> Ctx<'a> {
         labels: ModuleLabels,
         machine: M,
     ) -> ModuleId {
-        self.create_child_exec(name, kind, labels, Box::new(Fsm::new(machine)))
-    }
-
-    /// Type-erased variant of [`Ctx::create_child`].
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Ctx::create_child`].
-    pub fn create_child_exec(
-        &mut self,
-        name: impl Into<String>,
-        kind: ModuleKind,
-        labels: ModuleLabels,
-        exec: Box<dyn ModuleExec>,
-    ) -> ModuleId {
         assert!(
             matches!(kind, ModuleKind::Process | ModuleKind::Activity),
             "dynamic creation is limited to process/activity modules, got {kind}"
@@ -204,7 +185,7 @@ impl<'a> Ctx<'a> {
             name: name.into(),
             kind,
             labels,
-            exec,
+            exec: Box::new(Fsm::new(machine)),
         }));
         reserved
     }
@@ -230,12 +211,6 @@ impl<'a> Ctx<'a> {
     /// verifies this when applying the effect.
     pub fn release_child(&mut self, child: ModuleId) {
         self.effects.push(Effect::Release { child });
-    }
-
-    /// The global firing sequence number of this action, usable as a
-    /// causally-ordered identifier.
-    pub fn firing_seq(&self) -> u64 {
-        self.firing_seq
     }
 }
 

@@ -41,21 +41,6 @@ pub enum GroupingPolicy {
 }
 
 impl GroupingPolicy {
-    /// Number of units the policy schedules onto. For [`PerModule`]
-    /// this is `universe` (the module population size at planning
-    /// time).
-    ///
-    /// [`PerModule`]: GroupingPolicy::PerModule
-    pub fn unit_count(&self, universe: usize) -> usize {
-        match *self {
-            GroupingPolicy::PerModule => universe.max(1),
-            GroupingPolicy::RoundRobin { units }
-            | GroupingPolicy::ByConnection { units }
-            | GroupingPolicy::ByLayer { units } => units.max(1) as usize,
-            GroupingPolicy::Single => 1,
-        }
-    }
-
     /// Unit assignment for a module given its id and labels.
     pub fn assign(&self, id: ModuleId, labels: ModuleLabels) -> UnitId {
         match *self {
@@ -80,7 +65,6 @@ mod tests {
     fn per_module_is_identity() {
         let p = GroupingPolicy::PerModule;
         assert_eq!(p.assign(ModuleId(7), ModuleLabels::default()), UnitId(7));
-        assert_eq!(p.unit_count(12), 12);
     }
 
     #[test]
@@ -88,7 +72,6 @@ mod tests {
         let p = GroupingPolicy::RoundRobin { units: 3 };
         assert_eq!(p.assign(ModuleId(0), ModuleLabels::default()), UnitId(0));
         assert_eq!(p.assign(ModuleId(4), ModuleLabels::default()), UnitId(1));
-        assert_eq!(p.unit_count(100), 3);
     }
 
     #[test]
@@ -120,7 +103,6 @@ mod tests {
     fn zero_units_clamped() {
         let p = GroupingPolicy::RoundRobin { units: 0 };
         assert_eq!(p.assign(ModuleId(5), ModuleLabels::default()), UnitId(0));
-        assert_eq!(p.unit_count(5), 1);
     }
 
     #[test]

@@ -100,11 +100,6 @@ pub enum ModuleKind {
 }
 
 impl ModuleKind {
-    /// True for `systemprocess` and `systemactivity`.
-    pub fn is_system(self) -> bool {
-        matches!(self, ModuleKind::SystemProcess | ModuleKind::SystemActivity)
-    }
-
     /// True for any of the four Estelle attributes (i.e. the module is
     /// active and participates in scheduling).
     pub fn is_attributed(self) -> bool {
@@ -174,9 +169,6 @@ mod tests {
 
     #[test]
     fn kind_predicates() {
-        assert!(ModuleKind::SystemProcess.is_system());
-        assert!(ModuleKind::SystemActivity.is_system());
-        assert!(!ModuleKind::Process.is_system());
         assert!(ModuleKind::Process.is_attributed());
         assert!(!ModuleKind::Inactive.is_attributed());
         assert!(ModuleKind::Activity.children_exclusive());

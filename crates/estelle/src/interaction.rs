@@ -21,8 +21,6 @@ use std::fmt;
 /// assert_eq!(back.addr, 7);
 /// ```
 pub trait Interaction: Send + fmt::Debug + 'static {
-    /// A stable name for tracing (usually the type name).
-    fn interaction_name(&self) -> &'static str;
     /// Upcast for inspection.
     fn as_any(&self) -> &dyn Any;
     /// Upcast for consumption.
@@ -65,14 +63,6 @@ macro_rules! impl_interaction {
     ($($t:ty),+ $(,)?) => {
         $(
             impl $crate::Interaction for $t {
-                fn interaction_name(&self) -> &'static str {
-                    // Strip the module path for readable traces.
-                    let full = ::std::any::type_name::<$t>();
-                    match full.rsplit("::").next() {
-                        Some(short) => short,
-                        None => full,
-                    }
-                }
                 fn as_any(&self) -> &dyn ::std::any::Any {
                     self
                 }
@@ -112,9 +102,12 @@ mod tests {
     }
 
     #[test]
-    fn names_are_short() {
-        assert_eq!(Ping(1).interaction_name(), "Ping");
-        assert_eq!(Pong.interaction_name(), "Pong");
+    fn is_guard_needs_an_offered_interaction_of_the_type() {
+        let ping: &dyn Interaction = &Ping(1);
+        let pong: &dyn Interaction = &Pong;
+        assert!(!is::<Ping>(None), "a spontaneous transition offers nothing");
+        assert!(!is::<Ping>(Some(pong)));
+        assert!(is::<Ping>(Some(ping)));
     }
 
     #[test]
@@ -122,6 +115,7 @@ mod tests {
         #[derive(Debug)]
         struct Local;
         impl_interaction!(Local);
-        assert_eq!(Local.interaction_name(), "Local");
+        let b: Box<dyn Interaction> = Box::new(Local);
+        assert!(b.is::<Local>());
     }
 }

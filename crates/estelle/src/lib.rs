@@ -97,7 +97,6 @@ mod trace;
 pub mod deploy;
 pub mod driver;
 pub mod export;
-pub mod qos;
 pub mod sched;
 
 pub use ctx::{ip, Ctx};

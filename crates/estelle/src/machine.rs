@@ -243,9 +243,6 @@ pub(crate) struct QueuedMsg {
     /// Firing sequence number that produced this message, for trace
     /// dependencies; `None` for messages injected from outside.
     pub provenance: Option<u64>,
-    /// Virtual time the message entered the queue (for QoS delay
-    /// accounting).
-    pub enqueued_at: SimTime,
 }
 
 /// Runtime state of one interaction point: its peer (if connected) and
@@ -527,7 +524,6 @@ impl<M: StateMachine> Fsm<M> {
             now,
             crate::ids::ModuleId::from_raw(0),
             crate::ids::ModuleKind::SystemProcess,
-            0,
             &mut effects,
             &BENCH_ALLOC,
             std::task::Waker::noop(),
@@ -762,7 +758,6 @@ mod tests {
         ips[0].queue.push_back(QueuedMsg {
             msg: Box::new(Tick(1)),
             provenance: None,
-            enqueued_at: SimTime::ZERO,
         });
         let sel = fsm
             .select(&ips, SimTime::ZERO, SimTime::ZERO, Dispatch::TableDriven)
@@ -777,7 +772,6 @@ mod tests {
         ips[0].queue.push_back(QueuedMsg {
             msg: Box::new(Tick(1)),
             provenance: None,
-            enqueued_at: SimTime::ZERO,
         });
         // Gate closed: the high-priority guarded transition is not
         // enabled, so "consume" fires.
@@ -796,7 +790,6 @@ mod tests {
         ips[0].queue.push_back(QueuedMsg {
             msg: Box::new(Tick(2)),
             provenance: None,
-            enqueued_at: SimTime::ZERO,
         });
         let sel = fsm
             .select(&ips, SimTime::ZERO, SimTime::ZERO, Dispatch::HardCoded)
@@ -812,7 +805,6 @@ mod tests {
         ips[0].queue.push_back(QueuedMsg {
             msg: Box::new(Tick(1)),
             provenance: None,
-            enqueued_at: SimTime::ZERO,
         });
         let a = fsm.select(&ips, SimTime::ZERO, SimTime::ZERO, Dispatch::HardCoded);
         let b = fsm.select(&ips, SimTime::ZERO, SimTime::ZERO, Dispatch::TableDriven);
@@ -994,7 +986,6 @@ mod tests {
         ips[0].queue.push_back(QueuedMsg {
             msg: Box::new(Tick(0)),
             provenance: None,
-            enqueued_at: SimTime::ZERO,
         });
         let sel = fsm
             .select(&ips, SimTime::ZERO, SimTime::ZERO, Dispatch::TableDriven)

@@ -349,7 +349,6 @@ struct Firing {
     info: FiredInfo,
     scanned: u32,
     effects: Vec<Effect>,
-    qos_obs: Option<(IpIndex, &'static str, SimDuration)>,
     /// Module type and causal dependencies, when tracing is on.
     traced: Option<(&'static str, Vec<u64>)>,
 }
@@ -370,6 +369,14 @@ pub enum Readiness {
 /// [`Runtime::add_module`] and [`Runtime::connect`], then call
 /// [`Runtime::start`]; drive execution with a scheduler from
 /// [`crate::sched`].
+///
+/// # Instruments
+///
+/// The runtime records two things about a run and nothing else: the
+/// §5.2 scheduler [`Counters`] ([`Runtime::counters`]) and, when
+/// enabled, the [`ExecTrace`] that `ksim` replays
+/// ([`Runtime::enable_trace`], [`Runtime::take_trace`]). Neither
+/// changes what fires or when.
 ///
 /// # The ready index
 ///
@@ -452,8 +459,6 @@ pub struct Runtime {
     trace: Mutex<Vec<FiringRecord>>,
     fire_seq: AtomicU64,
     counters: AtomicCounters,
-    qos_on: AtomicBool,
-    qos: RwLock<Option<Arc<crate::qos::QosMonitor>>>,
     dynamic_systems: AtomicBool,
 }
 
@@ -511,8 +516,6 @@ impl Runtime {
             trace: Mutex::new(Vec::new()),
             fire_seq: AtomicU64::new(1),
             counters: AtomicCounters::default(),
-            qos_on: AtomicBool::new(false),
-            qos: RwLock::new(None),
             dynamic_systems: AtomicBool::new(false),
         }
     }
@@ -532,29 +535,6 @@ impl Runtime {
     /// Whether the ref \[2\] dynamic-system extension is active.
     pub fn dynamic_systems_enabled(&self) -> bool {
         self.dynamic_systems.load(Ordering::SeqCst)
-    }
-
-    /// Installs a QoS monitor enforcing `spec` (the §6 extension: "QoS
-    /// parameters cannot be specified [in Estelle]"). Every interaction
-    /// consumed from now on has its queueing delay measured and checked.
-    /// Returns the monitor for later inspection; replaces any previous
-    /// monitor.
-    pub fn attach_qos(&self, spec: crate::qos::QosSpec) -> Arc<crate::qos::QosMonitor> {
-        let monitor = Arc::new(crate::qos::QosMonitor::new(spec));
-        *self.qos.write() = Some(Arc::clone(&monitor));
-        self.qos_on.store(true, Ordering::SeqCst);
-        monitor
-    }
-
-    /// Removes the QoS monitor, returning it if one was attached.
-    pub fn detach_qos(&self) -> Option<Arc<crate::qos::QosMonitor>> {
-        self.qos_on.store(false, Ordering::SeqCst);
-        self.qos.write().take()
-    }
-
-    /// The attached QoS monitor, if any.
-    pub fn qos_monitor(&self) -> Option<Arc<crate::qos::QosMonitor>> {
-        self.qos.read().clone()
     }
 
     /// Convenience: a fresh runtime with its own virtual clock.
@@ -589,22 +569,6 @@ impl Runtime {
         labels: ModuleLabels,
         machine: M,
     ) -> Result<ModuleId> {
-        self.add_module_exec(parent, name, kind, labels, Box::new(Fsm::new(machine)))
-    }
-
-    /// Type-erased variant of [`Runtime::add_module`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Runtime::add_module`].
-    pub fn add_module_exec(
-        &self,
-        parent: Option<ModuleId>,
-        name: impl Into<String>,
-        kind: ModuleKind,
-        labels: ModuleLabels,
-        exec: Box<dyn ModuleExec>,
-    ) -> Result<ModuleId> {
         let frozen = self.frozen.load(Ordering::SeqCst);
         if frozen && !self.dynamic_systems.load(Ordering::SeqCst) {
             return Err(EstelleError::SystemPopulationFrozen(kind));
@@ -615,6 +579,7 @@ impl Runtime {
         };
         validate_child_kind(parent_kind, kind).map_err(EstelleError::StructuralRule)?;
         let id = ModuleId(self.next_id.fetch_add(1, Ordering::SeqCst));
+        let exec = Box::new(Fsm::new(machine));
         self.insert_slot(id, parent, name.into(), kind, labels, exec);
         // Ref [2] extension: a module created after start runs its
         // initialize block immediately (start already initialized the
@@ -779,7 +744,6 @@ impl Runtime {
                 self.clock.now(),
                 id,
                 slot.kind,
-                seq,
                 &mut effects,
                 &self.next_id,
                 &waker,
@@ -906,7 +870,6 @@ impl Runtime {
         }
         let id = slot.id;
         let mut effects = Vec::new();
-        let mut qos_obs = None;
         let mut core = slot.core.lock();
         // This is the module's own look: a module whose guards turn
         // out false leaves the index until the next wake-up.
@@ -935,19 +898,10 @@ impl Runtime {
             if let (Some((_, deps)), Some(p)) = (&mut traced, q.provenance) {
                 deps.push(p);
             }
-            if self.qos_on.load(Ordering::Relaxed) {
-                if let Some(ip) = sel.needs_input {
-                    qos_obs = Some((
-                        ip,
-                        q.msg.interaction_name(),
-                        now.saturating_since(q.enqueued_at),
-                    ));
-                }
-            }
             q.msg
         });
         let waker = Waker::from(Arc::clone(slot));
-        let mut ctx = Ctx::new(now, id, slot.kind, seq, &mut effects, &self.next_id, &waker);
+        let mut ctx = Ctx::new(now, id, slot.kind, &mut effects, &self.next_id, &waker);
         let info = core.exec.fire(sel, input_msg, &mut ctx);
         self.counters
             .action_ns
@@ -964,7 +918,6 @@ impl Runtime {
             info,
             scanned: sel.scanned,
             effects,
-            qos_obs,
             traced,
         })
     }
@@ -978,14 +931,8 @@ impl Runtime {
             info,
             scanned,
             effects,
-            qos_obs,
             traced,
         } = firing;
-        if let Some((ip, name, delay)) = qos_obs {
-            if let Some(monitor) = self.qos.read().as_ref() {
-                monitor.observe(slot.id, ip, name, delay, self.clock.now());
-            }
-        }
         self.apply_effects(slot.id, seq, effects);
         if let Some((module_type, deps)) = traced {
             self.trace.lock().push(FiringRecord {
@@ -1130,11 +1077,7 @@ impl Runtime {
             self.counters.lost_outputs.fetch_add(1, Ordering::Relaxed);
             return;
         };
-        let msg = QueuedMsg {
-            msg,
-            provenance,
-            enqueued_at: self.clock.now(),
-        };
+        let msg = QueuedMsg { msg, provenance };
         let queued = topo
             .slot(peer.module)
             .filter(|dest| dest.is_alive())
@@ -1187,7 +1130,6 @@ impl Runtime {
         let msg = QueuedMsg {
             msg,
             provenance: None,
-            enqueued_at: self.clock.now(),
         };
         if slot.enqueue(target.ip, msg) {
             Ok(())

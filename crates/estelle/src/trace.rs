@@ -55,22 +55,6 @@ pub struct ExecTrace {
 }
 
 impl ExecTrace {
-    /// Total virtual work contained in the trace (the sequential
-    /// makespan lower bound).
-    pub fn total_cost(&self) -> SimDuration {
-        self.records
-            .iter()
-            .fold(SimDuration::ZERO, |acc, r| acc + r.cost)
-    }
-
-    /// Number of distinct modules that fired at least once.
-    pub fn active_modules(&self) -> usize {
-        let mut ids: Vec<ModuleId> = self.records.iter().map(|r| r.module).collect();
-        ids.sort();
-        ids.dedup();
-        ids.len()
-    }
-
     /// Looks up the metadata of `id`.
     pub fn meta(&self, id: ModuleId) -> Option<&TraceModuleMeta> {
         self.modules.iter().find(|m| m.id == id)
@@ -115,18 +99,32 @@ mod tests {
     }
 
     #[test]
-    fn totals_and_counts() {
+    fn validate_accepts_backward_deps() {
         let t = ExecTrace {
             records: vec![
                 rec(1, 0, 10, vec![]),
                 rec(2, 1, 20, vec![1]),
-                rec(3, 0, 5, vec![1]),
+                rec(3, 0, 5, vec![1, 2]),
             ],
             modules: vec![],
         };
-        assert_eq!(t.total_cost().as_micros(), 35);
-        assert_eq!(t.active_modules(), 2);
         assert!(t.validate().is_ok());
+    }
+
+    #[test]
+    fn meta_looks_up_recorded_modules() {
+        let t = ExecTrace {
+            records: vec![],
+            modules: vec![TraceModuleMeta {
+                id: ModuleId(3),
+                name: "srv".into(),
+                kind: ModuleKind::SystemProcess,
+                labels: ModuleLabels::default(),
+                parent: None,
+            }],
+        };
+        assert_eq!(t.meta(ModuleId(3)).map(|m| m.name.as_str()), Some("srv"));
+        assert!(t.meta(ModuleId(4)).is_none());
     }
 
     #[test]

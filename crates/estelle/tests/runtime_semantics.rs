@@ -3,10 +3,10 @@
 
 use estelle::sched::{run_sequential, FirePolicy, SeqOptions, StopReason};
 use estelle::{
-    downcast, impl_interaction, ip, Ctx, Dispatch, EstelleError, IpIndex, ModuleKind, ModuleLabels,
-    Runtime, StateId, StateMachine, Transition,
+    downcast, impl_interaction, ip, Ctx, Dispatch, EstelleError, FireOutcome, IpIndex, ModuleId,
+    ModuleKind, ModuleLabels, Runtime, StateId, StateMachine, Transition,
 };
-use netsim::SimDuration;
+use netsim::{SimDuration, SimTime};
 use std::sync::Arc;
 
 const S0: StateId = StateId(0);
@@ -47,29 +47,31 @@ impl StateMachine for Echo {
     }
 }
 
-fn echo_pair(n: u64) -> (Runtime, estelle::ModuleId, estelle::ModuleId) {
+/// Adds a module with default labels.
+fn add<M: StateMachine>(
+    rt: &Runtime,
+    parent: Option<ModuleId>,
+    name: &str,
+    kind: ModuleKind,
+    machine: M,
+) -> estelle::Result<ModuleId> {
+    rt.add_module(parent, name, kind, ModuleLabels::default(), machine)
+}
+
+fn echo_pair(n: u64) -> (Runtime, ModuleId, ModuleId) {
     let (rt, _clock) = Runtime::sim();
-    let a = rt
-        .add_module(
-            None,
-            "a",
-            ModuleKind::SystemProcess,
-            ModuleLabels::default(),
-            Echo {
-                serve: Some(n),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-    let b = rt
-        .add_module(
-            None,
-            "b",
-            ModuleKind::SystemProcess,
-            ModuleLabels::default(),
-            Echo::default(),
-        )
-        .unwrap();
+    let a = add(
+        &rt,
+        None,
+        "a",
+        ModuleKind::SystemProcess,
+        Echo {
+            serve: Some(n),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let b = add(&rt, None, "b", ModuleKind::SystemProcess, Echo::default()).unwrap();
     rt.connect(ip(a, IO), ip(b, IO)).unwrap();
     rt.start().unwrap();
     (rt, a, b)
@@ -134,152 +136,77 @@ fn hardcoded_dispatch_reaches_same_outcome() {
 #[test]
 fn process_requires_system_ancestor() {
     let (rt, _c) = Runtime::sim();
-    let err = rt
-        .add_module(
-            None,
-            "p",
-            ModuleKind::Process,
-            ModuleLabels::default(),
-            Echo::default(),
-        )
-        .unwrap_err();
+    let err = add(&rt, None, "p", ModuleKind::Process, Echo::default()).unwrap_err();
     assert!(matches!(err, EstelleError::StructuralRule(_)));
 }
 
 #[test]
 fn system_cannot_nest_in_attributed() {
     let (rt, _c) = Runtime::sim();
-    let sys = rt
-        .add_module(
-            None,
-            "s",
-            ModuleKind::SystemProcess,
-            ModuleLabels::default(),
-            Echo::default(),
-        )
-        .unwrap();
-    let err = rt
-        .add_module(
-            Some(sys),
-            "s2",
-            ModuleKind::SystemProcess,
-            ModuleLabels::default(),
-            Echo::default(),
-        )
-        .unwrap_err();
+    let sys = add(&rt, None, "s", ModuleKind::SystemProcess, Echo::default()).unwrap();
+    let err = add(
+        &rt,
+        Some(sys),
+        "s2",
+        ModuleKind::SystemProcess,
+        Echo::default(),
+    )
+    .unwrap_err();
     assert!(matches!(err, EstelleError::StructuralRule(_)));
 }
 
 #[test]
 fn inactive_root_may_contain_systems() {
     let (rt, _c) = Runtime::sim();
-    let root = rt
-        .add_module(
-            None,
-            "spec",
-            ModuleKind::Inactive,
-            ModuleLabels::default(),
-            Echo::default(),
-        )
-        .unwrap();
-    assert!(rt
-        .add_module(
-            Some(root),
-            "srv",
-            ModuleKind::SystemProcess,
-            ModuleLabels::default(),
-            Echo::default()
-        )
-        .is_ok());
-    assert!(rt
-        .add_module(
-            Some(root),
-            "cli",
-            ModuleKind::SystemActivity,
-            ModuleLabels::default(),
-            Echo::default()
-        )
-        .is_ok());
+    let root = add(&rt, None, "spec", ModuleKind::Inactive, Echo::default()).unwrap();
+    assert!(add(
+        &rt,
+        Some(root),
+        "srv",
+        ModuleKind::SystemProcess,
+        Echo::default()
+    )
+    .is_ok());
+    assert!(add(
+        &rt,
+        Some(root),
+        "cli",
+        ModuleKind::SystemActivity,
+        Echo::default()
+    )
+    .is_ok());
 }
 
 #[test]
 fn activity_parent_only_contains_activities() {
     let (rt, _c) = Runtime::sim();
-    let sa = rt
-        .add_module(
-            None,
-            "sa",
-            ModuleKind::SystemActivity,
-            ModuleLabels::default(),
-            Echo::default(),
-        )
-        .unwrap();
-    let err = rt
-        .add_module(
-            Some(sa),
-            "p",
-            ModuleKind::Process,
-            ModuleLabels::default(),
-            Echo::default(),
-        )
-        .unwrap_err();
+    let sa = add(&rt, None, "sa", ModuleKind::SystemActivity, Echo::default()).unwrap();
+    let err = add(&rt, Some(sa), "p", ModuleKind::Process, Echo::default()).unwrap_err();
     assert!(matches!(err, EstelleError::StructuralRule(_)));
-    assert!(rt
-        .add_module(
-            Some(sa),
-            "a",
-            ModuleKind::Activity,
-            ModuleLabels::default(),
-            Echo::default()
-        )
-        .is_ok());
+    assert!(add(&rt, Some(sa), "a", ModuleKind::Activity, Echo::default()).is_ok());
 }
 
 #[test]
 fn population_frozen_after_start() {
     let (rt, _c) = Runtime::sim();
-    rt.add_module(
+    add(&rt, None, "s", ModuleKind::SystemProcess, Echo::default()).unwrap();
+    rt.start().unwrap();
+    let err = add(
+        &rt,
         None,
-        "s",
+        "late",
         ModuleKind::SystemProcess,
-        ModuleLabels::default(),
         Echo::default(),
     )
-    .unwrap();
-    rt.start().unwrap();
-    let err = rt
-        .add_module(
-            None,
-            "late",
-            ModuleKind::SystemProcess,
-            ModuleLabels::default(),
-            Echo::default(),
-        )
-        .unwrap_err();
+    .unwrap_err();
     assert!(matches!(err, EstelleError::SystemPopulationFrozen(_)));
 }
 
 #[test]
 fn double_connect_rejected() {
     let (rt, _c) = Runtime::sim();
-    let a = rt
-        .add_module(
-            None,
-            "a",
-            ModuleKind::SystemProcess,
-            ModuleLabels::default(),
-            Echo::default(),
-        )
-        .unwrap();
-    let b = rt
-        .add_module(
-            None,
-            "b",
-            ModuleKind::SystemProcess,
-            ModuleLabels::default(),
-            Echo::default(),
-        )
-        .unwrap();
+    let a = add(&rt, None, "a", ModuleKind::SystemProcess, Echo::default()).unwrap();
+    let b = add(&rt, None, "b", ModuleKind::SystemProcess, Echo::default()).unwrap();
     rt.connect(ip(a, IO), ip(b, IO)).unwrap();
     let err = rt.connect(ip(a, IO), ip(b, IO)).unwrap_err();
     assert!(matches!(err, EstelleError::AlreadyConnected(_)));
@@ -318,7 +245,7 @@ impl StateMachine for Handler {
 
 #[derive(Debug, Default)]
 struct Server {
-    handlers: Vec<estelle::ModuleId>,
+    handlers: Vec<ModuleId>,
 }
 impl StateMachine for Server {
     fn num_ips(&self) -> usize {
@@ -351,15 +278,14 @@ impl StateMachine for Server {
 #[test]
 fn server_spawns_handler_per_connection() {
     let (rt, _c) = Runtime::sim();
-    let srv = rt
-        .add_module(
-            None,
-            "server",
-            ModuleKind::SystemProcess,
-            ModuleLabels::default(),
-            Server::default(),
-        )
-        .unwrap();
+    let srv = add(
+        &rt,
+        None,
+        "server",
+        ModuleKind::SystemProcess,
+        Server::default(),
+    )
+    .unwrap();
     rt.start().unwrap();
     rt.inject(ip(srv, IO), Box::new(ConnectReq(4))).unwrap();
     run_sequential(&rt, &SeqOptions::default());
@@ -388,7 +314,7 @@ fn server_spawns_handler_per_connection() {
 #[derive(Debug, Default)]
 struct BusyParent {
     budget: u32,
-    child: Option<estelle::ModuleId>,
+    child: Option<ModuleId>,
     fired: Vec<&'static str>,
 }
 impl StateMachine for BusyParent {
@@ -442,24 +368,22 @@ impl StateMachine for Spinner {
 #[test]
 fn parent_precedence_blocks_children() {
     let (rt, _c) = Runtime::sim();
-    let p = rt
-        .add_module(
-            None,
-            "parent",
-            ModuleKind::SystemProcess,
-            ModuleLabels::default(),
-            BusyParent {
-                budget: 5,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+    let p = add(
+        &rt,
+        None,
+        "parent",
+        ModuleKind::SystemProcess,
+        BusyParent {
+            budget: 5,
+            ..Default::default()
+        },
+    )
+    .unwrap();
     rt.start().unwrap();
     let child = rt
         .with_machine::<BusyParent, _>(p, |m| m.child.unwrap())
         .unwrap();
     // While the parent has budget, the child may not fire.
-    use estelle::FireOutcome;
     assert!(matches!(
         rt.try_fire(child, Dispatch::TableDriven),
         FireOutcome::Blocked
@@ -508,15 +432,14 @@ impl StateMachine for Periodic {
 #[test]
 fn delay_transitions_advance_virtual_time() {
     let (rt, clock) = Runtime::sim();
-    let m = rt
-        .add_module(
-            None,
-            "periodic",
-            ModuleKind::SystemProcess,
-            ModuleLabels::default(),
-            Periodic::default(),
-        )
-        .unwrap();
+    let m = add(
+        &rt,
+        None,
+        "periodic",
+        ModuleKind::SystemProcess,
+        Periodic::default(),
+    )
+    .unwrap();
     rt.start().unwrap();
     let opts = SeqOptions {
         max_firings: Some(10),
@@ -529,6 +452,151 @@ fn delay_transitions_advance_virtual_time() {
     assert_eq!(clock.now().as_micros(), 100_000);
 }
 
+/// Emits `self.0` tokens at initialization.
+#[derive(Debug)]
+struct Burst(u64);
+impl StateMachine for Burst {
+    fn num_ips(&self) -> usize {
+        1
+    }
+    fn initial_state(&self) -> StateId {
+        S0
+    }
+    fn on_init(&mut self, ctx: &mut Ctx<'_>) {
+        for i in 0..self.0 {
+            ctx.output(IO, Token(i));
+        }
+    }
+    fn transitions() -> Vec<Transition<Self>> {
+        vec![]
+    }
+}
+
+/// Consumes tokens, but only once it has been in its state for 5ms.
+#[derive(Debug, Default)]
+struct SlowConsumer {
+    got: u32,
+}
+impl StateMachine for SlowConsumer {
+    fn num_ips(&self) -> usize {
+        1
+    }
+    fn initial_state(&self) -> StateId {
+        S0
+    }
+    fn transitions() -> Vec<Transition<Self>> {
+        vec![
+            Transition::on("consume", S0, IO, |m: &mut Self, _ctx, _msg| {
+                m.got += 1;
+            })
+            .delay(SimDuration::from_millis(5)),
+        ]
+    }
+}
+
+#[test]
+fn delayed_input_transition_waits_out_its_delay() {
+    let (rt, clock) = Runtime::sim();
+    let p = add(&rt, None, "burst", ModuleKind::SystemProcess, Burst(3)).unwrap();
+    let c = add(
+        &rt,
+        None,
+        "slow",
+        ModuleKind::SystemProcess,
+        SlowConsumer::default(),
+    )
+    .unwrap();
+    rt.connect(ip(p, IO), ip(c, IO)).unwrap();
+    rt.start().unwrap();
+    // Three tokens are queued at t = 0, but none may be consumed yet.
+    assert!(matches!(
+        rt.try_fire(c, Dispatch::TableDriven),
+        FireOutcome::NotEnabled
+    ));
+    assert_eq!(rt.next_deadline(), Some(SimTime::from_millis(5)));
+    let report = run_sequential(&rt, &SeqOptions::default());
+    assert_eq!(report.stopped, StopReason::Quiescent);
+    assert_eq!(rt.with_machine::<SlowConsumer, _>(c, |m| m.got).unwrap(), 3);
+    // The delay runs from entering the state, and the consumer never
+    // leaves it: once 5ms have passed the whole queue drains.
+    assert_eq!(clock.now(), SimTime::from_millis(5));
+    let counters = rt.counters();
+    assert_eq!((counters.inits, counters.firings), (2, 3));
+}
+
+#[test]
+fn delay_counts_from_state_entry_not_message_arrival() {
+    let (rt, _clock) = Runtime::sim();
+    let c = add(
+        &rt,
+        None,
+        "slow",
+        ModuleKind::SystemProcess,
+        SlowConsumer::default(),
+    )
+    .unwrap();
+    rt.start().unwrap();
+    rt.inject(ip(c, IO), Box::new(Token(0))).unwrap();
+    rt.advance_clock_to(SimTime::from_millis(4));
+    assert!(matches!(
+        rt.try_fire(c, Dispatch::TableDriven),
+        FireOutcome::NotEnabled
+    ));
+    // A token arriving after the delay ran out is consumed at once.
+    rt.advance_clock_to(SimTime::from_millis(8));
+    rt.inject(ip(c, IO), Box::new(Token(1))).unwrap();
+    for _ in 0..2 {
+        assert!(matches!(
+            rt.try_fire(c, Dispatch::TableDriven),
+            FireOutcome::Fired(_)
+        ));
+    }
+    assert_eq!(rt.with_machine::<SlowConsumer, _>(c, |m| m.got).unwrap(), 2);
+}
+
+// ---------------------------------------------------------------------
+// Injection and the scheduler counters.
+// ---------------------------------------------------------------------
+
+#[test]
+fn inject_rejects_unknown_modules_and_points() {
+    let (rt, _c) = Runtime::sim();
+    let h = add(
+        &rt,
+        None,
+        "handler",
+        ModuleKind::SystemProcess,
+        Handler::default(),
+    )
+    .unwrap();
+    rt.start().unwrap();
+    let ghost = ModuleId::from_raw(99);
+    assert!(matches!(
+        rt.inject(ip(ghost, IO), Box::new(Work(1))),
+        Err(EstelleError::UnknownModule(m)) if m == ghost
+    ));
+    assert!(matches!(
+        rt.inject(ip(h, IpIndex(1)), Box::new(Work(1))),
+        Err(EstelleError::IpOutOfRange(_))
+    ));
+    // Neither message was queued.
+    assert!(matches!(
+        rt.try_fire(h, Dispatch::TableDriven),
+        FireOutcome::NotEnabled
+    ));
+}
+
+#[test]
+fn outputs_on_an_unconnected_point_are_counted_lost() {
+    let (rt, _c) = Runtime::sim();
+    add(&rt, None, "burst", ModuleKind::SystemProcess, Burst(3)).unwrap();
+    rt.start().unwrap();
+    let counters = rt.counters();
+    assert_eq!(counters.inits, 1);
+    assert_eq!(counters.firings, 0);
+    assert_eq!(counters.lost_outputs, 3);
+}
+
 // ---------------------------------------------------------------------
 // Trace recording.
 // ---------------------------------------------------------------------
@@ -536,27 +604,18 @@ fn delay_transitions_advance_virtual_time() {
 #[test]
 fn trace_records_causal_dependencies() {
     let (rt, _clock) = Runtime::sim();
-    let a = rt
-        .add_module(
-            None,
-            "a",
-            ModuleKind::SystemProcess,
-            ModuleLabels::default(),
-            Echo {
-                serve: Some(3),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-    let b = rt
-        .add_module(
-            None,
-            "b",
-            ModuleKind::SystemProcess,
-            ModuleLabels::default(),
-            Echo::default(),
-        )
-        .unwrap();
+    let a = add(
+        &rt,
+        None,
+        "a",
+        ModuleKind::SystemProcess,
+        Echo {
+            serve: Some(3),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let b = add(&rt, None, "b", ModuleKind::SystemProcess, Echo::default()).unwrap();
     rt.connect(ip(a, IO), ip(b, IO)).unwrap();
     rt.enable_trace();
     rt.start().unwrap();
@@ -582,13 +641,67 @@ fn trace_records_causal_dependencies() {
     assert!(trace.meta(a).is_some());
 }
 
+#[test]
+fn injected_input_depends_only_on_program_order() {
+    let (rt, _clock) = Runtime::sim();
+    let h = add(
+        &rt,
+        None,
+        "handler",
+        ModuleKind::SystemProcess,
+        Handler::default(),
+    )
+    .unwrap();
+    rt.enable_trace();
+    rt.start().unwrap();
+    rt.inject(ip(h, IO), Box::new(Work(2))).unwrap();
+    run_sequential(&rt, &SeqOptions::default());
+    let trace = rt.take_trace();
+    let [init, work] = &trace.records[..] else {
+        panic!("expected init + one firing: {:?}", trace.records);
+    };
+    assert_eq!(init.transition, "initialize");
+    assert_eq!(work.transition, "work");
+    // No firing produced the message: the only dependency is the
+    // module's own previous firing.
+    assert_eq!(work.deps, [init.seq]);
+}
+
+#[test]
+fn tracing_does_not_change_what_fires_or_when() {
+    let run = |traced: bool| {
+        let (rt, a, b) = echo_pair(9);
+        if traced {
+            rt.enable_trace();
+        }
+        run_sequential(&rt, &SeqOptions::default());
+        let counters = rt.counters();
+        let seen = |m| rt.with_machine::<Echo, _>(m, |e| e.seen).unwrap();
+        (
+            (
+                counters.firings,
+                counters.selects,
+                rt.now(),
+                seen(a),
+                seen(b),
+            ),
+            rt.take_trace().records.len(),
+        )
+    };
+    let (plain, untraced_records) = run(false);
+    let (traced, traced_records) = run(true);
+    assert_eq!(plain, traced);
+    assert_eq!(untraced_records, 0);
+    assert_eq!(traced_records, 10);
+}
+
 // ---------------------------------------------------------------------
 // Release semantics.
 // ---------------------------------------------------------------------
 
 #[derive(Debug, Default)]
 struct Reaper {
-    child: Option<estelle::ModuleId>,
+    child: Option<ModuleId>,
     released: bool,
 }
 impl StateMachine for Reaper {
@@ -619,15 +732,14 @@ impl StateMachine for Reaper {
 #[test]
 fn release_kills_subtree() {
     let (rt, _c) = Runtime::sim();
-    let p = rt
-        .add_module(
-            None,
-            "reaper",
-            ModuleKind::SystemProcess,
-            ModuleLabels::default(),
-            Reaper::default(),
-        )
-        .unwrap();
+    let p = add(
+        &rt,
+        None,
+        "reaper",
+        ModuleKind::SystemProcess,
+        Reaper::default(),
+    )
+    .unwrap();
     rt.start().unwrap();
     let child = rt
         .with_machine::<Reaper, _>(p, |m| m.child.unwrap())
@@ -673,11 +785,11 @@ impl StateMachine for Hoarder {
 fn a_dropped_runtime_frees_bodies_that_hold_their_own_waker() {
     let dropped = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let (rt, _c) = Runtime::sim();
-    rt.add_module(
+    add(
+        &rt,
         None,
         "hoarder",
         ModuleKind::SystemProcess,
-        ModuleLabels::default(),
         Hoarder {
             dropped: Arc::clone(&dropped),
             waker: None,

@@ -1,5 +1,5 @@
-//! The MTP receiver with playout buffer and QoS accounting (Stream
-//! User Agent side).
+//! The MTP receiver with playout buffer and quality-of-service
+//! accounting (Stream User Agent side).
 
 use crate::feedback::MtpFeedback;
 use crate::packet::MtpPacket;
@@ -53,7 +53,8 @@ pub struct PlayedFrame {
     pub size: usize,
 }
 
-/// MTP receiver: reorders into a playout buffer, measures QoS, and
+/// MTP receiver: reorders into a playout buffer, measures delay,
+/// jitter and loss, and
 /// releases frames at `playout_delay` after their send time.
 pub struct MtpReceiver {
     socket: DatagramSocket,
@@ -72,7 +73,7 @@ pub struct MtpReceiver {
     provider: Option<NetAddr>,
     /// Feedback reports sent.
     pub feedback_sent: u64,
-    /// QoS counters.
+    /// Quality-of-service counters.
     pub stats: ReceiverStats,
 }
 
@@ -113,7 +114,7 @@ impl MtpReceiver {
     pub fn poll(&mut self, now: SimTime) -> Vec<PlayedFrame> {
         while let Some(dg) = self.socket.recv() {
             // Borrowing decode: the payload stays in the datagram
-            // buffer; only its length feeds the QoS accounting.
+            // buffer; only its length feeds the stats.
             let Ok(pkt) = MtpPacket::decode_view(&dg.payload) else {
                 continue;
             };

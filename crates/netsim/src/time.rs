@@ -68,12 +68,6 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Returns the duration since `earlier`, or `None` if `earlier` is
-    /// later than `self`.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
-
     /// Returns the later of two instants.
     pub fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
@@ -104,16 +98,6 @@ impl SimDuration {
     /// Creates a duration of `s` seconds.
     pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * 1_000_000)
-    }
-
-    /// Creates a duration from fractional seconds, saturating at zero
-    /// for negative inputs.
-    pub fn from_secs_f64(s: f64) -> Self {
-        if s <= 0.0 {
-            SimDuration(0)
-        } else {
-            SimDuration((s * 1e6).round() as u64)
-        }
     }
 
     /// Returns the number of whole microseconds in the duration.
@@ -249,18 +233,29 @@ mod tests {
     }
 
     #[test]
-    fn checked_since_detects_order() {
+    fn instants_order_with_min_and_max() {
         let early = SimTime::from_micros(10);
         let late = SimTime::from_micros(20);
-        assert!(early.checked_since(late).is_none());
-        assert_eq!(late.checked_since(early).unwrap().as_micros(), 10);
+        assert_eq!(early.max(late), late);
+        assert_eq!(late.min(early), early);
+        assert_eq!(early.max(early), early);
+    }
+
+    #[test]
+    fn additions_saturate_at_the_end_of_time() {
+        let end = SimTime::from_micros(u64::MAX);
+        assert_eq!(end + SimDuration::from_secs(1), end);
+        let mut t = end;
+        t += SimDuration::from_micros(1);
+        assert_eq!(t, end);
+        let longest = SimDuration::from_micros(u64::MAX);
+        assert_eq!(longest + SimDuration::from_micros(1), longest);
+        assert_eq!(SimDuration::from_micros(u64::MAX / 2 + 1) * 2, longest);
     }
 
     #[test]
     fn duration_conversions() {
         assert_eq!(SimDuration::from_secs(2).as_micros(), 2_000_000);
-        assert_eq!(SimDuration::from_secs_f64(0.001).as_micros(), 1_000);
-        assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
         assert!((SimDuration::from_millis(1500).as_secs_f64() - 1.5).abs() < 1e-9);
     }
 

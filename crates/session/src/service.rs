@@ -88,12 +88,14 @@ impl_interaction!(
 
 #[cfg(test)]
 mod tests {
-    use estelle::Interaction;
+    use estelle::{downcast, Interaction};
 
     #[test]
-    fn primitives_have_short_names() {
-        let req = super::SConReq { user_data: vec![] };
-        assert_eq!(req.interaction_name(), "SConReq");
+    fn primitives_downcast_through_the_interaction_box() {
+        let b: Box<dyn Interaction> = Box::new(super::SConReq { user_data: vec![7] });
+        assert!(!b.is::<super::SConInd>());
+        let req = downcast::<super::SConReq>(b).unwrap();
+        assert_eq!(req.user_data, [7]);
         let b: Box<dyn Interaction> = Box::new(super::SRelCnf);
         assert!(b.is::<super::SRelCnf>());
     }

@@ -80,11 +80,6 @@ impl AdmissionController {
         self.per_stream.get(&stream).copied()
     }
 
-    /// Number of admitted streams.
-    pub fn admitted_count(&self) -> usize {
-        self.per_stream.len()
-    }
-
     /// Admits `stream` at `demanded_bps`, or — when already admitted —
     /// re-negotiates its demand to the new value (e.g. a speed
     /// change). On rejection the previous commitment is untouched.
@@ -146,7 +141,7 @@ mod tests {
         assert!(a.admit(2, 60).is_err());
         a.release(1);
         a.admit(2, 60).unwrap();
-        assert_eq!(a.admitted_count(), 1);
+        assert_eq!(a.demand_of(1), None);
         a.release(99); // unknown: no-op
         assert_eq!(a.committed_bps(), 60);
     }
