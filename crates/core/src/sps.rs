@@ -25,6 +25,22 @@
 //! Every fallible operation fails with the store's own
 //! [`StoreError`]: an unknown id is [`StoreError::UnknownStream`], and
 //! whatever the store refuses passes through unchanged.
+//!
+//! The driver calls [`StreamProviderSystem::pump`] on every iteration,
+//! but a pump costs nothing while the provider is idle: it returns at
+//! once when the provider is *clean*, no feedback datagram waits on its
+//! socket, no store event is due, and the deadline cached by the last
+//! pump (every playing sender's next frame, stalled ones included, and
+//! every live recording's next capture) is still ahead. Every mutator
+//! marks the provider dirty, and so does a pump that did any work: the
+//! store issues prefetch reads from the positions the *previous* pump
+//! left, so the pump after a busy one, even at the same instant, is the
+//! one that issues the reads for the positions just reached. Only a pump
+//! that found nothing to do clears the mark. Code that changes a
+//! provider's streams or its store from outside `pump` must call
+//! `mark_dirty` (as [`crate::World::fail_disk`] does). In the debug
+//! profile a skipped pump runs anyway and panics, naming the instant
+//! and the provider, if it changed anything.
 
 use mtp::{MovieSource, MtpSender, StreamState};
 use netsim::{DatagramNet, DatagramSocket, NetAddr, SimDuration, SimTime};
@@ -72,6 +88,33 @@ struct Stream {
     last_forward_delta: Option<u64>,
 }
 
+/// What the last pump that found nothing to do left behind: while
+/// nothing marks the provider dirty again, these deadlines stand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Idle {
+    /// The first instant a pump could have work of its own: the
+    /// earliest deadline of any playing sender (stalled ones included)
+    /// or live recording. `None` while nothing plays or records.
+    until: Option<SimTime>,
+    /// [`StreamProviderSystem::next_due`] without the store's events:
+    /// the earliest deadline of a playing sender whose data is ready,
+    /// or of an unfinished recording's next capture.
+    due: Option<SimTime>,
+}
+
+impl Idle {
+    /// A deadline that ends the skip but is no wake-up of its own.
+    fn note_until(&mut self, t: SimTime) {
+        self.until = Some(self.until.map_or(t, |u| u.min(t)));
+    }
+
+    /// A deadline that ends the skip and is a wake-up.
+    fn note_due(&mut self, t: SimTime) {
+        self.note_until(t);
+        self.due = Some(self.due.map_or(t, |d| d.min(t)));
+    }
+}
+
 /// The per-server stream provider: a registry of paced MTP senders
 /// sharing one datagram socket, fed by a block store.
 pub struct StreamProviderSystem {
@@ -88,6 +131,8 @@ pub struct StreamProviderSystem {
     /// store's interval cache).
     share: Arc<ShareManager>,
     next_stream: AtomicU32,
+    /// `None` while dirty; see the module docs for who marks it.
+    idle: Mutex<Option<Idle>>,
 }
 
 impl fmt::Debug for StreamProviderSystem {
@@ -143,7 +188,16 @@ impl StreamProviderSystem {
             store,
             share,
             next_stream: AtomicU32::new((addr.0 << 16) | 1),
+            idle: Mutex::new(None),
         })
+    }
+
+    /// Makes the next [`StreamProviderSystem::pump`] run in full. Every
+    /// method of the provider that changes its streams or recordings
+    /// calls this; code that changes its store from outside (a failed
+    /// disk) must call it too.
+    pub(crate) fn mark_dirty(&self) {
+        *self.idle.lock() = None;
     }
 
     /// The provider's datagram address.
@@ -191,6 +245,7 @@ impl StreamProviderSystem {
     /// [`StoreError::AdmissionRejected`] when the store's admission
     /// control cannot fit the stream's bandwidth demand.
     pub fn open(&self, movie: MovieSource, dest: NetAddr, now: SimTime) -> Result<u32, StoreError> {
+        self.mark_dirty();
         let id = self.alloc_stream_id();
         let (store, share) = (&self.store, &self.share);
         let movie_id = store.register_movie(&movie);
@@ -285,6 +340,7 @@ impl StreamProviderSystem {
     /// [`StoreError::AdmissionRejected`] when the write bandwidth does
     /// not fit next to the streams already admitted.
     pub fn record_open(&self, movie: MovieSource, now: SimTime) -> Result<u32, StoreError> {
+        self.mark_dirty();
         let id = self.alloc_stream_id();
         self.store.open_recording(id, &movie)?;
         self.recordings.lock().insert(
@@ -319,6 +375,7 @@ impl StreamProviderSystem {
     /// true for recording `id`. A recording that is already finished is
     /// not announced after the fact: the caller looks once itself.
     pub fn on_recording_finished(&self, id: u32, waker: Waker) {
+        self.mark_dirty();
         if let Some(session) = self.recordings.lock().get_mut(&id) {
             session.waiter = Some(waker);
         }
@@ -333,6 +390,7 @@ impl StreamProviderSystem {
     /// [`StoreError::RecordingIncomplete`] while the recording is
     /// still capturing or persisting.
     pub fn record_close(&self, id: u32) -> Result<RecordedMovie, StoreError> {
+        self.mark_dirty();
         let mut recordings = self.recordings.lock();
         if !recordings.contains_key(&id) {
             return Err(StoreError::UnknownStream(id));
@@ -357,6 +415,7 @@ impl StreamProviderSystem {
     /// socket stays bound, so a later re-registration ("repair and
     /// reboot") reuses the provider.
     pub fn crash(&self) -> usize {
+        self.mark_dirty();
         let recordings: Vec<u32> = self.recordings.lock().keys().copied().collect();
         let streams: Vec<u32> = self.streams.lock().keys().copied().collect();
         let killed = recordings.len() + streams.len();
@@ -378,6 +437,7 @@ impl StreamProviderSystem {
     ///
     /// Fails for unknown ids.
     pub fn close(&self, id: u32) -> Result<(), StoreError> {
+        self.mark_dirty();
         if self.recordings.lock().remove(&id).is_some() {
             self.store.abort_recording(id);
             return Ok(());
@@ -400,6 +460,7 @@ impl StreamProviderSystem {
     }
 
     fn with_stream<R>(&self, id: u32, f: impl FnOnce(&mut Stream) -> R) -> Result<R, StoreError> {
+        self.mark_dirty();
         let mut streams = self.streams.lock();
         streams
             .get_mut(&id)
@@ -559,7 +620,9 @@ impl StreamProviderSystem {
     /// Captures all recording frames due at or before `now`, feeding
     /// them through the store's write path; sessions that reach their
     /// frame target are sealed (tail flushed, bandwidth released).
-    fn pump_recordings(&self, now: SimTime) {
+    /// Returns whether any session captured or sealed.
+    fn pump_recordings(&self, now: SimTime) -> bool {
+        let mut worked = false;
         let mut recordings = self.recordings.lock();
         for (id, session) in recordings.iter_mut() {
             let interval = SimDuration::from_micros(session.source.frame_interval_us());
@@ -569,40 +632,98 @@ impl StreamProviderSystem {
                 let _ = self.store.append_frame(*id, size, at);
                 session.captured += 1;
                 session.next_frame_at = at + interval;
+                worked = true;
             }
             if session.captured >= session.source.frame_count && !session.sealed {
                 session.sealed = true;
                 let _ = self.store.seal_recording(*id, now);
+                worked = true;
             }
         }
+        worked
     }
 
     /// Emits all frames due at or before `now` across all streams
     /// (gated on storage delivery), captures due recording frames, and
     /// routes receiver feedback reports to their senders.
+    ///
+    /// Returns 0 at once, touching nothing, when the provider is clean
+    /// (see the module docs), no datagram waits on its socket, no store
+    /// event is due by `now`, and no sender or recording deadline
+    /// cached by the last pump has come. A stalled sender's deadline
+    /// stays in that cache although its frame waits on storage: each
+    /// poll of a stalled stream counts one
+    /// [`mtp::SenderStats::storage_stalls`], so a playing stream past
+    /// its deadline keeps the provider pumping exactly as often as
+    /// before the skip existed.
     pub fn pump(&self, now: SimTime) -> usize {
+        if self.idle_at(now) {
+            #[cfg(debug_assertions)]
+            self.assert_idle_pump(now);
+            return 0;
+        }
+        let (sent, idle) = self.pump_all(now);
+        *self.idle.lock() = idle;
+        sent
+    }
+
+    /// Whether a pump at `now` provably has nothing to do.
+    fn idle_at(&self, now: SimTime) -> bool {
+        let Some(idle) = *self.idle.lock() else {
+            return false;
+        };
+        idle.until.is_none_or(|t| t > now)
+            && self.socket.pending() == 0
+            && self.store.next_event().is_none_or(|t| t > now)
+    }
+
+    /// The full pump. Returns the frames sent, and the deadlines to
+    /// cache when it found nothing to do (`None` after any work:
+    /// frames sent or skipped, blocks completed, feedback consumed,
+    /// recording frames captured, waiters woken, fast-feeds converged).
+    fn pump_all(&self, now: SimTime) -> (usize, Option<Idle>) {
         let (store, share) = (&self.store, &self.share);
-        self.pump_recordings(now);
-        store.pump(now);
+        let mut worked = self.pump_recordings(now);
+        worked |= store.pump(now) > 0;
         // The store's pump is what makes a captured recording durable:
         // tell whoever waits for one that has just finished.
         while let Some(waiter) = self.take_finished_waiter() {
             waiter.wake();
+            worked = true;
         }
         let mut streams = self.streams.lock();
         while let Some(dg) = self.socket.recv() {
+            worked = true;
             if let Ok(fb) = mtp::MtpFeedback::decode(&dg.payload) {
                 if let Some(stream) = streams.get_mut(&fb.stream_id) {
                     stream.sender.handle_feedback(&fb);
                 }
             }
         }
+        let mut idle = Idle {
+            until: None,
+            due: None,
+        };
         let mut sent = 0;
         for (id, Stream { sender, .. }) in streams.iter_mut() {
-            sent += sender.poll_gated(now, store.frames_ready_through(*id));
-            store.note_position(*id, sender.position());
+            let from = sender.position();
+            let ready = store.frames_ready_through(*id);
+            sent += sender.poll_gated(now, ready);
+            let position = sender.position();
+            worked |= position != from;
+            store.note_position(*id, position);
             if let Some(block) = store.stream_position_block(*id) {
                 share.note_position(*id, block);
+            }
+            if let Some(due) = sender.next_due() {
+                // Stalled on storage: the store's next completion is
+                // the real wake-up point.
+                let ready = ready.unwrap_or(u64::MAX);
+                if position < sender.movie().frame_count && position >= ready {
+                    idle.note_until(due);
+                } else {
+                    idle.note_due(due);
+                }
             }
         }
         // Sharing maintenance: fast-feeds whose gap has closed to the
@@ -615,17 +736,75 @@ impl StreamProviderSystem {
                 stream.sender.set_speed_pct(100);
             }
             share.mark_converged(id);
+            worked = true;
         }
         store.set_pinned_ranges(&share.pinned_ranges());
-        sent
+        if worked || sent > 0 {
+            return (sent, None);
+        }
+        for session in self.recordings.lock().values() {
+            if session.captured < session.source.frame_count {
+                idle.note_due(session.next_frame_at);
+            } else if !session.sealed || session.waiter.is_some() {
+                idle.note_until(session.next_frame_at);
+            }
+        }
+        (sent, Some(idle))
+    }
+
+    /// The debug-profile check behind a skipped pump: runs the full
+    /// pump anyway and panics if it changed anything the skip assumed
+    /// it would not.
+    #[cfg(debug_assertions)]
+    fn assert_idle_pump(&self, now: SimTime) {
+        let before = self.snapshot();
+        let (sent, idle) = self.pump_all(now);
+        let after = self.snapshot();
+        assert!(
+            sent == 0 && idle == *self.idle.lock() && before == after,
+            "skipped pump at {now} on the stream provider at {} would have worked \
+             (sent {sent}):\nbefore: {before:?}\nafter:  {after:?}",
+            self.location(),
+        );
+    }
+
+    /// Everything a pump can change, for [`Self::assert_idle_pump`].
+    #[cfg(debug_assertions)]
+    fn snapshot(&self) -> impl PartialEq + fmt::Debug {
+        let senders: Vec<_> = self
+            .streams
+            .lock()
+            .iter()
+            .map(|(id, s)| {
+                let sender = &s.sender;
+                (*id, sender.position(), sender.next_due(), sender.stats)
+            })
+            .collect();
+        let share = (
+            self.share.pinned_ranges(),
+            self.share.shared_streams(),
+            self.share.stats(),
+        );
+        let store = (
+            self.store.stats(),
+            self.store.next_event(),
+            self.store.disk_queue_depths(),
+        );
+        (store, senders, share, self.socket.pending())
     }
 
     /// Earliest instant at which any stream can make progress: the
-    /// next frame deadline of a stream whose data is ready, or the
-    /// next storage completion for stalled ones.
+    /// next frame deadline of a stream whose data is ready, the next
+    /// capture of an unfinished recording, or the next storage
+    /// completion (for stalled streams). While the provider is clean
+    /// the senders' and recordings' part is the one the last pump
+    /// cached.
     pub fn next_due(&self) -> Option<SimTime> {
-        let streams = self.streams.lock();
         let store_next = self.store.next_event();
+        if let Some(idle) = *self.idle.lock() {
+            return [store_next, idle.due].into_iter().flatten().min();
+        }
+        let streams = self.streams.lock();
         let sender_due = streams
             .iter()
             .filter_map(|(id, Stream { sender: s, .. })| {
@@ -917,5 +1096,237 @@ mod tests {
         sps.close(ids[0]).unwrap();
         sps.open(MovieSource::test_movie(30, 1), NetAddr(5), net.now())
             .unwrap();
+    }
+
+    /// Two identical rigs run one script of play, seek, pause, trick
+    /// speed, stop and feedback over a small cache, stepped 1 ms at a
+    /// time with two pumps per step. Rig A makes every pump a full one;
+    /// rig B lets the provider skip. Both must send the same datagrams
+    /// and end with the same counters, and rig B must really skip.
+    #[test]
+    fn skipping_pumps_changes_nothing_in_lock_step() {
+        struct Rig {
+            net: Arc<Network>,
+            sps: Arc<StreamProviderSystem>,
+            clients: Vec<DatagramSocket>,
+            ids: Vec<u32>,
+            received: Vec<Vec<u8>>,
+        }
+        // Small blocks and a shallow prefetch window: playback crosses
+        // a block every few frames, and each crossing lets the next
+        // pump issue reads.
+        let config = StoreConfig {
+            block_size: 16 * 1024,
+            cache_blocks: 6,
+            prefetch_depth: 2,
+            readahead_blocks: 4,
+            ..StoreConfig::default()
+        };
+        let rig = || {
+            let (net, dg, sps) = rig_with_store(config);
+            let clients = vec![dg.bind(NetAddr(5)).unwrap(), dg.bind(NetAddr(6)).unwrap()];
+            let ids = (0..2)
+                .map(|i| {
+                    let movie = MovieSource::test_movie(20, 3 + i);
+                    sps.open(movie, NetAddr(5 + i as u32), net.now()).unwrap()
+                })
+                .collect();
+            Rig {
+                net,
+                sps,
+                clients,
+                ids,
+                received: Vec::new(),
+            }
+        };
+        let (mut full, mut lazy) = (rig(), rig());
+        let mut skipped = 0;
+        for step in 0..4_000u64 {
+            let now = SimTime::from_millis(step);
+            for (rig, forced) in [(&mut full, true), (&mut lazy, false)] {
+                rig.net.run_until(now);
+                let (sps, a, b) = (&rig.sps, rig.ids[0], rig.ids[1]);
+                match step {
+                    0 => {
+                        sps.play(a, 100, now).unwrap();
+                        sps.play(b, 100, now).unwrap();
+                    }
+                    600 => sps.seek(a, 150, now).unwrap(),
+                    1_000 => sps.pause(b).unwrap(),
+                    1_400 => sps.play(b, 200, now).unwrap(),
+                    1_800 => sps.seek(a, 20, now).unwrap(),
+                    2_200 => {
+                        let fb = mtp::MtpFeedback {
+                            stream_id: a,
+                            highest_seq: 10,
+                            received: 9,
+                            lost: 1,
+                        };
+                        rig.clients[0].send_to(sps.addr(), fb.encode());
+                    }
+                    2_600 => sps.stop(b, now).unwrap(),
+                    2_700 => sps.play(b, 100, now).unwrap(),
+                    _ => {}
+                }
+                for _ in 0..2 {
+                    if forced {
+                        sps.mark_dirty();
+                    } else if sps.idle_at(now) {
+                        skipped += 1;
+                    }
+                    sps.pump(now);
+                }
+                for client in &rig.clients {
+                    while let Some(dg) = client.recv() {
+                        rig.received.push(dg.payload);
+                    }
+                }
+            }
+        }
+        assert!(skipped > 1_000, "the lazy rig skipped only {skipped} pumps");
+        assert!(full.received.len() > 150, "{} frames", full.received.len());
+        assert!(full.received == lazy.received, "different frames received");
+        let senders = |rig: &Rig| -> Vec<mtp::SenderStats> {
+            let streams = rig.sps.streams.lock();
+            rig.ids.iter().map(|id| streams[id].sender.stats).collect()
+        };
+        assert!(senders(&full).iter().any(|s| s.storage_stalls > 0));
+        assert_eq!(senders(&full), senders(&lazy));
+        assert_eq!(full.sps.store.stats(), lazy.sps.store.stats());
+    }
+
+    /// A rig whose one stream is open, its first blocks delivered and
+    /// not playing: the provider is clean and skips at `now`.
+    fn idle_rig() -> (
+        Arc<Network>,
+        Arc<DatagramNet>,
+        Arc<StreamProviderSystem>,
+        u32,
+    ) {
+        let (net, dg, sps) = rig_with_store(StoreConfig::default());
+        let id = sps
+            .open(MovieSource::test_movie(4, 1), NetAddr(5), net.now())
+            .unwrap();
+        while let Some(t) = sps.next_due() {
+            net.run_until(t);
+            sps.pump(net.now());
+        }
+        sps.pump(net.now());
+        assert!(sps.idle_at(net.now()), "the settled rig skips");
+        (net, dg, sps, id)
+    }
+
+    #[test]
+    fn pump_after_open_is_not_skipped() {
+        let (net, _dg, sps, _) = idle_rig();
+        sps.open(MovieSource::test_movie(4, 2), NetAddr(6), net.now())
+            .unwrap();
+        assert!(!sps.idle_at(net.now()));
+    }
+
+    #[test]
+    fn pump_after_play_is_not_skipped() {
+        let (net, _dg, sps, id) = idle_rig();
+        sps.play(id, 100, net.now()).unwrap();
+        assert!(!sps.idle_at(net.now()));
+        assert_eq!(sps.pump(net.now()), 1, "the first frame goes out at once");
+    }
+
+    #[test]
+    fn pump_after_seek_is_not_skipped() {
+        let (net, _dg, sps, id) = idle_rig();
+        sps.seek(id, 60, net.now()).unwrap();
+        assert!(!sps.idle_at(net.now()));
+    }
+
+    #[test]
+    fn pump_after_close_is_not_skipped() {
+        let (net, _dg, sps, id) = idle_rig();
+        sps.close(id).unwrap();
+        assert!(!sps.idle_at(net.now()));
+    }
+
+    #[test]
+    fn pump_after_record_open_is_not_skipped() {
+        let (net, _dg, sps, _) = idle_rig();
+        sps.record_open(MovieSource::test_movie(2, 9), net.now())
+            .unwrap();
+        assert!(!sps.idle_at(net.now()));
+        sps.pump(net.now());
+        assert_eq!(sps.store.stats().frames_recorded, 1, "frame 0 captured");
+    }
+
+    #[test]
+    fn pump_with_pending_feedback_is_not_skipped() {
+        let (net, dg, sps, id) = idle_rig();
+        let client = dg.bind(NetAddr(5)).unwrap();
+        let fb = mtp::MtpFeedback {
+            stream_id: id,
+            highest_seq: 0,
+            received: 0,
+            lost: 0,
+        };
+        client.send_to(sps.addr(), fb.encode());
+        net.run_until_idle();
+        assert!(!sps.idle_at(net.now()), "a datagram waits on the socket");
+        sps.pump(net.now());
+        assert_eq!(sps.streams.lock()[&id].sender.feedback_seen, 1);
+    }
+
+    #[test]
+    fn pump_after_fail_disk_is_not_skipped() {
+        let mut world = crate::World::builder(7).build();
+        let server = world.add_server("ksr1", crate::StackKind::EstellePS);
+        world.start();
+        let sps = &server.services.sps;
+        sps.open(MovieSource::test_movie(60, 1), NetAddr(5), world.net.now())
+            .unwrap();
+        world.run_for(SimDuration::from_secs(1));
+        let now = world.net.now();
+        for _ in 0..3 {
+            sps.pump(now);
+        }
+        assert!(sps.idle_at(now), "the settled provider skips");
+        let (lost, _) = world.fail_disk(&server, 0);
+        assert!(lost > 0, "the dead arm held blocks");
+        assert!(!sps.idle_at(now));
+    }
+
+    /// Paused streams ask for nothing: once the store has settled,
+    /// every pump is skipped and the cache counters stand still.
+    #[test]
+    fn all_paused_provider_skips_and_leaves_the_cache_alone() {
+        let (net, _dg, sps) = rig_with_store(StoreConfig::default());
+        let ids: Vec<u32> = (0..2)
+            .map(|i| {
+                sps.open(MovieSource::test_movie(8, i), NetAddr(5), net.now())
+                    .unwrap()
+            })
+            .collect();
+        for &id in &ids {
+            sps.play(id, 100, net.now()).unwrap();
+        }
+        let mut now = SimTime::ZERO;
+        while now < SimTime::from_secs(1) {
+            sps.pump(now);
+            now = sps.next_due().expect("playing streams have deadlines");
+            net.run_until(now);
+        }
+        for &id in &ids {
+            sps.pause(id).unwrap();
+        }
+        while let Some(t) = sps.next_due() {
+            net.run_until(t);
+            sps.pump(net.now());
+        }
+        sps.pump(net.now());
+        let cache = sps.store.stats().cache;
+        assert!(cache.hits + cache.misses > 0, "the streams read blocks");
+        for step in 0..100 {
+            let t = net.now() + SimDuration::from_millis(10 * step);
+            assert!(sps.idle_at(t), "pump at {t} not skipped");
+            assert_eq!(sps.pump(t), 0);
+        }
+        assert_eq!(sps.store.stats().cache, cache);
     }
 }

@@ -788,6 +788,16 @@ impl World {
         lines.join("\n")
     }
 
+    /// One iteration per network event or deadline: run the
+    /// schedulers, tick the controllers, pump every stream provider,
+    /// then step to the earliest next event. Every provider is offered
+    /// a pump on every iteration, but a clean one with nothing due
+    /// returns at once ([`StreamProviderSystem::pump`]); one that did
+    /// any work stays dirty, so the next iteration pumps it again (at
+    /// the same instant if nothing else is due) to issue the prefetch
+    /// reads its new positions call for. A clean provider's `next_due`
+    /// is the deadline its last idle pump cached plus its store's next
+    /// event, not a walk of every stream.
     fn drive_loop(&self, limit: SimTime, mut done: impl FnMut(&Self) -> bool) {
         let mut guard = 0u32;
         loop {
@@ -961,6 +971,9 @@ impl World {
         let now = self.net.now();
         let store = &server.services.store;
         let lost = store.fail_disk(disk, now);
+        // The dead arm's in-flight reads were unwound: the provider's
+        // stalls and prefetch changed under it without a store event.
+        server.services.sps.mark_dirty();
         if lost == 0 {
             return (0, 0);
         }

@@ -20,7 +20,7 @@ pub enum StreamState {
 }
 
 /// Counters kept by the sender.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SenderStats {
     /// Frames handed to the network.
     pub frames_sent: u64,
@@ -29,7 +29,10 @@ pub struct SenderStats {
     /// Payload bytes sent.
     pub bytes_sent: u64,
     /// Poll passes that ended early because the next frame's data was
-    /// not yet delivered by storage.
+    /// not yet delivered by storage. This counts polls, not stall
+    /// episodes: one stall waiting on a disk read adds one for every
+    /// poll made while it lasts, so the value depends on how often the
+    /// sender's owner polls.
     pub storage_stalls: u64,
 }
 

@@ -383,6 +383,11 @@ struct StoreInner {
     cache: BufferCache,
     admission: AdmissionController,
     streams: HashMap<u32, StreamRec>,
+    /// Scratch list of the stream ids `BlockStore::pump` issues for,
+    /// kept so that pumping does not allocate. Sorted: `streams`
+    /// iterates in a different order in every store instance, and the
+    /// issue order reaches the disk queues.
+    issue_order: Vec<u32>,
     recordings: HashMap<u32, RecordingRec>,
     /// Migration copies in progress by admission id; id order is
     /// issue order.
@@ -549,6 +554,7 @@ impl BlockStore {
                 movies: HashMap::new(),
                 next_movie: 1,
                 streams: HashMap::new(),
+                issue_order: Vec::new(),
                 recordings: HashMap::new(),
                 copies: BTreeMap::new(),
                 rebuild: None,
@@ -673,10 +679,14 @@ impl BlockStore {
     pub fn pump(&self, now: SimTime) -> usize {
         let mut inner = self.inner.lock();
         let completed = inner.complete_due(now);
-        let ids: Vec<u32> = inner.streams.keys().copied().collect();
-        for id in ids {
+        let mut ids = std::mem::take(&mut inner.issue_order);
+        ids.clear();
+        ids.extend(inner.streams.keys().copied());
+        ids.sort_unstable();
+        for &id in &ids {
             inner.issue(id, now);
         }
+        inner.issue_order = ids;
         inner.issue_jobs(now);
         completed
     }
