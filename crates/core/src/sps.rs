@@ -36,18 +36,43 @@
 //! store issues prefetch reads from the positions the *previous* pump
 //! left, so the pump after a busy one, even at the same instant, is the
 //! one that issues the reads for the positions just reached. Only a pump
-//! that found nothing to do clears the mark. Code that changes a
-//! provider's streams or its store from outside `pump` must call
-//! `mark_dirty` (as [`crate::World::fail_disk`] does). In the debug
-//! profile a skipped pump runs anyway and panics, naming the instant
-//! and the provider, if it changed anything.
+//! that found nothing to do clears the mark.
+//!
+//! A pump that runs polls only the streams that can have work, in
+//! ascending id: those whose deadline has come, those *waiting* on
+//! storage (playing, with the next frame's block not yet delivered),
+//! and those a mutator *touched* since the last pump. A deadline index
+//! finds the first kind: a min-heap of `(deadline, id)` over the
+//! playing streams whose next frame is ready, each stream keeping the
+//! key its live entry carries (an entry whose key its stream no longer
+//! holds is dropped when it surfaces). Skipping the rest is exact: a
+//! stream that is not due sends nothing, reporting an unchanged
+//! position to the store and the sharing engine writes what is already
+//! there, and a stream's delivered-through watermark only grows between
+//! the provider's own mutators (a seek resets it), so a ready stream
+//! stays ready. The same index gives the cached deadlines and
+//! [`StreamProviderSystem::next_due`], which walks the streams only
+//! while a touched one is still unclassified.
+//!
+//! `open`, `close` and every operation on one stream (play, pause,
+//! stop, seek, a catch-up reset) touch that stream; the recording
+//! operations touch their session. `mark_dirty` re-queues *every*
+//! stream, so code that changes a provider's store from outside `pump`
+//! calls it (as [`crate::World::fail_disk`] does) and needs no rule of
+//! its own. In the debug profile a skipped pump runs anyway and panics,
+//! naming the instant and the provider, if it changed anything; and
+//! after every pump each stream the pump did not poll is checked to be
+//! one a poll would have left alone, the panic naming the instant, the
+//! provider and the stream.
 
 use mtp::{MovieSource, MtpSender, StreamState};
 use netsim::{DatagramNet, DatagramSocket, NetAddr, SimDuration, SimTime};
 use parking_lot::Mutex;
 use share::{Departure, JoinPlan, ShareConfig, ShareManager};
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
+use std::mem;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::task::Waker;
@@ -86,11 +111,144 @@ struct Stream {
     /// jumps of the same width are treated as a skimming pattern and
     /// turned into a strided prefetch hint.
     last_forward_delta: Option<u64>,
+    /// The deadline this stream's live entry in the index carries:
+    /// `Some` while it plays with its next frame ready and no pump has
+    /// taken the entry yet.
+    key: Option<SimTime>,
+}
+
+/// Where a sender stands for the index: its next deadline, and whether
+/// that frame waits on storage (`ready` is the store's
+/// delivered-through watermark). `None` while it does not play.
+fn deadline(sender: &MtpSender, ready: Option<u64>) -> Option<(SimTime, bool)> {
+    let due = sender.next_due()?;
+    let position = sender.position();
+    let stalled = position < sender.movie().frame_count && position >= ready.unwrap_or(u64::MAX);
+    Some((due, stalled))
+}
+
+/// Room reserved up front in the index and its lists, so a provider
+/// with up to this many streams never allocates in a pump.
+const INDEX_CAPACITY: usize = 64;
+
+/// The open streams and the deadline index over them (see the module
+/// docs).
+struct Streams {
+    map: BTreeMap<u32, Stream>,
+    /// `(deadline, id)`, earliest first, of every playing stream whose
+    /// next frame is ready; an entry whose deadline is not its stream's
+    /// `key` is stale.
+    heap: BinaryHeap<Reverse<(SimTime, u32)>>,
+    /// Streams waiting on storage, ascending; every pump polls them.
+    waiting: Vec<u32>,
+    /// Ids a mutator touched since the last pump.
+    touched: Vec<u32>,
+    /// Set by [`StreamProviderSystem::mark_dirty`]: the next pump
+    /// polls every stream.
+    all: bool,
+    /// The ids the last pump polled, ascending (a reused buffer).
+    polled: Vec<u32>,
+    /// Streams polled so far, for the tests' cost assertions.
+    #[cfg(test)]
+    polls: usize,
+}
+
+impl Streams {
+    fn new() -> Self {
+        Streams {
+            map: BTreeMap::new(),
+            heap: BinaryHeap::with_capacity(2 * INDEX_CAPACITY),
+            waiting: Vec::with_capacity(INDEX_CAPACITY),
+            touched: Vec::with_capacity(INDEX_CAPACITY),
+            all: false,
+            polled: Vec::with_capacity(INDEX_CAPACITY),
+            #[cfg(test)]
+            polls: 0,
+        }
+    }
+
+    fn touch(&mut self, id: u32) {
+        if !self.touched.contains(&id) {
+            self.touched.push(id);
+        }
+    }
+
+    /// Whether a touched stream still waits for a pump to classify it.
+    fn unclassified(&self) -> bool {
+        self.all || !self.touched.is_empty()
+    }
+
+    /// The ids a pump at `now` polls, ascending: those whose indexed
+    /// deadline has come (their entries taken), the waiting list and
+    /// the touched ones, or every stream after a `mark_dirty`. Each is
+    /// re-filed by [`Streams::reindex`].
+    fn take_polled(&mut self, now: SimTime) -> Vec<u32> {
+        let mut polled = mem::take(&mut self.polled);
+        polled.clear();
+        while let Some(&Reverse((t, id))) = self.heap.peek() {
+            if t > now {
+                break;
+            }
+            self.heap.pop();
+            if let Some(stream) = self.map.get_mut(&id).filter(|s| s.key == Some(t)) {
+                stream.key = None;
+                polled.push(id);
+            }
+        }
+        if mem::take(&mut self.all) {
+            polled.clear();
+            polled.extend(self.map.keys().copied());
+        } else {
+            polled.extend_from_slice(&self.waiting);
+            polled.extend_from_slice(&self.touched);
+            polled.sort_unstable();
+            polled.dedup();
+        }
+        self.waiting.clear();
+        self.touched.clear();
+        polled
+    }
+
+    /// Files a just-polled stream under what it now waits for, and
+    /// returns its deadline if that frame waits on storage.
+    fn reindex(&mut self, id: u32, ready: Option<u64>) -> Option<SimTime> {
+        let stream = self.map.get_mut(&id)?;
+        match deadline(&stream.sender, ready) {
+            Some((t, false)) => {
+                if stream.key != Some(t) {
+                    stream.key = Some(t);
+                    self.heap.push(Reverse((t, id)));
+                }
+                None
+            }
+            Some((t, true)) => {
+                stream.key = None;
+                self.waiting.push(id);
+                Some(t)
+            }
+            None => {
+                stream.key = None;
+                None
+            }
+        }
+    }
+
+    /// The earliest deadline of a playing stream whose next frame is
+    /// ready; stale entries on top are dropped on the way.
+    fn first_due(&mut self) -> Option<SimTime> {
+        while let Some(&Reverse((t, id))) = self.heap.peek() {
+            if self.map.get(&id).is_some_and(|s| s.key == Some(t)) {
+                return Some(t);
+            }
+            self.heap.pop();
+        }
+        None
+    }
 }
 
 /// What the last pump that found nothing to do left behind: while
 /// nothing marks the provider dirty again, these deadlines stand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Idle {
     /// The first instant a pump could have work of its own: the
     /// earliest deadline of any playing sender (stalled ones included)
@@ -120,11 +278,11 @@ impl Idle {
 pub struct StreamProviderSystem {
     socket: DatagramSocket,
     addr: NetAddr,
-    /// Open streams and recordings by id. Ordered maps: `pump` walks
-    /// them, and the walk's order is the order frames reach the
-    /// datagram network and draw from its seeded link model, so it
-    /// must be the same in every process.
-    streams: Mutex<BTreeMap<u32, Stream>>,
+    /// Open streams and recordings by id. Ordered maps: `pump` polls
+    /// streams in ascending id, and that order is the order frames
+    /// reach the datagram network and draw from its seeded link model,
+    /// so it must be the same in every process.
+    streams: Mutex<Streams>,
     recordings: Mutex<BTreeMap<u32, RecordingSession>>,
     store: Arc<BlockStore>,
     /// The stream-sharing merge engine (followers are served from the
@@ -139,7 +297,7 @@ impl fmt::Debug for StreamProviderSystem {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("StreamProviderSystem")
             .field("addr", &self.addr)
-            .field("streams", &self.streams.lock().len())
+            .field("streams", &self.streams.lock().map.len())
             .finish_non_exhaustive()
     }
 }
@@ -183,7 +341,7 @@ impl StreamProviderSystem {
         Arc::new(StreamProviderSystem {
             socket,
             addr,
-            streams: Mutex::new(BTreeMap::new()),
+            streams: Mutex::new(Streams::new()),
             recordings: Mutex::new(BTreeMap::new()),
             store,
             share,
@@ -192,12 +350,20 @@ impl StreamProviderSystem {
         })
     }
 
-    /// Makes the next [`StreamProviderSystem::pump`] run in full. Every
-    /// method of the provider that changes its streams or recordings
-    /// calls this; code that changes its store from outside (a failed
-    /// disk) must call it too.
+    /// Makes the next [`StreamProviderSystem::pump`] run and poll every
+    /// stream. Code that changes the provider's store from outside (a
+    /// failed disk) calls this.
     pub(crate) fn mark_dirty(&self) {
         *self.idle.lock() = None;
+        self.streams.lock().all = true;
+    }
+
+    /// Makes the next pump run and poll stream `id`: what every method
+    /// that changes one stream or recording calls (a recording's id
+    /// names no stream; every pump looks at every recording).
+    fn touch(&self, id: u32) {
+        *self.idle.lock() = None;
+        self.streams.lock().touch(id);
     }
 
     /// The provider's datagram address.
@@ -245,8 +411,8 @@ impl StreamProviderSystem {
     /// [`StoreError::AdmissionRejected`] when the store's admission
     /// control cannot fit the stream's bandwidth demand.
     pub fn open(&self, movie: MovieSource, dest: NetAddr, now: SimTime) -> Result<u32, StoreError> {
-        self.mark_dirty();
         let id = self.alloc_stream_id();
+        self.touch(id);
         let (store, share) = (&self.store, &self.share);
         let movie_id = store.register_movie(&movie);
         match share.plan_join(movie_id) {
@@ -271,8 +437,9 @@ impl StreamProviderSystem {
             sender: MtpSender::new(self.socket.clone(), dest, id, movie),
             movie: movie_id,
             last_forward_delta: None,
+            key: None,
         };
-        self.streams.lock().insert(id, stream);
+        self.streams.lock().map.insert(id, stream);
         Ok(id)
     }
 
@@ -340,8 +507,8 @@ impl StreamProviderSystem {
     /// [`StoreError::AdmissionRejected`] when the write bandwidth does
     /// not fit next to the streams already admitted.
     pub fn record_open(&self, movie: MovieSource, now: SimTime) -> Result<u32, StoreError> {
-        self.mark_dirty();
         let id = self.alloc_stream_id();
+        self.touch(id);
         self.store.open_recording(id, &movie)?;
         self.recordings.lock().insert(
             id,
@@ -375,7 +542,7 @@ impl StreamProviderSystem {
     /// true for recording `id`. A recording that is already finished is
     /// not announced after the fact: the caller looks once itself.
     pub fn on_recording_finished(&self, id: u32, waker: Waker) {
-        self.mark_dirty();
+        self.touch(id);
         if let Some(session) = self.recordings.lock().get_mut(&id) {
             session.waiter = Some(waker);
         }
@@ -390,7 +557,7 @@ impl StreamProviderSystem {
     /// [`StoreError::RecordingIncomplete`] while the recording is
     /// still capturing or persisting.
     pub fn record_close(&self, id: u32) -> Result<RecordedMovie, StoreError> {
-        self.mark_dirty();
+        self.touch(id);
         let mut recordings = self.recordings.lock();
         if !recordings.contains_key(&id) {
             return Err(StoreError::UnknownStream(id));
@@ -417,7 +584,7 @@ impl StreamProviderSystem {
     pub fn crash(&self) -> usize {
         self.mark_dirty();
         let recordings: Vec<u32> = self.recordings.lock().keys().copied().collect();
-        let streams: Vec<u32> = self.streams.lock().keys().copied().collect();
+        let streams: Vec<u32> = self.streams.lock().map.keys().copied().collect();
         let killed = recordings.len() + streams.len();
         for id in recordings {
             self.recordings.lock().remove(&id);
@@ -437,7 +604,7 @@ impl StreamProviderSystem {
     ///
     /// Fails for unknown ids.
     pub fn close(&self, id: u32) -> Result<(), StoreError> {
-        self.mark_dirty();
+        self.touch(id);
         if self.recordings.lock().remove(&id).is_some() {
             self.store.abort_recording(id);
             return Ok(());
@@ -454,15 +621,17 @@ impl StreamProviderSystem {
         self.store.set_pinned_ranges(&self.share.pinned_ranges());
         self.streams
             .lock()
+            .map
             .remove(&id)
             .map(|_| ())
             .ok_or(StoreError::UnknownStream(id))
     }
 
     fn with_stream<R>(&self, id: u32, f: impl FnOnce(&mut Stream) -> R) -> Result<R, StoreError> {
-        self.mark_dirty();
+        self.touch(id);
         let mut streams = self.streams.lock();
         streams
+            .map
             .get_mut(&id)
             .map(f)
             .ok_or(StoreError::UnknownStream(id))
@@ -656,6 +825,11 @@ impl StreamProviderSystem {
     /// [`mtp::SenderStats::storage_stalls`], so a playing stream past
     /// its deadline keeps the provider pumping exactly as often as
     /// before the skip existed.
+    ///
+    /// A pump that runs polls, in ascending id, the streams whose
+    /// indexed deadline has come, every stream waiting on storage, and
+    /// every stream touched since the last pump (all of them after a
+    /// `mark_dirty`); the rest would send nothing and change nothing.
     pub fn pump(&self, now: SimTime) -> usize {
         if self.idle_at(now) {
             #[cfg(debug_assertions)]
@@ -663,6 +837,8 @@ impl StreamProviderSystem {
             return 0;
         }
         let (sent, idle) = self.pump_all(now);
+        #[cfg(debug_assertions)]
+        self.assert_skips_exact(now, idle);
         *self.idle.lock() = idle;
         sent
     }
@@ -677,7 +853,7 @@ impl StreamProviderSystem {
             && self.store.next_event().is_none_or(|t| t > now)
     }
 
-    /// The full pump. Returns the frames sent, and the deadlines to
+    /// The pump itself. Returns the frames sent, and the deadlines to
     /// cache when it found nothing to do (`None` after any work:
     /// frames sent or skipped, blocks completed, feedback consumed,
     /// recording frames captured, waiters woken, fast-feeds converged).
@@ -691,50 +867,53 @@ impl StreamProviderSystem {
             waiter.wake();
             worked = true;
         }
-        let mut streams = self.streams.lock();
+        let mut guard = self.streams.lock();
+        let streams = &mut *guard;
         while let Some(dg) = self.socket.recv() {
             worked = true;
             if let Ok(fb) = mtp::MtpFeedback::decode(&dg.payload) {
-                if let Some(stream) = streams.get_mut(&fb.stream_id) {
+                if let Some(stream) = streams.map.get_mut(&fb.stream_id) {
                     stream.sender.handle_feedback(&fb);
                 }
             }
         }
-        let mut idle = Idle {
-            until: None,
-            due: None,
-        };
+        let polled = streams.take_polled(now);
         let mut sent = 0;
-        for (id, Stream { sender, .. }) in streams.iter_mut() {
+        // Stalled on storage: the store's next completion is the real
+        // wake-up point, so these deadlines only end the skip.
+        let mut stalled_until: Option<SimTime> = None;
+        for &id in &polled {
+            let Some(Stream { sender, .. }) = streams.map.get_mut(&id) else {
+                continue;
+            };
             let from = sender.position();
-            let ready = store.frames_ready_through(*id);
+            let ready = store.frames_ready_through(id);
             sent += sender.poll_gated(now, ready);
             let position = sender.position();
             worked |= position != from;
-            store.note_position(*id, position);
-            if let Some(block) = store.stream_position_block(*id) {
-                share.note_position(*id, block);
+            store.note_position(id, position);
+            if let Some(block) = store.stream_position_block(id) {
+                share.note_position(id, block);
             }
-            if let Some(due) = sender.next_due() {
-                // Stalled on storage: the store's next completion is
-                // the real wake-up point.
-                let ready = ready.unwrap_or(u64::MAX);
-                if position < sender.movie().frame_count && position >= ready {
-                    idle.note_until(due);
-                } else {
-                    idle.note_due(due);
-                }
+            if let Some(t) = streams.reindex(id, ready) {
+                stalled_until = Some(stalled_until.map_or(t, |u| u.min(t)));
+            }
+            #[cfg(test)]
+            {
+                streams.polls += 1;
             }
         }
+        streams.polled = polled;
         // Sharing maintenance: fast-feeds whose gap has closed to the
         // merge window release their delta reservation and drop back
         // to nominal rate; the pinned cache spans track every group's
         // current [trailing follower, leader] window.
         for id in share.converged_fast_feeds() {
             let _ = store.recharge_stream(id, 0);
-            if let Some(stream) = streams.get_mut(&id) {
+            if let Some(stream) = streams.map.get_mut(&id) {
                 stream.sender.set_speed_pct(100);
             }
+            streams.touch(id);
             share.mark_converged(id);
             worked = true;
         }
@@ -742,6 +921,21 @@ impl StreamProviderSystem {
         if worked || sent > 0 {
             return (sent, None);
         }
+        let mut idle = Idle::default();
+        if let Some(t) = streams.first_due() {
+            idle.note_due(t);
+        }
+        if let Some(t) = stalled_until {
+            idle.note_until(t);
+        }
+        self.note_recordings(&mut idle);
+        (sent, Some(idle))
+    }
+
+    /// Adds the recordings' deadlines: an unfinished capture's next
+    /// frame is a wake-up, and a finished session still to seal or
+    /// announce ends the skip.
+    fn note_recordings(&self, idle: &mut Idle) {
         for session in self.recordings.lock().values() {
             if session.captured < session.source.frame_count {
                 idle.note_due(session.next_frame_at);
@@ -749,7 +943,22 @@ impl StreamProviderSystem {
                 idle.note_until(session.next_frame_at);
             }
         }
-        (sent, Some(idle))
+    }
+
+    /// The deadlines a walk of every stream and recording finds, with
+    /// the store's current delivery watermarks: what the index must
+    /// agree with.
+    fn walk_idle(&self, streams: &BTreeMap<u32, Stream>) -> Idle {
+        let mut idle = Idle::default();
+        for (id, stream) in streams {
+            match deadline(&stream.sender, self.store.frames_ready_through(*id)) {
+                Some((t, true)) => idle.note_until(t),
+                Some((t, false)) => idle.note_due(t),
+                None => {}
+            }
+        }
+        self.note_recordings(&mut idle);
+        idle
     }
 
     /// The debug-profile check behind a skipped pump: runs the full
@@ -759,6 +968,7 @@ impl StreamProviderSystem {
     fn assert_idle_pump(&self, now: SimTime) {
         let before = self.snapshot();
         let (sent, idle) = self.pump_all(now);
+        self.assert_skips_exact(now, idle);
         let after = self.snapshot();
         assert!(
             sent == 0 && idle == *self.idle.lock() && before == after,
@@ -768,12 +978,61 @@ impl StreamProviderSystem {
         );
     }
 
+    /// The debug-profile check behind the index, after a pump that
+    /// returned `idle`: every stream it did not poll is one a poll
+    /// would have left alone (not due; the store's and the sharing
+    /// engine's position already what reporting it would write; still
+    /// filed as ready under its deadline, or not playing), and the
+    /// cached deadlines are what a walk of every stream finds.
+    #[cfg(debug_assertions)]
+    fn assert_skips_exact(&self, now: SimTime, idle: Option<Idle>) {
+        let streams = self.streams.lock();
+        for (&id, stream) in &streams.map {
+            if streams.polled.binary_search(&id).is_ok() {
+                continue;
+            }
+            let sender = &stream.sender;
+            let store_block = self.store.stream_position_block(id);
+            let noted = store_block.is_none_or(|b| {
+                Some(b) == self.store.block_of_frame(stream.movie, sender.position())
+                    && self.share.position_block(id).is_none_or(|s| s == b)
+            });
+            let filed = match deadline(sender, self.store.frames_ready_through(id)) {
+                Some((t, false)) => stream.key == Some(t) && t > now,
+                Some((_, true)) => false,
+                None => stream.key.is_none(),
+            };
+            assert!(
+                noted && filed,
+                "pump at {now} on the stream provider at {} skipped stream {id} \
+                 with work to do: next due {:?}, indexed under {:?}, ready through {:?}, \
+                 position {} (block {store_block:?} in the store, {:?} in its group)",
+                self.location(),
+                sender.next_due(),
+                stream.key,
+                self.store.frames_ready_through(id),
+                sender.position(),
+                self.share.position_block(id),
+            );
+        }
+        if let Some(idle) = idle {
+            let walked = self.walk_idle(&streams.map);
+            assert!(
+                idle == walked,
+                "pump at {now} on the stream provider at {} cached {idle:?}, \
+                 but a walk of every stream finds {walked:?}",
+                self.location(),
+            );
+        }
+    }
+
     /// Everything a pump can change, for [`Self::assert_idle_pump`].
     #[cfg(debug_assertions)]
     fn snapshot(&self) -> impl PartialEq + fmt::Debug {
         let senders: Vec<_> = self
             .streams
             .lock()
+            .map
             .iter()
             .map(|(id, s)| {
                 let sender = &s.sender;
@@ -798,49 +1057,43 @@ impl StreamProviderSystem {
     /// capture of an unfinished recording, or the next storage
     /// completion (for stalled streams). While the provider is clean
     /// the senders' and recordings' part is the one the last pump
-    /// cached.
+    /// cached; while it is dirty the senders' part is the index's
+    /// earliest ready deadline, and a walk of every stream only while
+    /// a touched one is still unclassified.
     pub fn next_due(&self) -> Option<SimTime> {
         let store_next = self.store.next_event();
         if let Some(idle) = *self.idle.lock() {
             return [store_next, idle.due].into_iter().flatten().min();
         }
-        let streams = self.streams.lock();
-        let sender_due = streams
-            .iter()
-            .filter_map(|(id, Stream { sender: s, .. })| {
-                let due = s.next_due()?;
-                let ready = self.store.frames_ready_through(*id).unwrap_or(u64::MAX);
-                let position = s.position();
-                // Stalled on storage: the store's next completion is
-                // the real wake-up point.
-                let stalled = position < s.movie().frame_count && position >= ready;
-                (!stalled).then_some(due)
-            })
-            .min();
-        // Recording sessions wake at their next frame-capture instant
-        // (persistence completions are covered by `store_next`).
-        let recording_due = self
-            .recordings
-            .lock()
-            .values()
-            .filter(|s| s.captured < s.source.frame_count)
-            .map(|s| s.next_frame_at)
-            .min();
-        [store_next, sender_due, recording_due]
-            .into_iter()
-            .flatten()
-            .min()
+        let mut streams = self.streams.lock();
+        let due = if streams.unclassified() {
+            self.walk_idle(&streams.map).due
+        } else {
+            let mut idle = Idle::default();
+            if let Some(t) = streams.first_due() {
+                idle.note_due(t);
+            }
+            self.note_recordings(&mut idle);
+            debug_assert_eq!(
+                idle.due,
+                self.walk_idle(&streams.map).due,
+                "the index of the stream provider at {} disagrees with a walk",
+                self.location(),
+            );
+            idle.due
+        };
+        [store_next, due].into_iter().flatten().min()
     }
 
     /// Number of open streams.
     pub fn stream_count(&self) -> usize {
-        self.streams.lock().len()
+        self.streams.lock().map.len()
     }
 
     /// Whether this provider hosts the stream (cluster routing asks
     /// every replica to find a stream's home for control operations).
     pub fn has_stream(&self, id: u32) -> bool {
-        self.streams.lock().contains_key(&id)
+        self.streams.lock().map.contains_key(&id)
     }
 }
 
@@ -1098,13 +1351,17 @@ mod tests {
             .unwrap();
     }
 
-    /// Two identical rigs run one script of play, seek, pause, trick
-    /// speed, stop and feedback over a small cache, stepped 1 ms at a
-    /// time with two pumps per step. Rig A makes every pump a full one;
-    /// rig B lets the provider skip. Both must send the same datagrams
-    /// and end with the same counters, and rig B must really skip.
+    /// Two identical rigs run one script over 32 streams with
+    /// staggered deadlines — play, seek, pause, trick speed, stop and
+    /// feedback over a small cache that stalls streams on storage —
+    /// stepped 1 ms at a time with two pumps per step. Rig A marks the
+    /// provider dirty before every pump, so every pump polls every
+    /// stream; rig B lets the provider skip pumps and poll only what
+    /// its index names. Both must send the same datagrams and end with
+    /// the same sender and store counters, and rig B must really skip.
     #[test]
     fn skipping_pumps_changes_nothing_in_lock_step() {
+        const STREAMS: u32 = 32;
         struct Rig {
             net: Arc<Network>,
             sps: Arc<StreamProviderSystem>,
@@ -1124,11 +1381,11 @@ mod tests {
         };
         let rig = || {
             let (net, dg, sps) = rig_with_store(config);
-            let clients = vec![dg.bind(NetAddr(5)).unwrap(), dg.bind(NetAddr(6)).unwrap()];
-            let ids = (0..2)
+            let clients = (0..4).map(|i| dg.bind(NetAddr(5 + i)).unwrap()).collect();
+            let ids = (0..STREAMS)
                 .map(|i| {
-                    let movie = MovieSource::test_movie(20, 3 + i);
-                    sps.open(movie, NetAddr(5 + i as u32), net.now()).unwrap()
+                    let movie = MovieSource::test_movie(20, 3 + u64::from(i));
+                    sps.open(movie, NetAddr(5 + i % 4), net.now()).unwrap()
                 })
                 .collect();
             Rig {
@@ -1141,19 +1398,21 @@ mod tests {
         };
         let (mut full, mut lazy) = (rig(), rig());
         let mut skipped = 0;
-        for step in 0..4_000u64 {
+        for step in 0..3_000u64 {
             let now = SimTime::from_millis(step);
             for (rig, forced) in [(&mut full, true), (&mut lazy, false)] {
                 rig.net.run_until(now);
-                let (sps, a, b) = (&rig.sps, rig.ids[0], rig.ids[1]);
+                let (sps, ids) = (&rig.sps, &rig.ids);
+                let (a, b, c) = (ids[0], ids[1], ids[17]);
                 match step {
-                    0 => {
-                        sps.play(a, 100, now).unwrap();
-                        sps.play(b, 100, now).unwrap();
-                    }
+                    // Stream i starts at i ms: no two share a deadline.
+                    1..=32 => sps.play(ids[step as usize - 1], 100, now).unwrap(),
                     600 => sps.seek(a, 150, now).unwrap(),
+                    900 => sps.pause(c).unwrap(),
                     1_000 => sps.pause(b).unwrap(),
+                    1_300 => sps.play(c, 100, now).unwrap(),
                     1_400 => sps.play(b, 200, now).unwrap(),
+                    1_500 => sps.seek(c, 10, now).unwrap(),
                     1_800 => sps.seek(a, 20, now).unwrap(),
                     2_200 => {
                         let fb = mtp::MtpFeedback {
@@ -1164,8 +1423,8 @@ mod tests {
                         };
                         rig.clients[0].send_to(sps.addr(), fb.encode());
                     }
-                    2_600 => sps.stop(b, now).unwrap(),
-                    2_700 => sps.play(b, 100, now).unwrap(),
+                    2_400 => sps.stop(b, now).unwrap(),
+                    2_500 => sps.play(b, 100, now).unwrap(),
                     _ => {}
                 }
                 for _ in 0..2 {
@@ -1184,15 +1443,97 @@ mod tests {
             }
         }
         assert!(skipped > 1_000, "the lazy rig skipped only {skipped} pumps");
-        assert!(full.received.len() > 150, "{} frames", full.received.len());
+        let polls = |rig: &Rig| rig.sps.streams.lock().polls;
+        assert!(
+            polls(&lazy) * 4 < polls(&full),
+            "the index polled {} streams, the full walks {}",
+            polls(&lazy),
+            polls(&full),
+        );
+        assert!(
+            full.received.len() > 1_000,
+            "{} frames",
+            full.received.len()
+        );
         assert!(full.received == lazy.received, "different frames received");
         let senders = |rig: &Rig| -> Vec<mtp::SenderStats> {
             let streams = rig.sps.streams.lock();
-            rig.ids.iter().map(|id| streams[id].sender.stats).collect()
+            rig.ids
+                .iter()
+                .map(|id| streams.map[id].sender.stats)
+                .collect()
         };
         assert!(senders(&full).iter().any(|s| s.storage_stalls > 0));
         assert_eq!(senders(&full), senders(&lazy));
         assert_eq!(full.sps.store.stats(), lazy.sps.store.stats());
+    }
+
+    /// 32 streams, stream i playing from i ms on, so no two share a
+    /// deadline, settled until every next frame is ready.
+    fn staggered_rig() -> (Arc<Network>, Arc<StreamProviderSystem>) {
+        let (net, _dg, sps) = rig_with_store(StoreConfig::default());
+        let ids: Vec<u32> = (0..32)
+            .map(|i| {
+                sps.open(MovieSource::test_movie(60, i), NetAddr(5), net.now())
+                    .unwrap()
+            })
+            .collect();
+        for (i, &id) in ids.iter().enumerate() {
+            let t = SimTime::from_millis(i as u64);
+            net.run_until(t);
+            sps.pump(t);
+            sps.play(id, 100, t).unwrap();
+        }
+        while net.now() < SimTime::from_secs(2) || !sps.streams.lock().waiting.is_empty() {
+            let t = sps.next_due().expect("32 streams play");
+            net.run_until(t);
+            sps.pump(t);
+        }
+        (net, sps)
+    }
+
+    #[test]
+    fn a_pump_polls_only_due_streams() {
+        let (net, sps) = staggered_rig();
+        let polls = || sps.streams.lock().polls;
+        let mut frames = 0;
+        for _ in 0..64 {
+            let t = sps.next_due().expect("32 streams play");
+            net.run_until(t);
+            let before = polls();
+            let sent = sps.pump(t);
+            assert!(sps.streams.lock().waiting.is_empty(), "a stream stalled");
+            if sent > 0 {
+                assert_eq!((sent, polls() - before), (1, 1), "at {t}");
+                // The pump after a busy one issues the store's reads
+                // and polls nothing: no other stream is due.
+                let before = polls();
+                assert_eq!(sps.pump(t), 0);
+                assert_eq!(polls() - before, 0, "the second pump at {t}");
+            } else {
+                assert_eq!(polls() - before, 0, "a storage wake-up at {t}");
+            }
+            frames += sent;
+        }
+        assert!(frames >= 32, "{frames} frames in 64 wake-ups");
+    }
+
+    #[test]
+    fn pump_after_mark_dirty_polls_every_stream() {
+        let (net, sps) = staggered_rig();
+        let now = net.now();
+        sps.pump(now);
+        let before = sps.streams.lock().polls;
+        sps.mark_dirty();
+        sps.pump(now);
+        assert_eq!(sps.streams.lock().polls - before, 32);
+        let before = sps.streams.lock().polls;
+        sps.pump(now);
+        assert_eq!(
+            sps.streams.lock().polls - before,
+            0,
+            "the walk re-filed them"
+        );
     }
 
     /// A rig whose one stream is open, its first blocks delivered and
@@ -1270,7 +1611,7 @@ mod tests {
         net.run_until_idle();
         assert!(!sps.idle_at(net.now()), "a datagram waits on the socket");
         sps.pump(net.now());
-        assert_eq!(sps.streams.lock()[&id].sender.feedback_seen, 1);
+        assert_eq!(sps.streams.lock().map[&id].sender.feedback_seen, 1);
     }
 
     #[test]

@@ -795,9 +795,12 @@ impl World {
     /// returns at once ([`StreamProviderSystem::pump`]); one that did
     /// any work stays dirty, so the next iteration pumps it again (at
     /// the same instant if nothing else is due) to issue the prefetch
-    /// reads its new positions call for. A clean provider's `next_due`
-    /// is the deadline its last idle pump cached plus its store's next
-    /// event, not a walk of every stream.
+    /// reads its new positions call for. A pump that runs polls only
+    /// the streams its deadline index names (due, waiting on storage,
+    /// or touched by an operation since), not every stream, and a
+    /// provider's `next_due` reads the same index plus its store's
+    /// next event; it walks the streams only while an operation's
+    /// stream is still unclassified, or after `mark_dirty`.
     fn drive_loop(&self, limit: SimTime, mut done: impl FnMut(&Self) -> bool) {
         let mut guard = 0u32;
         loop {
@@ -973,6 +976,8 @@ impl World {
         let lost = store.fail_disk(disk, now);
         // The dead arm's in-flight reads were unwound: the provider's
         // stalls and prefetch changed under it without a store event.
+        // `mark_dirty` re-queues every stream, so the next pump polls
+        // and re-files all of them.
         server.services.sps.mark_dirty();
         if lost == 0 {
             return (0, 0);

@@ -111,7 +111,33 @@ impl MtpReceiver {
     /// Ingests arrived datagrams and returns the frames whose playout
     /// deadline (arrival-independent: send time + playout delay) has
     /// been reached by `now`, in sequence order.
+    ///
+    /// The buffer is keyed by sequence number, and a frame's deadline
+    /// grows with it (the sender numbers frames in the order it sends
+    /// them), so the due frames are a prefix of the buffer: release
+    /// stops at the first frame still ahead.
     pub fn poll(&mut self, now: SimTime) -> Vec<PlayedFrame> {
+        self.ingest();
+        let mut out = Vec::new();
+        while let Some(head) = self.buffer.first_entry() {
+            if head.get().0 > now {
+                break;
+            }
+            let (_, frame) = head.remove();
+            self.stats.played += 1;
+            out.push(frame);
+        }
+        debug_assert!(
+            self.buffer.values().all(|(deadline, _)| *deadline > now),
+            "stream {}: a due frame stays buffered behind one still ahead",
+            self.stream_id
+        );
+        out
+    }
+
+    /// Drains the socket into the playout buffer, updating the
+    /// loss, transit and jitter accounting.
+    fn ingest(&mut self) {
         while let Some(dg) = self.socket.recv() {
             // Borrowing decode: the payload stays in the datagram
             // buffer; only its length feeds the stats.
@@ -183,20 +209,6 @@ impl MtpReceiver {
             }
             self.buffer.insert(pkt.seq, (deadline, frame));
         }
-        // Release everything whose deadline has passed.
-        let due: Vec<u32> = self
-            .buffer
-            .iter()
-            .filter(|(_, (deadline, _))| *deadline <= now)
-            .map(|(&seq, _)| seq)
-            .collect();
-        let mut out = Vec::with_capacity(due.len());
-        for seq in due {
-            let (_, frame) = self.buffer.remove(&seq).expect("key just listed");
-            self.stats.played += 1;
-            out.push(frame);
-        }
-        out
     }
 
     fn maybe_send_feedback(&mut self) {
@@ -395,6 +407,55 @@ mod tests {
         // No gaps counted as loss: seq numbers are per transmitted
         // packet, not per frame.
         assert_eq!(r.stats.lost, 0);
+    }
+
+    /// The release `poll` had before it stopped at the first frame
+    /// still ahead: a filter over the whole buffer for due frames,
+    /// then one removal each.
+    fn release_by_filter(r: &mut MtpReceiver, now: SimTime) -> Vec<PlayedFrame> {
+        r.ingest();
+        let due: Vec<u32> = r
+            .buffer
+            .iter()
+            .filter(|(_, (deadline, _))| *deadline <= now)
+            .map(|(&seq, _)| seq)
+            .collect();
+        let mut out = Vec::with_capacity(due.len());
+        for seq in due {
+            let (_, frame) = r.buffer.remove(&seq).expect("key just listed");
+            r.stats.played += 1;
+            out.push(frame);
+        }
+        out
+    }
+
+    /// On a lossy link whose jitter exceeds the frame interval (frames
+    /// arrive out of order), polled every 23 ms so one poll releases
+    /// several frames, prefix release plays exactly what the filter
+    /// over the whole buffer played, in the same order.
+    #[test]
+    fn prefix_release_plays_what_a_full_filter_plays() {
+        type Release = fn(&mut MtpReceiver, SimTime) -> Vec<PlayedFrame>;
+        let play = |release: Release| {
+            let (net, mut s, mut r) = rig(0.1, 15_000, 11);
+            s.set_speed_pct(400);
+            s.play(net.now());
+            let mut played = Vec::new();
+            let mut now = SimTime::ZERO;
+            while s.state() == StreamState::Playing || r.buffered() > 0 {
+                now += SimDuration::from_millis(23);
+                s.poll(now);
+                net.run_until(now);
+                played.extend(release(&mut r, now));
+            }
+            (played, r.stats)
+        };
+        let (prefix, stats) = play(MtpReceiver::poll);
+        let (filtered, _) = play(release_by_filter);
+        assert!(stats.lost > 0 && stats.jitter_us > 1_000.0, "{stats:?}");
+        assert!(prefix.len() > 50, "{} frames played", prefix.len());
+        assert!(prefix.windows(2).all(|w| w[0].seq < w[1].seq));
+        assert_eq!(prefix, filtered);
     }
 
     #[test]

@@ -409,6 +409,15 @@ impl ShareManager {
         }
     }
 
+    /// A member's playback position (block index) as last noted;
+    /// `None` for streams in no group.
+    pub fn position_block(&self, stream: u32) -> Option<u64> {
+        let inner = self.inner.lock();
+        let gid = inner.group_of.get(&stream)?;
+        let member = inner.groups.get(gid)?.members.get(&stream)?;
+        Some(member.position_block)
+    }
+
     /// Fast-feeding followers whose gap to their leader has shrunk to
     /// the merge window: the caller releases each one's delta
     /// reservation, resets its playback rate, and confirms with
@@ -691,6 +700,8 @@ mod tests {
         // The catch-up closes the gap to the window.
         share.note_position(2, 5);
         share.note_position(1, 9);
+        assert_eq!(share.position_block(2), Some(5));
+        assert_eq!(share.position_block(3), None, "in no group");
         assert_eq!(share.converged_fast_feeds(), vec![2]);
         share.mark_converged(2);
         assert!(share.converged_fast_feeds().is_empty());
