@@ -26,44 +26,43 @@
 //! [`StoreError`]: an unknown id is [`StoreError::UnknownStream`], and
 //! whatever the store refuses passes through unchanged.
 //!
-//! The driver calls [`StreamProviderSystem::pump`] on every iteration,
-//! but a pump costs nothing while the provider is idle: it returns at
-//! once when the provider is *clean*, no feedback datagram waits on its
-//! socket, no store event is due, and the deadline cached by the last
-//! pump (every playing sender's next frame, stalled ones included, and
-//! every live recording's next capture) is still ahead. Every mutator
-//! marks the provider dirty, and so does a pump that did any work: the
-//! store issues prefetch reads from the positions the *previous* pump
-//! left, so the pump after a busy one, even at the same instant, is the
-//! one that issues the reads for the positions just reached. Only a pump
+//! One deadline index answers "is anything due?". A min-heap holds
+//! `(deadline, id)` for every playing stream whose next frame is ready
+//! (each stream keeps the key its live entry carries) and for every
+//! unfinished recording's next capture; an entry no longer live is
+//! dropped when it surfaces. Beside it a *poll-next* list names the
+//! streams the next pump polls whatever their deadline: those waiting
+//! on storage (playing, the next frame's block not yet delivered; the
+//! index keeps the earliest of their deadlines) and those an operation
+//! touched. None of them is in the heap.
+//!
+//! The driver calls [`StreamProviderSystem::pump`] on every iteration.
+//! A pump returns at once while the provider is *clean*, nothing
+//! indexed is due, no stalled deadline has come, no feedback datagram
+//! waits on its socket and no store event is due. Every operation marks
+//! the provider dirty, and so does a pump that did any work: the store
+//! issues prefetch reads from the positions the *previous* pump left,
+//! so the pump after a busy one, even at the same instant, is the one
+//! that issues the reads for the positions just reached. Only a pump
 //! that found nothing to do clears the mark.
 //!
-//! A pump that runs polls only the streams that can have work, in
-//! ascending id: those whose deadline has come, those *waiting* on
-//! storage (playing, with the next frame's block not yet delivered),
-//! and those a mutator *touched* since the last pump. A deadline index
-//! finds the first kind: a min-heap of `(deadline, id)` over the
-//! playing streams whose next frame is ready, each stream keeping the
-//! key its live entry carries (an entry whose key its stream no longer
-//! holds is dropped when it surfaces). Skipping the rest is exact: a
-//! stream that is not due sends nothing, reporting an unchanged
-//! position to the store and the sharing engine writes what is already
-//! there, and a stream's delivered-through watermark only grows between
-//! the provider's own mutators (a seek resets it), so a ready stream
-//! stays ready. The same index gives the cached deadlines and
-//! [`StreamProviderSystem::next_due`], which walks the streams only
-//! while a touched one is still unclassified.
+//! A pump that runs polls, in ascending id, the streams whose indexed
+//! deadline has come and the poll-next list. Skipping the rest is
+//! exact: a stream that is not due sends nothing, reporting an
+//! unchanged position to the store and the sharing engine writes what
+//! is already there, and a stream's delivered-through watermark only
+//! grows between the provider's own operations (a seek resets it), so
+//! a ready stream stays ready. Every pump looks at every recording.
 //!
 //! `open`, `close` and every operation on one stream (play, pause,
 //! stop, seek, a catch-up reset) touch that stream; the recording
-//! operations touch their session. `mark_dirty` re-queues *every*
-//! stream, so code that changes a provider's store from outside `pump`
-//! calls it (as [`crate::World::fail_disk`] does) and needs no rule of
-//! its own. In the debug profile a skipped pump runs anyway and panics,
-//! naming the instant and the provider, if it changed anything; and
-//! after every pump each stream the pump did not poll is checked to be
-//! one a poll would have left alone, the panic naming the instant, the
-//! provider and the stream.
+//! operations touch their session. `mark_dirty` touches *every* stream,
+//! so code that changes a provider's store from outside `pump` calls it
+//! (as [`crate::World::fail_disk`] does) and needs no rule of its own.
+//! In the debug profile a skipped pump runs anyway and panics, naming
+//! the instant and the provider, if it changed anything; and after
+//! every pump each stream it did not poll, and the index's deadlines,
+//! are checked against a walk of every stream and recording.
 
 use mtp::{MovieSource, MtpSender, StreamState};
 use netsim::{DatagramNet, DatagramSocket, NetAddr, SimDuration, SimTime};
@@ -103,6 +102,13 @@ struct RecordingSession {
     waiter: Option<Waker>,
 }
 
+impl RecordingSession {
+    /// When the next frame is captured; `None` once every frame is.
+    fn next_capture(&self) -> Option<SimTime> {
+        (self.captured < self.source.frame_count).then_some(self.next_frame_at)
+    }
+}
+
 /// One open playback stream.
 struct Stream {
     sender: MtpSender,
@@ -112,8 +118,8 @@ struct Stream {
     /// turned into a strided prefetch hint.
     last_forward_delta: Option<u64>,
     /// The deadline this stream's live entry in the index carries:
-    /// `Some` while it plays with its next frame ready and no pump has
-    /// taken the entry yet.
+    /// `Some` while it plays with its next frame ready and no pump or
+    /// operation has taken the entry yet.
     key: Option<SimTime>,
 }
 
@@ -131,21 +137,31 @@ fn deadline(sender: &MtpSender, ready: Option<u64>) -> Option<(SimTime, bool)> {
 /// with up to this many streams never allocates in a pump.
 const INDEX_CAPACITY: usize = 64;
 
-/// The open streams and the deadline index over them (see the module
-/// docs).
+/// The earlier of two optional instants.
+fn earliest(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
+    a.into_iter().chain(b).min()
+}
+
+/// The open streams and recordings and the deadline index over them
+/// (see the module docs).
 struct Streams {
+    /// Ordered maps: `pump` polls streams and captures recordings in
+    /// ascending id, and that order is the order frames reach the
+    /// datagram network and draw from its seeded link model, so it must
+    /// be the same in every process.
     map: BTreeMap<u32, Stream>,
-    /// `(deadline, id)`, earliest first, of every playing stream whose
-    /// next frame is ready; an entry whose deadline is not its stream's
-    /// `key` is stale.
+    recordings: BTreeMap<u32, RecordingSession>,
+    /// `(deadline, id)`, earliest first. A stream's entry is live while
+    /// its `key` is the deadline, a recording's while it is the next
+    /// capture.
     heap: BinaryHeap<Reverse<(SimTime, u32)>>,
-    /// Streams waiting on storage, ascending; every pump polls them.
+    /// The poll-next list: streams waiting on storage and ids touched
+    /// since the last pump.
     waiting: Vec<u32>,
-    /// Ids a mutator touched since the last pump.
-    touched: Vec<u32>,
-    /// Set by [`StreamProviderSystem::mark_dirty`]: the next pump
-    /// polls every stream.
-    all: bool,
+    /// The earliest deadline of a stream waiting on storage.
+    stalled_until: Option<SimTime>,
+    /// Whether the next pump runs even if nothing is due.
+    dirty: bool,
     /// The ids the last pump polled, ascending (a reused buffer).
     polled: Vec<u32>,
     /// Streams polled so far, for the tests' cost assertions.
@@ -157,31 +173,31 @@ impl Streams {
     fn new() -> Self {
         Streams {
             map: BTreeMap::new(),
+            recordings: BTreeMap::new(),
             heap: BinaryHeap::with_capacity(2 * INDEX_CAPACITY),
             waiting: Vec::with_capacity(INDEX_CAPACITY),
-            touched: Vec::with_capacity(INDEX_CAPACITY),
-            all: false,
+            stalled_until: None,
+            dirty: true,
             polled: Vec::with_capacity(INDEX_CAPACITY),
             #[cfg(test)]
             polls: 0,
         }
     }
 
+    /// Takes stream `id` out of the heap and onto the poll-next list.
     fn touch(&mut self, id: u32) {
-        if !self.touched.contains(&id) {
-            self.touched.push(id);
+        if let Some(stream) = self.map.get_mut(&id) {
+            stream.key = None;
         }
-    }
-
-    /// Whether a touched stream still waits for a pump to classify it.
-    fn unclassified(&self) -> bool {
-        self.all || !self.touched.is_empty()
+        if !self.waiting.contains(&id) {
+            self.waiting.push(id);
+        }
+        self.dirty = true;
     }
 
     /// The ids a pump at `now` polls, ascending: those whose indexed
-    /// deadline has come (their entries taken), the waiting list and
-    /// the touched ones, or every stream after a `mark_dirty`. Each is
-    /// re-filed by [`Streams::reindex`].
+    /// deadline has come (their entries taken) and the poll-next list.
+    /// Each is re-filed by [`Streams::reindex`].
     fn take_polled(&mut self, now: SimTime) -> Vec<u32> {
         let mut polled = mem::take(&mut self.polled);
         polled.clear();
@@ -195,49 +211,43 @@ impl Streams {
                 polled.push(id);
             }
         }
-        if mem::take(&mut self.all) {
-            polled.clear();
-            polled.extend(self.map.keys().copied());
-        } else {
-            polled.extend_from_slice(&self.waiting);
-            polled.extend_from_slice(&self.touched);
-            polled.sort_unstable();
-            polled.dedup();
-        }
-        self.waiting.clear();
-        self.touched.clear();
+        polled.append(&mut self.waiting);
+        polled.sort_unstable();
+        polled.dedup();
+        self.stalled_until = None;
         polled
     }
 
-    /// Files a just-polled stream under what it now waits for, and
-    /// returns its deadline if that frame waits on storage.
-    fn reindex(&mut self, id: u32, ready: Option<u64>) -> Option<SimTime> {
-        let stream = self.map.get_mut(&id)?;
+    /// Files a just-polled stream under what it now waits for.
+    fn reindex(&mut self, id: u32, ready: Option<u64>) {
+        let Some(stream) = self.map.get_mut(&id) else {
+            return;
+        };
         match deadline(&stream.sender, ready) {
             Some((t, false)) => {
                 if stream.key != Some(t) {
                     stream.key = Some(t);
                     self.heap.push(Reverse((t, id)));
                 }
-                None
             }
             Some((t, true)) => {
                 stream.key = None;
                 self.waiting.push(id);
-                Some(t)
+                self.stalled_until = earliest(self.stalled_until, Some(t));
             }
-            None => {
-                stream.key = None;
-                None
-            }
+            None => stream.key = None,
         }
     }
 
-    /// The earliest deadline of a playing stream whose next frame is
-    /// ready; stale entries on top are dropped on the way.
+    /// The earliest live deadline in the heap; stale entries on top are
+    /// dropped on the way.
     fn first_due(&mut self) -> Option<SimTime> {
         while let Some(&Reverse((t, id))) = self.heap.peek() {
-            if self.map.get(&id).is_some_and(|s| s.key == Some(t)) {
+            let live = match self.map.get(&id) {
+                Some(stream) => stream.key == Some(t),
+                None => self.recordings.get(&id).and_then(|r| r.next_capture()) == Some(t),
+            };
+            if live {
                 return Some(t);
             }
             self.heap.pop();
@@ -246,51 +256,17 @@ impl Streams {
     }
 }
 
-/// What the last pump that found nothing to do left behind: while
-/// nothing marks the provider dirty again, these deadlines stand.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Idle {
-    /// The first instant a pump could have work of its own: the
-    /// earliest deadline of any playing sender (stalled ones included)
-    /// or live recording. `None` while nothing plays or records.
-    until: Option<SimTime>,
-    /// [`StreamProviderSystem::next_due`] without the store's events:
-    /// the earliest deadline of a playing sender whose data is ready,
-    /// or of an unfinished recording's next capture.
-    due: Option<SimTime>,
-}
-
-impl Idle {
-    /// A deadline that ends the skip but is no wake-up of its own.
-    fn note_until(&mut self, t: SimTime) {
-        self.until = Some(self.until.map_or(t, |u| u.min(t)));
-    }
-
-    /// A deadline that ends the skip and is a wake-up.
-    fn note_due(&mut self, t: SimTime) {
-        self.note_until(t);
-        self.due = Some(self.due.map_or(t, |d| d.min(t)));
-    }
-}
-
 /// The per-server stream provider: a registry of paced MTP senders
 /// sharing one datagram socket, fed by a block store.
 pub struct StreamProviderSystem {
     socket: DatagramSocket,
     addr: NetAddr,
-    /// Open streams and recordings by id. Ordered maps: `pump` polls
-    /// streams in ascending id, and that order is the order frames
-    /// reach the datagram network and draw from its seeded link model,
-    /// so it must be the same in every process.
     streams: Mutex<Streams>,
-    recordings: Mutex<BTreeMap<u32, RecordingSession>>,
     store: Arc<BlockStore>,
     /// The stream-sharing merge engine (followers are served from the
     /// store's interval cache).
     share: Arc<ShareManager>,
     next_stream: AtomicU32,
-    /// `None` while dirty; see the module docs for who marks it.
-    idle: Mutex<Option<Idle>>,
 }
 
 impl fmt::Debug for StreamProviderSystem {
@@ -342,27 +318,32 @@ impl StreamProviderSystem {
             socket,
             addr,
             streams: Mutex::new(Streams::new()),
-            recordings: Mutex::new(BTreeMap::new()),
             store,
             share,
             next_stream: AtomicU32::new((addr.0 << 16) | 1),
-            idle: Mutex::new(None),
         })
     }
 
-    /// Makes the next [`StreamProviderSystem::pump`] run and poll every
-    /// stream. Code that changes the provider's store from outside (a
+    /// Touches every stream: the next [`StreamProviderSystem::pump`]
+    /// runs and polls them all, and until then
+    /// [`StreamProviderSystem::next_due`] reads each one's deadline
+    /// live. Code that changes the provider's store from outside (a
     /// failed disk) calls this.
     pub(crate) fn mark_dirty(&self) {
-        *self.idle.lock() = None;
-        self.streams.lock().all = true;
+        let mut guard = self.streams.lock();
+        let streams = &mut *guard;
+        streams.waiting.clear();
+        for (&id, stream) in &mut streams.map {
+            stream.key = None;
+            streams.waiting.push(id);
+        }
+        streams.dirty = true;
     }
 
     /// Makes the next pump run and poll stream `id`: what every method
     /// that changes one stream or recording calls (a recording's id
     /// names no stream; every pump looks at every recording).
     fn touch(&self, id: u32) {
-        *self.idle.lock() = None;
         self.streams.lock().touch(id);
     }
 
@@ -510,24 +491,25 @@ impl StreamProviderSystem {
         let id = self.alloc_stream_id();
         self.touch(id);
         self.store.open_recording(id, &movie)?;
-        self.recordings.lock().insert(
-            id,
-            RecordingSession {
-                source: movie,
-                captured: 0,
-                next_frame_at: now,
-                sealed: false,
-                waiter: None,
-            },
-        );
+        let mut streams = self.streams.lock();
+        let session = RecordingSession {
+            source: movie,
+            captured: 0,
+            next_frame_at: now,
+            sealed: false,
+            waiter: None,
+        };
+        streams.recordings.insert(id, session);
+        streams.heap.push(Reverse((now, id)));
         Ok(id)
     }
 
     /// Whether a recording has captured every frame and persisted
     /// every block.
     pub fn recording_finished(&self, id: u32) -> bool {
-        let recordings = self.recordings.lock();
-        recordings
+        let streams = self.streams.lock();
+        streams
+            .recordings
             .get(&id)
             .is_some_and(|session| self.session_finished(id, session))
     }
@@ -543,7 +525,7 @@ impl StreamProviderSystem {
     /// not announced after the fact: the caller looks once itself.
     pub fn on_recording_finished(&self, id: u32, waker: Waker) {
         self.touch(id);
-        if let Some(session) = self.recordings.lock().get_mut(&id) {
+        if let Some(session) = self.streams.lock().recordings.get_mut(&id) {
             session.waiter = Some(waker);
         }
     }
@@ -558,7 +540,8 @@ impl StreamProviderSystem {
     /// still capturing or persisting.
     pub fn record_close(&self, id: u32) -> Result<RecordedMovie, StoreError> {
         self.touch(id);
-        let mut recordings = self.recordings.lock();
+        let mut streams = self.streams.lock();
+        let recordings = &mut streams.recordings;
         if !recordings.contains_key(&id) {
             return Err(StoreError::UnknownStream(id));
         }
@@ -572,7 +555,7 @@ impl StreamProviderSystem {
 
     /// Number of recording sessions in progress.
     pub fn recording_count(&self) -> usize {
-        self.recordings.lock().len()
+        self.streams.lock().recordings.len()
     }
 
     /// Tears the provider down as a machine crash: every live stream
@@ -583,11 +566,10 @@ impl StreamProviderSystem {
     /// reboot") reuses the provider.
     pub fn crash(&self) -> usize {
         self.mark_dirty();
-        let recordings: Vec<u32> = self.recordings.lock().keys().copied().collect();
+        let recordings = mem::take(&mut self.streams.lock().recordings);
         let streams: Vec<u32> = self.streams.lock().map.keys().copied().collect();
         let killed = recordings.len() + streams.len();
-        for id in recordings {
-            self.recordings.lock().remove(&id);
+        for &id in recordings.keys() {
             self.store.abort_recording(id);
         }
         for id in streams {
@@ -605,7 +587,7 @@ impl StreamProviderSystem {
     /// Fails for unknown ids.
     pub fn close(&self, id: u32) -> Result<(), StoreError> {
         self.touch(id);
-        if self.recordings.lock().remove(&id).is_some() {
+        if self.streams.lock().recordings.remove(&id).is_some() {
             self.store.abort_recording(id);
             return Ok(());
         }
@@ -775,10 +757,11 @@ impl StreamProviderSystem {
     }
 
     /// The waiter of a finished recording, taken out of its session
-    /// (each is woken once, and outside the table's lock).
+    /// (each is woken once, and outside the provider's lock).
     fn take_finished_waiter(&self) -> Option<Waker> {
-        let mut recordings = self.recordings.lock();
-        recordings
+        let mut streams = self.streams.lock();
+        streams
+            .recordings
             .iter_mut()
             .filter(|(id, session)| {
                 session.waiter.is_some() && self.session_finished(**id, session)
@@ -787,25 +770,32 @@ impl StreamProviderSystem {
     }
 
     /// Captures all recording frames due at or before `now`, feeding
-    /// them through the store's write path; sessions that reach their
-    /// frame target are sealed (tail flushed, bandwidth released).
-    /// Returns whether any session captured or sealed.
+    /// them through the store's write path, and indexes each session's
+    /// next capture; a session that captures its last frame is sealed
+    /// in the same pass (tail flushed, bandwidth released). Returns
+    /// whether any session captured or sealed.
     fn pump_recordings(&self, now: SimTime) -> bool {
         let mut worked = false;
-        let mut recordings = self.recordings.lock();
-        for (id, session) in recordings.iter_mut() {
+        let mut guard = self.streams.lock();
+        let streams = &mut *guard;
+        for (&id, session) in &mut streams.recordings {
             let interval = SimDuration::from_micros(session.source.frame_interval_us());
-            while session.captured < session.source.frame_count && session.next_frame_at <= now {
-                let at = session.next_frame_at;
+            let from = session.captured;
+            while let Some(at) = session.next_capture().filter(|&t| t <= now) {
                 let size = session.source.frame(session.captured).map_or(0, |f| f.size);
-                let _ = self.store.append_frame(*id, size, at);
+                let _ = self.store.append_frame(id, size, at);
                 session.captured += 1;
                 session.next_frame_at = at + interval;
+            }
+            if session.captured > from {
                 worked = true;
+                if let Some(t) = session.next_capture() {
+                    streams.heap.push(Reverse((t, id)));
+                }
             }
             if session.captured >= session.source.frame_count && !session.sealed {
                 session.sealed = true;
-                let _ = self.store.seal_recording(*id, now);
+                let _ = self.store.seal_recording(id, now);
                 worked = true;
             }
         }
@@ -816,48 +806,59 @@ impl StreamProviderSystem {
     /// (gated on storage delivery), captures due recording frames, and
     /// routes receiver feedback reports to their senders.
     ///
-    /// Returns 0 at once, touching nothing, when the provider is clean
-    /// (see the module docs), no datagram waits on its socket, no store
-    /// event is due by `now`, and no sender or recording deadline
-    /// cached by the last pump has come. A stalled sender's deadline
-    /// stays in that cache although its frame waits on storage: each
-    /// poll of a stalled stream counts one
-    /// [`mtp::SenderStats::storage_stalls`], so a playing stream past
-    /// its deadline keeps the provider pumping exactly as often as
-    /// before the skip existed.
+    /// Returns 0 at once, touching nothing, while the provider is clean
+    /// (see the module docs), no indexed deadline (a ready sender's
+    /// next frame, a recording's next capture) and no stalled sender's
+    /// deadline has come, no datagram waits on its socket and no store
+    /// event is due by `now`. A stalled sender's deadline ends the skip
+    /// although its frame waits on storage: each poll of a stalled
+    /// stream counts one [`mtp::SenderStats::storage_stalls`], so a
+    /// playing stream past its deadline keeps the provider pumping
+    /// exactly as often as before the skip existed.
     ///
     /// A pump that runs polls, in ascending id, the streams whose
-    /// indexed deadline has come, every stream waiting on storage, and
-    /// every stream touched since the last pump (all of them after a
-    /// `mark_dirty`); the rest would send nothing and change nothing.
+    /// indexed deadline has come and the poll-next list (every stream
+    /// after a `mark_dirty`); the rest would send nothing and change
+    /// nothing. A pump that did any work leaves the provider dirty.
     pub fn pump(&self, now: SimTime) -> usize {
         if self.idle_at(now) {
             #[cfg(debug_assertions)]
-            self.assert_idle_pump(now);
+            {
+                let before = self.snapshot();
+                let sent = self.pump_all(now);
+                self.check(now);
+                let after = self.snapshot();
+                assert!(
+                    sent == 0 && !self.streams.lock().dirty && before == after,
+                    "skipped pump at {now} on the stream provider at {} would have worked \
+                     (sent {sent}):\nbefore: {before:?}\nafter:  {after:?}",
+                    self.location(),
+                );
+            }
             return 0;
         }
-        let (sent, idle) = self.pump_all(now);
+        let sent = self.pump_all(now);
         #[cfg(debug_assertions)]
-        self.assert_skips_exact(now, idle);
-        *self.idle.lock() = idle;
+        self.check(now);
         sent
     }
 
     /// Whether a pump at `now` provably has nothing to do.
     fn idle_at(&self, now: SimTime) -> bool {
-        let Some(idle) = *self.idle.lock() else {
-            return false;
-        };
-        idle.until.is_none_or(|t| t > now)
+        let later = |t: Option<SimTime>| t.is_none_or(|t| t > now);
+        let mut streams = self.streams.lock();
+        !streams.dirty
+            && later(streams.stalled_until)
+            && later(streams.first_due())
             && self.socket.pending() == 0
-            && self.store.next_event().is_none_or(|t| t > now)
+            && later(self.store.next_event())
     }
 
-    /// The pump itself. Returns the frames sent, and the deadlines to
-    /// cache when it found nothing to do (`None` after any work:
-    /// frames sent or skipped, blocks completed, feedback consumed,
-    /// recording frames captured, waiters woken, fast-feeds converged).
-    fn pump_all(&self, now: SimTime) -> (usize, Option<Idle>) {
+    /// The pump itself. Returns the frames sent, and leaves the provider
+    /// dirty after any work: frames sent or skipped, blocks completed,
+    /// feedback consumed, recording frames captured, waiters woken,
+    /// fast-feeds converged.
+    fn pump_all(&self, now: SimTime) -> usize {
         let (store, share) = (&self.store, &self.share);
         let mut worked = self.pump_recordings(now);
         worked |= store.pump(now) > 0;
@@ -879,9 +880,6 @@ impl StreamProviderSystem {
         }
         let polled = streams.take_polled(now);
         let mut sent = 0;
-        // Stalled on storage: the store's next completion is the real
-        // wake-up point, so these deadlines only end the skip.
-        let mut stalled_until: Option<SimTime> = None;
         for &id in &polled {
             let Some(Stream { sender, .. }) = streams.map.get_mut(&id) else {
                 continue;
@@ -895,9 +893,7 @@ impl StreamProviderSystem {
             if let Some(block) = store.stream_position_block(id) {
                 share.note_position(id, block);
             }
-            if let Some(t) = streams.reindex(id, ready) {
-                stalled_until = Some(stalled_until.map_or(t, |u| u.min(t)));
-            }
+            streams.reindex(id, ready);
             #[cfg(test)]
             {
                 streams.polls += 1;
@@ -918,86 +914,39 @@ impl StreamProviderSystem {
             worked = true;
         }
         store.set_pinned_ranges(&share.pinned_ranges());
-        if worked || sent > 0 {
-            return (sent, None);
-        }
-        let mut idle = Idle::default();
-        if let Some(t) = streams.first_due() {
-            idle.note_due(t);
-        }
-        if let Some(t) = stalled_until {
-            idle.note_until(t);
-        }
-        self.note_recordings(&mut idle);
-        (sent, Some(idle))
+        streams.dirty = worked || sent > 0;
+        sent
     }
 
-    /// Adds the recordings' deadlines: an unfinished capture's next
-    /// frame is a wake-up, and a finished session still to seal or
-    /// announce ends the skip.
-    fn note_recordings(&self, idle: &mut Idle) {
-        for session in self.recordings.lock().values() {
-            if session.captured < session.source.frame_count {
-                idle.note_due(session.next_frame_at);
-            } else if !session.sealed || session.waiter.is_some() {
-                idle.note_until(session.next_frame_at);
-            }
-        }
-    }
-
-    /// The deadlines a walk of every stream and recording finds, with
-    /// the store's current delivery watermarks: what the index must
-    /// agree with.
-    fn walk_idle(&self, streams: &BTreeMap<u32, Stream>) -> Idle {
-        let mut idle = Idle::default();
-        for (id, stream) in streams {
-            match deadline(&stream.sender, self.store.frames_ready_through(*id)) {
-                Some((t, true)) => idle.note_until(t),
-                Some((t, false)) => idle.note_due(t),
+    /// The debug-profile check after every pump: each stream the pump
+    /// neither polled nor queued is one a poll would have left alone
+    /// (not due; the store's and the sharing engine's position already
+    /// what reporting it would write; still filed as ready under its
+    /// deadline, or not playing), and while the provider is clean the
+    /// index's `(first_due, stalled_until)` is what a walk of every
+    /// stream and recording finds.
+    #[cfg(debug_assertions)]
+    fn check(&self, now: SimTime) {
+        let mut streams = self.streams.lock();
+        let mut walked = (None, None);
+        for (&id, stream) in &streams.map {
+            let sender = &stream.sender;
+            let ready = self.store.frames_ready_through(id);
+            let due = deadline(sender, ready);
+            match due {
+                Some((t, false)) => walked.0 = earliest(walked.0, Some(t)),
+                Some((t, true)) => walked.1 = earliest(walked.1, Some(t)),
                 None => {}
             }
-        }
-        self.note_recordings(&mut idle);
-        idle
-    }
-
-    /// The debug-profile check behind a skipped pump: runs the full
-    /// pump anyway and panics if it changed anything the skip assumed
-    /// it would not.
-    #[cfg(debug_assertions)]
-    fn assert_idle_pump(&self, now: SimTime) {
-        let before = self.snapshot();
-        let (sent, idle) = self.pump_all(now);
-        self.assert_skips_exact(now, idle);
-        let after = self.snapshot();
-        assert!(
-            sent == 0 && idle == *self.idle.lock() && before == after,
-            "skipped pump at {now} on the stream provider at {} would have worked \
-             (sent {sent}):\nbefore: {before:?}\nafter:  {after:?}",
-            self.location(),
-        );
-    }
-
-    /// The debug-profile check behind the index, after a pump that
-    /// returned `idle`: every stream it did not poll is one a poll
-    /// would have left alone (not due; the store's and the sharing
-    /// engine's position already what reporting it would write; still
-    /// filed as ready under its deadline, or not playing), and the
-    /// cached deadlines are what a walk of every stream finds.
-    #[cfg(debug_assertions)]
-    fn assert_skips_exact(&self, now: SimTime, idle: Option<Idle>) {
-        let streams = self.streams.lock();
-        for (&id, stream) in &streams.map {
-            if streams.polled.binary_search(&id).is_ok() {
+            if streams.polled.binary_search(&id).is_ok() || streams.waiting.contains(&id) {
                 continue;
             }
-            let sender = &stream.sender;
             let store_block = self.store.stream_position_block(id);
             let noted = store_block.is_none_or(|b| {
                 Some(b) == self.store.block_of_frame(stream.movie, sender.position())
                     && self.share.position_block(id).is_none_or(|s| s == b)
             });
-            let filed = match deadline(sender, self.store.frames_ready_through(id)) {
+            let filed = match due {
                 Some((t, false)) => stream.key == Some(t) && t > now,
                 Some((_, true)) => false,
                 None => stream.key.is_none(),
@@ -1005,33 +954,36 @@ impl StreamProviderSystem {
             assert!(
                 noted && filed,
                 "pump at {now} on the stream provider at {} skipped stream {id} \
-                 with work to do: next due {:?}, indexed under {:?}, ready through {:?}, \
+                 with work to do: next due {:?}, indexed under {:?}, ready through {ready:?}, \
                  position {} (block {store_block:?} in the store, {:?} in its group)",
                 self.location(),
                 sender.next_due(),
                 stream.key,
-                self.store.frames_ready_through(id),
                 sender.position(),
                 self.share.position_block(id),
             );
         }
-        if let Some(idle) = idle {
-            let walked = self.walk_idle(&streams.map);
+        for session in streams.recordings.values() {
+            walked.0 = earliest(walked.0, session.next_capture());
+        }
+        if !streams.dirty {
+            let index = (streams.first_due(), streams.stalled_until);
             assert!(
-                idle == walked,
-                "pump at {now} on the stream provider at {} cached {idle:?}, \
-                 but a walk of every stream finds {walked:?}",
+                index == walked,
+                "pump at {now} on the stream provider at {} indexes (first due, stalled \
+                 until) {index:?}, but a walk of every stream and recording finds {walked:?}",
                 self.location(),
             );
         }
     }
 
-    /// Everything a pump can change, for [`Self::assert_idle_pump`].
+    /// Everything a pump can change, for the dry run behind a skipped
+    /// pump.
     #[cfg(debug_assertions)]
     fn snapshot(&self) -> impl PartialEq + fmt::Debug {
-        let senders: Vec<_> = self
-            .streams
-            .lock()
+        let mut streams = self.streams.lock();
+        let index = (streams.first_due(), streams.stalled_until);
+        let senders: Vec<_> = streams
             .map
             .iter()
             .map(|(id, s)| {
@@ -1049,40 +1001,27 @@ impl StreamProviderSystem {
             self.store.next_event(),
             self.store.disk_queue_depths(),
         );
-        (store, senders, share, self.socket.pending())
+        (store, senders, index, share, self.socket.pending())
     }
 
     /// Earliest instant at which any stream can make progress: the
     /// next frame deadline of a stream whose data is ready, the next
     /// capture of an unfinished recording, or the next storage
-    /// completion (for stalled streams). While the provider is clean
-    /// the senders' and recordings' part is the one the last pump
-    /// cached; while it is dirty the senders' part is the index's
-    /// earliest ready deadline, and a walk of every stream only while
-    /// a touched one is still unclassified.
+    /// completion (for stalled streams). The index holds the first two
+    /// except for the streams on the poll-next list, whose deadlines
+    /// are read live, so an operation shows before the pump that
+    /// re-files its stream.
     pub fn next_due(&self) -> Option<SimTime> {
-        let store_next = self.store.next_event();
-        if let Some(idle) = *self.idle.lock() {
-            return [store_next, idle.due].into_iter().flatten().min();
-        }
         let mut streams = self.streams.lock();
-        let due = if streams.unclassified() {
-            self.walk_idle(&streams.map).due
-        } else {
-            let mut idle = Idle::default();
-            if let Some(t) = streams.first_due() {
-                idle.note_due(t);
+        let indexed = earliest(streams.first_due(), self.store.next_event());
+        let queued = streams.waiting.iter().filter_map(|id| {
+            let sender = &streams.map.get(id)?.sender;
+            match deadline(sender, self.store.frames_ready_through(*id))? {
+                (t, false) => Some(t),
+                (_, true) => None,
             }
-            self.note_recordings(&mut idle);
-            debug_assert_eq!(
-                idle.due,
-                self.walk_idle(&streams.map).due,
-                "the index of the stream provider at {} disagrees with a walk",
-                self.location(),
-            );
-            idle.due
-        };
-        [store_next, due].into_iter().flatten().min()
+        });
+        queued.chain(indexed).min()
     }
 
     /// Number of open streams.
@@ -1516,6 +1455,89 @@ mod tests {
             frames += sent;
         }
         assert!(frames >= 32, "{frames} frames in 64 wake-ups");
+    }
+
+    /// A provider with one recording and no stream sleeps between
+    /// captures: the index wakes it at each one, and not a microsecond
+    /// earlier unless the store has an event due.
+    #[test]
+    fn a_lone_recording_wakes_the_provider_at_each_capture() {
+        let (net, _dg, sps) = rig_with_store(StoreConfig::default());
+        let source = MovieSource::test_movie(2, 9);
+        let id = sps.record_open(source.clone(), net.now()).unwrap();
+        let next_capture = || sps.streams.lock().recordings[&id].next_capture();
+        let (mut now, mut wakes) = (net.now(), 0);
+        loop {
+            for pumps in 0.. {
+                assert!(pumps < 10, "the provider at {now} never settles");
+                if sps.idle_at(now) {
+                    break;
+                }
+                sps.pump(now);
+            }
+            if sps.recording_finished(id) {
+                break;
+            }
+            if let Some(c) = next_capture() {
+                assert!(!sps.idle_at(c), "the capture at {c} sleeps through");
+                let before = SimTime::from_micros(c.as_micros() - 1);
+                if sps.store.next_event().is_none_or(|e| e >= c) {
+                    assert!(sps.idle_at(before), "the provider wakes at {before}");
+                    wakes += 1;
+                }
+            }
+            now = sps.next_due().expect("the recording is unfinished");
+            net.run_until(now);
+        }
+        assert_eq!(
+            sps.streams.lock().recordings[&id].captured,
+            source.frame_count
+        );
+        assert!(wakes > 0, "a store event came with every capture");
+    }
+
+    /// What [`StreamProviderSystem::next_due`] must answer, by a walk:
+    /// the earliest ready deadline, next capture or store event.
+    fn walked_next_due(sps: &StreamProviderSystem) -> Option<SimTime> {
+        let streams = sps.streams.lock();
+        let ready = streams.map.iter().filter_map(|(&id, s)| {
+            match deadline(&s.sender, sps.store.frames_ready_through(id))? {
+                (t, false) => Some(t),
+                (_, true) => None,
+            }
+        });
+        let captures = streams
+            .recordings
+            .values()
+            .filter_map(RecordingSession::next_capture);
+        ready.chain(captures).chain(sps.store.next_event()).min()
+    }
+
+    /// An operation takes its stream out of the index at once, so
+    /// `next_due` between the operation and the next pump reads that
+    /// stream as it now stands, not under its old deadline.
+    #[test]
+    fn next_due_after_an_operation_reads_the_stream() {
+        let (net, sps) = staggered_rig();
+        let now = net.now();
+        let first = || {
+            let mut streams = sps.streams.lock();
+            let t = streams.first_due().expect("32 streams play");
+            let Reverse((_, id)) = *streams.heap.peek().expect("a live entry");
+            assert!(
+                sps.store.next_event().is_none_or(|e| e > t),
+                "a store event first"
+            );
+            id
+        };
+        let paused = first();
+        sps.pause(paused).unwrap();
+        assert_eq!(sps.next_due(), walked_next_due(&sps), "after the pause");
+        sps.seek(first(), 600, now).unwrap();
+        assert_eq!(sps.next_due(), walked_next_due(&sps), "after the seek");
+        sps.play(paused, 100, now).unwrap();
+        assert_eq!(sps.next_due(), walked_next_due(&sps), "after the play");
+        assert_eq!(sps.next_due(), Some(now));
     }
 
     #[test]

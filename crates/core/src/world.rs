@@ -791,16 +791,16 @@ impl World {
     /// One iteration per network event or deadline: run the
     /// schedulers, tick the controllers, pump every stream provider,
     /// then step to the earliest next event. Every provider is offered
-    /// a pump on every iteration, but a clean one with nothing due
-    /// returns at once ([`StreamProviderSystem::pump`]); one that did
-    /// any work stays dirty, so the next iteration pumps it again (at
-    /// the same instant if nothing else is due) to issue the prefetch
-    /// reads its new positions call for. A pump that runs polls only
-    /// the streams its deadline index names (due, waiting on storage,
-    /// or touched by an operation since), not every stream, and a
-    /// provider's `next_due` reads the same index plus its store's
-    /// next event; it walks the streams only while an operation's
-    /// stream is still unclassified, or after `mark_dirty`.
+    /// a pump on every iteration, but a clean one with nothing due in
+    /// its deadline index returns at once
+    /// ([`StreamProviderSystem::pump`]); one that did any work stays
+    /// dirty, so the next iteration pumps it again (at the same instant
+    /// if nothing else is due) to issue the prefetch reads its new
+    /// positions call for. A pump that runs polls only the streams the
+    /// index names (due, waiting on storage, or touched by an operation
+    /// since), not every stream, and a provider's `next_due` is the
+    /// index's earliest deadline, its store's next event and the live
+    /// deadline of each touched stream; it never walks the streams.
     fn drive_loop(&self, limit: SimTime, mut done: impl FnMut(&Self) -> bool) {
         let mut guard = 0u32;
         loop {
@@ -976,8 +976,8 @@ impl World {
         let lost = store.fail_disk(disk, now);
         // The dead arm's in-flight reads were unwound: the provider's
         // stalls and prefetch changed under it without a store event.
-        // `mark_dirty` re-queues every stream, so the next pump polls
-        // and re-files all of them.
+        // `mark_dirty` touches every stream, so the next pump runs,
+        // polls and re-files all of them.
         server.services.sps.mark_dirty();
         if lost == 0 {
             return (0, 0);
