@@ -8,7 +8,7 @@ use crate::tag::Tag;
 pub const MAX_DEPTH: usize = 32;
 
 /// Encodes a definite length (short or long form) into `out`.
-pub fn encode_length(len: usize, out: &mut Vec<u8>) {
+pub(crate) fn encode_length(len: usize, out: &mut Vec<u8>) {
     if len < 128 {
         out.push(len as u8);
     } else {
@@ -46,12 +46,12 @@ impl<'a> Reader<'a> {
     }
 
     /// Current byte offset.
-    pub fn offset(&self) -> usize {
+    pub(crate) fn offset(&self) -> usize {
         self.pos
     }
 
     /// Bytes left to read.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.data.len() - self.pos
     }
 
@@ -139,7 +139,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// Returns [`Asn1Error::TagMismatch`] when the tag differs.
-    pub fn read_expect(&mut self, expected: Tag) -> Result<&'a [u8]> {
+    pub(crate) fn read_expect(&mut self, expected: Tag) -> Result<&'a [u8]> {
         let offset = self.pos;
         let (tag, content) = self.read_tlv()?;
         if tag != expected {
@@ -195,7 +195,7 @@ fn integer_content(v: i64) -> ([u8; 8], usize) {
 /// # Errors
 ///
 /// Returns [`Asn1Error::BadContent`] for empty or oversized content.
-pub fn decode_integer_content(content: &[u8], offset: usize) -> Result<i64> {
+pub(crate) fn decode_integer_content(content: &[u8], offset: usize) -> Result<i64> {
     if content.is_empty() || content.len() > 8 {
         return Err(Asn1Error::BadContent {
             what: "INTEGER",
@@ -217,7 +217,7 @@ pub fn write_integer(v: i64, out: &mut Vec<u8>) {
 }
 
 /// Writes a complete BOOLEAN TLV.
-pub fn write_bool(v: bool, out: &mut Vec<u8>) {
+pub(crate) fn write_bool(v: bool, out: &mut Vec<u8>) {
     encode_tlv(Tag::BOOLEAN, &[if v { 0xff } else { 0x00 }], out);
 }
 
@@ -227,17 +227,17 @@ pub fn write_string(s: &str, out: &mut Vec<u8>) {
 }
 
 /// Writes a complete OCTET STRING TLV.
-pub fn write_octets(bytes: &[u8], out: &mut Vec<u8>) {
+pub(crate) fn write_octets(bytes: &[u8], out: &mut Vec<u8>) {
     encode_tlv(Tag::OCTET_STRING, bytes, out);
 }
 
 /// Writes a complete NULL TLV.
-pub fn write_null(out: &mut Vec<u8>) {
+pub(crate) fn write_null(out: &mut Vec<u8>) {
     encode_tlv(Tag::NULL, &[], out);
 }
 
 /// Writes a complete ENUMERATED TLV.
-pub fn write_enumerated(v: i64, out: &mut Vec<u8>) {
+pub(crate) fn write_enumerated(v: i64, out: &mut Vec<u8>) {
     let (bytes, start) = integer_content(v);
     encode_tlv(Tag::ENUMERATED, &bytes[start..], out);
 }
@@ -289,7 +289,7 @@ pub fn read_string(r: &mut Reader<'_>) -> Result<String> {
 /// # Errors
 ///
 /// Propagates tag errors.
-pub fn read_octets(r: &mut Reader<'_>) -> Result<Vec<u8>> {
+pub(crate) fn read_octets(r: &mut Reader<'_>) -> Result<Vec<u8>> {
     Ok(r.read_expect(Tag::OCTET_STRING)?.to_vec())
 }
 
@@ -298,7 +298,7 @@ pub fn read_octets(r: &mut Reader<'_>) -> Result<Vec<u8>> {
 /// # Errors
 ///
 /// Rejects non-empty content.
-pub fn read_null(r: &mut Reader<'_>) -> Result<()> {
+pub(crate) fn read_null(r: &mut Reader<'_>) -> Result<()> {
     let offset = r.offset();
     let content = r.read_expect(Tag::NULL)?;
     if !content.is_empty() {
@@ -315,7 +315,7 @@ pub fn read_null(r: &mut Reader<'_>) -> Result<()> {
 /// # Errors
 ///
 /// Propagates tag/content errors.
-pub fn read_enumerated(r: &mut Reader<'_>) -> Result<i64> {
+pub(crate) fn read_enumerated(r: &mut Reader<'_>) -> Result<i64> {
     let offset = r.offset();
     let content = r.read_expect(Tag::ENUMERATED)?;
     decode_integer_content(content, offset)

@@ -56,7 +56,7 @@ impl Value {
     /// # Errors
     ///
     /// Returns an error on malformed input or unsupported tags.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Value> {
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Value> {
         let offset = r.offset();
         let tag = r.peek_tag()?;
         match tag {
@@ -98,14 +98,6 @@ impl Value {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The contained boolean, if this is a `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -199,7 +191,7 @@ mod tests {
     fn conversions() {
         assert_eq!(Value::from(7i64).as_int(), Some(7));
         assert_eq!(Value::from("s").as_str(), Some("s"));
-        assert_eq!(Value::from(true).as_bool(), Some(true));
+        assert_eq!(Value::from(true), Value::Bool(true));
         assert_eq!(Value::Int(1).as_str(), None);
     }
 

@@ -152,7 +152,7 @@ pub struct Placement {
 
 impl Placement {
     /// A placement policy with `k` replicas per movie.
-    pub fn new(strategy: PlacementStrategy, k: usize) -> Self {
+    pub(crate) fn new(strategy: PlacementStrategy, k: usize) -> Self {
         Placement {
             strategy,
             k: k.max(1),
@@ -171,13 +171,8 @@ impl Placement {
     }
 
     /// Replicas per movie.
-    pub fn k(&self) -> usize {
+    pub(crate) fn k(&self) -> usize {
         self.k
-    }
-
-    /// The configured strategy.
-    pub fn strategy(&self) -> PlacementStrategy {
-        self.strategy
     }
 
     /// Chooses the replica locations for one new movie from the
@@ -194,7 +189,7 @@ impl Placement {
     /// path and the rebalancer's grow step use it to pick peers for a
     /// title that already lives somewhere. Draining servers are never
     /// selected, whatever the strategy.
-    pub fn place_with(
+    pub(crate) fn place_with(
         &mut self,
         loads: &[ServerLoad],
         k: usize,
@@ -327,7 +322,7 @@ impl<P> ReplicaDirectory<P> {
 
     /// Marks `location` as draining (or un-marks it): a draining
     /// server keeps serving its open streams but is skipped by
-    /// [`ReplicaDirectory::route`] and by [`Placement::place_with`].
+    /// [`ReplicaDirectory::route`] and by [`Placement::place`].
     /// Returns false when the location is not registered.
     pub fn set_draining(&self, location: &str, draining: bool) -> bool {
         let mut servers = self.servers.write();
@@ -358,7 +353,7 @@ impl<P> ReplicaDirectory<P> {
 
     /// Removes `location` from the registry (decommission), returning
     /// its probe so the caller can abort whatever was in flight.
-    pub fn deregister(&self, location: &str) -> Option<P> {
+    pub(crate) fn deregister(&self, location: &str) -> Option<P> {
         let mut servers = self.servers.write();
         let idx = servers.iter().position(|s| s.location == location)?;
         Some(servers.remove(idx).probe)

@@ -116,8 +116,6 @@ pub struct RebalanceConfig {
     /// decisions (migration completions and drains are polled on
     /// every tick).
     pub sample_interval: SimDuration,
-    /// Most copies in flight at once across the cluster.
-    pub max_concurrent: usize,
     /// Copy bandwidth as a percentage of the title's mean bitrate:
     /// the reservation charged on the target and the pace the blocks
     /// are written at. 100 makes a migration compete exactly like one
@@ -132,11 +130,13 @@ pub struct RebalanceConfig {
 /// without them.
 const MAX_COPY_RETRIES: u32 = 64;
 
+/// Most copies in flight at once across the cluster.
+const MAX_CONCURRENT_COPIES: usize = 2;
+
 impl Default for RebalanceConfig {
     fn default() -> Self {
         RebalanceConfig {
             sample_interval: SimDuration::from_millis(100),
-            max_concurrent: 2,
             copy_speed_pct: 200,
         }
     }
@@ -302,28 +302,14 @@ impl<P: LoadProbe + MigrationHost + Clone> RebalanceController<P> {
         self
     }
 
-    /// The journal the controller records into.
-    pub fn journal(&self) -> &Arc<Journal> {
-        &self.journal
-    }
-
     /// The actor name the controller's events are chained under.
     pub fn actor(&self) -> &str {
         &self.actor
     }
 
-    /// The controller's configuration.
-    pub fn config(&self) -> RebalanceConfig {
-        self.config
-    }
-
-    /// The cluster registry the controller watches.
-    pub fn directory(&self) -> &Arc<ReplicaDirectory<P>> {
-        &self.dir
-    }
-
     /// Copies currently in flight.
-    pub fn active_copies(&self) -> usize {
+    #[cfg(test)]
+    fn active_copies(&self) -> usize {
         self.inner.lock().active.len()
     }
 
@@ -595,7 +581,7 @@ impl<P: LoadProbe + MigrationHost + Clone> RebalanceController<P> {
                 .map(|(title, _)| title.clone())
                 .collect();
             for title in sole {
-                if inner.active.len() >= self.config.max_concurrent {
+                if inner.active.len() >= MAX_CONCURRENT_COPIES {
                     break;
                 }
                 self.start_copy(inner, &title, loads, now, CopyReason::Drain);
@@ -644,7 +630,7 @@ impl<P: LoadProbe + MigrationHost + Clone> RebalanceController<P> {
         let target_k = self.replication_target(loads);
         let titles: Vec<String> = inner.titles.keys().cloned().collect();
         for title in titles {
-            if inner.active.len() >= self.config.max_concurrent {
+            if inner.active.len() >= MAX_CONCURRENT_COPIES {
                 break;
             }
             if inner.active.iter().any(|c| c.title == title) {
@@ -666,7 +652,7 @@ impl<P: LoadProbe + MigrationHost + Clone> RebalanceController<P> {
     fn grow(&self, inner: &mut Inner<P>, loads: &[ServerLoad], now: SimTime) {
         let titles: Vec<String> = inner.titles.keys().cloned().collect();
         for title in titles {
-            if inner.active.len() >= self.config.max_concurrent {
+            if inner.active.len() >= MAX_CONCURRENT_COPIES {
                 break;
             }
             if inner.active.iter().any(|c| c.title == title) {

@@ -30,7 +30,7 @@ pub struct DuaAgent {
 
 impl DuaAgent {
     /// Creates an agent querying through `dua` under `base`.
-    pub fn new(dua: Dua, base: Dn) -> Self {
+    pub(crate) fn new(dua: Dua, base: Dn) -> Self {
         DuaAgent { dua, base }
     }
 
@@ -164,7 +164,7 @@ impl SuaAgent {
     /// Creates an agent controlling `sps`, with `peers` resolving the
     /// replica locations named in routed open requests and
     /// `rebalancer` adopting finished recordings.
-    pub fn new(
+    pub(crate) fn new(
         sps: Arc<StreamProviderSystem>,
         peers: Arc<SpsRegistry>,
         rebalancer: Arc<ClusterController>,
@@ -296,7 +296,7 @@ impl EuaAgent {
     const CLIENT: ClientId = ClientId(0);
 
     /// Creates an agent for the server site `eca` serves.
-    pub fn new(eca: &Arc<Eca>) -> Self {
+    pub(crate) fn new(eca: &Arc<Eca>) -> Self {
         EuaAgent {
             eca: Arc::clone(eca),
             held: Vec::new(),

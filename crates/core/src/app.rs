@@ -38,7 +38,7 @@ pub struct AppMachine {
 impl AppMachine {
     /// An application that will play `script`; the first operation
     /// must be [`McamOp::Associate`] (it triggers stack creation).
-    pub fn with_script(script: Vec<McamOp>) -> Self {
+    pub(crate) fn with_script(script: Vec<McamOp>) -> Self {
         AppMachine {
             script: script.into(),
             ..Default::default()

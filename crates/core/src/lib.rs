@@ -490,7 +490,7 @@ pub use service::{
 pub use share::{ShareConfig, ShareStats};
 pub use sps::{RecordedMovie, StreamProviderSystem};
 pub use stacks::{
-    wire_lower_stack, ClientRoot, ControlDial, ReferralEnd, ReferralFollower, StackKind,
-    ERR_REFERRAL, ROOT_TO_APP, ROOT_TO_MCA,
+    ClientRoot, ControlDial, ReferralEnd, ReferralFollower, StackKind, ERR_REFERRAL, ROOT_TO_APP,
+    ROOT_TO_MCA,
 };
 pub use world::{ClientHandle, ClusterHandle, ClusterSpec, ServerHandle, World, WorldBuilder};

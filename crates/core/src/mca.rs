@@ -95,7 +95,7 @@ pub struct ClientMca {
 impl ClientMca {
     /// Creates a client MCA whose streams arrive at `client_addr`,
     /// speaking the pre-referral protocol (no capability advertised).
-    pub fn new(client_addr: u32) -> Self {
+    pub(crate) fn new(client_addr: u32) -> Self {
         ClientMca {
             client_addr,
             referral_capable: false,
@@ -111,7 +111,7 @@ impl ClientMca {
     /// Advertises referral support: the server may answer the
     /// association open or a SelectMovie with a redirect, which this
     /// MCA hands to its root for re-homing.
-    pub fn referral_capable(mut self) -> Self {
+    pub(crate) fn referral_capable(mut self) -> Self {
         self.referral_capable = true;
         self
     }

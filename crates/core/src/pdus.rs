@@ -209,7 +209,7 @@ const UNPAIRED: u32 = 28;
 
 impl McamPdu {
     /// True for request-type PDUs (the server-processed kind).
-    pub fn is_request(&self) -> bool {
+    pub(crate) fn is_request(&self) -> bool {
         self.tag().is_multiple_of(2) && self.tag() < UNPAIRED
     }
 }

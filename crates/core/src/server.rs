@@ -83,7 +83,7 @@ pub struct Reaper {
 impl Reaper {
     /// Schedules the entity whose MCA is `mca` for collection once
     /// `at` has passed, then wakes the root.
-    pub fn push(&self, mca: estelle::ModuleId, at: netsim::SimTime) {
+    pub(crate) fn push(&self, mca: estelle::ModuleId, at: netsim::SimTime) {
         self.list.lock().push((mca, at));
         let wake = self.wake.lock().clone();
         if let Some(wake) = wake {
@@ -163,7 +163,7 @@ impl ServerServices {
     /// The stream provider at `location`, or the local one when the
     /// location is not registered (single-server worlds, seeded
     /// entries with symbolic locations).
-    pub fn sps_at(&self, location: &str) -> Arc<StreamProviderSystem> {
+    pub(crate) fn sps_at(&self, location: &str) -> Arc<StreamProviderSystem> {
         self.peers
             .get(location)
             .unwrap_or_else(|| Arc::clone(&self.sps))
@@ -270,7 +270,7 @@ pub struct ServerMca {
 
 impl ServerMca {
     /// Creates a server MCA over the shared services.
-    pub fn new(services: ServerServices, labels: ModuleLabels) -> Self {
+    pub(crate) fn new(services: ServerServices, labels: ModuleLabels) -> Self {
         ServerMca {
             services,
             user: None,
@@ -987,7 +987,7 @@ impl std::fmt::Debug for ServerRoot {
 impl ServerRoot {
     /// Creates a server root spawning entities of the given stack
     /// flavour.
-    pub fn new(services: ServerServices, stack: StackKind) -> Self {
+    pub(crate) fn new(services: ServerServices, stack: StackKind) -> Self {
         ServerRoot {
             services,
             stack,

@@ -64,7 +64,7 @@
 //! every pump each stream it did not poll, and the index's deadlines,
 //! are checked against a walk of every stream and recording.
 
-use mtp::{MovieSource, MtpSender, StreamState};
+use mtp::{MovieSource, MtpSender};
 use netsim::{DatagramNet, DatagramSocket, NetAddr, SimDuration, SimTime};
 use parking_lot::Mutex;
 use share::{Departure, JoinPlan, ShareConfig, ShareManager};
@@ -78,7 +78,7 @@ use std::task::Waker;
 use store::{BlockStore, MovieId, PrefetchHint, StoreError};
 
 /// A finished recording, as returned by
-/// [`StreamProviderSystem::record_close`]: enough to finalize the
+/// `StreamProviderSystem::record_close`: enough to finalize the
 /// directory entry and to import the copy onto replica servers
 /// ([`BlockStore::import_movie`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -300,7 +300,7 @@ impl StreamProviderSystem {
     /// # Panics
     ///
     /// Panics if the address is already bound (deployment error).
-    pub fn with_shared_store(
+    pub(crate) fn with_shared_store(
         dg: &Arc<DatagramNet>,
         addr: NetAddr,
         store: Arc<BlockStore>,
@@ -374,7 +374,7 @@ impl StreamProviderSystem {
     /// `movie` — the `SelectMovie` routing tie-break: among equally
     /// loaded replicas, the one already sharing the title serves the
     /// next viewer (nearly) for free.
-    pub fn shares_source(&self, movie: &MovieSource) -> bool {
+    pub(crate) fn shares_source(&self, movie: &MovieSource) -> bool {
         self.store
             .find_movie(movie)
             .is_some_and(|id| self.share.shares_movie(id))
@@ -487,7 +487,7 @@ impl StreamProviderSystem {
     ///
     /// [`StoreError::AdmissionRejected`] when the write bandwidth does
     /// not fit next to the streams already admitted.
-    pub fn record_open(&self, movie: MovieSource, now: SimTime) -> Result<u32, StoreError> {
+    pub(crate) fn record_open(&self, movie: MovieSource, now: SimTime) -> Result<u32, StoreError> {
         let id = self.alloc_stream_id();
         self.touch(id);
         self.store.open_recording(id, &movie)?;
@@ -506,7 +506,7 @@ impl StreamProviderSystem {
 
     /// Whether a recording has captured every frame and persisted
     /// every block.
-    pub fn recording_finished(&self, id: u32) -> bool {
+    pub(crate) fn recording_finished(&self, id: u32) -> bool {
         let streams = self.streams.lock();
         streams
             .recordings
@@ -523,7 +523,7 @@ impl StreamProviderSystem {
     /// when [`StreamProviderSystem::recording_finished`] has turned
     /// true for recording `id`. A recording that is already finished is
     /// not announced after the fact: the caller looks once itself.
-    pub fn on_recording_finished(&self, id: u32, waker: Waker) {
+    pub(crate) fn on_recording_finished(&self, id: u32, waker: Waker) {
         self.touch(id);
         if let Some(session) = self.streams.lock().recordings.get_mut(&id) {
             session.waiter = Some(waker);
@@ -538,7 +538,7 @@ impl StreamProviderSystem {
     /// Fails for unknown ids, and with
     /// [`StoreError::RecordingIncomplete`] while the recording is
     /// still capturing or persisting.
-    pub fn record_close(&self, id: u32) -> Result<RecordedMovie, StoreError> {
+    pub(crate) fn record_close(&self, id: u32) -> Result<RecordedMovie, StoreError> {
         self.touch(id);
         let mut streams = self.streams.lock();
         let recordings = &mut streams.recordings;
@@ -564,7 +564,7 @@ impl StreamProviderSystem {
     /// released. Returns the number of sessions killed. The datagram
     /// socket stays bound, so a later re-registration ("repair and
     /// reboot") reuses the provider.
-    pub fn crash(&self) -> usize {
+    pub(crate) fn crash(&self) -> usize {
         self.mark_dirty();
         let recordings = mem::take(&mut self.streams.lock().recordings);
         let streams: Vec<u32> = self.streams.lock().map.keys().copied().collect();
@@ -673,7 +673,7 @@ impl StreamProviderSystem {
     /// Fails for unknown ids, and with [`StoreError::AdmissionRejected`]
     /// when a group member's split-out stream does not fit (the member
     /// then stays in its group, still playing).
-    pub fn pause(&self, id: u32) -> Result<(), StoreError> {
+    pub(crate) fn pause(&self, id: u32) -> Result<(), StoreError> {
         self.known(id)?;
         let block = self.store.stream_position_block(id).unwrap_or(0);
         self.share_departure(id, block)?;
@@ -688,7 +688,7 @@ impl StreamProviderSystem {
     ///
     /// Fails for unknown ids, and with [`StoreError::AdmissionRejected`]
     /// when a group member's split-out stream does not fit.
-    pub fn stop(&self, id: u32, now: SimTime) -> Result<(), StoreError> {
+    pub(crate) fn stop(&self, id: u32, now: SimTime) -> Result<(), StoreError> {
         self.known(id)?;
         self.share_departure(id, 0)?;
         self.with_stream(id, |s| s.sender.stop())?;
@@ -731,7 +731,7 @@ impl StreamProviderSystem {
     /// Fails for unknown ids, and with [`StoreError::AdmissionRejected`]
     /// when a group member's split-out stream does not fit (the member
     /// then stays in its group at its old position).
-    pub fn seek(&self, id: u32, frame: u64, now: SimTime) -> Result<(), StoreError> {
+    pub(crate) fn seek(&self, id: u32, frame: u64, now: SimTime) -> Result<(), StoreError> {
         let movie = self.known(id)?;
         let store = &self.store;
         let block = store.block_of_frame(movie, frame).unwrap_or(0);
@@ -747,7 +747,8 @@ impl StreamProviderSystem {
     }
 
     /// Current playback state of a stream.
-    pub fn state(&self, id: u32) -> Option<StreamState> {
+    #[cfg(test)]
+    fn state(&self, id: u32) -> Option<mtp::StreamState> {
         self.with_stream(id, |s| s.sender.state()).ok()
     }
 
@@ -1011,7 +1012,7 @@ impl StreamProviderSystem {
     /// except for the streams on the poll-next list, whose deadlines
     /// are read live, so an operation shows before the pump that
     /// re-files its stream.
-    pub fn next_due(&self) -> Option<SimTime> {
+    pub(crate) fn next_due(&self) -> Option<SimTime> {
         let mut streams = self.streams.lock();
         let indexed = earliest(streams.first_due(), self.store.next_event());
         let queued = streams.waiting.iter().filter_map(|id| {
@@ -1031,7 +1032,7 @@ impl StreamProviderSystem {
 
     /// Whether this provider hosts the stream (cluster routing asks
     /// every replica to find a stream's home for control operations).
-    pub fn has_stream(&self, id: u32) -> bool {
+    pub(crate) fn has_stream(&self, id: u32) -> bool {
         self.streams.lock().map.contains_key(&id)
     }
 }
@@ -1054,6 +1055,7 @@ impl cluster::MigrationHost for StreamProviderSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mtp::StreamState;
     use netsim::{LinkConfig, Network, SimDuration};
     use store::StoreConfig;
 

@@ -38,7 +38,7 @@ pub enum StackKind {
 /// tells the incarnations apart. Returns the created module ids so a
 /// root that rebuilds its stack (e.g. a client following a referral
 /// to another server) can release the old one.
-pub fn wire_lower_stack(
+pub(crate) fn wire_lower_stack(
     ctx: &mut Ctx<'_>,
     upper: ModuleId,
     upper_ip: IpIndex,
@@ -130,7 +130,7 @@ pub struct ReferralFollower {
 impl ReferralFollower {
     /// A follower allowing at most `max_hops` referral hops per
     /// association attempt.
-    pub fn new(max_hops: u32) -> Self {
+    pub(crate) fn new(max_hops: u32) -> Self {
         ReferralFollower {
             max_hops,
             hops: 0,
@@ -141,20 +141,10 @@ impl ReferralFollower {
     /// Starts a fresh chain anchored at `location` (the server the
     /// client dialed itself, or the one a chain settled at): hop
     /// budget restored, only `location` visited.
-    pub fn anchor(&mut self, location: &str) {
+    pub(crate) fn anchor(&mut self, location: &str) {
         self.hops = 0;
         self.visited.clear();
         self.visited.push(location.to_string());
-    }
-
-    /// Hops consumed in the current chain.
-    pub fn hops(&self) -> u32 {
-        self.hops
-    }
-
-    /// Locations of the current chain, oldest first.
-    pub fn visited(&self) -> &[String] {
-        &self.visited
     }
 
     /// Follows one referral: tries the named `target` first, then the
@@ -167,7 +157,7 @@ impl ReferralFollower {
     ///
     /// [`ReferralEnd::HopLimit`] when the hop budget is exhausted,
     /// [`ReferralEnd::Exhausted`] when no candidate is reachable.
-    pub fn next<T>(
+    pub(crate) fn next<T>(
         &mut self,
         target: &str,
         candidates: &[(String, u64)],
@@ -251,7 +241,7 @@ impl ClientRoot {
     /// journaling under `client-<conn>` in `journal`. Without
     /// [`ClientRoot::with_referrals`] the client speaks the
     /// pre-referral protocol and stays on its original server.
-    pub fn new(
+    pub(crate) fn new(
         medium: Box<dyn Medium>,
         stack: StackKind,
         conn: u16,
@@ -288,7 +278,7 @@ impl ClientRoot {
     /// support, and referrals are followed through `dialer` (at most
     /// `max_hops` per association attempt), starting from the `home`
     /// server the original medium leads to.
-    pub fn with_referrals(
+    pub(crate) fn with_referrals(
         mut self,
         dialer: Arc<dyn ControlDial>,
         home: impl Into<String>,
@@ -303,7 +293,7 @@ impl ClientRoot {
     }
 
     /// The referral target this root has cached, if any.
-    pub fn cached_referral(&self) -> Option<String> {
+    pub(crate) fn cached_referral(&self) -> Option<String> {
         self.cache.as_ref().map(|(target, _)| target.clone())
     }
 
@@ -573,8 +563,8 @@ mod tests {
             .next("node-2", &hint(&["node-3"]), dialer(&["node-2", "node-3"]))
             .unwrap();
         assert_eq!(loc, "node-2");
-        assert_eq!(f.hops(), 1);
-        assert_eq!(f.visited(), ["node-1", "node-2"]);
+        assert_eq!(f.hops, 1);
+        assert_eq!(f.visited, ["node-1", "node-2"]);
     }
 
     #[test]
@@ -616,7 +606,7 @@ mod tests {
             Err(ReferralEnd::Exhausted),
             "both ends of the loop are already visited"
         );
-        assert!(f.hops() < 8, "loops terminate well before the hop budget");
+        assert!(f.hops < 8, "loops terminate well before the hop budget");
     }
 
     #[test]
@@ -633,8 +623,8 @@ mod tests {
         );
         // Settling re-anchors: the budget is restored for the next chain.
         f.anchor("node-3");
-        assert_eq!(f.hops(), 0);
-        assert_eq!(f.visited(), ["node-3"]);
+        assert_eq!(f.hops, 0);
+        assert_eq!(f.visited, ["node-3"]);
         assert!(f.next("node-4", &hint(&[]), dialer(&all)).is_ok());
     }
 
@@ -669,8 +659,8 @@ mod tests {
             .unwrap();
         root.control_location = "node-2".into();
         root.reanchor();
-        assert_eq!(root.follower.hops(), 0);
-        assert_eq!(root.follower.visited(), ["node-2"]);
+        assert_eq!(root.follower.hops, 0);
+        assert_eq!(root.follower.visited, ["node-2"]);
     }
 
     #[test]
@@ -683,7 +673,7 @@ mod tests {
         // attached the client.
         root.control_location.clear();
         root.reanchor();
-        assert_eq!(root.follower.hops(), 0);
-        assert_eq!(root.follower.visited(), ["node-1"]);
+        assert_eq!(root.follower.hops, 0);
+        assert_eq!(root.follower.visited, ["node-1"]);
     }
 }

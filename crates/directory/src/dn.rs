@@ -35,7 +35,7 @@ pub struct Dn(pub Vec<Rdn>);
 
 impl Dn {
     /// The empty (root) name.
-    pub fn root() -> Self {
+    pub(crate) fn root() -> Self {
         Dn(Vec::new())
     }
 
@@ -63,11 +63,6 @@ impl Dn {
     /// True if `self` equals `prefix` or lies below it.
     pub fn starts_with(&self, prefix: &Dn) -> bool {
         self.0.len() >= prefix.0.len() && self.0[..prefix.0.len()] == prefix.0[..]
-    }
-
-    /// The final RDN, if any.
-    pub fn leaf(&self) -> Option<&Rdn> {
-        self.0.last()
     }
 }
 
@@ -163,7 +158,7 @@ mod tests {
         assert!(!base.starts_with(&child));
         assert!(child.starts_with(&child));
         assert_eq!(child.parent().unwrap(), base);
-        assert_eq!(child.leaf().unwrap().value, "Alien");
+        assert_eq!(child, "o=movies/cn=Alien".parse().unwrap());
         assert!(Dn::root().parent().is_none());
         assert!(child.starts_with(&Dn::root()));
     }

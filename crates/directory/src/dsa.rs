@@ -90,7 +90,7 @@ impl Dsa {
     }
 
     /// This DSA's name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 

@@ -31,7 +31,7 @@ pub struct ParamSpec {
 
 impl ParamSpec {
     /// Whether `value` is inside this spec's range.
-    pub fn accepts(&self, value: i64) -> bool {
+    pub(crate) fn accepts(&self, value: i64) -> bool {
         (self.min..=self.max).contains(&value)
     }
 }
@@ -63,7 +63,7 @@ const BRIGHTNESS_SPEC: ParamSpec = ParamSpec {
 
 /// The parameters supported by a device class, with ranges and
 /// defaults.
-pub fn specs(class: EquipmentClass) -> &'static [ParamSpec] {
+pub(crate) fn specs(class: EquipmentClass) -> &'static [ParamSpec] {
     use EquipmentClass::*;
     match class {
         Camera => &[GAIN_SPEC, FRAME_RATE_SPEC, BRIGHTNESS_SPEC],
@@ -74,7 +74,7 @@ pub fn specs(class: EquipmentClass) -> &'static [ParamSpec] {
 }
 
 /// Looks up the spec for `name` on `class`, if the class supports it.
-pub fn spec(class: EquipmentClass, name: &str) -> Option<&'static ParamSpec> {
+pub(crate) fn spec(class: EquipmentClass, name: &str) -> Option<&'static ParamSpec> {
     specs(class).iter().find(|s| s.name == name)
 }
 

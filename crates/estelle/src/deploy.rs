@@ -159,16 +159,6 @@ pub struct Deployment {
 }
 
 impl Deployment {
-    /// Machines participating, sorted.
-    pub fn machine_names(&self) -> Vec<&str> {
-        self.machines.keys().map(String::as_str).collect()
-    }
-
-    /// The modules started on `machine` (empty if unknown).
-    pub fn modules_on(&self, machine: &str) -> &[ModuleId] {
-        self.machines.get(machine).map_or(&[], |m| &m.modules)
-    }
-
     /// Renders the §4.4 build-and-start report.
     pub fn render(&self, rt: &Runtime) -> String {
         let mut out = String::new();
@@ -267,9 +257,12 @@ mod tests {
             .place(c2, "dec-ws")
             .launch_from("ksr1");
         let d = plan.resolve(&rt).unwrap();
-        assert_eq!(d.machine_names(), vec!["dec-ws", "ksr1", "sun-ws"]);
-        assert_eq!(d.modules_on("ksr1"), &[server]);
-        assert_eq!(d.modules_on("sun-ws"), &[c1]);
+        assert_eq!(
+            d.machines.keys().collect::<Vec<_>>(),
+            ["dec-ws", "ksr1", "sun-ws"]
+        );
+        assert_eq!(d.machines["ksr1"].modules, [server]);
+        assert_eq!(d.machines["sun-ws"].modules, [c1]);
         // The launch machine builds the specification executable too.
         let ksr1 = &d.machines["ksr1"];
         assert!(ksr1.executables.contains("specification"));

@@ -90,8 +90,12 @@ mod tests {
     #[test]
     fn by_layer_groups_layers() {
         let p = GroupingPolicy::ByLayer { units: 4 };
-        assert_eq!(p.assign(ModuleId(1), ModuleLabels::layer(2)), UnitId(2));
-        assert_eq!(p.assign(ModuleId(2), ModuleLabels::layer(6)), UnitId(2));
+        let layer = |layer| ModuleLabels {
+            layer: Some(layer),
+            conn: None,
+        };
+        assert_eq!(p.assign(ModuleId(1), layer(2)), UnitId(2));
+        assert_eq!(p.assign(ModuleId(2), layer(6)), UnitId(2));
         assert_eq!(
             p.assign(ModuleId(3), ModuleLabels::default()),
             UnitId(0),

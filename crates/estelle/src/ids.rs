@@ -102,7 +102,7 @@ pub enum ModuleKind {
 impl ModuleKind {
     /// True for any of the four Estelle attributes (i.e. the module is
     /// active and participates in scheduling).
-    pub fn is_attributed(self) -> bool {
+    pub(crate) fn is_attributed(self) -> bool {
         !matches!(self, ModuleKind::Inactive)
     }
 
@@ -138,14 +138,6 @@ pub struct ModuleLabels {
 }
 
 impl ModuleLabels {
-    /// Labels with only the layer set.
-    pub fn layer(layer: u16) -> Self {
-        ModuleLabels {
-            layer: Some(layer),
-            conn: None,
-        }
-    }
-
     /// Labels with only the connection set.
     pub fn conn(conn: u16) -> Self {
         ModuleLabels {
@@ -194,7 +186,6 @@ mod tests {
 
     #[test]
     fn labels_builders() {
-        assert_eq!(ModuleLabels::layer(1).layer, Some(1));
         assert_eq!(ModuleLabels::conn(2).conn, Some(2));
         let lc = ModuleLabels::layer_conn(1, 2);
         assert_eq!((lc.layer, lc.conn), (Some(1), Some(2)));

@@ -256,22 +256,17 @@ pub struct IpState {
 
 impl IpState {
     /// Peeks at the head message.
-    pub fn head(&self) -> Option<&dyn Interaction> {
+    pub(crate) fn head(&self) -> Option<&dyn Interaction> {
         self.queue.front().map(|q| &*q.msg)
     }
 
     /// Number of queued messages.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.queue.len()
     }
 
-    /// True when no messages are queued.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
     /// The connected peer interaction point, if any.
-    pub fn peer(&self) -> Option<IpRef> {
+    pub(crate) fn peer(&self) -> Option<IpRef> {
         self.peer
     }
 }
@@ -494,12 +489,12 @@ impl<M: StateMachine> Fsm<M> {
 
     /// Immutable access to the wrapped machine (for assertions and the
     /// external-body pattern).
-    pub fn machine(&self) -> &M {
+    pub(crate) fn machine(&self) -> &M {
         &self.machine
     }
 
     /// Mutable access to the wrapped machine.
-    pub fn machine_mut(&mut self) -> &mut M {
+    pub(crate) fn machine_mut(&mut self) -> &mut M {
         &mut self.machine
     }
 

@@ -94,20 +94,6 @@ pub struct Counters {
     pub msgs_to_dead: u64,
 }
 
-impl Counters {
-    /// Fraction of instrumented wall time spent in selection rather
-    /// than actions — the paper's "runtime percentage of the
-    /// scheduler" (§5.2, up to 80 % for centralized schedulers).
-    pub fn scheduler_share(&self) -> f64 {
-        let total = self.scan_ns + self.action_ns;
-        if total == 0 {
-            0.0
-        } else {
-            self.scan_ns as f64 / total as f64
-        }
-    }
-}
-
 #[derive(Debug, Default)]
 struct AtomicCounters {
     firings: AtomicU64,
@@ -794,7 +780,11 @@ impl Runtime {
     /// fired; `None` when no member of the range can fire. One
     /// scheduler pass is a sequence of these calls with the cursor
     /// moved just past each module that fired.
-    pub fn fire_next_ready(&self, range: Range<ModuleId>, dispatch: Dispatch) -> Option<FiredMeta> {
+    pub(crate) fn fire_next_ready(
+        &self,
+        range: Range<ModuleId>,
+        dispatch: Dispatch,
+    ) -> Option<FiredMeta> {
         let t_scan = Instant::now();
         let now = self.clock.now();
         let firing = {
@@ -1168,7 +1158,7 @@ impl Runtime {
     }
 
     /// Static transition descriptions of `id` (priority order).
-    pub fn transition_info(&self, id: ModuleId) -> Vec<crate::machine::TransitionInfo> {
+    pub(crate) fn transition_info(&self, id: ModuleId) -> Vec<crate::machine::TransitionInfo> {
         self.slot(id)
             .map(|s| s.core.lock().exec.transition_info())
             .unwrap_or_default()
@@ -1180,7 +1170,7 @@ impl Runtime {
     }
 
     /// The peers of each interaction point of `id` (index = IP).
-    pub fn ip_peers(&self, id: ModuleId) -> Vec<Option<IpRef>> {
+    pub(crate) fn ip_peers(&self, id: ModuleId) -> Vec<Option<IpRef>> {
         self.slot(id)
             .map(|s| s.core.lock().ips.iter().map(|ip| ip.peer()).collect())
             .unwrap_or_default()

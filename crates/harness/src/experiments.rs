@@ -36,7 +36,7 @@ fn per_module_speedup(trace: &ExecTrace, overheads: Overheads) -> (SimReport, Si
 /// "the maximum degree of parallelism allowed by Estelle semantics").
 /// OSF/1-era thread-handoff costs keep the speedup in the paper's
 /// 1.4–2.0 band.
-pub fn speedup_experiment(
+pub(crate) fn speedup_experiment(
     connections: usize,
     data_requests: &[u32],
     overheads: Overheads,
@@ -69,7 +69,7 @@ pub fn speedup_experiment(
 }
 
 /// E2 — §5.2 grouping: module-per-thread vs. units = processors.
-pub fn grouping_experiment(
+pub(crate) fn grouping_experiment(
     connections: usize,
     data_requests: u32,
     processors: &[usize],
@@ -169,7 +169,7 @@ fn run_dispatch<M: StateMachine + Default>(dispatch: Dispatch, firings: u64) -> 
 /// under hard-coded vs. table-driven dispatch for machines of 2–64
 /// transitions. Returns rows of (n, hard_ns_per_firing,
 /// table_ns_per_firing).
-pub fn dispatch_experiment(firings: u64) -> (Table, Vec<(usize, f64, f64)>) {
+pub(crate) fn dispatch_experiment(firings: u64) -> (Table, Vec<(usize, f64, f64)>) {
     let mut table = Table::new(
         format!("E3 transition dispatch, {firings} firings per cell"),
         &[
@@ -208,7 +208,7 @@ pub fn dispatch_experiment(firings: u64) -> (Table, Vec<(usize, f64, f64)>) {
 ///
 /// The ksim model (dispatch serialized through a coordinator vs.
 /// charged locally) on the §5.1 trace.
-pub fn scheduler_experiment(connections: usize, data_requests: u32) -> (Table, f64, f64) {
+pub(crate) fn scheduler_experiment(connections: usize, data_requests: u32) -> (Table, f64, f64) {
     let env = build_ps_env(connections, data_requests, 13);
     let trace = run_ps_env(&env, data_requests);
     // Small transitions: shrink every cost to stress the scheduler, as
@@ -282,7 +282,9 @@ pub fn scheduler_experiment(connections: usize, data_requests: u32) -> (Table, f
 /// E5 — generated vs. hand-coded lower layers: the same MCAM workload
 /// over the Estelle P+S stack and over the ISODE stack. Returns the
 /// table plus (wall, firings) per stack.
-pub fn generated_vs_handcoded(ops_per_client: usize) -> (Table, (Duration, u64), (Duration, u64)) {
+pub(crate) fn generated_vs_handcoded(
+    ops_per_client: usize,
+) -> (Table, (Duration, u64), (Duration, u64)) {
     let run = |stack: StackKind| {
         let mut world = World::builder(99).build();
         let server = world.add_server("cmp", stack);
@@ -356,7 +358,10 @@ pub fn movie_attribute_sets(n: usize) -> Vec<Value> {
 }
 
 /// E6 — footnote 3: parallel ASN.1 encoding does not pay off.
-pub fn parallel_asn1_experiment(sizes: &[usize], workers: &[usize]) -> (Table, Vec<Vec<Duration>>) {
+pub(crate) fn parallel_asn1_experiment(
+    sizes: &[usize],
+    workers: &[usize],
+) -> (Table, Vec<Vec<Duration>>) {
     let mut table = Table::new(
         "E6 parallel ASN.1 encoding (sequence-of movie attribute sets)",
         &["elements", "sequential", "2 workers", "4 workers"],
@@ -387,7 +392,10 @@ pub fn parallel_asn1_experiment(sizes: &[usize], workers: &[usize]) -> (Table, V
 }
 
 /// E7 — §3: connection-per-processor vs. layer-per-processor.
-pub fn conn_vs_layer_experiment(connections: usize, data_requests: u32) -> (Table, f64, f64) {
+pub(crate) fn conn_vs_layer_experiment(
+    connections: usize,
+    data_requests: u32,
+) -> (Table, f64, f64) {
     let env = build_ps_env(connections, data_requests, 5);
     let trace = run_ps_env(&env, data_requests);
     let overheads = Overheads::ksr1_like();
@@ -434,7 +442,7 @@ pub struct ProtocolProfile {
 /// T1 — Table 1: measured requirements dichotomy between the control
 /// protocol (reliable stack) and the CM-stream protocol (lossy
 /// isochronous stack).
-pub fn table1_experiment(
+pub(crate) fn table1_experiment(
     stream_loss: f64,
     seconds: u64,
 ) -> (Table, ProtocolProfile, ProtocolProfile) {
@@ -555,7 +563,7 @@ pub struct MappingOutcome {
 /// "currently under development") against the static policies of §3
 /// and §5.2, on a *skewed* per-connection workload where structural
 /// policies misplace the load.
-pub fn mapping_experiment(requests: &[u32], processors: usize) -> (Table, MappingOutcome) {
+pub(crate) fn mapping_experiment(requests: &[u32], processors: usize) -> (Table, MappingOutcome) {
     let env = crate::pstack::build_ps_env_mixed(requests, 42);
     let trace = crate::pstack::run_ps_env_mixed(&env, requests);
     let overheads = Overheads::ksr1_like();
@@ -621,7 +629,7 @@ pub fn mapping_experiment(requests: &[u32], processors: usize) -> (Table, Mappin
 /// paper's numbers sit at 1.4–2.0: cheap synchronization would have
 /// made layer pipelining dominate (speedups well above 2), expensive
 /// synchronization erases parallel gains entirely.
-pub fn overhead_sensitivity(
+pub(crate) fn overhead_sensitivity(
     connections: usize,
     data_requests: u32,
     sync_costs_us: &[u64],

@@ -34,7 +34,7 @@ pub struct Initiator {
 
 impl Initiator {
     /// Creates an initiator issuing `to_send` data requests.
-    pub fn new(to_send: u32) -> Self {
+    pub(crate) fn new(to_send: u32) -> Self {
         Initiator {
             to_send,
             sent: 0,

@@ -15,7 +15,7 @@ pub struct Table {
 
 impl Table {
     /// Creates an empty table.
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
+    pub(crate) fn new(title: impl Into<String>, headers: &[&str]) -> Self {
         Table {
             title: title.into(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
@@ -24,7 +24,7 @@ impl Table {
     }
 
     /// Appends one row (stringifying the cells).
-    pub fn row<I, S>(&mut self, cells: I)
+    pub(crate) fn row<I, S>(&mut self, cells: I)
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,

@@ -43,3 +43,84 @@ fn ids_are_the_papers_ten() {
     let ids: Vec<&str> = EXPERIMENTS.iter().map(|row| row.id).collect();
     assert_eq!(ids, WALKED);
 }
+
+/// Simulated encoder speed for E6's twin: ten BER bytes per
+/// microsecond of a simulated processor. At 1 000 elements (~23 KB)
+/// the claim holds for any speed above about six bytes per
+/// microsecond; a slower encoder makes the chunks long enough to pay
+/// for the thread handoffs.
+const ENCODE_BYTES_PER_US: u64 = 10;
+
+/// The trace of one `encode_sequence_of_parallel` call over `n` movie
+/// attribute sets with `workers` threads: the caller (module 0) forks,
+/// worker `i` (module `i`) encodes chunk `i` of the same split the
+/// encoder uses, costing its encoded bytes, and the caller joins and
+/// copies every chunk under the outer TLV, costing all the bytes again.
+fn parallel_encode_trace(n: usize, workers: usize) -> estelle::ExecTrace {
+    use estelle::{FiringRecord, ModuleId, ModuleLabels};
+    use netsim::SimDuration;
+    let mut records = Vec::new();
+    let mut fire = |module: u32, transition, bytes: usize, deps: Vec<u64>| {
+        records.push(FiringRecord {
+            seq: records.len() as u64,
+            module: ModuleId::from_raw(module),
+            labels: ModuleLabels::default(),
+            module_type: if module == 0 { "caller" } else { "worker" },
+            transition,
+            cost: SimDuration::from_micros(bytes as u64 / ENCODE_BYTES_PER_US),
+            deps,
+        });
+    };
+    fire(0, "fork", 0, vec![]);
+    let items = harness::movie_attribute_sets(n);
+    let (mut total, mut joined) = (0, Vec::new());
+    for (worker, chunk) in (1..).zip(items.chunks(n.div_ceil(workers))) {
+        let bytes: usize = chunk.iter().map(|v| v.to_ber().len()).sum();
+        fire(worker, "encode-chunk", bytes, vec![0]);
+        total += bytes;
+        joined.push(u64::from(worker));
+    }
+    fire(0, "join-copy", total, joined);
+    estelle::ExecTrace {
+        records,
+        modules: vec![],
+    }
+}
+
+/// E6's deterministic twin. The host-clock row races real threads and
+/// can fail on a loaded machine; this replays the parallel encoder's
+/// shape on `ksim` under OSF/1 thread overheads, where the outcome is
+/// a function of the encoded sizes alone. The sequential side is the
+/// same trace on one processor: the same encode and the same copy that
+/// `encode_sequence_of` makes, so parallel can win only by overlapping
+/// chunks, and the thread handoffs cost more than that saves. At
+/// 10 000 elements the overlap pays, as it does on the host clock,
+/// which is why the claim stops at 1 000.
+#[test]
+fn e6_twin_parallel_never_wins_on_simulated_threads() {
+    use ksim::{simulate, simulate_sequential, Machine, Overheads};
+    let replay = |n: usize, workers: usize| {
+        let trace = parallel_encode_trace(n, workers);
+        let machine = Machine {
+            processors: workers,
+            overheads: Overheads::osf1_threads(),
+        };
+        let parallel = simulate(&trace, estelle::GroupingPolicy::PerModule, &machine);
+        let sequential = simulate_sequential(&trace, Overheads::osf1_threads());
+        (parallel.makespan, sequential.makespan)
+    };
+    for n in [10, 100, 1_000] {
+        for workers in [2, 4] {
+            let (parallel, sequential) = replay(n, workers);
+            assert!(
+                parallel >= sequential,
+                "{n} elements, {workers} workers: parallel {parallel} beat sequential {sequential}"
+            );
+        }
+    }
+    let (parallel, sequential) = replay(10_000, 2);
+    assert!(
+        parallel < sequential,
+        "10 000 elements: parallel {parallel} should overlap enough to beat {sequential}"
+    );
+}

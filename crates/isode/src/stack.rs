@@ -284,12 +284,12 @@ impl IsodeStack {
 
     /// Registers the waker of whoever asks [`IsodeStack::has_work`]
     /// with the stack's medium (see [`Medium::on_available`]).
-    pub fn on_available(&self, waker: std::task::Waker) {
+    pub(crate) fn on_available(&self, waker: std::task::Waker) {
         self.medium.on_available(waker);
     }
 
     /// True when the medium has unprocessed traffic or events wait.
-    pub fn has_work(&self) -> bool {
+    pub(crate) fn has_work(&self) -> bool {
         !self.events.is_empty() || self.medium.available() > 0
     }
 

@@ -56,7 +56,7 @@ pub enum AdmissionClass {
 
 impl AdmissionClass {
     /// Canonical lower-case name.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             AdmissionClass::Stream => "stream",
             AdmissionClass::Recording => "recording",
@@ -512,7 +512,7 @@ impl EventKind {
 
     /// Canonical JSON encoding of the payload; this exact byte string
     /// is what the hash chain covers.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut s = String::from("{\"t\":\"");
         s.push_str(self.tag());
         s.push('"');
@@ -543,7 +543,7 @@ pub struct Event {
 
 impl Event {
     /// Recomputes what this event's `hash` field must be.
-    pub fn compute_hash(&self) -> u64 {
+    pub(crate) fn compute_hash(&self) -> u64 {
         let mut h = Fnv::new();
         h.write_u64(self.prev_hash);
         h.write_u64(self.seq);
@@ -817,11 +817,6 @@ pub struct JournalQuery {
 }
 
 impl JournalQuery {
-    /// All events in append order.
-    pub fn events(&self) -> &[Event] {
-        &self.events
-    }
-
     /// Count of every kind present, keyed by tag, sorted by tag.
     pub fn kind_totals(&self) -> BTreeMap<&'static str, u64> {
         let mut totals = BTreeMap::new();
@@ -1260,7 +1255,7 @@ mod tests {
         assert_eq!(j.count_for("nobody", kind::STREAM_ADMIT), 0);
         assert_eq!(j.count("not_a_kind"), 0);
         let q = j.query();
-        assert_eq!(q.events(), j.events());
+        assert_eq!(q.events, j.events());
         assert_eq!(q.kind_totals()[kind::GROW_STARTED], 1);
         assert_eq!(q.latest_health().len(), 1);
     }

@@ -96,14 +96,6 @@ impl Machine {
             overheads: Overheads::default(),
         }
     }
-
-    /// The paper's server machine: a 32-processor KSR1.
-    pub fn ksr1() -> Self {
-        Machine {
-            processors: 32,
-            overheads: Overheads::ksr1_like(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -117,6 +109,5 @@ mod tests {
         let osf = Overheads::osf1_threads();
         assert!(osf.sync > Overheads::default().sync);
         assert!(osf.sync_occupies_cpu);
-        assert_eq!(Machine::ksr1().processors, 32);
     }
 }

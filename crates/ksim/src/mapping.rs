@@ -96,16 +96,6 @@ impl CostModel {
             .fold(SimDuration::ZERO, |acc, &d| acc + d)
     }
 
-    /// Communication edges between two modules (order-insensitive).
-    pub fn edges_between(&self, a: ModuleId, b: ModuleId) -> u64 {
-        let key = if a.index() <= b.index() {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        self.comm.get(&key).copied().unwrap_or(0)
-    }
-
     /// Connected components of the communication graph, each in
     /// first-appearance order. Modules that never exchange messages
     /// land in singleton clusters. For protocol traces this recovers
@@ -174,7 +164,7 @@ pub struct ExplicitMapping {
 
 impl ExplicitMapping {
     /// Creates a mapping over `units` units from explicit pairs.
-    pub fn new(units: usize, pairs: impl IntoIterator<Item = (ModuleId, UnitId)>) -> Self {
+    pub(crate) fn new(units: usize, pairs: impl IntoIterator<Item = (ModuleId, UnitId)>) -> Self {
         ExplicitMapping {
             map: pairs.into_iter().collect(),
             units: units.max(1) as u32,
@@ -182,16 +172,11 @@ impl ExplicitMapping {
     }
 
     /// Unit for `id` (table lookup, then round-robin fallback).
-    pub fn assign(&self, id: ModuleId) -> UnitId {
+    pub(crate) fn assign(&self, id: ModuleId) -> UnitId {
         self.map
             .get(&id)
             .copied()
             .unwrap_or(UnitId(id.index() as u32 % self.units))
-    }
-
-    /// Number of units.
-    pub fn units(&self) -> usize {
-        self.units as usize
     }
 
     /// The explicit (module, unit) pairs, sorted by module id.
@@ -210,17 +195,6 @@ pub struct OptimizeOptions {
     /// Upper bound on local-search rounds (each round tries every
     /// module × unit move).
     pub max_rounds: usize,
-}
-
-impl OptimizeOptions {
-    /// One unit per processor of `machine`, with the default round
-    /// limit.
-    pub fn for_machine(machine: &Machine) -> Self {
-        OptimizeOptions {
-            units: machine.processors.max(1),
-            max_rounds: 8,
-        }
-    }
 }
 
 /// Outcome of [`optimize`].
@@ -463,14 +437,7 @@ mod tests {
         assert_eq!(m.modules.len(), 2);
         assert_eq!(m.work[&ModuleId::from_raw(0)].as_micros(), 1000);
         assert_eq!(m.work[&ModuleId::from_raw(1)].as_micros(), 500);
-        assert_eq!(
-            m.edges_between(ModuleId::from_raw(0), ModuleId::from_raw(1)),
-            10
-        );
-        assert_eq!(
-            m.edges_between(ModuleId::from_raw(1), ModuleId::from_raw(0)),
-            10
-        );
+        assert_eq!(m.comm[&(ModuleId::from_raw(0), ModuleId::from_raw(1))], 10);
         assert_eq!(m.firings[&ModuleId::from_raw(0)], 10);
         assert_eq!(m.total_work().as_micros(), 1500);
     }
@@ -516,7 +483,7 @@ mod tests {
         let m = ExplicitMapping::new(3, [(ModuleId::from_raw(0), UnitId(2))]);
         assert_eq!(m.assign(ModuleId::from_raw(0)), UnitId(2));
         assert_eq!(m.assign(ModuleId::from_raw(7)), UnitId(1));
-        assert_eq!(m.units(), 3);
+        assert_eq!(m.units, 3);
     }
 
     #[test]
@@ -666,7 +633,11 @@ mod tests {
             modules: vec![],
         };
         let machine = Machine::with_processors(4);
-        let opt = optimize(&t, &machine, OptimizeOptions::for_machine(&machine));
+        let options = OptimizeOptions {
+            units: machine.processors,
+            max_rounds: 8,
+        };
+        let opt = optimize(&t, &machine, options);
         assert!(opt.report.makespan.is_zero());
         assert_eq!(opt.mapping.pairs().len(), 0);
     }

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 /// (plus sync cost for cross-unit edges), the coordinator when
 /// centralized, and its processor. Unit `u` is pinned to processor
 /// `u % P`.
-pub fn simulate_with<F>(trace: &ExecTrace, mut assign: F, machine: &Machine) -> SimReport
+pub(crate) fn simulate_with<F>(trace: &ExecTrace, mut assign: F, machine: &Machine) -> SimReport
 where
     F: FnMut(ModuleId, ModuleLabels) -> UnitId,
 {
@@ -111,7 +111,7 @@ where
 
 /// Replays `trace` on `machine` under `grouping`.
 ///
-/// See [`simulate_with`] for the cost model.
+/// The crate documentation describes the cost model.
 pub fn simulate(trace: &ExecTrace, grouping: GroupingPolicy, machine: &Machine) -> SimReport {
     simulate_with(trace, |id, labels| grouping.assign(id, labels), machine)
 }

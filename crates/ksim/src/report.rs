@@ -33,20 +33,6 @@ impl SimReport {
         busy / (self.makespan.as_secs_f64() * self.per_proc_busy.len() as f64)
     }
 
-    /// Fraction of charged time that is scheduler (dispatch) rather
-    /// than useful work — the paper's "runtime percentage of the
-    /// scheduler".
-    pub fn scheduler_share(&self) -> f64 {
-        let total = self.work.as_secs_f64()
-            + self.dispatch_time.as_secs_f64()
-            + self.sync_time.as_secs_f64();
-        if total == 0.0 {
-            0.0
-        } else {
-            self.dispatch_time.as_secs_f64() / total
-        }
-    }
-
     /// Load imbalance: busiest processor's busy time divided by the
     /// mean busy time. 1.0 is a perfectly balanced machine; large
     /// values mean one processor carries most of the work.

@@ -1,6 +1,6 @@
 //! The simulated clock, advanced by whoever drives the simulation.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A clock advanced explicitly by a simulation driver.
@@ -38,11 +38,6 @@ impl VirtualClock {
     pub fn advance_to(&self, t: SimTime) {
         self.micros.fetch_max(t.as_micros(), Ordering::SeqCst);
     }
-
-    /// Moves the clock forward by `d`.
-    pub fn advance(&self, d: SimDuration) {
-        self.micros.fetch_add(d.as_micros(), Ordering::SeqCst);
-    }
 }
 
 #[cfg(test)]
@@ -55,7 +50,7 @@ mod tests {
         c.advance_to(SimTime::from_micros(100));
         c.advance_to(SimTime::from_micros(50)); // ignored
         assert_eq!(c.now().as_micros(), 100);
-        c.advance(SimDuration::from_micros(25));
+        c.advance_to(SimTime::from_micros(125));
         assert_eq!(c.now().as_micros(), 125);
     }
 

@@ -152,11 +152,6 @@ impl DatagramNet {
 }
 
 impl DatagramSocket {
-    /// This socket's bound address.
-    pub fn addr(&self) -> NetAddr {
-        self.addr
-    }
-
     /// Sends `payload` to `to`. Returns `false` if the datagram was
     /// dropped by the loss model or the destination does not exist —
     /// callers that care must implement their own acknowledgements

@@ -177,7 +177,7 @@ impl LinkConfig {
     }
 
     /// Serialization time for `len` bytes at the configured bandwidth.
-    pub fn serialization(&self, len: usize) -> SimDuration {
+    pub(crate) fn serialization(&self, len: usize) -> SimDuration {
         match self.bandwidth_bps {
             None | Some(0) => SimDuration::ZERO,
             Some(bps) => {

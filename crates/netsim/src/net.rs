@@ -201,7 +201,7 @@ impl Network {
     /// # Panics
     ///
     /// Panics if either endpoint is unknown.
-    pub fn link(&self, a: EndpointId, b: EndpointId, config: LinkConfig) -> LinkId {
+    pub(crate) fn link(&self, a: EndpointId, b: EndpointId, config: LinkConfig) -> LinkId {
         let mut inner = self.inner.lock();
         assert!(inner.endpoints.contains_key(&a), "unknown endpoint {a:?}");
         assert!(inner.endpoints.contains_key(&b), "unknown endpoint {b:?}");
@@ -255,7 +255,7 @@ impl Network {
     /// # Panics
     ///
     /// Panics if `link` is unknown or `src` is not attached to it.
-    pub fn send_link(&self, link: LinkId, src: EndpointId, data: Vec<u8>) -> bool {
+    pub(crate) fn send_link(&self, link: LinkId, src: EndpointId, data: Vec<u8>) -> bool {
         let now = self.clock.now();
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
@@ -323,7 +323,7 @@ impl Network {
     }
 
     /// Returns the number of messages waiting at `ep`.
-    pub fn pending(&self, ep: EndpointId) -> usize {
+    pub(crate) fn pending(&self, ep: EndpointId) -> usize {
         self.inner
             .lock()
             .endpoints

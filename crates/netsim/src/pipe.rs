@@ -39,7 +39,7 @@ impl PipeEnd {
 
     /// Registers the waker [`Network::step`] calls after each delivery
     /// into this end (see [`Network::on_available`]).
-    pub fn on_available(&self, waker: std::task::Waker) {
+    pub(crate) fn on_available(&self, waker: std::task::Waker) {
         self.net.on_available(self.local, waker);
     }
 

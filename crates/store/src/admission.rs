@@ -42,7 +42,7 @@ pub struct AdmissionController {
 impl AdmissionController {
     /// Creates a controller over `capacity_bps` of deliverable
     /// bandwidth.
-    pub fn new(capacity_bps: u64) -> Self {
+    pub(crate) fn new(capacity_bps: u64) -> Self {
         AdmissionController {
             capacity_bps,
             committed_bps: 0,
@@ -52,7 +52,7 @@ impl AdmissionController {
     }
 
     /// Total deliverable bandwidth.
-    pub fn capacity_bps(&self) -> u64 {
+    pub(crate) fn capacity_bps(&self) -> u64 {
         self.capacity_bps
     }
 
@@ -61,22 +61,22 @@ impl AdmissionController {
     /// be over-committed afterwards, in which case `available_bps`
     /// reads zero and every new admit is refused until enough streams
     /// release.
-    pub fn set_capacity_bps(&mut self, capacity_bps: u64) {
+    pub(crate) fn set_capacity_bps(&mut self, capacity_bps: u64) {
         self.capacity_bps = capacity_bps;
     }
 
     /// Bandwidth currently committed to admitted streams.
-    pub fn committed_bps(&self) -> u64 {
+    pub(crate) fn committed_bps(&self) -> u64 {
         self.committed_bps
     }
 
     /// Bandwidth still available for new streams.
-    pub fn available_bps(&self) -> u64 {
+    pub(crate) fn available_bps(&self) -> u64 {
         self.capacity_bps.saturating_sub(self.committed_bps)
     }
 
     /// Demand committed for one stream, if admitted.
-    pub fn demand_of(&self, stream: u32) -> Option<u64> {
+    pub(crate) fn demand_of(&self, stream: u32) -> Option<u64> {
         self.per_stream.get(&stream).copied()
     }
 
@@ -88,7 +88,7 @@ impl AdmissionController {
     ///
     /// Returns a [`Rejection`] when the new aggregate would exceed
     /// capacity.
-    pub fn admit(&mut self, stream: u32, demanded_bps: u64) -> Result<(), Rejection> {
+    pub(crate) fn admit(&mut self, stream: u32, demanded_bps: u64) -> Result<(), Rejection> {
         let current = self.per_stream.get(&stream).copied().unwrap_or(0);
         let rest = self.committed_bps - current;
         if rest + demanded_bps > self.capacity_bps {
@@ -105,7 +105,7 @@ impl AdmissionController {
     }
 
     /// Releases a stream's commitment (idempotent).
-    pub fn release(&mut self, stream: u32) {
+    pub(crate) fn release(&mut self, stream: u32) {
         if let Some(bps) = self.per_stream.remove(&stream) {
             self.committed_bps -= bps;
             self.stats.released += 1;

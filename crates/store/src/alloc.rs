@@ -22,13 +22,13 @@ pub struct BlockAllocator {
 
 impl BlockAllocator {
     /// An empty allocator (nothing allocated).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Allocates the lowest free offset: a released one when the free
     /// list is non-empty, else the high-water mark.
-    pub fn alloc(&mut self) -> u64 {
+    pub(crate) fn alloc(&mut self) -> u64 {
         if let Some(&offset) = self.free.iter().next() {
             self.free.remove(&offset);
             return offset;
@@ -41,14 +41,15 @@ impl BlockAllocator {
     /// Returns `offset` to the free pool (idempotent for offsets that
     /// are already free; offsets above the high-water mark are
     /// ignored — they were never allocated).
-    pub fn release(&mut self, offset: u64) {
+    pub(crate) fn release(&mut self, offset: u64) {
         if offset < self.next {
             self.free.insert(offset);
         }
     }
 
     /// Number of offsets currently allocated.
-    pub fn allocated(&self) -> u64 {
+    #[cfg(test)]
+    fn allocated(&self) -> u64 {
         self.next - self.free.len() as u64
     }
 
@@ -57,7 +58,7 @@ impl BlockAllocator {
     /// spindle dies: analytically-laid-out stripe offsets become
     /// explicit allocations, so rebuild writes can never be handed an
     /// offset a surviving block already occupies.
-    pub fn reserve_through(&mut self, end: u64) {
+    pub(crate) fn reserve_through(&mut self, end: u64) {
         self.next = self.next.max(end);
     }
 }

@@ -63,7 +63,7 @@ impl Default for DiskParams {
 
 impl DiskParams {
     /// Time to transfer `bytes` once positioned.
-    pub fn transfer_time(&self, bytes: u64) -> SimDuration {
+    pub(crate) fn transfer_time(&self, bytes: u64) -> SimDuration {
         let rate = self.transfer_bytes_per_sec.max(1);
         SimDuration::from_micros(bytes.saturating_mul(1_000_000).div_ceil(rate))
     }
@@ -86,7 +86,7 @@ impl DiskParams {
     /// Expected service time for one block (positioning + transfer)
     /// under the configured discipline: the basis of the admission
     /// controller's bandwidth estimate.
-    pub fn service_time(&self, bytes: u64) -> SimDuration {
+    pub(crate) fn service_time(&self, bytes: u64) -> SimDuration {
         self.expected_seek() + self.transfer_time(bytes)
     }
 }
@@ -144,7 +144,7 @@ pub struct Disk {
 
 impl Disk {
     /// Creates an idle disk.
-    pub fn new(params: DiskParams) -> Self {
+    pub(crate) fn new(params: DiskParams) -> Self {
         Disk {
             params,
             queue: Vec::new(),
@@ -156,32 +156,21 @@ impl Disk {
         }
     }
 
-    /// The disk's cost model.
-    pub fn params(&self) -> DiskParams {
-        self.params
-    }
-
-    /// Instant the arm finishes its current request (idle disks are
-    /// free immediately).
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
-    }
-
     /// Requests waiting plus the one in service.
-    pub fn pending(&self) -> usize {
+    pub(crate) fn pending(&self) -> usize {
         self.queue.len() + usize::from(self.in_service.is_some())
     }
 
     /// Queues a read of `bytes` at block `offset` of `movie`, arriving
     /// at `now`. Service order follows [`DiskParams::sched`].
-    pub fn enqueue(&mut self, now: SimTime, movie: MovieId, offset: u64, bytes: u64) {
+    pub(crate) fn enqueue(&mut self, now: SimTime, movie: MovieId, offset: u64, bytes: u64) {
         self.enqueue_io(IoKind::Read, now, movie, offset, bytes);
     }
 
     /// Queues a write of `bytes` at block `offset` of `movie`,
     /// arriving at `now`. Writes share the queue and the discipline
     /// with reads — a recording contends for the same arm.
-    pub fn enqueue_write(&mut self, now: SimTime, movie: MovieId, offset: u64, bytes: u64) {
+    pub(crate) fn enqueue_write(&mut self, now: SimTime, movie: MovieId, offset: u64, bytes: u64) {
         self.enqueue_io(IoKind::Write, now, movie, offset, bytes);
     }
 
@@ -199,14 +188,14 @@ impl Disk {
     }
 
     /// Completion instant of the request under the arm, if any.
-    pub fn next_completion(&self) -> Option<SimTime> {
+    pub(crate) fn next_completion(&self) -> Option<SimTime> {
         self.in_service.map(|s| s.ready_at)
     }
 
     /// Completes the in-service request if it is due at or before
     /// `now`, immediately starting the next queued request (per the
     /// discipline), and returns the finished `(movie, offset, kind)`.
-    pub fn pop_due(&mut self, now: SimTime) -> Option<(MovieId, u64, IoKind)> {
+    pub(crate) fn pop_due(&mut self, now: SimTime) -> Option<(MovieId, u64, IoKind)> {
         let s = self.in_service?;
         if s.ready_at > now {
             return None;
@@ -319,7 +308,7 @@ impl Disk {
     /// discarded without completing (the heads crashed mid-transfer).
     /// Returns the `(movie, offset, kind)` of every request dropped so
     /// the store can unwind its in-flight bookkeeping.
-    pub fn fail(&mut self) -> Vec<(MovieId, u64, IoKind)> {
+    pub(crate) fn fail(&mut self) -> Vec<(MovieId, u64, IoKind)> {
         let mut dropped: Vec<(MovieId, u64, IoKind)> = self
             .in_service
             .take()
@@ -330,15 +319,6 @@ impl Disk {
         self.busy_until = SimTime::ZERO;
         self.head = None;
         dropped
-    }
-
-    /// Utilization of the disk over `elapsed` simulated time.
-    pub fn utilization(&self, elapsed: SimDuration) -> f64 {
-        if elapsed.is_zero() {
-            0.0
-        } else {
-            self.stats.busy.as_secs_f64() / elapsed.as_secs_f64()
-        }
     }
 }
 
@@ -450,7 +430,7 @@ mod tests {
             }
             d.enqueue(SimTime::ZERO, MovieId(2), 0, 1 << 18);
             drain(&mut d);
-            (d.stats.sequential_reads, d.busy_until())
+            (d.stats.sequential_reads, d.busy_until)
         };
         let (seq_fifo, done_fifo) = serve(DiskSched::Fifo);
         let (seq_scan, done_scan) = serve(DiskSched::Scan);

@@ -59,11 +59,6 @@ impl StripeLayout {
         }
     }
 
-    /// Number of disks in the stripe set.
-    pub fn disks(&self) -> usize {
-        self.disks
-    }
-
     /// Total logical blocks in the movie.
     pub fn block_count(&self) -> u64 {
         self.block_count
@@ -125,7 +120,7 @@ pub struct BlockMap {
 
 impl BlockMap {
     /// An empty map (a recording before its first full block).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -136,7 +131,7 @@ impl BlockMap {
     ///
     /// Panics if `addr` is already mapped — the allocator must never
     /// hand out a live address twice.
-    pub fn push(&mut self, addr: BlockAddr) -> u64 {
+    pub(crate) fn push(&mut self, addr: BlockAddr) -> u64 {
         let index = self.addrs.len() as u64;
         let prev = self.inverse.insert(addr, index);
         assert!(prev.is_none(), "block {addr:?} allocated twice");
@@ -145,7 +140,7 @@ impl BlockMap {
     }
 
     /// Number of mapped blocks.
-    pub fn block_count(&self) -> u64 {
+    pub(crate) fn block_count(&self) -> u64 {
         self.addrs.len() as u64
     }
 
@@ -154,13 +149,13 @@ impl BlockMap {
     /// # Panics
     ///
     /// Panics if `index` is out of the recorded range.
-    pub fn locate(&self, index: u64) -> BlockAddr {
+    pub(crate) fn locate(&self, index: u64) -> BlockAddr {
         self.addrs[index as usize]
     }
 
     /// Inverts [`BlockMap::locate`]: the logical block at `addr`, or
     /// `None` if no block of this movie lives there.
-    pub fn invert(&self, addr: BlockAddr) -> Option<u64> {
+    pub(crate) fn invert(&self, addr: BlockAddr) -> Option<u64> {
         self.inverse.get(&addr).copied()
     }
 
@@ -168,7 +163,7 @@ impl BlockMap {
     /// map, so individual addresses can then be rewritten with
     /// [`BlockMap::replace`] (spindle-death rebuild relocates blocks
     /// one at a time).
-    pub fn from_stripe(stripe: &StripeLayout) -> Self {
+    pub(crate) fn from_stripe(stripe: &StripeLayout) -> Self {
         let mut m = BlockMap::new();
         for b in stripe.blocks() {
             m.push(stripe.locate(b));
@@ -185,7 +180,7 @@ impl BlockMap {
     ///
     /// Panics if `index` is out of range or `addr` is already mapped
     /// to a different block.
-    pub fn replace(&mut self, index: u64, addr: BlockAddr) -> BlockAddr {
+    pub(crate) fn replace(&mut self, index: u64, addr: BlockAddr) -> BlockAddr {
         let old = self.addrs[index as usize];
         if old == addr {
             return old;
@@ -198,7 +193,7 @@ impl BlockMap {
     }
 
     /// All physical addresses in logical-block order.
-    pub fn addrs(&self) -> &[BlockAddr] {
+    pub(crate) fn addrs(&self) -> &[BlockAddr] {
         &self.addrs
     }
 }

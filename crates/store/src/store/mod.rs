@@ -90,7 +90,7 @@ impl Default for StoreConfig {
 impl StoreConfig {
     /// Deliverable bandwidth of one disk in bits/second, accounting
     /// for a worst-case seek per block.
-    pub fn effective_disk_bps(&self) -> u64 {
+    pub(crate) fn effective_disk_bps(&self) -> u64 {
         let service = self.disk.service_time(u64::from(self.block_size));
         if service.is_zero() {
             return u64::MAX;

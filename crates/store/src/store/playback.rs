@@ -67,11 +67,6 @@ impl PrefetchHint {
             stride: stride.max(1),
         }
     }
-
-    /// True for the hint that reproduces unhinted behavior.
-    pub fn is_default(&self) -> bool {
-        *self == PrefetchHint::default()
-    }
 }
 
 #[derive(Debug)]
@@ -437,11 +432,6 @@ impl BlockStore {
         self.inner.lock().cache.set_pinned(ranges);
     }
 
-    /// Resident cache blocks currently protected by a pinned range.
-    pub fn pinned_block_count(&self) -> usize {
-        self.inner.lock().cache.pinned_block_count()
-    }
-
     /// Re-negotiates a stream's playback speed (bandwidth demand).
     ///
     /// # Errors
@@ -539,7 +529,8 @@ impl BlockStore {
     }
 
     /// A stream's current trick-mode prefetch hint.
-    pub fn prefetch_hint(&self, stream_id: u32) -> Option<PrefetchHint> {
+    #[cfg(test)]
+    pub(crate) fn prefetch_hint(&self, stream_id: u32) -> Option<PrefetchHint> {
         self.inner.lock().streams.get(&stream_id).map(|s| s.hint)
     }
 

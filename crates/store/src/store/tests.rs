@@ -157,7 +157,7 @@ fn backward_hint_preloads_rewind_target() {
                 back_block * fpb,
                 "without hints the rewind target still waits on disk"
             );
-            assert!(store.prefetch_hint(9).unwrap().is_default());
+            assert_eq!(store.prefetch_hint(9), Some(PrefetchHint::default()));
         }
     }
 }

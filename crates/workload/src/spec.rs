@@ -151,7 +151,7 @@ pub enum Arrival {
 
 impl Arrival {
     /// Number of agents this curve produces.
-    pub fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         match *self {
             Arrival::Flash { viewers, .. }
             | Arrival::Ramp { viewers, .. }
@@ -161,7 +161,7 @@ impl Arrival {
     }
 
     /// Length of the arrival window.
-    pub fn window(&self) -> SimDuration {
+    pub(crate) fn window(&self) -> SimDuration {
         match *self {
             Arrival::Flash { viewers, spacing }
             | Arrival::Saturate {
@@ -206,7 +206,7 @@ pub struct VcrMix {
 impl VcrMix {
     /// Percentage points the mix assigns explicitly (must stay ≤ 100;
     /// the rest resumes nominal playback).
-    pub fn sum(&self) -> u32 {
+    pub(crate) fn sum(&self) -> u32 {
         self.seek_back_pct + self.seek_fwd_pct + self.ff_pct + self.pause_pct
     }
 

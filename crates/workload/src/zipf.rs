@@ -35,18 +35,9 @@ impl Zipf {
         Some(Zipf { cdf })
     }
 
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// True when the catalogue is empty (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
     /// Probability mass of rank `r`.
-    pub fn mass(&self, rank: usize) -> f64 {
+    #[cfg(test)]
+    fn mass(&self, rank: usize) -> f64 {
         let below = if rank == 0 { 0.0 } else { self.cdf[rank - 1] };
         self.cdf.get(rank).map_or(0.0, |c| c - below)
     }
