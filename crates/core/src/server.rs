@@ -37,9 +37,10 @@ use estelle::{
     Transition,
 };
 use netsim::{Medium, SimDuration};
-use parking_lot::Mutex;
 use presentation::service::{PAbortInd, PConInd, PConRsp, PDataInd, PDataReq, PRelInd, PRelRsp};
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::task::Waker;
 
@@ -76,28 +77,27 @@ pub const ERR_ADMISSION: u32 = 503;
 /// list, so that pushing *is* telling the root.
 #[derive(Debug, Default)]
 pub struct Reaper {
-    list: Mutex<Vec<(estelle::ModuleId, netsim::SimTime)>>,
-    wake: Mutex<Option<Waker>>,
+    list: RefCell<Vec<(estelle::ModuleId, netsim::SimTime)>>,
+    wake: RefCell<Option<Waker>>,
 }
 
 impl Reaper {
     /// Schedules the entity whose MCA is `mca` for collection once
     /// `at` has passed, then wakes the root.
     pub(crate) fn push(&self, mca: estelle::ModuleId, at: netsim::SimTime) {
-        self.list.lock().push((mca, at));
-        let wake = self.wake.lock().clone();
-        if let Some(wake) = wake {
-            wake.wake();
+        self.list.borrow_mut().push((mca, at));
+        if let Some(wake) = &*self.wake.borrow() {
+            wake.wake_by_ref();
         }
     }
 
     fn is_empty(&self) -> bool {
-        self.list.lock().is_empty()
+        self.list.borrow().is_empty()
     }
 
     /// Removes and returns the entities whose grace period is over.
     fn take_due(&self, now: netsim::SimTime) -> Vec<estelle::ModuleId> {
-        let mut list = self.list.lock();
+        let mut list = self.list.borrow_mut();
         let due = list
             .iter()
             .filter(|(_, at)| *at <= now)
@@ -147,7 +147,7 @@ pub struct ServerServices {
     /// collected) and the [`ServerRoot`] reaps it — MCA plus lower
     /// stack — once the grace period has let the referral reply
     /// drain through the stack.
-    pub reaper: Arc<Reaper>,
+    pub reaper: Rc<Reaper>,
     /// The site's equipment control agent (ECA): every entity's
     /// [`EuaAgent`] reserves the site's devices here, all as
     /// `ClientId(0)`. Read device states through it, or reserve a
@@ -1010,7 +1010,7 @@ impl StateMachine for ServerRoot {
     }
 
     fn on_init(&mut self, ctx: &mut Ctx<'_>) {
-        *self.services.reaper.wake.lock() = Some(ctx.waker());
+        *self.services.reaper.wake.borrow_mut() = Some(ctx.waker());
     }
 
     fn transitions() -> Vec<Transition<Self>> {

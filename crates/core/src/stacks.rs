@@ -18,6 +18,7 @@ use isode::{IsodeInterfaceModule, IsodeStack};
 use netsim::{Medium, SimDuration};
 use presentation::PresentationMachine;
 use session::SessionMachine;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Which lower stack carries the MCAM control protocol (the paper's
@@ -101,7 +102,7 @@ pub const ERR_REFERRAL: u32 = 907;
 /// name. Implemented by the world (which owns the pipes and server
 /// roots); a `None` means the location is unknown, decommissioned, or
 /// draining — the caller falls back to the next referral candidate.
-pub trait ControlDial: Send + Sync {
+pub trait ControlDial {
     /// A fresh control medium to `location`'s server, or `None`.
     fn dial(&self, location: &str, conn: u16) -> Option<Box<dyn Medium>>;
 }
@@ -194,7 +195,7 @@ pub struct ClientRoot {
     app_machine: Option<AppMachine>,
     /// Re-dialer for referral targets; `None` makes this a legacy
     /// (pre-referral) client pinned to its original server.
-    dialer: Option<Arc<dyn ControlDial>>,
+    dialer: Option<Rc<dyn ControlDial>>,
     /// Location of the server the world attached this client to.
     home: String,
     /// Hop/loop bookkeeping for the current referral chain.
@@ -280,7 +281,7 @@ impl ClientRoot {
     /// server the original medium leads to.
     pub(crate) fn with_referrals(
         mut self,
-        dialer: Arc<dyn ControlDial>,
+        dialer: Rc<dyn ControlDial>,
         home: impl Into<String>,
         max_hops: u32,
     ) -> Self {
@@ -308,7 +309,7 @@ impl ClientRoot {
     /// list, replaying the session re-establishment ops it carried.
     fn follow_referral(&mut self, ctx: &mut Ctx<'_>, sig: ReferralSignal) {
         let dialer = match &self.dialer {
-            Some(d) => Arc::clone(d),
+            Some(d) => Rc::clone(d),
             None => {
                 // A referral reached a client that cannot re-dial
                 // (should not happen: it never advertises support).
@@ -648,7 +649,7 @@ mod tests {
             AppMachine::default(),
             Arc::new(journal::Journal::new(clock)),
         )
-        .with_referrals(Arc::new(NoDial), home, 4)
+        .with_referrals(Rc::new(NoDial), home, 4)
     }
 
     #[test]

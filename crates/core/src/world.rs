@@ -20,9 +20,10 @@ use netsim::{
     DatagramNet, DatagramSocket, LinkConfig, Medium, NetAddr, Network, PipeMedium, SimBackend,
     SimDuration, SimTime, TransportBackend,
 };
-use parking_lot::Mutex;
 use presentation::service::PAbortInd;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 use store::{BlockStore, StoreConfig, StoreStats};
 
@@ -35,9 +36,9 @@ struct WorldDialer {
     backend: SimBackend,
     /// location → (server root, the registry that knows whether the
     /// location is still live).
-    targets: Mutex<HashMap<String, (ModuleId, Arc<SpsRegistry>)>>,
+    targets: RefCell<HashMap<String, (ModuleId, Arc<SpsRegistry>)>>,
     /// Server-side media awaiting hand-off.
-    pending: Mutex<Vec<PendingDial>>,
+    pending: RefCell<Vec<PendingDial>>,
 }
 
 /// A dialed control pipe's server end, waiting for the world's driver
@@ -57,24 +58,24 @@ impl WorldDialer {
     fn new(backend: SimBackend) -> Self {
         WorldDialer {
             backend,
-            targets: Mutex::new(HashMap::new()),
-            pending: Mutex::new(Vec::new()),
+            targets: RefCell::default(),
+            pending: RefCell::default(),
         }
     }
 
     fn register(&self, location: String, root: ModuleId, peers: Arc<SpsRegistry>) {
-        self.targets.lock().insert(location, (root, peers));
+        self.targets.borrow_mut().insert(location, (root, peers));
     }
 
     fn take_pending(&self) -> Vec<(ModuleId, Box<dyn Medium>, u16)> {
-        std::mem::take(&mut *self.pending.lock())
+        self.pending.take()
     }
 }
 
 impl ControlDial for WorldDialer {
     fn dial(&self, location: &str, conn: u16) -> Option<Box<dyn Medium>> {
         let (root, peers) = {
-            let targets = self.targets.lock();
+            let targets = self.targets.borrow();
             let (root, peers) = targets.get(location)?;
             (*root, Arc::clone(peers))
         };
@@ -86,7 +87,7 @@ impl ControlDial for WorldDialer {
             return None;
         }
         let (client_medium, server_medium) = self.backend.connect();
-        self.pending.lock().push((root, server_medium, conn));
+        self.pending.borrow_mut().push((root, server_medium, conn));
         Some(client_medium)
     }
 }
@@ -259,7 +260,7 @@ pub struct World {
     /// The CM datagram service (UDP/FDDI substitute).
     pub dg: Arc<DatagramNet>,
     /// The Estelle runtime hosting all control modules.
-    pub rt: Arc<Runtime>,
+    pub rt: Runtime,
     /// The transport backend minting control-pipe conduits (the
     /// simulated, deterministic one — the world's Estelle driver runs
     /// on the virtual clock; see `wall_clock` for the threaded rig).
@@ -287,13 +288,13 @@ pub struct World {
     /// Every cluster's control plane, ticked by the driver loop.
     rebalancers: Vec<Arc<ClusterController>>,
     /// Opens referral-target control pipes for cluster-aware clients.
-    dialer: Arc<WorldDialer>,
+    dialer: Rc<WorldDialer>,
     next_addr: u32,
     next_conn: u16,
     /// The world's event journal, stamped from the network clock.
     journal: Arc<Journal>,
     /// Next health-snapshot deadline (armed on first driver activity).
-    next_health: Mutex<Option<SimTime>>,
+    next_health: Cell<Option<SimTime>>,
 }
 
 impl std::fmt::Debug for World {
@@ -367,10 +368,10 @@ impl WorldBuilder {
     pub fn build(self) -> World {
         let net = Arc::new(Network::new(self.seed));
         let dg = DatagramNet::new(&net, self.stream_link, self.seed.wrapping_add(17));
-        let rt = Arc::new(Runtime::with_virtual_clock(net.clock()));
+        let rt = Runtime::with_virtual_clock(net.clock());
         // Control pipes have a one-way delay of 1 ms.
         let backend = SimBackend::new(&net, SimDuration::from_millis(1));
-        let dialer = Arc::new(WorldDialer::new(backend.clone()));
+        let dialer = Rc::new(WorldDialer::new(backend.clone()));
         let journal = Arc::new(Journal::new(net.clock()));
         World {
             journal,
@@ -387,7 +388,7 @@ impl WorldBuilder {
             dialer,
             next_addr: 1,
             next_conn: 0,
-            next_health: Mutex::new(None),
+            next_health: Cell::new(None),
         }
     }
 }
@@ -567,7 +568,7 @@ impl World {
                 peers: Arc::clone(&peers),
                 rebalancer: Arc::clone(&rebalancer),
                 control: Arc::clone(&control),
-                reaper: Arc::default(),
+                reaper: Rc::default(),
                 eca,
                 journal: Arc::clone(&self.journal),
             };
@@ -694,7 +695,7 @@ impl World {
         client_root.control_location = server.services.sps.location();
         if cluster_aware {
             client_root = client_root.with_referrals(
-                Arc::clone(&self.dialer) as Arc<dyn crate::stacks::ControlDial>,
+                Rc::clone(&self.dialer) as Rc<dyn crate::stacks::ControlDial>,
                 server.services.sps.location(),
                 self.referral_max_hops,
             );
@@ -862,7 +863,7 @@ impl World {
             // snapshot deadline may pull an already-scheduled wake-up
             // earlier, but never keeps an otherwise idle world alive
             // (a quiet cluster's snapshots would carry no news).
-            if let (Some(base), Some(health)) = (next, *self.next_health.lock()) {
+            if let (Some(base), Some(health)) = (next, self.next_health.get()) {
                 if health < base {
                     next = Some(health);
                 }
@@ -889,18 +890,14 @@ impl World {
         /// How often every server's health is snapshotted into the
         /// journal while the world is active.
         const HEALTH_INTERVAL: SimDuration = SimDuration::from_millis(250);
-        let mut next = self.next_health.lock();
-        match *next {
+        match self.next_health.get() {
             None => {
-                *next = Some(now + HEALTH_INTERVAL);
+                self.next_health.set(Some(now + HEALTH_INTERVAL));
                 return;
             }
-            Some(due) if now >= due => {
-                *next = Some(now + HEALTH_INTERVAL);
-            }
+            Some(due) if now >= due => self.next_health.set(Some(now + HEALTH_INTERVAL)),
             Some(_) => return,
         }
-        drop(next);
         for ServerServices {
             sps,
             store,

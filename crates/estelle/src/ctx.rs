@@ -5,16 +5,16 @@
 //! (outputs, child creation, channel connection, release) which the
 //! runtime applies after the action returns, in the order recorded.
 //! This keeps actions free of aliasing with the module tree: an action
-//! runs under its own module's lock and the runtime's topology read
-//! guard, and creating a child needs the write guard, so the effects
-//! wait until both are released.
+//! runs while the runtime borrows its module table and the firing
+//! module's core, and creating a child borrows the table mutably, so
+//! the effects wait until both borrows end.
 
 use crate::ids::{IpIndex, IpRef, ModuleId, ModuleKind, ModuleLabels, StateId};
 use crate::interaction::Interaction;
 use crate::machine::{Fsm, ModuleExec, StateMachine};
 use netsim::SimTime;
+use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::task::Waker;
 
 /// A deferred runtime mutation recorded by an action.
@@ -60,12 +60,9 @@ pub struct Ctx<'a> {
     pub(crate) self_kind: ModuleKind,
     pub(crate) effects: &'a mut Vec<Effect>,
     pub(crate) next_state: Option<StateId>,
-    pub(crate) id_alloc: &'a AtomicU32,
+    pub(crate) id_alloc: &'a Cell<u32>,
     pub(crate) waker: &'a Waker,
 }
-
-#[cfg(test)]
-static TEST_ID_ALLOC: AtomicU32 = AtomicU32::new(1_000_000);
 
 impl<'a> Ctx<'a> {
     pub(crate) fn new(
@@ -73,7 +70,7 @@ impl<'a> Ctx<'a> {
         self_id: ModuleId,
         self_kind: ModuleKind,
         effects: &'a mut Vec<Effect>,
-        id_alloc: &'a AtomicU32,
+        id_alloc: &'a Cell<u32>,
         waker: &'a Waker,
     ) -> Self {
         Ctx {
@@ -88,7 +85,7 @@ impl<'a> Ctx<'a> {
     }
 
     /// A free-standing context for unit-testing machine actions; child
-    /// ids are drawn from a process-wide test counter.
+    /// ids are drawn from a counter of its own.
     #[cfg(test)]
     pub(crate) fn for_test(effects: &'a mut Vec<Effect>) -> Self {
         Ctx::new(
@@ -96,7 +93,7 @@ impl<'a> Ctx<'a> {
             ModuleId(0),
             ModuleKind::SystemProcess,
             effects,
-            &TEST_ID_ALLOC,
+            Box::leak(Box::new(Cell::new(1_000_000))),
             Waker::noop(),
         )
     }
@@ -116,9 +113,11 @@ impl<'a> Ctx<'a> {
     /// again. Hand it (typically from `on_init`) to whoever owns the
     /// state those guards read — a medium, a stream provider, a shared
     /// list — which must publish its change first and wake second.
-    /// Waking takes no runtime lock, so it may be done from inside
-    /// another module's action or from any thread; waking a released
-    /// module does nothing.
+    /// The waker is the one part of the runtime that is thread-safe:
+    /// it touches only the module's wake-up flag and ready bit, so it
+    /// may be called from inside another module's action, from another
+    /// thread (a [`netsim::ThreadMedium`] peer) and after the runtime
+    /// is gone. Waking a released module does nothing.
     pub fn waker(&self) -> Waker {
         self.waker.clone()
     }
@@ -179,7 +178,7 @@ impl<'a> Ctx<'a> {
                 self.self_kind
             );
         }
-        let reserved = ModuleId(self.id_alloc.fetch_add(1, Ordering::SeqCst));
+        let reserved = ModuleId(self.id_alloc.replace(self.id_alloc.get() + 1));
         self.effects.push(Effect::Create(CreateEffect {
             reserved,
             name: name.into(),

@@ -5,8 +5,8 @@ use std::fmt;
 
 /// A message that can travel over an Estelle channel.
 ///
-/// Implement via [`crate::impl_interaction!`] for any `Send + Debug +
-/// 'static` type:
+/// Implement via [`crate::impl_interaction!`] for any `Debug + 'static`
+/// type:
 ///
 /// ```
 /// use estelle::impl_interaction;
@@ -20,11 +20,11 @@ use std::fmt;
 /// let back = estelle::downcast::<ConnectReq>(boxed).unwrap();
 /// assert_eq!(back.addr, 7);
 /// ```
-pub trait Interaction: Send + fmt::Debug + 'static {
+pub trait Interaction: fmt::Debug + 'static {
     /// Upcast for inspection.
     fn as_any(&self) -> &dyn Any;
     /// Upcast for consumption.
-    fn into_any(self: Box<Self>) -> Box<dyn Any + Send>;
+    fn into_any(self: Box<Self>) -> Box<dyn Any>;
 }
 
 impl dyn Interaction {
@@ -66,7 +66,7 @@ macro_rules! impl_interaction {
                 fn as_any(&self) -> &dyn ::std::any::Any {
                     self
                 }
-                fn into_any(self: ::std::boxed::Box<Self>) -> ::std::boxed::Box<dyn ::std::any::Any + Send> {
+                fn into_any(self: ::std::boxed::Box<Self>) -> ::std::boxed::Box<dyn ::std::any::Any> {
                     self
                 }
             }

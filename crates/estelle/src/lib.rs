@@ -28,7 +28,11 @@
 //! The paper's parallel runtime is reproduced by replay, not by
 //! threads: `ksim` schedules the traces this runtime records on a
 //! modelled multiprocessor, and its E4 experiment is the §5.2
-//! comparison of a centralized with a decentralized scheduler.
+//! comparison of a centralized with a decentralized scheduler. So a
+//! [`Runtime`] belongs to the thread that drives it, and module bodies
+//! and interactions need not be `Send`. Its one thread-safe part is
+//! each module's waker ([`Ctx::waker`]), which a medium served by
+//! another thread may call (see "The ready index" on [`Runtime`]).
 //!
 //! # Examples
 //!

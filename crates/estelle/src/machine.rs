@@ -214,7 +214,7 @@ impl<M> Transition<M> {
 /// Implementors provide states (as [`StateId`] constants), the
 /// transition list, and optionally initialization behaviour; the
 /// framework wraps them in an [`Fsm`] for execution.
-pub trait StateMachine: Send + Sized + 'static {
+pub trait StateMachine: Sized + 'static {
     /// Number of interaction points this module exposes.
     fn num_ips(&self) -> usize;
 
@@ -332,7 +332,7 @@ pub struct TransitionInfo {
 
 /// Object-safe executable view of a module body, implemented by
 /// [`Fsm`]. The runtime stores modules as `Box<dyn ModuleExec>`.
-pub trait ModuleExec: Send {
+pub trait ModuleExec {
     /// Module type name.
     fn type_name(&self) -> &'static str;
     /// Current state.
@@ -509,18 +509,17 @@ impl<M: StateMachine> Fsm<M> {
         entered: SimTime,
         dispatch: Dispatch,
     ) -> bool {
-        use std::sync::atomic::AtomicU32;
-        static BENCH_ALLOC: AtomicU32 = AtomicU32::new(u32::MAX / 2);
         let Some(sel) = self.select(ips, now, entered, dispatch) else {
             return false;
         };
         let mut effects = Vec::new();
+        let ids = std::cell::Cell::new(u32::MAX / 2);
         let mut ctx = Ctx::new(
             now,
             crate::ids::ModuleId::from_raw(0),
             crate::ids::ModuleKind::SystemProcess,
             &mut effects,
-            &BENCH_ALLOC,
+            &ids,
             std::task::Waker::noop(),
         );
         self.fire(sel, None, &mut ctx);

@@ -16,9 +16,9 @@ use crate::machine::{
 };
 use crate::trace::{ExecTrace, FiringRecord, TraceModuleMeta};
 use netsim::{SimDuration, SimTime, VirtualClock};
-use parking_lot::{Mutex, RwLock};
+use std::cell::{Cell, RefCell};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::{Wake, Waker};
 use std::time::Instant;
@@ -94,33 +94,6 @@ pub struct Counters {
     pub msgs_to_dead: u64,
 }
 
-#[derive(Debug, Default)]
-struct AtomicCounters {
-    firings: AtomicU64,
-    inits: AtomicU64,
-    selects: AtomicU64,
-    scan_ns: AtomicU64,
-    action_ns: AtomicU64,
-    blocked: AtomicU64,
-    lost_outputs: AtomicU64,
-    msgs_to_dead: AtomicU64,
-}
-
-impl AtomicCounters {
-    fn snapshot(&self) -> Counters {
-        Counters {
-            firings: self.firings.load(Ordering::Relaxed),
-            inits: self.inits.load(Ordering::Relaxed),
-            selects: self.selects.load(Ordering::Relaxed),
-            scan_ns: self.scan_ns.load(Ordering::Relaxed),
-            action_ns: self.action_ns.load(Ordering::Relaxed),
-            blocked: self.blocked.load(Ordering::Relaxed),
-            lost_outputs: self.lost_outputs.load(Ordering::Relaxed),
-            msgs_to_dead: self.msgs_to_dead.load(Ordering::Relaxed),
-        }
-    }
-}
-
 struct ModuleCore {
     exec: Box<dyn ModuleExec>,
     ips: Vec<IpState>,
@@ -130,9 +103,9 @@ struct ModuleCore {
 }
 
 /// Ready-index words are allocated in chunks shared between the
-/// module table and the slots of the modules whose bits they hold, so
-/// a module can be marked ready through its slot alone — without the
-/// topology lock (see [`ModuleSlot::mark_ready`]).
+/// module table and the wake cells of the modules whose bits they
+/// hold, so a waker can mark its module ready without the table (see
+/// [`WakeCell::mark_ready`]).
 type ReadyChunk = [AtomicU64; CHUNK_BITS / 64];
 
 /// Module ids covered by one [`ReadyChunk`].
@@ -148,21 +121,12 @@ fn selected_name(exec: &dyn ModuleExec, sel: Selected) -> &'static str {
     exec.transition_info()[sel.index as usize].name
 }
 
-struct ModuleSlot {
-    id: ModuleId,
-    name: String,
-    kind: ModuleKind,
-    labels: ModuleLabels,
-    parent: Option<ModuleId>,
-    children: Mutex<Vec<ModuleId>>,
-    core: Mutex<ModuleCore>,
-    alive: AtomicBool,
-    /// Messages queued across all interaction points (bumped under the
-    /// core lock, readable without it).
-    queued: AtomicUsize,
-    /// [`ModuleExec::polls`] of the current state, refreshed under the
-    /// core lock whenever the state may have moved.
-    polls: AtomicBool,
+/// The part of a module slot that a waker touches, and the only part
+/// another thread may: the wake-up flag and the module's ready bit.
+/// The `Arc` around it *is* the module's [`Waker`].
+struct WakeCell {
+    /// Module index, which names the bit.
+    index: usize,
     /// Somebody announced that a [`crate::Transition::woken`] guard of
     /// this module may have changed and no selection has looked since.
     woken: AtomicBool,
@@ -170,92 +134,41 @@ struct ModuleSlot {
     ready: Arc<ReadyChunk>,
 }
 
-impl ModuleSlot {
-    fn is_alive(&self) -> bool {
-        self.alive.load(Ordering::SeqCst)
-    }
-
-    /// The ready-index predicate: this module may have an enabled
-    /// transition or a pending `delay` deadline. Inactive modules
-    /// never fire, so they are never ready.
-    fn can_fire(&self) -> bool {
-        self.is_alive()
-            && self.kind != ModuleKind::Inactive
-            && (self.queued.load(Ordering::SeqCst) > 0
-                || self.polls.load(Ordering::SeqCst)
-                || self.woken.load(Ordering::SeqCst))
-    }
-
+impl WakeCell {
     /// Sets the module's ready bit. Callers publish what made the
     /// module ready (queue count, `polls`, `woken`) first.
     fn mark_ready(&self) {
-        let i = self.id.index();
-        chunk_word(&self.ready, i).fetch_or(1 << (i % 64), Ordering::SeqCst);
-    }
-
-    /// Appends `msg` to one of the module's queues, counts it and
-    /// marks the module ready (in that order); false if the
-    /// interaction point does not exist.
-    fn enqueue(&self, ip: IpIndex, msg: QueuedMsg) -> bool {
-        {
-            let mut core = self.core.lock();
-            let Some(ip) = core.ips.get_mut(ip.0 as usize) else {
-                return false;
-            };
-            ip.queue.push_back(msg);
-            self.queued.fetch_add(1, Ordering::SeqCst);
-        }
-        self.mark_ready();
-        true
+        chunk_word(&self.ready, self.index).fetch_or(1 << (self.index % 64), Ordering::SeqCst);
     }
 
     /// A wake-up: the next selection must evaluate the guards again.
-    /// Two atomic writes and no lock, so it may come from inside any
+    /// Two atomic writes and no borrow, so it may come from inside any
     /// firing and from any thread.
     fn mark_woken(&self) {
-        self.woken.store(true, Ordering::SeqCst);
+        self.set_woken();
         self.mark_ready();
     }
 
-    /// Republishes what the ready-index predicate reads of the state
-    /// machine after it may have moved (under the core lock): the
-    /// `polls` bit, and a wake-up if the state now owns a wake-driven
-    /// row — the action may have changed what its guard reads, and
-    /// nobody else knows.
-    fn refresh(&self, exec: &dyn ModuleExec) {
-        self.polls.store(exec.polls(), Ordering::SeqCst);
-        if exec.wake_driven() {
-            self.woken.store(true, Ordering::SeqCst);
-        }
+    fn set_woken(&self) {
+        self.woken.store(true, Ordering::SeqCst);
+    }
+
+    fn is_woken(&self) -> bool {
+        self.woken.load(Ordering::SeqCst)
     }
 
     /// Consumes the wake-up on behalf of the selection the caller is
-    /// about to make under the core lock: clear first, evaluate the
-    /// guards second, so a wake that lands in between is kept for the
-    /// next look. Returns whether one was pending.
+    /// about to make: clear first, evaluate the guards second, so a
+    /// wake that lands in between is kept for the next look. Returns
+    /// whether one was pending.
     fn take_woken(&self) -> bool {
         self.woken.swap(false, Ordering::SeqCst)
     }
-
-    /// Whether a transition is enabled now (ignoring parent
-    /// precedence). Skips the core lock for modules outside the
-    /// ready-index predicate, and leaves a pending wake-up alone: this
-    /// look is somebody else asking, not the module's turn.
-    fn enabled(&self, dispatch: Dispatch, now: SimTime, counters: &AtomicCounters) -> bool {
-        if !self.can_fire() {
-            return false;
-        }
-        let core = self.core.lock();
-        counters.selects.fetch_add(1, Ordering::Relaxed);
-        core.exec
-            .select(&core.ips, now, core.entered_at, dispatch)
-            .is_some()
-    }
 }
 
-/// [`Ctx::waker`] is the slot itself: no allocation per module, and
-/// waking a released module only sets a flag nobody reads.
-impl Wake for ModuleSlot {
+/// [`Ctx::waker`] is the wake cell itself: one allocation per module,
+/// and waking a released module only sets a flag nobody reads.
+impl Wake for WakeCell {
     fn wake(self: Arc<Self>) {
         self.mark_woken();
     }
@@ -265,24 +178,79 @@ impl Wake for ModuleSlot {
     }
 }
 
+struct ModuleSlot {
+    id: ModuleId,
+    name: String,
+    kind: ModuleKind,
+    labels: ModuleLabels,
+    parent: Option<ModuleId>,
+    children: RefCell<Vec<ModuleId>>,
+    core: RefCell<ModuleCore>,
+    alive: Cell<bool>,
+    /// Messages queued across all interaction points.
+    queued: Cell<usize>,
+    /// [`ModuleExec::polls`] of the current state, refreshed whenever
+    /// the state may have moved.
+    polls: Cell<bool>,
+    wake: Arc<WakeCell>,
+    /// `wake` as a [`Waker`], made once when the slot is inserted.
+    waker: Waker,
+}
+
+impl ModuleSlot {
+    /// The ready-index predicate: this module may have an enabled
+    /// transition or a pending `delay` deadline. Inactive modules
+    /// never fire, so they are never ready.
+    fn can_fire(&self) -> bool {
+        self.alive.get()
+            && self.kind != ModuleKind::Inactive
+            && (self.queued.get() > 0 || self.polls.get() || self.wake.is_woken())
+    }
+
+    /// Appends `msg` to one of the module's queues, counts it and
+    /// marks the module ready; false if the interaction point does not
+    /// exist.
+    fn enqueue(&self, ip: IpIndex, msg: QueuedMsg) -> bool {
+        let mut core = self.core.borrow_mut();
+        let Some(ip) = core.ips.get_mut(ip.0 as usize) else {
+            return false;
+        };
+        ip.queue.push_back(msg);
+        self.queued.set(self.queued.get() + 1);
+        self.wake.mark_ready();
+        true
+    }
+
+    /// Republishes what the ready-index predicate reads of the state
+    /// machine after it may have moved: the `polls` bit, and a wake-up
+    /// if the state now owns a wake-driven row — the action may have
+    /// changed what its guard reads, and nobody else knows.
+    fn refresh(&self, exec: &dyn ModuleExec) {
+        self.polls.set(exec.polls());
+        if exec.wake_driven() {
+            self.wake.set_woken();
+        }
+    }
+}
+
 /// The module table and, beside it, the ready index (see
-/// [`Runtime`]). One lock guards both so the index grows with the table; the
-/// bits themselves flip under the read guard.
+/// [`Runtime`]). The index grows with the table; its bits flip through
+/// shared references, from the table's scans and from wake cells.
 #[derive(Default)]
 struct Topology {
-    slots: Vec<Option<Arc<ModuleSlot>>>,
+    slots: Vec<Option<ModuleSlot>>,
     /// Bit `id % 64` of word `id / 64` ⇒ module `id` is a member; the
     /// words come in chunks of [`CHUNK_BITS`] ids.
     ready: Vec<Arc<ReadyChunk>>,
 }
 
 impl Topology {
-    fn slot(&self, id: ModuleId) -> Option<&Arc<ModuleSlot>> {
+    fn slot(&self, id: ModuleId) -> Option<&ModuleSlot> {
         self.slots.get(id.index()).and_then(Option::as_ref)
     }
 
-    fn alive(&self) -> impl Iterator<Item = &Arc<ModuleSlot>> {
-        self.slots.iter().flatten().filter(|s| s.is_alive())
+    fn alive(&self) -> impl Iterator<Item = &ModuleSlot> {
+        self.slots.iter().flatten().filter(|s| s.alive.get())
     }
 
     /// The ready-index word holding the bit of module index `i`.
@@ -292,7 +260,7 @@ impl Topology {
 
     /// The first index member in `range` (ascending id), dropping idle
     /// and dead members met on the way.
-    fn next_ready(&self, range: Range<ModuleId>) -> Option<&Arc<ModuleSlot>> {
+    fn next_ready(&self, range: Range<ModuleId>) -> Option<&ModuleSlot> {
         let end = range.end.index().min(self.slots.len());
         let mut i = range.start.index();
         while i < end {
@@ -312,12 +280,11 @@ impl Topology {
             if slot.can_fire() {
                 return Some(slot);
             }
-            let bit = 1 << (i % 64);
-            word.fetch_and(!bit, Ordering::SeqCst);
+            word.fetch_and(!(1 << (i % 64)), Ordering::SeqCst);
             if slot.can_fire() {
-                // Made ready between the two looks; its own set may
-                // have landed before our clear.
-                word.fetch_or(bit, Ordering::SeqCst);
+                // Woken between the two looks; its own set may have
+                // landed before our clear.
+                slot.wake.mark_ready();
                 return Some(slot);
             }
             i += 1;
@@ -326,11 +293,12 @@ impl Topology {
     }
 }
 
-/// A transition that ran under the topology guard; its effects are
-/// applied by [`Runtime::commit`] once the guard is gone (creating a
-/// child takes the write lock).
+/// A transition that ran while the table was borrowed; its effects
+/// are applied by [`Runtime::commit`] once the borrow is gone
+/// (creating a child borrows the table mutably).
 struct Firing {
-    slot: Arc<ModuleSlot>,
+    module: ModuleId,
+    labels: ModuleLabels,
     seq: u64,
     info: FiredInfo,
     scanned: u32,
@@ -405,85 +373,60 @@ pub enum Readiness {
 /// somebody else's behalf (parent precedence) and an attempt refused
 /// as `Blocked` never touch it.
 ///
-/// **Waking takes no lock.** A waker is called from inside firings —
-/// a medium's `send` runs under the topology read guard and a core
-/// lock, neither of which may be taken again — and from threads no
-/// scheduler owns (a [`netsim::ThreadMedium`] peer). So the
-/// ready-index words live in chunks shared between the table and the
-/// slots, a slot knows its own bit, and a wake-up is two atomic
-/// stores: flag, then bit. The waker *is* the slot (`Arc<ModuleSlot>`
-/// implements [`std::task::Wake`], which asks for `Send + Sync`, so
-/// the flags and bits stay atomics): no allocation per module, and
-/// waking a released module does nothing. A waker therefore keeps its
-/// module alive, and whoever holds it is usually held by that module's
-/// body; the runtime's `Drop` ends those cycles by dropping the
-/// bodies.
+/// **Only waking is thread-safe.** The runtime belongs to the thread
+/// that drives it: the module table, each module's core, queue count
+/// and `polls` bit, the counters and the trace are `Cell`s and
+/// `RefCell`s. One part of each module is not: its *wake cell*, which
+/// holds the `woken` flag, the chunk of ready-index words that holds
+/// the module's bit, and where the bit is. The module's waker *is*
+/// that cell (`Arc<WakeCell>` implements [`std::task::Wake`], made
+/// into a [`Waker`] once per module), and it stays atomic for two
+/// reasons: a `Waker` must be `Send + Sync`, and a
+/// [`netsim::ThreadMedium`] peer wakes its reader from a thread no
+/// scheduler owns. Waking borrows nothing, so it may also come from
+/// inside a firing, while the table and the firing module's core are
+/// borrowed (a medium's `send`). A waker holds its cell and nothing
+/// else: a body that keeps its own module's waker forms no cycle,
+/// dropping the runtime drops every body, and waking a released module
+/// (or one whose runtime is gone) sets a flag nobody reads.
 ///
 /// The bit is set when a slot is inserted, after every enqueue (count
 /// first, bit second), by every wake-up (flag first, bit second) and
 /// after `initialize` leaves the module able to fire. It is cleared
 /// lazily by the scan that finds the member idle or dead: clear, then
 /// look at the predicate once more and set the bit back if it turned
-/// true meanwhile. All of these are `SeqCst`, and the same argument
-/// covers all three terms: a source publishes (queue count, `polls`,
-/// or its own state followed by `woken`) and *then* sets the bit; a
-/// scan clears the bit and *then* re-reads the predicate; a look
-/// clears `woken` and *then* reads the guards. Whichever of the two
-/// sides comes second sees the other, so no wake-up from another
+/// true meanwhile. Queue counts and `polls` change only on the
+/// runtime's thread, never during a scan's look; `woken` and the bit
+/// may change under it, and for those two both sides are `SeqCst`: a
+/// waker's owner publishes its own state, then `woken`, *then* the
+/// bit; a scan clears the bit and *then* re-reads the predicate; a
+/// look clears `woken` and *then* reads the guards. Whichever of the
+/// two sides comes second sees the other, so no wake-up from another
 /// thread is lost. A firing leaves its module's bit as the scan found
 /// it, set: firings happen one at a time, so no other scan runs while
 /// an action consumes the last message.
 pub struct Runtime {
     clock: Arc<VirtualClock>,
-    next_id: AtomicU32,
-    /// Never acquired while holding it or a module's core lock: the
-    /// scans hold the read guard across many core locks, and a waiting
-    /// writer blocks new readers.
-    topo: RwLock<Topology>,
-    frozen: AtomicBool,
-    trace_on: AtomicBool,
-    trace: Mutex<Vec<FiringRecord>>,
-    fire_seq: AtomicU64,
-    counters: AtomicCounters,
-    dynamic_systems: AtomicBool,
-}
-
-/// The body [`Runtime`]'s `Drop` leaves in every slot: no interaction
-/// points, no transitions.
-struct TornDown;
-
-impl StateMachine for TornDown {
-    fn num_ips(&self) -> usize {
-        0
-    }
-    fn initial_state(&self) -> StateId {
-        StateId(0)
-    }
-    fn transitions() -> Vec<crate::machine::Transition<Self>> {
-        Vec::new()
-    }
-}
-
-/// A waker is its module's slot, and the owners of what guards read
-/// keep wakers (a medium its reader's, the stream provider a waiting
-/// MCA's) while the module bodies keep those owners: slot → body →
-/// medium → waker → slot. The runtime ends every such cycle by
-/// dropping the bodies when it goes; without this a dropped runtime's
-/// modules, media and network would stay allocated for good.
-impl Drop for Runtime {
-    fn drop(&mut self) {
-        for slot in self.topo.get_mut().slots.iter().flatten() {
-            let body = std::mem::replace(&mut slot.core.lock().exec, Box::new(Fsm::new(TornDown)));
-            drop(body);
-        }
-    }
+    next_id: Cell<u32>,
+    /// Borrowed shared by every scan and firing, and mutably only to
+    /// insert a slot: a firing's effects wait until its borrow ends.
+    topo: RefCell<Topology>,
+    frozen: Cell<bool>,
+    trace_on: Cell<bool>,
+    trace: RefCell<Vec<FiringRecord>>,
+    fire_seq: Cell<u64>,
+    counters: Cell<Counters>,
+    dynamic_systems: Cell<bool>,
 }
 
 impl std::fmt::Debug for Runtime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Runtime")
-            .field("modules", &self.topo.read().slots.iter().flatten().count())
-            .field("frozen", &self.frozen.load(Ordering::Relaxed))
+            .field(
+                "modules",
+                &self.topo.borrow().slots.iter().flatten().count(),
+            )
+            .field("frozen", &self.frozen.get())
             .finish_non_exhaustive()
     }
 }
@@ -495,14 +438,14 @@ impl Runtime {
     pub fn with_virtual_clock(clock: Arc<VirtualClock>) -> Self {
         Runtime {
             clock,
-            next_id: AtomicU32::new(0),
-            topo: RwLock::new(Topology::default()),
-            frozen: AtomicBool::new(false),
-            trace_on: AtomicBool::new(false),
-            trace: Mutex::new(Vec::new()),
-            fire_seq: AtomicU64::new(1),
-            counters: AtomicCounters::default(),
-            dynamic_systems: AtomicBool::new(false),
+            next_id: Cell::new(0),
+            topo: RefCell::default(),
+            frozen: Cell::new(false),
+            trace_on: Cell::new(false),
+            trace: RefCell::default(),
+            fire_seq: Cell::new(1),
+            counters: Cell::default(),
+            dynamic_systems: Cell::new(false),
         }
     }
 
@@ -515,12 +458,12 @@ impl Runtime {
     /// their `initialize` block immediately and join scheduling on the
     /// next pass. Structural rules still apply.
     pub fn enable_dynamic_systems(&self) {
-        self.dynamic_systems.store(true, Ordering::SeqCst);
+        self.dynamic_systems.set(true);
     }
 
     /// Whether the ref \[2\] dynamic-system extension is active.
     pub fn dynamic_systems_enabled(&self) -> bool {
-        self.dynamic_systems.load(Ordering::SeqCst)
+        self.dynamic_systems.get()
     }
 
     /// Convenience: a fresh runtime with its own virtual clock.
@@ -534,8 +477,18 @@ impl Runtime {
         self.clock.now()
     }
 
-    fn slot(&self, id: ModuleId) -> Option<Arc<ModuleSlot>> {
-        self.topo.read().slot(id).cloned()
+    fn with_slot<R>(&self, id: ModuleId, f: impl FnOnce(&ModuleSlot) -> R) -> Option<R> {
+        self.topo.borrow().slot(id).map(f)
+    }
+
+    fn count(&self, f: impl FnOnce(&mut Counters)) {
+        let mut counters = self.counters.get();
+        f(&mut counters);
+        self.counters.set(counters);
+    }
+
+    fn next_seq(&self) -> u64 {
+        self.fire_seq.replace(self.fire_seq.get() + 1)
     }
 
     /// Adds a module to the static part of the specification.
@@ -555,16 +508,19 @@ impl Runtime {
         labels: ModuleLabels,
         machine: M,
     ) -> Result<ModuleId> {
-        let frozen = self.frozen.load(Ordering::SeqCst);
-        if frozen && !self.dynamic_systems.load(Ordering::SeqCst) {
+        let frozen = self.frozen.get();
+        if frozen && !self.dynamic_systems.get() {
             return Err(EstelleError::SystemPopulationFrozen(kind));
         }
         let parent_kind = match parent {
             None => None,
-            Some(p) => Some(self.slot(p).ok_or(EstelleError::UnknownModule(p))?.kind),
+            Some(p) => Some(
+                self.with_slot(p, |s| s.kind)
+                    .ok_or(EstelleError::UnknownModule(p))?,
+            ),
         };
         validate_child_kind(parent_kind, kind).map_err(EstelleError::StructuralRule)?;
-        let id = ModuleId(self.next_id.fetch_add(1, Ordering::SeqCst));
+        let id = ModuleId(self.next_id.replace(self.next_id.get() + 1));
         let exec = Box::new(Fsm::new(machine));
         self.insert_slot(id, parent, name.into(), kind, labels, exec);
         // Ref [2] extension: a module created after start runs its
@@ -587,43 +543,43 @@ impl Runtime {
     ) {
         let num_ips = exec.num_ips();
         let polls = exec.polls();
-        // A wake-driven initial state gets its first look for free:
-        // whatever its guards read may have changed before anybody
-        // held the module's waker.
-        let woken = exec.wake_driven();
-        let mut topo = self.topo.write();
+        let mut topo = self.topo.borrow_mut();
         if topo.slots.len() <= id.index() {
             topo.slots.resize_with(id.index() + 1, || None);
             let chunks = topo.slots.len().div_ceil(CHUNK_BITS);
             topo.ready.resize_with(chunks, Arc::default);
         }
-        let slot = Arc::new(ModuleSlot {
+        let wake = Arc::new(WakeCell {
+            index: id.index(),
+            // A wake-driven initial state gets its first look for
+            // free: whatever its guards read may have changed before
+            // anybody held the module's waker.
+            woken: AtomicBool::new(exec.wake_driven()),
+            ready: Arc::clone(&topo.ready[id.index() / CHUNK_BITS]),
+        });
+        wake.mark_ready();
+        topo.slots[id.index()] = Some(ModuleSlot {
             id,
             name,
             kind,
             labels,
             parent,
-            children: Mutex::new(Vec::new()),
-            core: Mutex::new(ModuleCore {
+            children: RefCell::default(),
+            core: RefCell::new(ModuleCore {
                 exec,
                 ips: (0..num_ips).map(|_| IpState::default()).collect(),
                 entered_at: self.clock.now(),
                 last_seq: None,
                 inited: false,
             }),
-            alive: AtomicBool::new(true),
-            queued: AtomicUsize::new(0),
-            polls: AtomicBool::new(polls),
-            woken: AtomicBool::new(woken),
-            ready: Arc::clone(&topo.ready[id.index() / CHUNK_BITS]),
+            alive: Cell::new(true),
+            queued: Cell::new(0),
+            polls: Cell::new(polls),
+            waker: Waker::from(Arc::clone(&wake)),
+            wake,
         });
-        slot.mark_ready();
-        topo.slots[id.index()] = Some(slot);
-        drop(topo);
-        if let Some(p) = parent {
-            if let Some(ps) = self.slot(p) {
-                ps.children.lock().push(id);
-            }
+        if let Some(ps) = parent.and_then(|p| topo.slot(p)) {
+            ps.children.borrow_mut().push(id);
         }
     }
 
@@ -634,60 +590,25 @@ impl Runtime {
     /// Returns an error if a module is unknown, an index is out of
     /// range, or either point is already connected.
     pub fn connect(&self, a: IpRef, b: IpRef) -> Result<()> {
-        let sa = self
-            .slot(a.module)
-            .ok_or(EstelleError::UnknownModule(a.module))?;
-        let sb = self
-            .slot(b.module)
-            .ok_or(EstelleError::UnknownModule(b.module))?;
-        if a.module == b.module {
-            // Self-channel: both ends in one core; validate and set
-            // under one lock.
-            let mut core = sa.core.lock();
-            let n = core.ips.len();
-            if a.ip.0 as usize >= n {
-                return Err(EstelleError::IpOutOfRange(a));
-            }
-            if b.ip.0 as usize >= n {
-                return Err(EstelleError::IpOutOfRange(b));
-            }
-            if core.ips[a.ip.0 as usize].peer.is_some() {
-                return Err(EstelleError::AlreadyConnected(a));
-            }
-            if core.ips[b.ip.0 as usize].peer.is_some() {
-                return Err(EstelleError::AlreadyConnected(b));
-            }
-            core.ips[a.ip.0 as usize].peer = Some(b);
-            core.ips[b.ip.0 as usize].peer = Some(a);
-            return Ok(());
-        }
-        // Lock in id order to avoid deadlock with concurrent connects.
-        let (first, second) = if a.module < b.module {
-            (&sa, &sb)
-        } else {
-            (&sb, &sa)
+        let topo = self.topo.borrow();
+        let slot = |end: IpRef| {
+            topo.slot(end.module)
+                .ok_or(EstelleError::UnknownModule(end.module))
         };
-        let mut c1 = first.core.lock();
-        let mut c2 = second.core.lock();
-        let (core_a, core_b) = if a.module < b.module {
-            (&mut *c1, &mut *c2)
-        } else {
-            (&mut *c2, &mut *c1)
-        };
-        if a.ip.0 as usize >= core_a.ips.len() {
-            return Err(EstelleError::IpOutOfRange(a));
+        let ends = [(a, slot(a)?), (b, slot(b)?)];
+        for (end, s) in ends {
+            if end.ip.0 as usize >= s.core.borrow().ips.len() {
+                return Err(EstelleError::IpOutOfRange(end));
+            }
         }
-        if b.ip.0 as usize >= core_b.ips.len() {
-            return Err(EstelleError::IpOutOfRange(b));
+        for (end, s) in ends {
+            if s.core.borrow().ips[end.ip.0 as usize].peer.is_some() {
+                return Err(EstelleError::AlreadyConnected(end));
+            }
         }
-        if core_a.ips[a.ip.0 as usize].peer.is_some() {
-            return Err(EstelleError::AlreadyConnected(a));
+        for ((end, s), peer) in ends.into_iter().zip([b, a]) {
+            s.core.borrow_mut().ips[end.ip.0 as usize].peer = Some(peer);
         }
-        if core_b.ips[b.ip.0 as usize].peer.is_some() {
-            return Err(EstelleError::AlreadyConnected(b));
-        }
-        core_a.ips[a.ip.0 as usize].peer = Some(b);
-        core_b.ips[b.ip.0 as usize].peer = Some(a);
         Ok(())
     }
 
@@ -700,11 +621,15 @@ impl Runtime {
     /// Currently infallible but returns `Result` for future
     /// compatibility with initialization-time validation.
     pub fn start(&self) -> Result<()> {
-        self.frozen.store(true, Ordering::SeqCst);
-        let existing: Vec<ModuleId> = {
-            let topo = self.topo.read();
-            topo.slots.iter().flatten().map(|s| s.id).collect()
-        };
+        self.frozen.set(true);
+        let existing: Vec<ModuleId> = self
+            .topo
+            .borrow()
+            .slots
+            .iter()
+            .flatten()
+            .map(|s| s.id)
+            .collect();
         for id in existing {
             self.init_module(id);
         }
@@ -712,15 +637,14 @@ impl Runtime {
     }
 
     fn init_module(&self, id: ModuleId) {
-        let Some(slot) = self.slot(id) else { return };
-        if !slot.is_alive() {
-            return;
-        }
         let mut effects = Vec::new();
-        let seq = self.fire_seq.fetch_add(1, Ordering::SeqCst);
-        let waker = Waker::from(Arc::clone(&slot));
-        {
-            let mut core = slot.core.lock();
+        let seq = {
+            let topo = self.topo.borrow();
+            let Some(slot) = topo.slot(id).filter(|s| s.alive.get()) else {
+                return;
+            };
+            let seq = self.next_seq();
+            let mut core = slot.core.borrow_mut();
             if core.inited {
                 return;
             }
@@ -732,26 +656,28 @@ impl Runtime {
                 slot.kind,
                 &mut effects,
                 &self.next_id,
-                &waker,
+                &slot.waker,
             );
             core.exec.on_init(&mut ctx);
             slot.refresh(&*core.exec);
-        }
-        if slot.can_fire() {
-            slot.mark_ready();
-        }
-        self.counters.inits.fetch_add(1, Ordering::Relaxed);
-        if self.trace_on.load(Ordering::Relaxed) {
-            self.trace.lock().push(FiringRecord {
-                seq,
-                module: id,
-                labels: slot.labels,
-                module_type: slot.core.lock().exec.type_name(),
-                transition: "initialize",
-                cost: DEFAULT_TRANSITION_COST,
-                deps: Vec::new(),
-            });
-        }
+            if self.trace_on.get() {
+                self.trace.borrow_mut().push(FiringRecord {
+                    seq,
+                    module: id,
+                    labels: slot.labels,
+                    module_type: core.exec.type_name(),
+                    transition: "initialize",
+                    cost: DEFAULT_TRANSITION_COST,
+                    deps: Vec::new(),
+                });
+            }
+            drop(core);
+            if slot.can_fire() {
+                slot.wake.mark_ready();
+            }
+            seq
+        };
+        self.count(|c| c.inits += 1);
         self.apply_effects(id, seq, effects);
     }
 
@@ -760,7 +686,7 @@ impl Runtime {
     pub fn try_fire(&self, id: ModuleId, dispatch: Dispatch) -> FireOutcome {
         let t_scan = Instant::now();
         let attempt = {
-            let topo = self.topo.read();
+            let topo = self.topo.borrow();
             match topo.slot(id) {
                 Some(slot) => self.attempt(&topo, slot, dispatch, self.clock.now(), t_scan),
                 None => Err(FireOutcome::Dead),
@@ -788,7 +714,7 @@ impl Runtime {
         let t_scan = Instant::now();
         let now = self.clock.now();
         let firing = {
-            let topo = self.topo.read();
+            let topo = self.topo.borrow();
             let mut cursor = range.start;
             loop {
                 let Some(slot) = topo.next_ready(cursor..range.end) else {
@@ -813,36 +739,50 @@ impl Runtime {
     /// member *may* have an enabled transition; a module outside the
     /// index cannot.
     pub fn next_ready(&self, range: Range<ModuleId>) -> Option<ModuleId> {
-        self.topo.read().next_ready(range).map(|s| s.id)
+        self.topo.borrow().next_ready(range).map(|s| s.id)
     }
 
     /// One past the highest module id handed out so far. A pass that
     /// scans `..id_watermark()` leaves modules created during the pass
     /// to the next one.
     pub fn id_watermark(&self) -> ModuleId {
-        ModuleId(self.next_id.load(Ordering::SeqCst))
+        ModuleId(self.next_id.get())
     }
 
     fn add_scan_ns(&self, since: Instant) {
-        self.counters
-            .scan_ns
-            .fetch_add(since.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        let ns = since.elapsed().as_nanos() as u64;
+        self.count(|c| c.scan_ns += ns);
+    }
+
+    /// Whether a transition of `slot` is enabled now (ignoring parent
+    /// precedence). Skips modules outside the ready-index predicate,
+    /// and leaves a pending wake-up alone: this look is somebody else
+    /// asking, not the module's turn.
+    fn enabled(&self, slot: &ModuleSlot, dispatch: Dispatch, now: SimTime) -> bool {
+        if !slot.can_fire() {
+            return false;
+        }
+        let core = slot.core.borrow();
+        self.count(|c| c.selects += 1);
+        core.exec
+            .select(&core.ips, now, core.entered_at, dispatch)
+            .is_some()
     }
 
     /// Selects and, if a transition is enabled and no ancestor claims
-    /// precedence, fires `slot` under the caller's topology guard.
+    /// precedence, fires `slot` while the caller borrows the table.
     /// `t_scan` is when the caller's scan began: a firing closes the
     /// scan interval (the time since counts as selection) and opens
     /// the action interval with the same clock read.
     fn attempt(
         &self,
         topo: &Topology,
-        slot: &Arc<ModuleSlot>,
+        slot: &ModuleSlot,
         dispatch: Dispatch,
         now: SimTime,
         t_scan: Instant,
     ) -> std::result::Result<Firing, FireOutcome> {
-        if !slot.is_alive() {
+        if !slot.alive.get() {
             return Err(FireOutcome::Dead);
         }
         if !slot.can_fire() {
@@ -852,58 +792,54 @@ impl Runtime {
         // nothing to do.
         let mut anc = slot.parent;
         while let Some(ps) = anc.and_then(|pid| topo.slot(pid)) {
-            if ps.kind.is_attributed() && ps.enabled(dispatch, now, &self.counters) {
-                self.counters.blocked.fetch_add(1, Ordering::Relaxed);
+            if ps.kind.is_attributed() && self.enabled(ps, dispatch, now) {
+                self.count(|c| c.blocked += 1);
                 return Err(FireOutcome::Blocked);
             }
             anc = ps.parent;
         }
         let id = slot.id;
         let mut effects = Vec::new();
-        let mut core = slot.core.lock();
+        let mut core = slot.core.borrow_mut();
         // This is the module's own look: a module whose guards turn
         // out false leaves the index until the next wake-up.
-        slot.take_woken();
-        self.counters.selects.fetch_add(1, Ordering::Relaxed);
+        slot.wake.take_woken();
+        self.count(|c| c.selects += 1);
         let sel = core
             .exec
             .select(&core.ips, now, core.entered_at, dispatch)
             .ok_or(FireOutcome::NotEnabled)?;
         let t_act = Instant::now();
-        self.counters.scan_ns.fetch_add(
-            t_act.duration_since(t_scan).as_nanos() as u64,
-            Ordering::Relaxed,
-        );
-        let seq = self.fire_seq.fetch_add(1, Ordering::SeqCst);
+        let scan_ns = t_act.duration_since(t_scan).as_nanos() as u64;
+        self.count(|c| c.scan_ns += scan_ns);
+        let seq = self.next_seq();
         let mut traced = self
             .trace_on
-            .load(Ordering::Relaxed)
+            .get()
             .then(|| (core.exec.type_name(), Vec::from_iter(core.last_seq)));
         let input = sel
             .needs_input
             .and_then(|ip| core.ips.get_mut(ip.0 as usize))
             .and_then(|q| q.queue.pop_front());
         let input_msg = input.map(|q| {
-            slot.queued.fetch_sub(1, Ordering::SeqCst);
+            slot.queued.set(slot.queued.get() - 1);
             if let (Some((_, deps)), Some(p)) = (&mut traced, q.provenance) {
                 deps.push(p);
             }
             q.msg
         });
-        let waker = Waker::from(Arc::clone(slot));
-        let mut ctx = Ctx::new(now, id, slot.kind, &mut effects, &self.next_id, &waker);
+        let mut ctx = Ctx::new(now, id, slot.kind, &mut effects, &self.next_id, &slot.waker);
         let info = core.exec.fire(sel, input_msg, &mut ctx);
-        self.counters
-            .action_ns
-            .fetch_add(t_act.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        let action_ns = t_act.elapsed().as_nanos() as u64;
+        self.count(|c| c.action_ns += action_ns);
         if info.to_state != info.from_state {
             core.entered_at = now;
         }
         core.last_seq = Some(seq);
         slot.refresh(&*core.exec);
-        drop(core);
         Ok(Firing {
-            slot: Arc::clone(slot),
+            module: id,
+            labels: slot.labels,
             seq,
             info,
             scanned: sel.scanned,
@@ -913,31 +849,32 @@ impl Runtime {
     }
 
     /// Applies the effects of a firing and records it. Runs without
-    /// the topology guard.
+    /// borrowing the table.
     fn commit(&self, firing: Firing) -> FiredMeta {
         let Firing {
-            slot,
+            module,
+            labels,
             seq,
             info,
             scanned,
             effects,
             traced,
         } = firing;
-        self.apply_effects(slot.id, seq, effects);
+        self.apply_effects(module, seq, effects);
         if let Some((module_type, deps)) = traced {
-            self.trace.lock().push(FiringRecord {
+            self.trace.borrow_mut().push(FiringRecord {
                 seq,
-                module: slot.id,
-                labels: slot.labels,
+                module,
+                labels,
                 module_type,
                 transition: info.transition,
                 cost: info.cost,
                 deps,
             });
         }
-        self.counters.firings.fetch_add(1, Ordering::Relaxed);
+        self.count(|c| c.firings += 1);
         FiredMeta {
-            module: slot.id,
+            module,
             transition: info.transition,
             cost: info.cost,
             scanned,
@@ -951,8 +888,8 @@ impl Runtime {
     /// at it — for reports about what keeps a driver busy. Not counted
     /// as a selection.
     pub fn enabled_transition(&self, id: ModuleId, dispatch: Dispatch) -> Option<&'static str> {
-        let slot = self.slot(id).filter(|s| s.is_alive())?;
-        let core = slot.core.lock();
+        let topo = self.topo.borrow();
+        let core = topo.slot(id).filter(|s| s.alive.get())?.core.borrow();
         let sel = core
             .exec
             .select(&core.ips, self.clock.now(), core.entered_at, dispatch)?;
@@ -965,23 +902,23 @@ impl Runtime {
     fn scan_ready(&self, dispatch: Option<Dispatch>) -> (bool, Option<SimTime>) {
         let t_scan = Instant::now();
         let now = self.clock.now();
-        let topo = self.topo.read();
+        let topo = self.topo.borrow();
         let end = ModuleId(topo.slots.len() as u32);
         let mut cursor = ModuleId(0);
         let mut enabled = false;
         let mut deadline: Option<SimTime> = None;
         while let Some(slot) = topo.next_ready(cursor..end) {
             cursor = slot.id.next();
-            let core = slot.core.lock();
+            let core = slot.core.borrow();
             if let Some(dispatch) = dispatch {
-                let woken = slot.take_woken();
-                self.counters.selects.fetch_add(1, Ordering::Relaxed);
+                let woken = slot.wake.take_woken();
+                self.count(|c| c.selects += 1);
                 let sel = core.exec.select(&core.ips, now, core.entered_at, dispatch);
                 if sel.is_some() {
                     // Found, not fired: the wake-up is still owed to
                     // the scheduler that will fire it.
                     if woken {
-                        slot.mark_woken();
+                        slot.wake.mark_woken();
                     }
                     enabled = true;
                     break;
@@ -1057,50 +994,53 @@ impl Runtime {
         msg: Box<dyn Interaction>,
         provenance: Option<u64>,
     ) {
-        let topo = self.topo.read();
+        let topo = self.topo.borrow();
         let Some(slot) = topo.slot(owner) else { return };
-        let peer = match slot.core.lock().ips.get(from_ip.0 as usize) {
+        let peer = match slot.core.borrow().ips.get(from_ip.0 as usize) {
             Some(ip) => ip.peer,
             None => panic!("module {owner} output on out-of-range interaction point {from_ip}"),
         };
         let Some(peer) = peer else {
-            self.counters.lost_outputs.fetch_add(1, Ordering::Relaxed);
+            self.count(|c| c.lost_outputs += 1);
             return;
         };
         let msg = QueuedMsg { msg, provenance };
         let queued = topo
             .slot(peer.module)
-            .filter(|dest| dest.is_alive())
+            .filter(|dest| dest.alive.get())
             .is_some_and(|dest| dest.enqueue(peer.ip, msg));
         if !queued {
-            self.counters.msgs_to_dead.fetch_add(1, Ordering::Relaxed);
+            self.count(|c| c.msgs_to_dead += 1);
         }
     }
 
     fn release_subtree(&self, actor: ModuleId, child: ModuleId) {
-        let Some(cs) = self.slot(child) else { return };
+        let topo = self.topo.borrow();
+        let Some(cs) = topo.slot(child) else { return };
         if cs.parent != Some(actor) {
             panic!("module {actor} attempted to release non-child {child}");
         }
         let mut stack = vec![child];
         while let Some(id) = stack.pop() {
-            let Some(s) = self.slot(id) else { continue };
-            s.alive.store(false, Ordering::SeqCst);
+            let Some(s) = topo.slot(id) else { continue };
+            s.alive.set(false);
             // Disconnect peers so their future outputs count as lost
             // rather than queueing at a corpse.
-            let peers: Vec<IpRef> = {
-                let core = s.core.lock();
-                core.ips.iter().filter_map(|ip| ip.peer).collect()
-            };
+            let peers: Vec<IpRef> = s
+                .core
+                .borrow()
+                .ips
+                .iter()
+                .filter_map(|ip| ip.peer)
+                .collect();
             for p in peers {
-                if let Some(ps) = self.slot(p.module) {
-                    let mut core = ps.core.lock();
-                    if let Some(ip) = core.ips.get_mut(p.ip.0 as usize) {
+                if let Some(ps) = topo.slot(p.module) {
+                    if let Some(ip) = ps.core.borrow_mut().ips.get_mut(p.ip.0 as usize) {
                         ip.peer = None;
                     }
                 }
             }
-            stack.extend(s.children.lock().iter().copied());
+            stack.extend(s.children.borrow().iter().copied());
         }
     }
 
@@ -1112,10 +1052,10 @@ impl Runtime {
     /// Returns an error if the module is unknown/released or the index
     /// is out of range.
     pub fn inject(&self, target: IpRef, msg: Box<dyn Interaction>) -> Result<()> {
-        let topo = self.topo.read();
+        let topo = self.topo.borrow();
         let slot = topo
             .slot(target.module)
-            .filter(|s| s.is_alive())
+            .filter(|s| s.alive.get())
             .ok_or(EstelleError::UnknownModule(target.module))?;
         let msg = QueuedMsg {
             msg,
@@ -1130,50 +1070,49 @@ impl Runtime {
 
     /// Snapshot of all alive module ids, in id order.
     pub fn alive_modules(&self) -> Vec<ModuleId> {
-        self.topo.read().alive().map(|s| s.id).collect()
+        self.topo.borrow().alive().map(|s| s.id).collect()
     }
 
     /// Metadata of `id`, if it ever existed.
     pub fn module_meta(&self, id: ModuleId) -> Option<ModuleMeta> {
-        self.slot(id).map(|s| ModuleMeta {
+        self.with_slot(id, |s| ModuleMeta {
             id: s.id,
             name: s.name.clone(),
             kind: s.kind,
             labels: s.labels,
             parent: s.parent,
-            alive: s.is_alive(),
+            alive: s.alive.get(),
         })
     }
 
     /// Children of `id` in creation order.
     pub fn children_of(&self, id: ModuleId) -> Vec<ModuleId> {
-        self.slot(id)
-            .map(|s| s.children.lock().clone())
+        self.with_slot(id, |s| s.children.borrow().clone())
             .unwrap_or_default()
     }
 
     /// Current FSM state of `id`.
     pub fn module_state(&self, id: ModuleId) -> Option<StateId> {
-        self.slot(id).map(|s| s.core.lock().exec.state())
+        self.with_slot(id, |s| s.core.borrow().exec.state())
     }
 
     /// Static transition descriptions of `id` (priority order).
     pub(crate) fn transition_info(&self, id: ModuleId) -> Vec<crate::machine::TransitionInfo> {
-        self.slot(id)
-            .map(|s| s.core.lock().exec.transition_info())
+        self.with_slot(id, |s| s.core.borrow().exec.transition_info())
             .unwrap_or_default()
     }
 
     /// Module type name of `id`.
     pub fn module_type(&self, id: ModuleId) -> Option<&'static str> {
-        self.slot(id).map(|s| s.core.lock().exec.type_name())
+        self.with_slot(id, |s| s.core.borrow().exec.type_name())
     }
 
     /// The peers of each interaction point of `id` (index = IP).
     pub(crate) fn ip_peers(&self, id: ModuleId) -> Vec<Option<IpRef>> {
-        self.slot(id)
-            .map(|s| s.core.lock().ips.iter().map(|ip| ip.peer()).collect())
-            .unwrap_or_default()
+        self.with_slot(id, |s| {
+            s.core.borrow().ips.iter().map(|ip| ip.peer()).collect()
+        })
+        .unwrap_or_default()
     }
 
     /// Runs `f` against the concrete machine of module `id`, if it is
@@ -1184,8 +1123,8 @@ impl Runtime {
         id: ModuleId,
         f: impl FnOnce(&M) -> R,
     ) -> Option<R> {
-        let slot = self.slot(id)?;
-        let core = slot.core.lock();
+        let topo = self.topo.borrow();
+        let core = topo.slot(id)?.core.borrow();
         let fsm = core.exec.as_any().downcast_ref::<Fsm<M>>()?;
         Some(f(fsm.machine()))
     }
@@ -1199,23 +1138,20 @@ impl Runtime {
         id: ModuleId,
         f: impl FnOnce(&mut M) -> R,
     ) -> Option<R> {
-        let slot = self.slot(id)?;
-        let mut core = slot.core.lock();
+        let topo = self.topo.borrow();
+        let slot = topo.slot(id)?;
+        let mut core = slot.core.borrow_mut();
         let fsm = core.exec.as_any_mut().downcast_mut::<Fsm<M>>()?;
         let result = f(fsm.machine_mut());
         if core.exec.wake_driven() {
-            slot.mark_woken();
+            slot.wake.mark_woken();
         }
         Some(result)
     }
 
     /// Total messages queued across all interaction points.
     pub fn pending_messages(&self) -> usize {
-        self.topo
-            .read()
-            .alive()
-            .map(|s| s.queued.load(Ordering::SeqCst))
-            .sum()
+        self.topo.borrow().alive().map(|s| s.queued.get()).sum()
     }
 
     /// Compares the ready index with the modules themselves and
@@ -1232,21 +1168,21 @@ impl Runtime {
     /// `World`'s driver each time it returns (debug profile).
     #[doc(hidden)]
     pub fn ready_index_violations(&self) -> Vec<String> {
-        let topo = self.topo.read();
+        let topo = self.topo.borrow();
         let now = self.clock.now();
         let mut found = Vec::new();
         for slot in topo.alive().filter(|s| s.kind != ModuleKind::Inactive) {
-            let core = slot.core.lock();
+            let core = slot.core.borrow();
             let id = slot.id;
             let queued: usize = core.ips.iter().map(IpState::len).sum();
-            if slot.queued.load(Ordering::SeqCst) != queued {
+            if slot.queued.get() != queued {
                 found.push(format!("{id}: queue count drifted from {queued}"));
             }
-            if slot.polls.load(Ordering::SeqCst) != core.exec.polls() {
+            if slot.polls.get() != core.exec.polls() {
                 found.push(format!("{id}: stale polls bit in {}", core.exec.state()));
             }
             let bit = 1u64 << (id.index() % 64);
-            if queued > 0 || core.exec.polls() || slot.woken.load(Ordering::SeqCst) {
+            if queued > 0 || core.exec.polls() || slot.wake.is_woken() {
                 if topo.word(id.index()).load(Ordering::SeqCst) & bit == 0 {
                     found.push(format!("{id}: can fire but is not in the index"));
                 }
@@ -1275,16 +1211,16 @@ impl Runtime {
 
     /// Enables trace recording (see [`ExecTrace`]).
     pub fn enable_trace(&self) {
-        self.trace_on.store(true, Ordering::SeqCst);
+        self.trace_on.set(true);
     }
 
     /// Stops recording and returns the trace collected so far.
     pub fn take_trace(&self) -> ExecTrace {
-        self.trace_on.store(false, Ordering::SeqCst);
-        let records = std::mem::take(&mut *self.trace.lock());
+        self.trace_on.set(false);
+        let records = self.trace.take();
         let modules = self
             .topo
-            .read()
+            .borrow()
             .slots
             .iter()
             .flatten()
@@ -1301,7 +1237,7 @@ impl Runtime {
 
     /// Snapshot of the instrumentation counters.
     pub fn counters(&self) -> Counters {
-        self.counters.snapshot()
+        self.counters.get()
     }
 }
 

@@ -750,9 +750,8 @@ fn release_kills_subtree() {
     assert!(!rt.alive_modules().contains(&child));
 }
 
-/// A body that keeps its own waker: the shortest form of the cycle a
-/// medium closes when it holds its reader's waker (slot → body →
-/// waker → slot).
+/// A body that keeps its own waker, the way a medium keeps its
+/// reader's: the waker must not keep the body alive.
 #[derive(Debug)]
 struct Hoarder {
     dropped: Arc<std::sync::atomic::AtomicBool>,
@@ -785,7 +784,7 @@ impl StateMachine for Hoarder {
 fn a_dropped_runtime_frees_bodies_that_hold_their_own_waker() {
     let dropped = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let (rt, _c) = Runtime::sim();
-    add(
+    let hoarder = add(
         &rt,
         None,
         "hoarder",
@@ -797,10 +796,19 @@ fn a_dropped_runtime_frees_bodies_that_hold_their_own_waker() {
     )
     .unwrap();
     rt.start().unwrap();
+    let waker = rt
+        .with_machine::<Hoarder, _>(hoarder, |h| h.waker.clone())
+        .unwrap()
+        .expect("initialize kept the waker");
     let dropped = || dropped.load(std::sync::atomic::Ordering::SeqCst);
     assert!(!dropped());
     drop(rt);
     assert!(dropped(), "the module body leaked");
+    // The waker outlives its runtime: waking it, here and from another
+    // thread, sets a flag nobody reads.
+    waker.wake_by_ref();
+    std::thread::spawn(move || waker.wake()).join().unwrap();
+    assert!(dropped());
 }
 
 /// A runtime built on the network's clock reads the instants the

@@ -19,6 +19,8 @@ pub mod pstack;
 mod report;
 mod suite;
 
-pub use experiments::{movie_attribute_sets, WideFsm16, WideFsm64};
+pub use experiments::{
+    movie_attribute_sets, WideFsm16, WideFsm2, WideFsm32, WideFsm4, WideFsm64, WideFsm8,
+};
 pub use report::Table;
 pub use suite::{experiment, Experiment, Outcome, Scale, EXPERIMENTS};

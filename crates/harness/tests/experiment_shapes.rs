@@ -124,3 +124,68 @@ fn e6_twin_parallel_never_wins_on_simulated_threads() {
         "10 000 elements: parallel {parallel} should overlap enough to beat {sequential}"
     );
 }
+
+/// E3's deterministic twin. The host-clock row times the two dispatch
+/// mappings; this counts the transitions each selection inspects
+/// (`FiredMeta::scanned`), which no load on the host changes. Every
+/// `WideFsm` fires a fixed count, a whole number of its cycles, on a
+/// runtime under each mapping. Table-driven dispatch looks only at the
+/// current state's row, so it inspects one transition per firing at
+/// every width; hard-coded dispatch walks the list from the top, so
+/// what it inspects grows with the width.
+#[test]
+fn e3_twin_table_driven_inspects_one_transition_at_every_width() {
+    use estelle::{Dispatch, FireOutcome, ModuleKind, ModuleLabels, Runtime, StateMachine};
+    use harness::{WideFsm16, WideFsm2, WideFsm32, WideFsm4, WideFsm64, WideFsm8};
+    const FIRINGS: u64 = 256;
+    fn scanned_per_firing<M: StateMachine + Default>(dispatch: Dispatch) -> f64 {
+        let (rt, _clock) = Runtime::sim();
+        let labels = ModuleLabels::default();
+        let id = rt
+            .add_module(
+                None,
+                "wide",
+                ModuleKind::SystemProcess,
+                labels,
+                M::default(),
+            )
+            .unwrap();
+        rt.start().unwrap();
+        let scanned: u64 = (0..FIRINGS)
+            .map(|_| match rt.try_fire(id, dispatch) {
+                FireOutcome::Fired(meta) => u64::from(meta.scanned),
+                other => panic!("a wide FSM always has a step enabled, got {other:?}"),
+            })
+            .sum();
+        scanned as f64 / FIRINGS as f64
+    }
+    let runs: [fn(Dispatch) -> f64; 6] = [
+        scanned_per_firing::<WideFsm2>,
+        scanned_per_firing::<WideFsm4>,
+        scanned_per_firing::<WideFsm8>,
+        scanned_per_firing::<WideFsm16>,
+        scanned_per_firing::<WideFsm32>,
+        scanned_per_firing::<WideFsm64>,
+    ];
+    let mut previous_hard = 0.0;
+    let mut last = (0.0, 0.0);
+    for (width, scanned) in [2, 4, 8, 16, 32, 64].into_iter().zip(runs) {
+        let table = scanned(Dispatch::TableDriven);
+        let hard = scanned(Dispatch::HardCoded);
+        assert_eq!(
+            table, 1.0,
+            "{width} transitions: table-driven scanned {table}"
+        );
+        assert!(
+            hard > previous_hard,
+            "{width} transitions: hard-coded scanned {hard}, no more than {previous_hard} at the narrower width"
+        );
+        previous_hard = hard;
+        last = (table, hard);
+    }
+    let (table, hard) = last;
+    assert!(
+        table < hard,
+        "64 transitions: table-driven {table} vs hard-coded {hard}"
+    );
+}
